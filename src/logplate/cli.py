@@ -15,6 +15,10 @@ exactly; repeated invocations with identical flags produce byte-identical
 output.  The artifact is fully deterministic (there is no seed anywhere).
 The `seconds` field of `verify` lines is wall time and is the one field
 excluded from the determinism guarantee; `--out` files omit it.
+
+Exit codes: 0 success, 1 a rates or verify check failed, 2 usage or input
+error, 3 a quadrature or integrator budget ran out (one `error:` line that
+names the settings to change).
 """
 
 from __future__ import annotations
@@ -318,6 +322,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except quadrature.QuadratureError as exc:
+        sys.stderr.write(f"error: {exc}; use a smaller t, a larger --tol or a larger --osc-guard\n")
+        return 3
+    except oracle.StepBudgetError as exc:
+        sys.stderr.write(f"error: {exc}; use a smaller --t or a larger --oracle-tol\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,8 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadSpec, surface_area, _adaptive, _build_bounds, _log_flat_measure
-from .symbols import R_UNIT, log_weight
+from .quadrature import (
+    TAIL_START,
+    QuadratureError,
+    QuadSpec,
+    log_flat_measure,
+    radial_integral,
+    surface_area,
+    tail_integral,
+)
+from .symbols import R_UNIT
 
 __all__ = [
     "RadialProfile",
@@ -67,10 +75,6 @@ class RadialProfile:
     l11_norm: float | None
 
     def value(self, r):
-        raise NotImplementedError
-
-    def log_value_from_lam(self, lam):
-        """log |value| as a function of the log-weight; -inf where zero."""
         raise NotImplementedError
 
     def log_flat_from_lam(self, lam):
@@ -125,14 +129,6 @@ class GaussianProfile(RadialProfile):
         out = self.peak * np.exp(-r * r / (4.0 * self.alpha))
         return float(out) if out.ndim == 0 else out
 
-    def log_value_from_lam(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(over="ignore"):
-            rsq = np.expm1(lam)
-        if self.peak == 0.0:
-            return np.full_like(lam, -np.inf)
-        return math.log(abs(self.peak)) - rsq / (4.0 * self.alpha)
-
     def log_flat_from_lam(self, lam):
         lam = np.asarray(lam, dtype=float)
         if self.peak == 0.0:
@@ -168,20 +164,14 @@ class ZeroMassProfile(RadialProfile):
         out = r * r * np.exp(-r * r / (4.0 * self.alpha))
         return float(out) if out.ndim == 0 else out
 
-    def log_value_from_lam(self, lam):
-        return self._log_from_lam(lam, 0.0)
-
     def log_flat_from_lam(self, lam):
-        return self._log_from_lam(lam, 0.25 * self.n)
-
-    def _log_from_lam(self, lam, lam_coeff):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rsq = np.expm1(lam)
             out = np.where(
                 rsq <= 0.0,
                 -np.inf,
-                np.log(np.maximum(rsq, 1e-300)) + lam_coeff * lam - rsq / (4.0 * self.alpha),
+                np.log(np.maximum(rsq, 1e-300)) + 0.25 * self.n * lam - rsq / (4.0 * self.alpha),
             )
             out = np.where(np.isinf(rsq), -np.inf, out)
         return out
@@ -202,24 +192,15 @@ class ZeroMassProfile(RadialProfile):
             return coef * (1.0 + rho) * g * np.exp(-a * rho * rho) * rho ** (n - 1)
 
         spec = QuadSpec(n=1, tol=1e-12)
-        total = 0.0
-        prev = math.inf
-        lo = 0.0
-        hi = max(2.0 * kink, 2.0)
-        for _ in range(60):
-            seg, _, _ = _adaptive(
-                f,
-                _build_bounds(lo, hi, breakpoints=(kink,)),
-                spec.tol,
-                spec.max_panels,
-                spec.chunk,
-            )
-            total += seg
-            if seg <= prev and seg <= spec.tol * abs(total) + 1e-300:
-                return total
-            prev = seg
-            lo, hi = hi, 2.0 * hi
-        raise RuntimeError("weighted-L1 tail did not converge")
+        total, _, converged = tail_integral(
+            lambda lo, hi: radial_integral(f, lo, hi, spec, breakpoints=(kink,)),
+            0.0,
+            max(2.0 * kink, 2.0),
+            spec.tol,
+        )
+        if not converged:
+            raise QuadratureError("weighted-L1 tail did not converge")
+        return total
 
 
 class LogTailProfile(RadialProfile):
@@ -252,13 +233,6 @@ class LogTailProfile(RadialProfile):
         tail = np.exp(self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam))
         out = np.where(lam < 1.0, core, tail)
         return float(out) if out.ndim == 0 else out
-
-    def log_value_from_lam(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(over="ignore"):
-            core = math.log(self.core_peak) - np.expm1(lam) / 4.0
-        tail = self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam)
-        return np.where(lam < 1.0, core, tail)
 
     def log_flat_from_lam(self, lam):
         # the (1+r^2)^{-n/4} tail factor cancels the flattening exactly;
@@ -352,14 +326,14 @@ def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:
 
 @dataclass(frozen=True)
 class LowFreqParts:
-    """Decomposition u(r) = a_part - i b_part + p_part.
+    """Decomposition u(r) = a_part + p_part.
 
-    Profiles here are real and radial, so b_part is identically zero and
-    a_part is the deviation from the mass.
+    Profiles here are real and radial, so the imaginary (first-moment) part
+    of the general decomposition vanishes and a_part is the deviation from
+    the mass.
     """
 
     a_part: float
-    b_part: float
     p_part: float
 
 
@@ -370,7 +344,7 @@ def low_freq_parts(d: RadialProfile, r: float) -> LowFreqParts:
             f"Lipschitz surrogate violated for {d.name} at r={r!r}: "
             f"|deviation|={abs(dev):.3e} > K r={d.lip_const * r:.3e}"
         )
-    return LowFreqParts(dev, 0.0, d.mass)
+    return LowFreqParts(dev, d.mass)
 
 
 @dataclass(frozen=True)
@@ -404,34 +378,17 @@ def y_norm(
         v = d.value(r)
         return (1.0 + np.log1p(r * r)) ** s * v * v * area * r ** (n - 1)
 
-    head, head_err, _ = _adaptive(
-        f_head,
-        _build_bounds(0.0, R_UNIT, ladder=16),
-        spec.tol,
-        spec.max_panels,
-        spec.chunk,
-    )
+    head, head_err = radial_integral(f_head, 0.0, R_UNIT, spec, ladder=16)
 
     def f_tail(y):
         lam = y * y
         logv = d.log_flat_from_lam(lam)
-        return np.exp(s * np.log1p(lam) + 2.0 * logv + _log_flat_measure(y, n))
+        return np.exp(s * np.log1p(lam) + 2.0 * logv + log_flat_measure(y, n))
 
-    total = head
-    err = head_err
-    prev = math.inf
-    s_lo = 2.0
-    for _ in range(spec.max_segments):
-        s_hi = 2.0 * s_lo
-        y_lo = math.sqrt(s_lo - 1.0)
-        y_hi = math.sqrt(s_hi - 1.0)
-        seg, segerr, _ = _adaptive(
-            f_tail, _build_bounds(y_lo, y_hi), spec.tol, spec.max_panels, spec.chunk
-        )
-        total += seg
-        err += segerr
-        if seg <= prev and seg <= spec.tol * abs(total) + 1e-300:
-            return YNormResult(total, err, False)
-        prev = seg
-        s_lo = s_hi
-    return YNormResult(total, err, True)
+    def segment(s_lo, s_hi):
+        return radial_integral(f_tail, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), spec)
+
+    tail, tail_err, converged = tail_integral(
+        segment, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline=head
+    )
+    return YNormResult(head + tail, head_err + tail_err, not converged)

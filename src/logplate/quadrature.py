@@ -21,9 +21,12 @@ Design notes
   the mode value above the root-collision threshold) get an a-priori panel
   width cap of osc_guard local half-periods, sized from the local phase
   rate; 15 Kronrod nodes per period resolve the phase to ~1e-8 relative,
-  so refinement rounds are rare.  Tail truncation doubles the extent of the
-  substituted variable until the increment is negligible and the envelope
-  peak (at log-weight ~ t) has been passed.
+  so refinement rounds are rare.
+* Every unbounded integral (the high zone, the reference tail, and the data
+  module's log-weighted and weighted-L1 norms) goes through one
+  tail-doubling loop, `tail_integral`: it doubles the extent until the
+  increment is negligible and, for the high zone, the envelope peak (at
+  log-weight ~ t) has been passed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .modes import propagator_coeffs
 from .profiles import phi1_coeff, phi2_coeffs
-from .symbols import compute_thresholds, discriminant, log_weight
+from .symbols import compute_thresholds, discriminant
 
 __all__ = [
     "THRESHOLDS",
@@ -45,8 +48,12 @@ __all__ = [
     "PanelBudgetError",
     "NonFiniteIntegrandError",
     "QuadSpec",
+    "MAX_PANELS",
+    "TAIL_START",
     "surface_area",
     "radial_integral",
+    "tail_integral",
+    "log_flat_measure",
     "ref_integral_Ip",
     "ref_integral_Jp",
     "middle_zone_integral",
@@ -67,6 +74,16 @@ NORM_KINDS = ("u", "phi1", "phi2", "u-phi1", "u-phi2", "u-phi")
 # root-collision threshold delta).
 _WAVE_KINDS = frozenset({"phi2", "u-phi2", "u-phi"})
 _MODE_KINDS = frozenset({"u", "u-phi1", "u-phi2", "u-phi"})
+_PHI1_KINDS = frozenset({"phi1", "u-phi1", "u-phi"})
+
+#: Panel budget of one adaptive integral; the high-zone tail segments share one.
+MAX_PANELS = 6_000_000
+#: Segments a tail-doubling loop may take before it gives up.
+MAX_SEGMENTS = 200
+#: Starting value of s = 1 + log-weight for the tails integrated in y.
+TAIL_START = 2.0
+#: Maximum integrand evaluations per vectorised call.
+CHUNK = 1 << 21
 
 
 class QuadratureError(RuntimeError):
@@ -130,24 +147,13 @@ class QuadSpec:
 
     n: int
     tol: float = 1e-6
-    zone_splits: tuple[float, float, float] = (
-        THRESHOLDS.eta,
-        THRESHOLDS.delta,
-        THRESHOLDS.r_unit,
-    )
-    max_panels: int = 6_000_000
     osc_guard: float = 1.0
-    tail_start: float = 2.0  # starting value of 1 + log-weight for the tail
-    max_segments: int = 200
-    chunk: int = 1 << 21  # max integrand evaluations per call
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
         if not (1e-12 <= self.tol <= 1e-3):
             raise ValueError("tol must lie in [1e-12, 1e-3]")
-        if not (self.zone_splits[0] < self.zone_splits[1] < self.zone_splits[2]):
-            raise ValueError("zone splits must be strictly increasing")
         if self.osc_guard <= 0.0:
             raise ValueError("osc_guard must be positive")
 
@@ -159,12 +165,12 @@ def surface_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _gk_eval(f, lo: np.ndarray, hi: np.ndarray, chunk: int):
+def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     """Vectorised GK15 on a batch of panels -> (values, error estimates)."""
     m = lo.size
     vals = np.empty(m)
     errs = np.empty(m)
-    rows = max(1, chunk // 15)
+    rows = max(1, CHUNK // 15)
     for start in range(0, m, rows):
         sl = slice(start, min(m, start + rows))
         a = lo[sl]
@@ -181,7 +187,7 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray, chunk: int):
     return vals, errs
 
 
-def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int, chunk: int):
+def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int):
     """Adaptive refinement starting from the given panel boundaries.
 
     Returns (value, error estimate, panels used).
@@ -194,7 +200,7 @@ def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int, chunk: int):
         raise PanelBudgetError(
             f"initial subdivision needs {lo.size} panels, budget is {max_panels}"
         )
-    vals, errs = _gk_eval(f, lo, hi, chunk)
+    vals, errs = _gk_eval(f, lo, hi)
     for _ in range(200):
         total = float(np.sum(vals))
         err = float(np.sum(errs))
@@ -213,7 +219,7 @@ def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int, chunk: int):
         mid = 0.5 * (mlo + mhi)
         clo = np.concatenate([mlo, mid])
         chi = np.concatenate([mid, mhi])
-        cvals, cerrs = _gk_eval(f, clo, chi, chunk)
+        cvals, cerrs = _gk_eval(f, clo, chi)
         keep = ~mask
         lo = np.concatenate([lo[keep], clo])
         hi = np.concatenate([hi[keep], chi])
@@ -272,8 +278,38 @@ def radial_integral(
     if hi < lo:
         raise ValueError("empty integration range")
     bounds = _build_bounds(lo, hi, breakpoints, max_width, ladder)
-    value, err, _ = _adaptive(f, bounds, spec.tol, spec.max_panels, spec.chunk)
+    value, err, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
     return value, err
+
+
+def tail_integral(
+    segment, lo: float, hi: float, tol: float, baseline: float = 0.0, stop_from: float = -math.inf
+):
+    """Sum segment(lo, hi), segment(hi, 2 hi), ... until the increments stop.
+
+    `segment(a, b)` integrates one piece and returns (value, err).  The loop
+    stops after a piece that starts at or beyond `stop_from`, is no larger
+    than the piece before it and is at most tol * (|baseline| + |total|),
+    where `baseline` is the part of the integral the caller holds apart.
+    Returns (total, err, converged); converged is False when MAX_SEGMENTS
+    pieces did not meet the test, and the caller decides what that means.
+    """
+    total = 0.0
+    err = 0.0
+    prev = math.inf
+    for _ in range(MAX_SEGMENTS):
+        seg, segerr = segment(lo, hi)
+        total += seg
+        err += segerr
+        if (
+            lo >= stop_from
+            and seg <= prev
+            and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
+        ):
+            return total, err, True
+        prev = seg
+        lo, hi = hi, 2.0 * hi
+    return total, err, False
 
 
 # --------------------------------------------------------------------------
@@ -305,20 +341,12 @@ def ref_integral_Jp(p_exp: float, t: float, spec: QuadSpec | None = None) -> flo
     def f(r):
         return (1.0 + r * r) ** (-t) * r ** p_exp
 
-    total = 0.0
-    prev = math.inf
-    r_lo = 1.0
-    for _ in range(spec.max_segments):
-        r_hi = 2.0 * r_lo
-        seg, _, _ = _adaptive(
-            f, _build_bounds(r_lo, r_hi), spec.tol, spec.max_panels, spec.chunk
-        )
-        total += seg
-        if seg <= prev and seg <= spec.tol * abs(total) + 1e-300:
-            return total
-        prev = seg
-        r_lo = r_hi
-    raise QuadratureError("tail did not converge")
+    total, _, converged = tail_integral(
+        lambda lo, hi: radial_integral(f, lo, hi, spec), 1.0, 2.0, spec.tol
+    )
+    if not converged:
+        raise QuadratureError("tail did not converge")
+    return total
 
 
 def middle_zone_integral(
@@ -351,7 +379,7 @@ def _mode_phase_breakpoints(delta_b: float) -> np.ndarray:
     return np.interp(targets, _BB_B, _BB_R)
 
 
-def _log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
+def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     """log of w_n (1 - e^{-L})^{(n-2)/2} y: the radial measure in y = sqrt(L)
     after its exponential growth e^{L n / 2} has been moved into the data
     values (see RadialProfile.log_flat_from_lam).  Everything left is O(log),
@@ -364,27 +392,25 @@ def _log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _values_r(d, kind: str, t: float, r: np.ndarray) -> np.ndarray:
-    """Real value of the selected quantity at radii r (plain variables)."""
-    lam = np.log1p(r * r)
-    u0v = d.u0.value(r)
-    u1v = d.u1.value(r)
-    val = None
-    if kind in _MODE_KINDS:
-        ec, es, a = propagator_coeffs(lam, t)
-        val = ec * u0v + es * (u1v + a * u0v)
+def _values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
+    """Value of the selected quantity at log-weights lam.
+
+    v0, v1 are the data values and `mass` the heat-like profile term (None
+    for kinds without phi1): plain values in the r-zones, measure-folded
+    ones in the high zone, where the assembly is the same.
+    """
     if kind == "phi1":
-        return d.mass_sum * phi1_coeff(lam, t)
+        return mass
     if kind == "phi2":
         env, s2, c2 = phi2_coeffs(lam, t)
-        return env * (s2 * u1v + c2 * u0v)
-    if kind == "u":
-        return val
-    if kind in ("u-phi1", "u-phi"):
-        val = val - d.mass_sum * phi1_coeff(lam, t)
-    if kind in ("u-phi2", "u-phi"):
+        return env * (s2 * v1 + c2 * v0)
+    ec, es, a = propagator_coeffs(lam, t)
+    val = ec * v0 + es * (v1 + a * v0)
+    if kind in _PHI1_KINDS:
+        val = val - mass
+    if kind in _WAVE_KINDS:
         env, s2, c2 = phi2_coeffs(lam, t)
-        val = val - env * (s2 * u1v + c2 * u0v)
+        val = val - env * (s2 * v1 + c2 * v0)
     return val
 
 
@@ -398,7 +424,7 @@ def _scaled_data_y(d, t: float, n: int, y: np.ndarray):
     survives arbitrarily large log-weights.
     """
     lam = y * y
-    lw = 0.5 * _log_flat_measure(y, n)
+    lw = 0.5 * log_flat_measure(y, n)
     w0 = d.u0.sign * np.exp(d.u0.log_flat_from_lam(lam) + lw)
     w1 = d.u1.sign * np.exp(d.u1.log_flat_from_lam(lam) + lw)
     ms = d.mass_sum
@@ -413,54 +439,13 @@ def _scaled_data_y(d, t: float, n: int, y: np.ndarray):
     return w0, w1, wial
 
 
-def _values_y(d, kind: str, t: float, n: int, y: np.ndarray) -> np.ndarray:
-    """Measure-folded value of the selected quantity at y = sqrt(log-weight)."""
-    lam = y * y
-    w0, w1, wial = _scaled_data_y(d, t, n, y)
-    val = None
-    if kind in _MODE_KINDS:
-        ec, es, a = propagator_coeffs(lam, t)
-        val = ec * w0 + es * (w1 + a * w0)
-    if kind == "phi1":
-        return wial
-    if kind == "phi2":
-        env, s2, c2 = phi2_coeffs(lam, t)
-        return env * (s2 * w1 + c2 * w0)
-    if kind == "u":
-        return val
-    if kind in ("u-phi1", "u-phi"):
-        val = val - wial
-    if kind in ("u-phi2", "u-phi"):
-        env, s2, c2 = phi2_coeffs(lam, t)
-        val = val - env * (s2 * w1 + c2 * w0)
-    return val
-
-
-def _envelope_y(d, kind: str, t: float, n: int, y: np.ndarray) -> np.ndarray:
-    """Cheap nonnegative majorant envelope used only to skip all-zero segments."""
-    lam = y * y
-    lw = 0.5 * _log_flat_measure(y, n)
-    env = np.exp(d.u0.log_flat_from_lam(lam) + lw) + np.exp(
-        d.u1.log_flat_from_lam(lam) + lw
-    )
-    if kind in ("phi1", "u-phi1", "u-phi") and d.mass_sum != 0.0:
-        env = env + np.exp(
-            math.log(abs(d.mass_sum)) + lam * (0.25 * n - t * (1.0 + lam)) + lw
-        )
-    return env
-
-
-def _zone_interval(zone: str, spec: QuadSpec) -> tuple[float, float]:
-    eta, delta, r_unit = spec.zone_splits
-    return {
-        "low": (0.0, eta),
-        "lowmid": (eta, delta),
-        "highmid": (delta, r_unit),
-    }[zone]
-
-
 def _r_zone_bounds(kind: str, zone: str, t: float, spec: QuadSpec) -> np.ndarray:
-    lo, hi = _zone_interval(zone, spec)
+    th = THRESHOLDS
+    lo, hi = {
+        "low": (0.0, th.eta),
+        "lowmid": (th.eta, th.delta),
+        "highmid": (th.delta, th.r_unit),
+    }[zone]
     breakpoints: tuple | np.ndarray = ()
     width = None
     ladder = 16 if zone == "low" else 0
@@ -479,41 +464,37 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float):
     n = spec.n
 
     def f(y):
-        v = _values_y(d, kind, t, n, y)
+        v = _values(kind, y * y, t, *_scaled_data_y(d, t, n, y))
         return v * v
 
     oscillatory = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
     # phase rates in y: d(y t)/dy = t and d(b t)/dy <= 1.15 t on the high zone
     cap = spec.osc_guard * math.pi / (1.15 * t) if oscillatory else None
-    peak_s = max(t, 2.0 * spec.tail_start) if t > 0.0 else spec.tail_start
+    peak_s = max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START
+    panels_left = MAX_PANELS
 
-    total = 0.0
-    err = 0.0
-    prev = math.inf
-    panels_left = spec.max_panels
-    s_lo = spec.tail_start
-    for _ in range(spec.max_segments):
-        s_hi = 2.0 * s_lo
+    def segment(s_lo, s_hi):
+        nonlocal panels_left
         y_lo = math.sqrt(s_lo - 1.0)
         y_hi = math.sqrt(s_hi - 1.0)
-        probe = np.linspace(y_lo, y_hi, 33)
-        if float(np.max(_envelope_y(d, kind, t, n, probe))) == 0.0:
-            seg, segerr, used = 0.0, 0.0, 0
-        else:
-            bounds = _build_bounds(y_lo, y_hi, max_width=cap)
-            seg, segerr, used = _adaptive(f, bounds, spec.tol, panels_left, spec.chunk)
+        # skip segments where every folded term underflows to zero
+        w0, w1, wial = _scaled_data_y(d, t, n, np.linspace(y_lo, y_hi, 33))
+        env = np.abs(w0) + np.abs(w1)
+        if kind in _PHI1_KINDS:
+            env = env + np.abs(wial)
+        if float(np.max(env)) == 0.0:
+            return 0.0, 0.0
+        bounds = _build_bounds(y_lo, y_hi, max_width=cap)
+        seg, segerr, used = _adaptive(f, bounds, spec.tol, panels_left)
         panels_left -= used
-        total += seg
-        err += segerr
-        if (
-            s_lo >= peak_s
-            and seg <= prev
-            and seg <= spec.tol * (abs(baseline) + abs(total)) + 1e-300
-        ):
-            return total, err
-        prev = seg
-        s_lo = s_hi
-    raise QuadratureError("high-frequency tail did not converge")
+        return seg, segerr
+
+    total, err, converged = tail_integral(
+        segment, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline, stop_from=peak_s
+    )
+    if not converged:
+        raise QuadratureError("high-frequency tail did not converge")
+    return total, err
 
 
 @dataclass(frozen=True)
@@ -554,22 +535,26 @@ def norm_value(
         if profile.n != n:
             raise ValueError("data profile dimension does not match the run")
     area = surface_area(n)
+
+    def f(r):
+        lam = np.log1p(r * r)
+        mass = d.mass_sum * phi1_coeff(lam, t) if kind in _PHI1_KINDS else None
+        v = _values(kind, lam, t, d.u0.value(r), d.u1.value(r), mass)
+        return v * v * area * r ** (n - 1)
+
     zones = ZONES if zone == "all" else (zone,)
     parts: list[float] = []
     errs: list[float] = []
-    for z in zones:
-        if z == "high":
-            val, er = _tail_value(d, kind, t, spec, baseline=math.fsum(parts))
-        else:
-
-            def f(r, _z=z):
-                v = _values_r(d, kind, t, r)
-                return v * v * area * r ** (n - 1)
-
-            bounds = _r_zone_bounds(kind, z, t, spec)
-            val, er, _ = _adaptive(f, bounds, spec.tol, spec.max_panels, spec.chunk)
-        parts.append(val)
-        errs.append(er)
+    try:
+        for z in zones:
+            if z == "high":
+                val, er = _tail_value(d, kind, t, spec, baseline=math.fsum(parts))
+            else:
+                val, er, _ = _adaptive(f, _r_zone_bounds(kind, z, t, spec), spec.tol, MAX_PANELS)
+            parts.append(val)
+            errs.append(er)
+    except QuadratureError as exc:
+        raise type(exc)(f"{exc} (t={t:g}, tol={spec.tol:g}, osc_guard={spec.osc_guard:g})") from exc
     return math.fsum(parts), math.fsum(errs)
 
 

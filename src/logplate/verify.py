@@ -133,11 +133,6 @@ class _SeriesCache:
         return self._store[key]
 
 
-def _norm_slope(series: quadrature.NormSeries, window=FIT_WINDOW) -> rates.RateFit:
-    """Fit on the squared-norm series; slope/2 is the norm exponent."""
-    return rates.fit_rate(series, window)
-
-
 def _positive_window(series: quadrature.NormSeries, window=FIT_WINDOW):
     """Sub-window of `window` where the series is positive.
 
@@ -382,7 +377,7 @@ def _check_diffusion_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     n = 2
     sel = "gaussian:alpha=1"
     s = cache.series(sel, sel, n, "u-phi1", 1e-6)
-    fit = _norm_slope(s)
+    fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     theory = -(n + 4) / 4.0
     bound = -(n + 2) / 4.0
@@ -406,7 +401,7 @@ def _check_diffusion_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
 
 def _check_combined_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 4, "u-phi", 1e-4, guard=2.0)
-    fit = _norm_slope(s)
+    fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = slope <= -1.4
     return (
@@ -419,7 +414,7 @@ def _check_combined_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
 
 def _check_wave_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u-phi2", 1e-4, guard=2.0)
-    fit = _norm_slope(s)
+    fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = slope <= -1.9
     return (
@@ -432,7 +427,7 @@ def _check_wave_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
 
 def _check_solution_sharpness(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4, guard=2.0)
-    fit = _norm_slope(s)
+    fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = (-1.2 <= slope <= -1.0) and slope <= -0.9
     return (
@@ -454,7 +449,7 @@ def _check_two_sided(cache: _SeriesCache) -> tuple[bool, str, str, str]:
         ok &= band.passed
         notes.append(f"n{n}_norm_ratio={math.sqrt(band.ratio):.3f},drift={band.drift}")
     s0 = cache.series("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6)
-    fit = _norm_slope(s0)
+    fit = rates.fit_rate(s0, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok &= slope <= -0.9
     notes.append(f"zero_mass_slope={slope:.4f}")

@@ -131,3 +131,32 @@ def test_out_file_writing(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().startswith("t,value,err_est,n,kind,zone")
+
+
+def test_panel_budget_exit_code(monkeypatch, capsys):
+    from logplate import quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
+    code = cli.main(
+        ["profile-diff", "--n", "2", "--data-u0", "gaussian:alpha=1",
+         "--data-u1", "gaussian:alpha=1", "--profile", "phi2", "--t0", "5000", "--t-count", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(key in lines[0] for key in ("t=5000", "--tol", "--osc-guard"))
+
+
+def test_step_budget_exit_code(monkeypatch, capsys):
+    from logplate import oracle
+
+    def exhausted(*args, **kwargs):
+        raise oracle.StepBudgetError("step budget 10000 exhausted at t=1 of 5")
+
+    monkeypatch.setattr(oracle, "integrate_mode", exhausted)
+    code = cli.main(["mode", "--r", "1", "--t", "5", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: step budget")

@@ -110,8 +110,9 @@ def test_norm_series_validation():
         quad.QuadSpec(n=0)
 
 
-def test_panel_budget_guard():
-    spec = quad.QuadSpec(n=2, tol=1e-6, max_panels=50)
+def test_panel_budget_guard(monkeypatch):
+    monkeypatch.setattr(quad, "MAX_PANELS", 50)
+    spec = quad.QuadSpec(n=2, tol=1e-6)
     with pytest.raises(quad.PanelBudgetError):
         quad.norm_value(GAUSS2, "u-phi2", 2, 5000.0, spec)
 
