@@ -6,11 +6,14 @@ On the Fourier side every radial mode obeys
 
     (1 + L) u'' + u' + L (1 + L) u = 0,    L = log(1 + r^2),
 
-and the package evaluates the exact mode solutions, the late-time profiles,
-radial-quadrature L^2 norms, and log-log decay-rate fits that reproduce the
-known decay classification (diffusion-like / wave-like / both) at desk
-scale.  Everything is deterministic: identical inputs give bit-identical
-output.
+and the package evaluates the exact mode solutions (`modes`), the
+coefficients of the late-time heat-like and oscillatory profiles
+(`profiles`), radial-quadrature L^2 norms of the solution, the profiles and
+their differences (`quadrature`, whose `node_values` is the one place where
+mode values and profiles are combined), and log-log decay-rate fits that
+reproduce the known decay classification (diffusion-like / wave-like /
+both) at desk scale (`rates`).  Everything is deterministic: identical
+inputs give bit-identical output.
 """
 
 from .symbols import (
@@ -21,13 +24,12 @@ from .symbols import (
     Regime,
     char_roots,
     compute_thresholds,
-    decay_envelope,
     log_weight,
     mult_weight,
 )
 from .modes import ModeState, EnergyDensity, energy_density, mode_solve, pointwise_bound_check
 from .oracle import IntegratorConfig, StepBudgetError, integrate_mode
-from .profiles import ProfileKind, phi1, phi2, profile_diff, profile_value
+from .profiles import ProfileKind
 from .quadrature import (
     NORM_KINDS,
     ZONES,
@@ -45,7 +47,6 @@ from .data import (
     RadialSpectrum,
     gaussian,
     log_tail,
-    low_freq_parts,
     parse_pair,
     parse_profile,
     y_norm,

@@ -33,6 +33,9 @@ from . import modes, oracle, quadrature, rates, symbols, verify
 
 _F = "{:.17g}"
 
+# norm kind of u minus each profile, keyed by the profile's CLI token
+_DIFF_KINDS = {"phi1": "u-phi1", "phi2": "u-phi2", "phi": "u-phi"}
+
 
 def _fmt(x: float) -> str:
     return _F.format(float(x))
@@ -93,9 +96,11 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _grid(args) -> tuple[float, ...]:
-    if args.t0 <= 0.0 or args.t_count < 1:
-        raise SystemExit(2)
-    return tuple(args.t0 * 2.0 ** (k / 2.0) for k in range(args.t_count))
+    if args.t0 <= 0.0:
+        raise ValueError("--t0 must be positive")
+    if args.t_count < 1:
+        raise ValueError("--t-count must be at least 1")
+    return quadrature.default_time_grid(k_max=args.t_count - 1, t0=args.t0)
 
 
 def _series_csv(series: quadrature.NormSeries) -> list[str]:
@@ -172,8 +177,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_profile_diff(args) -> int:
-    kind = {"phi1": "u-phi1", "phi2": "u-phi2", "phi": "u-phi"}[args.profile]
-    _emit(_series_csv(_make_series(args, kind)), args.out)
+    _emit(_series_csv(_make_series(args, _DIFF_KINDS[args.profile])), args.out)
     return 0
 
 
@@ -197,8 +201,7 @@ def _cmd_rates(args) -> int:
     }
     ok = None
     if report.profile is not None:
-        kind = {"phi1": "u-phi1", "phi2": "u-phi2", "phi": "u-phi"}[report.profile.value]
-        series = quadrature.norm_series(d, kind, args.n, grid, spec)
+        series = quadrature.norm_series(d, _DIFF_KINDS[report.profile.value], args.n, grid, spec)
         fit = rates.fit_rate(series, window)
         out["fitted_slope"] = fit.slope / 2.0  # norm convention, like theory_exponent
         out["residual"] = fit.residual
@@ -274,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--profile",
         required=True,
-        choices=("phi1", "phi2", "phi"),
+        choices=tuple(_DIFF_KINDS),
         help="profile to subtract: heat-like (phi1), oscillatory (phi2) or their sum (phi)",
     )
     _add_grid_flags(s)

@@ -52,8 +52,6 @@ __all__ = [
     "parse_profile",
     "RadialSpectrum",
     "parse_pair",
-    "LowFreqParts",
-    "low_freq_parts",
     "YNormResult",
     "y_norm",
 ]
@@ -91,9 +89,6 @@ class RadialProfile:
     def deviation(self, r):
         """value(r) - mass, evaluated without cancellation."""
         raise NotImplementedError
-
-    def y_norm_finite(self, s: float) -> bool:
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} n={self.n}>"
@@ -249,9 +244,6 @@ class LogTailProfile(RadialProfile):
         out = self.core_peak * np.expm1(-r * r / 4.0)
         return float(out) if out.ndim == 0 else out
 
-    def y_norm_finite(self, s: float) -> bool:
-        return s < self.m + self.beta
-
 
 def gaussian(alpha: float, amplitude: float = 1.0, n: int = 1) -> GaussianProfile:
     return GaussianProfile(alpha, amplitude, n)
@@ -322,29 +314,6 @@ class RadialSpectrum:
 
 def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:
     return RadialSpectrum(parse_profile(sel0, n), parse_profile(sel1, n))
-
-
-@dataclass(frozen=True)
-class LowFreqParts:
-    """Decomposition u(r) = a_part + p_part.
-
-    Profiles here are real and radial, so the imaginary (first-moment) part
-    of the general decomposition vanishes and a_part is the deviation from
-    the mass.
-    """
-
-    a_part: float
-    p_part: float
-
-
-def low_freq_parts(d: RadialProfile, r: float) -> LowFreqParts:
-    dev = float(d.deviation(r))
-    if 0.0 <= r <= 1.0 and abs(dev) > d.lip_const * r * (1.0 + 1e-9):
-        raise AssertionError(
-            f"Lipschitz surrogate violated for {d.name} at r={r!r}: "
-            f"|deviation|={abs(dev):.3e} > K r={d.lip_const * r:.3e}"
-        )
-    return LowFreqParts(dev, d.mass)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Late-time profiles of the mode family and their pointwise differences.
+"""Coefficient functions of the late-time profiles of the mode family.
 
 Two model profiles capture the asymptotics of the exact mode solution:
 
@@ -11,6 +11,10 @@ Two model profiles capture the asymptotics of the exact mode solution:
 with their sum as the combined profile.  The oscillatory profile extends
 continuously by 0 to L -> 0 for t > 0 (the damping factor e^{-t/(2L)}
 underflows to zero there, which is exactly the continuous limit).
+
+This module gives the profiles' coefficients over arrays of log-weights;
+`quadrature.node_values` multiplies them with the data values and
+assembles every profile and every difference u - profile from them.
 """
 
 from __future__ import annotations
@@ -19,11 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .modes import mode_solve
-from .symbols import FreqPoint
-
-__all__ = ["ProfileKind", "phi1", "phi2", "profile_value", "profile_diff",
-           "phi1_coeff", "phi2_coeffs"]
+__all__ = ["ProfileKind", "phi1_coeff", "phi2_coeffs"]
 
 
 class ProfileKind(Enum):
@@ -46,7 +46,8 @@ def phi1_coeff(lam, t: float):
 
 
 def phi2_coeffs(lam, t: float):
-    """(envelope, sin-coefficient, cos-coefficient) of the oscillatory profile.
+    """(envelope, sin-coefficient, cos-coefficient) arrays of the oscillatory
+    profile over an array of log-weights.
 
     phi2 = env * (s2 * u1 + c2 * u0) with env = e^{-t/(2L)},
     s2 = sin(sqrt(L) t)/sqrt(L), c2 = cos(sqrt(L) t).  At L = 0 the envelope
@@ -66,37 +67,4 @@ def phi2_coeffs(lam, t: float):
         s2 = np.where(small, t * (1.0 - z / 6.0 + z * z / 120.0),
                       np.sin(sq * t) / np.where(small, 1.0, sq))
     c2 = np.cos(sq * t)
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-        return float(env[0]), float(s2[0]), float(c2[0])
     return env, s2, c2
-
-
-def phi1(d, p: FreqPoint, t: float) -> complex:
-    """Mass-driven profile (P0 + P1) e^{-t L (1+L)}."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    return complex(d.mass_sum * phi1_coeff(p.lam, t))
-
-
-def phi2(d, p: FreqPoint, t: float) -> complex:
-    """Damped oscillatory profile; continuous extension 0 at r = 0, t > 0."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if p.lam == 0.0:
-        return complex(d.u0.value(p.r)) if t == 0.0 else 0j
-    env, s2, c2 = phi2_coeffs(p.lam, t)
-    return complex(env * (s2 * d.u1.value(p.r) + c2 * d.u0.value(p.r)))
-
-
-def profile_value(d, p: FreqPoint, t: float, kind: ProfileKind) -> complex:
-    if kind is ProfileKind.PHI1:
-        return phi1(d, p, t)
-    if kind is ProfileKind.PHI2:
-        return phi2(d, p, t)
-    return phi1(d, p, t) + phi2(d, p, t)
-
-
-def profile_diff(d, p: FreqPoint, t: float, kind: ProfileKind) -> complex:
-    """Exact mode solution minus the selected profile at (r, t)."""
-    state = mode_solve(p, complex(d.u0.value(p.r)), complex(d.u1.value(p.r)), t)
-    return state.u - profile_value(d, p, t, kind)

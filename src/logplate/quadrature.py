@@ -54,6 +54,7 @@ __all__ = [
     "radial_integral",
     "tail_integral",
     "log_flat_measure",
+    "node_values",
     "ref_integral_Ip",
     "ref_integral_Jp",
     "middle_zone_integral",
@@ -271,13 +272,12 @@ def radial_integral(
     hi: float,
     spec: QuadSpec,
     breakpoints=(),
-    max_width: float | None = None,
     ladder: int = 0,
 ):
     """Adaptive integral of f over [lo, hi] -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
-    bounds = _build_bounds(lo, hi, breakpoints, max_width, ladder)
+    bounds = _build_bounds(lo, hi, breakpoints, ladder=ladder)
     value, err, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
     return value, err
 
@@ -392,12 +392,14 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
-    """Value of the selected quantity at log-weights lam.
+def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
+    """Value of the selected quantity (one of NORM_KINDS) at log-weights lam.
 
-    v0, v1 are the data values and `mass` the heat-like profile term (None
-    for kinds without phi1): plain values in the r-zones, measure-folded
-    ones in the high zone, where the assembly is the same.
+    v0, v1 are the data values and `mass` the heat-like profile term, i.e.
+    mass_sum * phi1_coeff(lam, t) (None for kinds without phi1): plain
+    values in the r-zones, measure-folded ones in the high zone, where the
+    assembly is the same.  This is the one place where the mode value and
+    the profiles are combined.
     """
     if kind == "phi1":
         return mass
@@ -464,7 +466,7 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float):
     n = spec.n
 
     def f(y):
-        v = _values(kind, y * y, t, *_scaled_data_y(d, t, n, y))
+        v = node_values(kind, y * y, t, *_scaled_data_y(d, t, n, y))
         return v * v
 
     oscillatory = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
@@ -528,6 +530,13 @@ def norm_value(
         raise ValueError(f"unknown integrand kind {kind!r}")
     if zone != "all" and zone not in ZONES:
         raise ValueError(f"unknown zone {zone!r}")
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0 and kind in _PHI1_KINDS and d.mass_sum != 0.0:
+        raise ValueError(
+            f"{kind!r} at t=0 contains phi1 = the mass {d.mass_sum:g} at every "
+            "frequency, whose norm is infinite; use t > 0"
+        )
     spec = spec or QuadSpec(n=n)
     if spec.n != n:
         raise ValueError("spec dimension does not match the requested dimension")
@@ -539,7 +548,7 @@ def norm_value(
     def f(r):
         lam = np.log1p(r * r)
         mass = d.mass_sum * phi1_coeff(lam, t) if kind in _PHI1_KINDS else None
-        v = _values(kind, lam, t, d.u0.value(r), d.u1.value(r), mass)
+        v = node_values(kind, lam, t, d.u0.value(r), d.u1.value(r), mass)
         return v * v * area * r ** (n - 1)
 
     zones = ZONES if zone == "all" else (zone,)

@@ -33,10 +33,7 @@ __all__ = [
     "CharRoots",
     "char_roots",
     "mult_weight",
-    "EnvelopeBound",
-    "decay_envelope",
     "discriminant",
-    "root_ratio_sq",
 ]
 
 #: Radius where the log-weight equals one: log(1 + r^2) = 1.
@@ -234,43 +231,3 @@ def mult_weight(p: FreqPoint, th: Thresholds) -> float:
     if p.r <= th.delta0:
         return 0.5 * lam * (1.0 + lam)
     return 0.5 / (1.0 + lam)
-
-
-def root_ratio_sq(lam):
-    """1 - 1/(4 L (1+L)^2): squared ratio of the oscillation rate b to sqrt(L).
-
-    Defined for frequencies above the root-collision threshold; lies in
-    [15/16, 1) for r >= R_UNIT.
-    """
-    return 1.0 - 1.0 / (4.0 * lam * (1.0 + lam) ** 2)
-
-
-@dataclass(frozen=True)
-class EnvelopeBound:
-    """Admissible constant for t^nu e^{-c (1+L)^a t} <= C (1+L)^{-a nu}.
-
-    The substitution s = c (1+L)^a t turns the left side into
-    c^{-nu} (1+L)^{-a nu} s^nu e^{-s}, and s^nu e^{-s} peaks at s = nu with
-    value (nu/e)^nu, so C = c^{-nu} (nu/e)^nu works for every t >= 0 and r.
-    """
-
-    nu: float
-    c: float
-    a_exp: float
-    constant: float
-
-    def check(self, t_grid, r_grid) -> tuple[bool, float]:
-        """Verify the envelope on the grid; returns (holds, worst ratio)."""
-        t = np.asarray(t_grid, dtype=float)[:, None]
-        one = 1.0 + log_weight(np.asarray(r_grid, dtype=float))[None, :]
-        lhs = t ** self.nu * np.exp(-self.c * one ** self.a_exp * t)
-        rhs = self.constant * one ** (-self.a_exp * self.nu)
-        ratio = float(np.max(lhs / rhs))
-        return ratio <= 1.0 + 1e-12, ratio
-
-
-def decay_envelope(nu: float, c: float, a_exp: float) -> EnvelopeBound:
-    if nu <= 0.0 or c <= 0.0:
-        raise ValueError("nu and c must be positive")
-    constant = c ** (-nu) * (nu / math.e) ** nu
-    return EnvelopeBound(nu, c, a_exp, constant)

@@ -114,6 +114,16 @@ def test_usage_errors():
     assert cli.main(["nonsense"]) == 2
 
 
+def test_bad_time_grid(capsys):
+    base = ["solve", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "gaussian:alpha=1"]
+    for flags, name in ((["--t0", "0"], "--t0"), (["--t-count", "0"], "--t-count")):
+        code = cli.main(base + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name}")
+
+
 def test_bad_data_selector(capsys):
     code = cli.main(
         ["solve", "--n", "2", "--data-u0", "gaussian:bad=1", "--data-u1", "gaussian:alpha=1",

@@ -1,4 +1,5 @@
-"""Module layout: no module of the package imports another one's private names."""
+"""Module layout: no module of the package imports another one's private
+names, and every public function has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -8,9 +9,13 @@ import logplate
 PACKAGE = Path(logplate.__file__).resolve().parent
 
 
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _private_imports(path: Path) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_tree(path)):
         if not isinstance(node, ast.ImportFrom):
             continue
         sibling = node.level > 0 or (node.module or "").split(".")[0] == "logplate"
@@ -25,3 +30,47 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_private_cross_module_imports():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
     assert found == []
+
+
+def _public_functions(tree: ast.Module) -> list[str]:
+    """Top-level functions named in the module's __all__."""
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(tgt, ast.Name) and tgt.id == "__all__" for tgt in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in exported
+    ]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as variables or attributes; imports and definitions are
+    not references."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_function_has_a_package_caller():
+    # the __init__ re-exports are not callers
+    trees = {
+        path.stem: _tree(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    unreached = [
+        f"{name}.{func}"
+        for name, tree in trees.items()
+        for func in _public_functions(tree)
+        if func not in referenced
+    ]
+    assert unreached == []

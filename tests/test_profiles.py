@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from logplate import data as data_mod
-from logplate import modes, profiles, symbols
+from logplate import modes, profiles, quadrature, symbols
 from logplate.profiles import ProfileKind
 
 TH = symbols.compute_thresholds()
@@ -11,39 +12,46 @@ GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
 ZERO2 = data_mod.parse_pair("zero_mass:alpha=1", "zero_mass:alpha=1", 2)
 
 
+def _values(kind, d, r, t):
+    """quadrature.node_values at radii r with plain data values and the
+    heat-like mass term, as the r-zones of norm_value assemble them."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    lam = np.log1p(r * r)
+    mass = d.mass_sum * profiles.phi1_coeff(lam, t)
+    return quadrature.node_values(kind, lam, t, d.u0.value(r), d.u1.value(r), mass)
+
+
+def _at(kind, d, r, t):
+    return float(_values(kind, d, r, t)[0])
+
+
 def test_phi1_at_time_zero():
-    p = symbols.FreqPoint.from_radius(0.37)
-    assert profiles.phi1(GAUSS2, p, 0.0) == pytest.approx(GAUSS2.mass_sum)
+    assert _at("phi1", GAUSS2, 0.37, 0.0) == pytest.approx(GAUSS2.mass_sum)
 
 
 def test_phi1_vanishes_for_zero_mass_data():
-    for r in (0.0, 0.5, 2.0):
-        for t in (0.0, 1.0, 100.0):
-            assert profiles.phi1(ZERO2, symbols.FreqPoint.from_radius(r), t) == 0.0
+    for t in (0.0, 1.0, 100.0):
+        assert np.all(_values("phi1", ZERO2, [0.0, 0.5, 2.0], t) == 0.0)
 
 
 def test_phi1_exponent_value():
-    p = symbols.FreqPoint.from_radius(1.0)
-    got = profiles.phi1(GAUSS2, p, 2.0)
+    got = _at("phi1", GAUSS2, 1.0, 2.0)
     expo = 2.0 * math.log(2.0) * (1.0 + math.log(2.0))
     assert expo == pytest.approx(2.3472003889562933, abs=1e-15)
-    assert got.real == pytest.approx(2.0 * math.pi * math.exp(-expo), rel=1e-14)
+    assert got == pytest.approx(2.0 * math.pi * math.exp(-expo), rel=1e-14)
 
 
 def test_phi1_pointwise_bound():
-    for r in (0.1, 0.7, 2.0, 20.0):
-        p = symbols.FreqPoint.from_radius(r)
-        for t in (0.5, 5.0, 50.0):
-            val = abs(profiles.phi1(GAUSS2, p, t))
-            assert val <= abs(GAUSS2.mass_sum) * (1.0 + r * r) ** (-t) * (1 + 1e-12)
+    rs = np.array([0.1, 0.7, 2.0, 20.0])
+    for t in (0.5, 5.0, 50.0):
+        val = np.abs(_values("phi1", GAUSS2, rs, t))
+        assert np.all(val <= abs(GAUSS2.mass_sum) * (1.0 + rs * rs) ** (-t) * (1 + 1e-12))
 
 
 def test_phi2_at_time_zero_returns_initial_value():
-    for r in (0.3, 1.0, 4.0):
-        p = symbols.FreqPoint.from_radius(r)
-        assert profiles.phi2(GAUSS2, p, 0.0) == pytest.approx(GAUSS2.u0.value(r))
-    p0 = symbols.FreqPoint.from_radius(0.0)
-    assert profiles.phi2(GAUSS2, p0, 0.0) == pytest.approx(GAUSS2.u0.value(0.0))
+    rs = np.array([0.0, 0.3, 1.0, 4.0])
+    got = _values("phi2", GAUSS2, rs, 0.0)
+    assert got == pytest.approx(GAUSS2.u0.value(rs))
 
 
 def test_phi2_unit_log_weight_quarter_period():
@@ -51,35 +59,31 @@ def test_phi2_unit_log_weight_quarter_period():
     d = data_mod.RadialSpectrum(
         data_mod.gaussian(1.0, amplitude=0.0, n=2), data_mod.gaussian(1.0, n=2)
     )
-    p = symbols.FreqPoint.from_radius(symbols.R_UNIT)
     u1v = d.u1.value(symbols.R_UNIT)
-    got = profiles.phi2(d, p, math.pi / 2.0)
-    assert got.real == pytest.approx(math.exp(-math.pi / 4.0) * u1v, rel=1e-12)
+    got = _at("phi2", d, symbols.R_UNIT, math.pi / 2.0)
+    assert got == pytest.approx(math.exp(-math.pi / 4.0) * u1v, rel=1e-12)
 
 
 def test_phi2_underflows_to_zero_near_zero_frequency():
-    p = symbols.FreqPoint.from_radius(1e-8)
-    assert profiles.phi2(GAUSS2, p, 1.0) == 0.0
-    p0 = symbols.FreqPoint.from_radius(0.0)
-    assert profiles.phi2(GAUSS2, p0, 3.0) == 0.0
+    assert _at("phi2", GAUSS2, 1e-8, 1.0) == 0.0
+    assert _at("phi2", GAUSS2, 0.0, 3.0) == 0.0
 
 
 def test_phi2_envelope_bounds():
-    for r in (0.2, 0.9, symbols.R_UNIT, 5.0):
-        p = symbols.FreqPoint.from_radius(r)
-        u0v = abs(GAUSS2.u0.value(r))
-        u1v = abs(GAUSS2.u1.value(r))
-        for t in (0.5, 4.0, 30.0):
-            val = abs(profiles.phi2(GAUSS2, p, t))
-            env = math.exp(-t / (2.0 * p.lam))
-            if p.lam <= 1.0:
-                assert val <= env * (t * u1v + u0v) * (1 + 1e-12)
-            assert val <= u1v / math.sqrt(p.lam) + u0v + 1e-12
+    rs = np.array([0.2, 0.9, symbols.R_UNIT, 5.0])
+    lam = np.log1p(rs * rs)
+    u0v = np.abs(GAUSS2.u0.value(rs))
+    u1v = np.abs(GAUSS2.u1.value(rs))
+    for t in (0.5, 4.0, 30.0):
+        val = np.abs(_values("phi2", GAUSS2, rs, t))
+        env = np.exp(-t / (2.0 * lam))
+        low = lam <= 1.0
+        assert np.all(val[low] <= (env * (t * u1v + u0v) * (1 + 1e-12))[low])
+        assert np.all(val <= u1v / np.sqrt(lam) + u0v + 1e-12)
 
 
 def test_profile_diff_at_time_zero():
-    p = symbols.FreqPoint.from_radius(0.6)
-    got = profiles.profile_diff(GAUSS2, p, 0.0, ProfileKind.PHI_SUM)
+    got = _at("u-phi", GAUSS2, 0.6, 0.0)
     assert got == pytest.approx(-GAUSS2.mass_sum, rel=1e-14)
 
 
@@ -87,22 +91,20 @@ def test_profile_diff_zero_data():
     d = data_mod.RadialSpectrum(
         data_mod.gaussian(1.0, amplitude=0.0, n=2), data_mod.gaussian(1.0, amplitude=0.0, n=2)
     )
-    p = symbols.FreqPoint.from_radius(0.4)
     for kind in ProfileKind:
-        assert profiles.profile_diff(d, p, 3.0, kind) == 0.0
+        assert _at(f"u-{kind.value}", d, 0.4, 3.0) == 0.0
 
 
 def test_profile_diff_additivity():
-    for r in (0.1, 0.8, 2.0):
-        p = symbols.FreqPoint.from_radius(r)
-        for t in (0.0, 1.5, 12.0):
-            d_sum = profiles.profile_diff(GAUSS2, p, t, ProfileKind.PHI_SUM)
-            d_one = profiles.profile_diff(GAUSS2, p, t, ProfileKind.PHI1)
-            d_two = profiles.profile_diff(GAUSS2, p, t, ProfileKind.PHI2)
-            p_one = profiles.phi1(GAUSS2, p, t)
-            p_two = profiles.phi2(GAUSS2, p, t)
-            assert d_sum == pytest.approx(d_one - p_two, abs=1e-13)
-            assert d_sum == pytest.approx(d_two - p_one, abs=1e-13)
+    rs = [0.1, 0.8, 2.0]
+    for t in (0.0, 1.5, 12.0):
+        d_sum = _values("u-phi", GAUSS2, rs, t)
+        d_one = _values("u-phi1", GAUSS2, rs, t)
+        d_two = _values("u-phi2", GAUSS2, rs, t)
+        p_one = _values("phi1", GAUSS2, rs, t)
+        p_two = _values("phi2", GAUSS2, rs, t)
+        assert d_sum == pytest.approx(d_one - p_two, abs=1e-13)
+        assert d_sum == pytest.approx(d_two - p_one, abs=1e-13)
 
 
 def test_diff_below_decay_envelope_plus_profile():
@@ -116,8 +118,8 @@ def test_diff_below_decay_envelope_plus_profile():
     amp_bound = math.sqrt(
         6.0 * math.exp(-0.5 * w * t) * (u1v**2 / p.lam + u0v**2)
     )
-    got = abs(profiles.profile_diff(GAUSS2, p, t, ProfileKind.PHI1))
-    assert got <= amp_bound + abs(profiles.phi1(GAUSS2, p, t))
+    got = abs(_at("u-phi1", GAUSS2, p.r, t))
+    assert got <= amp_bound + abs(_at("phi1", GAUSS2, p.r, t))
 
 
 def test_phi1_difference_matches_low_frequency_working():
@@ -125,30 +127,40 @@ def test_phi1_difference_matches_low_frequency_working():
     # amplitude is M + c1 L + O(L^2), so on the diffusive scale t = z/L
     # u - phi1 = e^{-tL(1+L)} (c1 L - M t L^2) (1 + O(L)): no first-moment
     # term, hence the -(n+4)/4 rate of check 07.  z stays away from the
-    # sign change at z = c1/M.
+    # sign change at z = c1/M.  Evaluated through node_values, the path
+    # check 07 integrates.
     d = GAUSS2
     mass = d.mass_sum
     c1 = (d.u0.mass + 3.0 * d.u1.mass
           - d.u0.mass / (4.0 * d.u0.alpha) - d.u1.mass / (4.0 * d.u1.alpha))
     for lam in (1e-3, 1e-2):
-        p = symbols.FreqPoint.from_radius(math.sqrt(math.expm1(lam)))
+        r = math.sqrt(math.expm1(lam))
+        lam_r = math.log1p(r * r)
         for z in (0.5, 1.0, 3.0, 5.0):
             t = z / lam
-            got = profiles.profile_diff(d, p, t, ProfileKind.PHI1)
-            want = profiles.phi1_coeff(p.lam, t) * (c1 * p.lam - mass * t * p.lam**2)
+            got = _at("u-phi1", d, r, t)
+            want = profiles.phi1_coeff(lam_r, t) * (c1 * lam_r - mass * t * lam_r**2)
             assert abs(got / want - 1.0) <= 8.0 * lam
 
 
 def test_profile_value_dispatch():
-    p = symbols.FreqPoint.from_radius(0.9)
+    # every kind is the mode value, a profile, or the mode value minus the
+    # profiles, in the order norm_value squares them
+    rs = np.array([0.2, 0.9, 3.0])
+    lam = np.log1p(rs * rs)
     t = 2.5
-    total = profiles.profile_value(GAUSS2, p, t, ProfileKind.PHI_SUM)
-    assert total == profiles.phi1(GAUSS2, p, t) + profiles.phi2(GAUSS2, p, t)
-
-
-def test_negative_time_rejected():
-    p = symbols.FreqPoint.from_radius(1.0)
-    with pytest.raises(ValueError):
-        profiles.phi1(GAUSS2, p, -1.0)
-    with pytest.raises(ValueError):
-        profiles.phi2(GAUSS2, p, -1.0)
+    u0v = GAUSS2.u0.value(rs)
+    u1v = GAUSS2.u1.value(rs)
+    u = _values("u", GAUSS2, rs, t)
+    phi1 = _values("phi1", GAUSS2, rs, t)
+    phi2 = _values("phi2", GAUSS2, rs, t)
+    for i, r in enumerate(rs):
+        p = symbols.FreqPoint.from_radius(r)
+        assert u[i] == pytest.approx(modes.mode_solve(p, u0v[i], u1v[i], t).u.real, rel=1e-12)
+    assert np.all(phi1 == GAUSS2.mass_sum * np.exp(-t * lam * (1.0 + lam)))
+    sq = np.sqrt(lam)
+    want2 = np.exp(-t / (2.0 * lam)) * (np.sin(sq * t) / sq * u1v + np.cos(sq * t) * u0v)
+    assert phi2 == pytest.approx(want2, rel=1e-12)
+    assert np.all(_values("u-phi1", GAUSS2, rs, t) == u - phi1)
+    assert np.all(_values("u-phi2", GAUSS2, rs, t) == u - phi2)
+    assert np.all(_values("u-phi", GAUSS2, rs, t) == u - phi1 - phi2)

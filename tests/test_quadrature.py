@@ -110,6 +110,32 @@ def test_norm_series_validation():
         quad.QuadSpec(n=0)
 
 
+def _no_quadrature(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran before the input was rejected")
+
+    monkeypatch.setattr(quad, "_gk_eval", fail)
+
+
+def test_norm_value_rejects_negative_time(monkeypatch):
+    _no_quadrature(monkeypatch)
+    for kind in quad.NORM_KINDS:
+        with pytest.raises(ValueError, match="nonnegative"):
+            quad.norm_value(GAUSS2, kind, 2, -1.0)
+
+
+def test_norm_value_rejects_phi1_at_time_zero(monkeypatch):
+    # phi1 at t = 0 is the mass at every frequency: its norm is infinite
+    zero = data_mod.parse_pair("zero_mass:alpha=1", "zero_mass:alpha=1", 2)
+    spec = quad.QuadSpec(n=2, tol=1e-6)
+    without_mass = quad.norm_value(zero, "u", 2, 0.0, spec)
+    assert quad.norm_value(zero, "u-phi1", 2, 0.0, spec) == without_mass
+    _no_quadrature(monkeypatch)
+    for kind in ("phi1", "u-phi1", "u-phi"):
+        with pytest.raises(ValueError, match="t=0"):
+            quad.norm_value(GAUSS2, kind, 2, 0.0)
+
+
 def test_panel_budget_guard(monkeypatch):
     monkeypatch.setattr(quad, "MAX_PANELS", 50)
     spec = quad.QuadSpec(n=2, tol=1e-6)

@@ -152,22 +152,6 @@ def test_mult_weight_continuous_at_crossover():
     assert abs(lo - hi) < 1e-10
 
 
-def test_decay_envelope_constants():
-    assert symbols.decay_envelope(1.0, 1.0, -1.0).constant == pytest.approx(1.0 / math.e)
-    assert symbols.decay_envelope(2.0, 1.0, -1.0).constant == pytest.approx(4.0 / math.e**2)
-    with pytest.raises(ValueError):
-        symbols.decay_envelope(0.0, 1.0, -1.0)
-
-
-def test_decay_envelope_holds_on_grid():
-    env = symbols.decay_envelope(1.0, 1.0, -1.0)
-    ok, ratio = env.check(np.geomspace(0.1, 1e4, 60), np.linspace(0.0, 10.0, 60))
-    assert ok and ratio <= 1.0 + 1e-12
-    # t = 0 endpoint: left side vanishes
-    ok0, _ = env.check([0.0], np.linspace(0.0, 10.0, 10))
-    assert ok0
-
-
 def test_sinhc_exponential_bound():
     # sinh(x)/x <= e^x with constant exactly 1
     x = np.geomspace(1e-8, 30.0, 500)
@@ -175,8 +159,16 @@ def test_sinhc_exponential_bound():
 
 
 def test_oscillation_ratio_band_above_unit_radius():
-    rs = np.geomspace(symbols.R_UNIT, 1e6, 400)
-    ratio_sq = symbols.root_ratio_sq(symbols.log_weight(rs))
-    inv = 1.0 / ratio_sq
-    assert np.all(inv >= 1.0 - 1e-15)
-    assert np.all(inv <= 16.0 / 15.0 + 1e-12)
+    # The mode phase rate b = sqrt(-D) / (2 (1+L)) on the high zone, in
+    # y = sqrt(L): b/y lies in [sqrt(15/16), 1), and d b/dy stays below the
+    # 1.15 that sizes the panel-width cap of the high-zone tail in
+    # quadrature (maximum ~1.097 at y = 1, tending to 1 as y grows).
+    y = np.linspace(1.0, 60.0, 200_001)
+    lam = y * y
+    b = np.sqrt(-symbols.discriminant(lam)) / (2.0 * (1.0 + lam))
+    ratio = b / y
+    assert np.all(ratio >= math.sqrt(15.0 / 16.0) * (1.0 - 1e-15))
+    assert np.all(ratio < 1.0)
+    slope = np.diff(b) / np.diff(y)
+    assert np.all(slope <= 1.15)
+    assert slope.max() == pytest.approx(1.097, abs=1e-3)
