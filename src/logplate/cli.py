@@ -187,6 +187,12 @@ def _cmd_rates(args) -> int:
     spec = quadrature.QuadSpec(n=args.n, tol=args.tol, osc_guard=args.osc_guard)
     grid = _grid(args)
     window = (10.0 * grid[0], grid[-1])  # drop the first decade
+    # a window too short to fit is known from the grid: reject it before
+    # any series is integrated
+    if report.profile is not None:
+        rates.check_window(grid, window, "fit")
+    if report.two_sided and d.mass_sum != 0.0:
+        rates.check_window(grid, window, "band")
     out: dict = {
         "n": args.n,
         "l": args.l,

@@ -233,9 +233,13 @@ class LogTailProfile(RadialProfile):
         # the (1+r^2)^{-n/4} tail factor cancels the flattening exactly;
         # this exactness is the whole reason the family carries that factor
         lam = np.asarray(lam, dtype=float)
+        tail = self.log_c - 0.5 * self.q * np.log1p(lam)
+        if (lam >= 1.0).all():
+            # all nodes in the tail (the whole y-zone): skip the core branch,
+            # whose expm1 overflows there
+            return tail
         with np.errstate(over="ignore"):
             core = math.log(self.core_peak) + 0.25 * self.n * lam - np.expm1(lam) / 4.0
-        tail = self.log_c - 0.5 * self.q * np.log1p(lam)
         return np.where(lam < 1.0, core, tail)
 
     def deviation(self, r):

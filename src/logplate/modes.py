@@ -69,6 +69,14 @@ def propagator_coeffs(lam, t: float):
     csq = a * a - lam_arr
     z = csq * (t * t)
 
+    if not scalar and (z <= -_SERIES_CUT).all():
+        # every node oscillates (the whole high zone): the osc branch below
+        # on the full array, without the masked gather and scatter
+        b = np.sqrt(-csq)
+        bt = b * t
+        damp = np.exp(-a * t)
+        return damp * np.cos(bt), damp * np.sin(bt) / b, a
+
     ec = np.empty_like(lam_arr)
     es = np.empty_like(lam_arr)
 

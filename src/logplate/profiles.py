@@ -61,10 +61,12 @@ def phi2_coeffs(lam, t: float):
         with np.errstate(divide="ignore"):
             env = np.exp(-t / (2.0 * lam_arr))
     sq = np.sqrt(lam_arr)
+    st = sq * t
     z = lam_arr * t * t
     small = z < _SINC_CUT
+    if not small.any():
+        return env, np.sin(st) / sq, np.cos(st)
     with np.errstate(invalid="ignore", divide="ignore"):
         s2 = np.where(small, t * (1.0 - z / 6.0 + z * z / 120.0),
-                      np.sin(sq * t) / np.where(small, 1.0, sq))
-    c2 = np.cos(sq * t)
-    return env, s2, c2
+                      np.sin(st) / np.where(small, 1.0, sq))
+    return env, s2, np.cos(st)

@@ -18,6 +18,7 @@ from .profiles import ProfileKind
 
 __all__ = [
     "RateFit",
+    "check_window",
     "fit_rate",
     "BandReport",
     "two_sided_band",
@@ -28,6 +29,8 @@ __all__ = [
 
 # Equality tolerance for the critical regularity l = n/2 - 1.
 _L_EQ_TOL = 1e-12
+# Fewest samples a fit or band window may hold.
+_MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,17 @@ class RateFit:
     local_slopes: tuple[float, ...]
 
 
+def check_window(ts, window, label: str) -> None:
+    """Raise ValueError unless the window holds enough of the times ts.
+
+    Needs only the time grid, so a caller can reject a window before it
+    integrates any series on that grid.
+    """
+    t_lo, t_hi = float(window[0]), float(window[1])
+    if sum(t_lo <= t <= t_hi for t in ts) < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples inside the {label} window")
+
+
 def _window_samples(series, window):
     t_lo, t_hi = float(window[0]), float(window[1])
     ts = [t for t in series.ts if t_lo <= t <= t_hi]
@@ -55,9 +69,8 @@ def _window_samples(series, window):
 
 def fit_rate(series, window) -> RateFit:
     """Fit value ~ C t^slope on the samples inside the window."""
+    check_window(series.ts, window, "fit")
     ts, vals, win = _window_samples(series, window)
-    if len(ts) < 5:
-        raise ValueError("need at least 5 samples inside the fit window")
     if any(v <= 0.0 for v in vals):
         raise ValueError("fit window contains non-positive values")
     lt = np.log(np.array(ts))
@@ -96,9 +109,8 @@ def two_sided_band(
 ) -> BandReport:
     if window is None:
         window = (series.ts[0], series.ts[-1])
+    check_window(series.ts, window, "band")
     ts, vals, _ = _window_samples(series, window)
-    if len(ts) < 5:
-        raise ValueError("need at least 5 samples inside the band window")
     if any(v <= 0.0 for v in vals):
         raise ValueError("band window contains non-positive values")
     t_arr = np.array(ts)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from logplate import cli
+from logplate import cli, quadrature
 
 
 def _run(capsys, *argv):
@@ -94,6 +94,21 @@ def test_rates_uncovered_input(capsys):
     assert report["regime"] == "uncovered-by-theory"
     assert report["theory_exponent"] is None and report["pass"] is None
     assert code == 0
+
+
+def test_rates_short_window_rejected_before_quadrature(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran before the fit window was rejected")
+
+    monkeypatch.setattr(quadrature, "_gk_eval", fail)
+    code = cli.main([
+        "rates", "--n", "4", "--l", "1", "--data-u0", "gaussian:alpha=1",
+        "--data-u1", "gaussian:alpha=1", "--t-count", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need at least 5 samples inside the fit window\n"
 
 
 def test_verify_subset_and_canonical_out(tmp_path, capsys):

@@ -106,6 +106,16 @@ def test_flat_log_value_consistency():
         assert np.allclose(_value_via_flat(prof, lam), prof.value(r), rtol=1e-10, atol=0.0)
 
 
+def test_log_tail_all_tail_call_matches_mixed_call():
+    prof = data_mod.log_tail(1.0, 0.2, n=8)
+    # every node in the tail (L >= 1), as in the whole high zone
+    lam = np.linspace(1.0, 5000.0, 77)
+    tail_only = prof.log_flat_from_lam(lam)
+    # one core node sends the same nodes through both branches
+    mixed = prof.log_flat_from_lam(np.append(lam, 0.5))
+    assert tail_only.tobytes() == mixed[:-1].tobytes()
+
+
 def test_y_norm_gaussian_analytic():
     # n = 1, order 0: w_1 Int pi e^{-r^2/2} dr = 2 pi sqrt(pi/2)
     g = data_mod.gaussian(1.0, n=1)

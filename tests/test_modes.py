@@ -183,3 +183,14 @@ def test_propagator_coeffs_vectorized_matches_scalar():
     for i, r in enumerate(R_SAMPLES):
         ec1, es1, a1 = modes.propagator_coeffs(symbols.log_weight(r), 7.0)
         assert ec[i] == ec1 and es[i] == es1 and a[i] == a1
+
+
+def test_propagator_all_oscillatory_call_matches_mixed_call():
+    # c^2 < 0 at every node, as in the whole high zone
+    lam = np.linspace(1.0, 40.0, 101)
+    t = 300.0
+    fast = modes.propagator_coeffs(lam, t)
+    # one real-root node sends the same nodes through the masked branches
+    mixed = modes.propagator_coeffs(np.append(lam, 1e-4), t)
+    for part, whole in zip(fast, mixed):
+        assert part.tobytes() == whole[:-1].tobytes()

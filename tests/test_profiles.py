@@ -164,3 +164,13 @@ def test_profile_value_dispatch():
     assert np.all(_values("u-phi1", GAUSS2, rs, t) == u - phi1)
     assert np.all(_values("u-phi2", GAUSS2, rs, t) == u - phi2)
     assert np.all(_values("u-phi", GAUSS2, rs, t) == u - phi1 - phi2)
+
+
+def test_phi2_coeffs_without_small_node_matches_mixed_call():
+    lam = np.linspace(1.0, 40.0, 101)
+    t = 300.0
+    plain = profiles.phi2_coeffs(lam, t)
+    # lam t^2 = 9e-16 puts one node on the series branch of s2
+    mixed = profiles.phi2_coeffs(np.append(lam, 1e-20), t)
+    for part, whole in zip(plain, mixed):
+        assert part.tobytes() == whole[:-1].tobytes()

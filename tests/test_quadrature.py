@@ -136,6 +136,18 @@ def test_norm_value_rejects_phi1_at_time_zero(monkeypatch):
             quad.norm_value(GAUSS2, kind, 2, 0.0)
 
 
+def test_guarded_series_bit_identical_across_runs_and_batch_sizes(monkeypatch):
+    # check-10 data on a short grid: the high-zone segments span several
+    # CHUNK-sized batches, and no byte may depend on where a batch ends
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8)
+    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
+    grid = (20.0, 160.0, 1280.0)
+    first = repr(quad.norm_series(d, "u", 8, grid, spec))
+    assert repr(quad.norm_series(d, "u", 8, grid, spec)) == first
+    monkeypatch.setattr(quad, "CHUNK", 1 << 21)
+    assert repr(quad.norm_series(d, "u", 8, grid, spec)) == first
+
+
 def test_panel_budget_guard(monkeypatch):
     monkeypatch.setattr(quad, "MAX_PANELS", 50)
     spec = quad.QuadSpec(n=2, tol=1e-6)
