@@ -154,11 +154,7 @@ def _cmd_mode(args) -> int:
     if args.oracle:
         cfg = oracle.IntegratorConfig(rel_tol=args.oracle_tol)
         num = oracle.integrate_mode(p, u0, u1, args.t, cfg)
-        # scaled by the larger of current and initial state norm; the pure
-        # pointwise-relative metric degenerates once the state has decayed
-        # to the eps-floor of double precision
-        scale = max(math.hypot(abs(state.u), abs(state.v)), math.hypot(abs(u0), abs(u1)))
-        rel = math.hypot(abs(state.u - num.u), abs(state.v - num.v)) / scale if scale else 0.0
+        rel = oracle.scaled_error(state, num, u0, u1)
         header += ["oracle_u_re", "oracle_u_im", "oracle_rel_err"]
         row += [_fmt(num.u.real), _fmt(num.u.imag), _fmt(rel)]
     _emit([",".join(header), ",".join(row)], args.out)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (
+    REF_TOL,
     TAIL_START,
     QuadratureError,
-    QuadSpec,
     log_flat_measure,
     radial_integral,
     surface_area,
@@ -186,12 +186,11 @@ class ZeroMassProfile(RadialProfile):
             g = np.abs(2.0 * n * a - 4.0 * a * a * rho * rho)
             return coef * (1.0 + rho) * g * np.exp(-a * rho * rho) * rho ** (n - 1)
 
-        spec = QuadSpec(n=1, tol=1e-12)
         total, _, converged = tail_integral(
-            lambda lo, hi: radial_integral(f, lo, hi, spec, breakpoints=(kink,)),
+            lambda lo, hi: radial_integral(f, lo, hi, REF_TOL, breakpoints=(kink,)),
             0.0,
             max(2.0 * kink, 2.0),
-            spec.tol,
+            REF_TOL,
         )
         if not converged:
             raise QuadratureError("weighted-L1 tail did not converge")
@@ -308,10 +307,6 @@ class RadialSpectrum:
             raise ValueError("data pair must share one dimension")
 
     @property
-    def n(self) -> int:
-        return self.u0.n
-
-    @property
     def mass_sum(self) -> float:
         return self.u0.mass + self.u1.mass
 
@@ -329,9 +324,7 @@ class YNormResult:
     diverged: bool
 
 
-def y_norm(
-    d: RadialProfile, s: float, n: int | None = None, spec: QuadSpec | None = None
-) -> YNormResult:
+def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
     """w_n int_0^inf (1 + L)^s |u(r)|^2 r^{n-1} dr, with divergence flagged.
 
     The head [0, r_unit] is integrated in r; the tail in y = sqrt(L) with
@@ -344,14 +337,14 @@ def y_norm(
     n = n if n is not None else d.n
     if n != d.n:
         raise ValueError("profile dimension does not match the request")
-    spec = spec or QuadSpec(n=n, tol=1e-8)
+    tol = 1e-8
     area = surface_area(n)
 
     def f_head(r):
         v = d.value(r)
         return (1.0 + np.log1p(r * r)) ** s * v * v * area * r ** (n - 1)
 
-    head, head_err = radial_integral(f_head, 0.0, R_UNIT, spec, ladder=16)
+    head, head_err = radial_integral(f_head, 0.0, R_UNIT, tol, ladder=16)
 
     def f_tail(y):
         lam = y * y
@@ -359,9 +352,9 @@ def y_norm(
         return np.exp(s * np.log1p(lam) + 2.0 * logv + log_flat_measure(y, n))
 
     def segment(s_lo, s_hi):
-        return radial_integral(f_tail, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), spec)
+        return radial_integral(f_tail, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), tol)
 
     tail, tail_err, converged = tail_integral(
-        segment, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline=head
+        segment, TAIL_START, 2.0 * TAIL_START, tol, baseline=head
     )
     return YNormResult(head + tail, head_err + tail_err, not converged)

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from .modes import ModeState
 from .symbols import FreqPoint
 
-__all__ = ["IntegratorConfig", "IntegrationStats", "StepBudgetError", "MAX_STEPS", "integrate_mode"]
+__all__ = [
+    "IntegratorConfig",
+    "IntegrationStats",
+    "StepBudgetError",
+    "MAX_STEPS",
+    "integrate_mode",
+    "scaled_error",
+]
 
 #: Accepted plus rejected steps one integration may take.
 MAX_STEPS = 1_000_000
@@ -176,3 +183,16 @@ def integrate_mode(
     if with_stats:
         return state, IntegrationStats(steps, rejected, err_sum)
     return state
+
+
+def scaled_error(state: ModeState, num: ModeState, u0: complex, u1: complex) -> float:
+    """Distance of `num` from `state`, scaled by the larger of the norms of
+    `state` and of the initial data (u0, u1); 0 when both norms are 0.
+
+    Scaling by the current state alone is unattainable in doubles: once the
+    state has decayed by many orders, the eps-level roundoff that any
+    forward integration injects early dominates the tiny amplitude left.
+    """
+    scale = max(math.hypot(abs(state.u), abs(state.v)), math.hypot(abs(u0), abs(u1)))
+    diff = math.hypot(abs(state.u - num.u), abs(state.v - num.v))
+    return diff / scale if scale else 0.0

@@ -52,7 +52,10 @@ __all__ = [
     "NonFiniteIntegrandError",
     "QuadSpec",
     "MAX_PANELS",
+    "MAX_SEGMENTS",
     "TAIL_START",
+    "CHUNK",
+    "REF_TOL",
     "surface_area",
     "radial_integral",
     "tail_integral",
@@ -64,6 +67,7 @@ __all__ = [
     "NormSeries",
     "norm_value",
     "norm_series",
+    "default_time_grid",
 ]
 
 #: Regime thresholds shared by every quadrature consumer.
@@ -90,6 +94,9 @@ TAIL_START = 2.0
 #: float64 temporary of one call (128 KB) stays in the L2 cache.  Panel
 #: sums are taken row by row, so no value depends on the batch size.
 CHUNK = 1 << 14
+#: Tolerance of the fixed-accuracy integrals: the reference integrals and
+#: the weighted-L1 norm of zero-mass data.
+REF_TOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -144,7 +151,7 @@ assert _NODES.size == 15 and _WG.size == 7
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature configuration.
+    """Quadrature configuration of a norm integral.
 
     osc_guard is the maximum panel width measured in local oscillation
     periods of the fastest phase present (period pi / (t * max|d phase/dr|)
@@ -275,15 +282,15 @@ def radial_integral(
     f,
     lo: float,
     hi: float,
-    spec: QuadSpec,
+    tol: float,
     breakpoints=(),
     ladder: int = 0,
 ):
-    """Adaptive integral of f over [lo, hi] -> (value, error estimate)."""
+    """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
     bounds = _build_bounds(lo, hi, breakpoints, ladder=ladder)
-    value, err, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
+    value, err, _ = _adaptive(f, bounds, tol, MAX_PANELS)
     return value, err
 
 
@@ -321,49 +328,44 @@ def tail_integral(
 # Reference integrals
 
 
-def ref_integral_Ip(p_exp: float, t: float, spec: QuadSpec | None = None) -> float:
+def ref_integral_Ip(p_exp: float, t: float) -> float:
     """int_0^1 (1+r^2)^{-t} r^p dr for p > -1, t >= 0."""
     if p_exp <= -1.0:
         raise ValueError("exponent must exceed -1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    spec = spec or QuadSpec(n=1, tol=1e-12)
 
     def f(r):
         with np.errstate(divide="ignore"):
             return (1.0 + r * r) ** (-t) * r ** p_exp
 
-    value, _ = radial_integral(f, 0.0, 1.0, spec, ladder=16)
+    value, _ = radial_integral(f, 0.0, 1.0, REF_TOL, ladder=16)
     return value
 
 
-def ref_integral_Jp(p_exp: float, t: float, spec: QuadSpec | None = None) -> float:
+def ref_integral_Jp(p_exp: float, t: float) -> float:
     """int_1^inf (1+r^2)^{-t} r^p dr for t > max(1, (p+1)/2)."""
     if t <= max(1.0, 0.5 * (p_exp + 1.0)):
         raise ValueError("t too small for a convergent tail")
-    spec = spec or QuadSpec(n=1, tol=1e-12)
 
     def f(r):
         return (1.0 + r * r) ** (-t) * r ** p_exp
 
     total, _, converged = tail_integral(
-        lambda lo, hi: radial_integral(f, lo, hi, spec), 1.0, 2.0, spec.tol
+        lambda lo, hi: radial_integral(f, lo, hi, REF_TOL), 1.0, 2.0, REF_TOL
     )
     if not converged:
         raise QuadratureError("tail did not converge")
     return total
 
 
-def middle_zone_integral(
-    p_exp: float, t: float, lo: float, hi: float = 1.0, spec: QuadSpec | None = None
-) -> float:
+def middle_zone_integral(p_exp: float, t: float, lo: float, hi: float = 1.0) -> float:
     """int_lo^hi (1+r^2)^{-t} r^p dr, the exponentially small middle band."""
-    spec = spec or QuadSpec(n=1, tol=1e-12)
 
     def f(r):
         return (1.0 + r * r) ** (-t) * r ** p_exp
 
-    value, _ = radial_integral(f, lo, hi, spec)
+    value, _ = radial_integral(f, lo, hi, REF_TOL)
     return value
 
 

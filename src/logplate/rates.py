@@ -43,8 +43,6 @@ class RateFit:
     """
 
     slope: float
-    intercept: float
-    window: tuple[float, float]
     residual: float
     local_slopes: tuple[float, ...]
 
@@ -64,13 +62,13 @@ def _window_samples(series, window):
     t_lo, t_hi = float(window[0]), float(window[1])
     ts = [t for t in series.ts if t_lo <= t <= t_hi]
     vals = [v for t, v in zip(series.ts, series.values) if t_lo <= t <= t_hi]
-    return ts, vals, (t_lo, t_hi)
+    return ts, vals
 
 
 def fit_rate(series, window) -> RateFit:
     """Fit value ~ C t^slope on the samples inside the window."""
     check_window(series.ts, window, "fit")
-    ts, vals, win = _window_samples(series, window)
+    ts, vals = _window_samples(series, window)
     if any(v <= 0.0 for v in vals):
         raise ValueError("fit window contains non-positive values")
     lt = np.log(np.array(ts))
@@ -81,7 +79,7 @@ def fit_rate(series, window) -> RateFit:
     fit = np.exp(intercept + slope * lt)
     residual = float(np.max(np.abs(np.array(vals) / fit - 1.0)))
     local = tuple(np.diff(lv) / np.diff(lt))
-    return RateFit(slope, intercept, win, residual, local)
+    return RateFit(slope, residual, local)
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def two_sided_band(
     if window is None:
         window = (series.ts[0], series.ts[-1])
     check_window(series.ts, window, "band")
-    ts, vals, _ = _window_samples(series, window)
+    ts, vals = _window_samples(series, window)
     if any(v <= 0.0 for v in vals):
         raise ValueError("band window contains non-positive values")
     t_arr = np.array(ts)

@@ -1,7 +1,7 @@
 """The acceptance suite: thirteen numbered checks gating the whole build.
 
-Each check is pure given its inputs and produces one result record; the
-runner caches the expensive norm series so related checks share them.
+Each check is pure given its inputs and produces one result record; a
+check that needs a norm series computes it, as no two checks share one.
 Check 13 re-executes the sub-second checks and compares their canonical
 serialisation (all fields except the wall-time) byte for byte.
 """
@@ -11,30 +11,22 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import data as data_mod
 from . import modes, oracle, quadrature, rates, symbols
 
-__all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all", "canonical_line", "render_line"]
+__all__ = [
+    "CheckResult",
+    "CHECK_IDS",
+    "FIT_WINDOW",
+    "run_check",
+    "run_all",
+    "canonical_line",
+    "render_line",
+]
 
 FIT_WINDOW = (100.0, 10_000.0)
-
-CHECK_IDS = (
-    "01-thresholds",
-    "02-root-algebra",
-    "03-oracle-equivalence",
-    "04-energy-identities",
-    "05-integral-asymptotics",
-    "06-profile-norm-anchors",
-    "07-diffusion-profile-rate",
-    "08-combined-profile-rate",
-    "09-wave-profile-rate",
-    "10-solution-norm-sharpness",
-    "11-optimal-two-sided",
-    "12-zone-exponential",
-    "13-determinism",
-)
 
 
 @dataclass(frozen=True)
@@ -53,31 +45,14 @@ class CheckResult:
 
 def canonical_line(res: CheckResult) -> str:
     """JSON line without the (non-reproducible) timing field."""
-    return json.dumps(
-        {
-            "check_id": res.check_id,
-            "status": res.status,
-            "observed": res.observed,
-            "expected": res.expected,
-            "tolerance": res.tolerance,
-        },
-        sort_keys=True,
-    )
+    fields = asdict(res)
+    del fields["seconds"]
+    return json.dumps(fields, sort_keys=True)
 
 
 def render_line(res: CheckResult) -> str:
     """Full JSON line including the measured wall time."""
-    return json.dumps(
-        {
-            "check_id": res.check_id,
-            "status": res.status,
-            "observed": res.observed,
-            "expected": res.expected,
-            "tolerance": res.tolerance,
-            "seconds": round(res.seconds, 3),
-        },
-        sort_keys=True,
-    )
+    return json.dumps({**asdict(res), "seconds": round(res.seconds, 3)}, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -106,31 +81,12 @@ _R_GRID = (
 _DATA_PAIRS = ((1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j), (1.0 + 0j, -1.0 + 0j))
 
 
-class _SeriesCache:
-    """Lazily computed, shared norm series keyed by their defining inputs."""
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-
-    def grid(self) -> tuple[float, ...]:
-        return quadrature.default_time_grid()
-
-    def pair(self, sel0: str, sel1: str, n: int) -> data_mod.RadialSpectrum:
-        key = ("pair", sel0, sel1, n)
-        if key not in self._store:
-            self._store[key] = data_mod.parse_pair(sel0, sel1, n)
-        return self._store[key]
-
-    def series(
-        self, sel0: str, sel1: str, n: int, kind: str, tol: float, guard: float = 1.0
-    ) -> quadrature.NormSeries:
-        key = ("series", sel0, sel1, n, kind, tol, guard)
-        if key not in self._store:
-            spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
-            self._store[key] = quadrature.norm_series(
-                self.pair(sel0, sel1, n), kind, n, self.grid(), spec
-            )
-        return self._store[key]
+def _series(sel0: str, sel1: str, n: int, kind: str, tol: float, guard: float = 1.0):
+    """Norm series of the data pair (sel0, sel1) on the default time grid."""
+    spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
+    return quadrature.norm_series(
+        data_mod.parse_pair(sel0, sel1, n), kind, n, quadrature.default_time_grid(), spec
+    )
 
 
 def _positive_window(series: quadrature.NormSeries, window=FIT_WINDOW):
@@ -150,7 +106,7 @@ def _positive_window(series: quadrature.NormSeries, window=FIT_WINDOW):
 # checks
 
 
-def _check_thresholds(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_thresholds() -> tuple[bool, str, str, str]:
     th = symbols.compute_thresholds()
     res = th.residuals()
     worst = max(abs(v) for v in res.values())
@@ -164,7 +120,7 @@ def _check_thresholds(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_root_algebra(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_root_algebra() -> tuple[bool, str, str, str]:
     tol = 1e-12
     kd = 1.0 + math.log(1.0 + _TH.delta**2)
     worst = 0.0
@@ -201,12 +157,9 @@ def _check_root_algebra(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_oracle(cache: _SeriesCache) -> tuple[bool, str, str, str]:
-    # Error is scaled by the larger of the current and the initial state
-    # norm.  Scaling by the current state alone is unattainable in doubles:
-    # the grid contains fast-root-aligned data whose state decays by eight
-    # orders, and eps-level roundoff injected early contaminates the tiny
-    # persistent amplitude in any forward integration (kappa * eps > 1e-8).
+def _check_oracle() -> tuple[bool, str, str, str]:
+    # The grid contains fast-root-aligned data whose state decays by eight
+    # orders (kappa * eps > 1e-8), hence the scale of oracle.scaled_error.
     cfg = oracle.IntegratorConfig(rel_tol=1e-10)
     worst = 0.0
     for r in _R_GRID:
@@ -215,12 +168,7 @@ def _check_oracle(cache: _SeriesCache) -> tuple[bool, str, str, str]:
             for u0, u1 in _DATA_PAIRS:
                 exact = modes.mode_solve(p, u0, u1, t)
                 num = oracle.integrate_mode(p, u0, u1, t, cfg)
-                scale = max(
-                    math.hypot(abs(exact.u), abs(exact.v)),
-                    math.hypot(abs(u0), abs(u1)),
-                )
-                diff = math.hypot(abs(exact.u - num.u), abs(exact.v - num.v))
-                worst = max(worst, diff / scale)
+                worst = max(worst, oracle.scaled_error(exact, num, u0, u1))
     ok = worst < 1e-8
     return (
         ok,
@@ -230,7 +178,7 @@ def _check_oracle(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_energy(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_energy() -> tuple[bool, str, str, str]:
     h = 1e-4
     fd_r = [r for r in _R_GRID if r <= 3.0]  # keeps the stencil error below tolerance
     fd_t = (0.5, 2.0, 10.0, 100.0)
@@ -277,7 +225,7 @@ def _check_energy(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_integrals(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_integrals() -> tuple[bool, str, str, str]:
     ok = True
     notes = []
     # closed forms for p = 1
@@ -326,12 +274,12 @@ def _check_integrals(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_profile_anchors(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_profile_anchors() -> tuple[bool, str, str, str]:
     ok = True
     notes = []
     worst = 0.0
     for n in (1, 2, 3):
-        d = cache.pair("gaussian:alpha=1", "gaussian:alpha=1", n)
+        d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
         spec = quadrature.QuadSpec(n=n, tol=1e-6)
         val, _ = quadrature.norm_value(d, "phi1", n, 1e4, spec)
         anchor = d.mass_sum**2 * (math.pi / 2.0) ** (n / 2.0)
@@ -341,7 +289,7 @@ def _check_profile_anchors(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     notes.append(f"heat_anchor_rel={worst:.2e}")
     # oscillatory-profile norm for smooth data: superpolynomial decay, so the
     # fit runs on the positive sub-window (values underflow beyond t ~ 3e3)
-    s_phi2 = cache.series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
+    s_phi2 = _series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
     fit = rates.fit_rate(s_phi2, _positive_window(s_phi2))
     ok &= fit.slope <= -2.9
     notes.append(f"wave_norm_sq_slope={fit.slope:.2f}")
@@ -373,15 +321,15 @@ def _gaussian_diffusion_constant(d: data_mod.RadialSpectrum, n: int) -> float:
     )
 
 
-def _check_diffusion_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_diffusion_rate() -> tuple[bool, str, str, str]:
     n = 2
     sel = "gaussian:alpha=1"
-    s = cache.series(sel, sel, n, "u-phi1", 1e-6)
+    s = _series(sel, sel, n, "u-phi1", 1e-6)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     theory = -(n + 4) / 4.0
     bound = -(n + 2) / 4.0
-    limit = _gaussian_diffusion_constant(cache.pair(sel, sel, n), n)
+    limit = _gaussian_diffusion_constant(data_mod.parse_pair(sel, sel, n), n)
     t_last, v_last = [
         (t, v) for t, v in zip(s.ts, s.values) if FIT_WINDOW[0] <= t <= FIT_WINDOW[1]
     ][-1]
@@ -399,8 +347,8 @@ def _check_diffusion_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_combined_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
-    s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 4, "u-phi", 1e-4, guard=2.0)
+def _check_combined_rate() -> tuple[bool, str, str, str]:
+    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 4, "u-phi", 1e-4, guard=2.0)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = slope <= -1.4
@@ -412,8 +360,8 @@ def _check_combined_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_wave_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
-    s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u-phi2", 1e-4, guard=2.0)
+def _check_wave_rate() -> tuple[bool, str, str, str]:
+    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u-phi2", 1e-4, guard=2.0)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = slope <= -1.9
@@ -425,8 +373,8 @@ def _check_wave_rate(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_solution_sharpness(cache: _SeriesCache) -> tuple[bool, str, str, str]:
-    s = cache.series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4, guard=2.0)
+def _check_solution_sharpness() -> tuple[bool, str, str, str]:
+    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4, guard=2.0)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok = (-1.2 <= slope <= -1.0) and slope <= -0.9
@@ -438,17 +386,17 @@ def _check_solution_sharpness(cache: _SeriesCache) -> tuple[bool, str, str, str]
     )
 
 
-def _check_two_sided(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_two_sided() -> tuple[bool, str, str, str]:
     ok = True
     notes = []
     for n in (2, 3):
-        s = cache.series("gaussian:alpha=1", "gaussian:alpha=1", n, "u", 1e-6)
+        s = _series("gaussian:alpha=1", "gaussian:alpha=1", n, "u", 1e-6)
         # squared series: compensate with t^{n/2}; the norm-band cap 3 becomes
         # a cap 9 on the squared ratio, drift tolerance doubles likewise
         band = rates.two_sided_band(s, -n / 2.0, FIT_WINDOW, ratio_cap=9.0, drift_tol=0.1)
         ok &= band.passed
         notes.append(f"n{n}_norm_ratio={math.sqrt(band.ratio):.3f},drift={band.drift}")
-    s0 = cache.series("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6)
+    s0 = _series("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6)
     fit = rates.fit_rate(s0, FIT_WINDOW)
     slope = fit.slope / 2.0
     ok &= slope <= -0.9
@@ -461,9 +409,9 @@ def _check_two_sided(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_zone_exponential(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_zone_exponential() -> tuple[bool, str, str, str]:
     n = 2
-    d = cache.pair("gaussian:alpha=1", "gaussian:alpha=1", n)
+    d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
     spec = quadrature.QuadSpec(n=n, tol=1e-8)
     norms = (
         data_mod.y_norm(d.u0, 0.0, n).value + data_mod.y_norm(d.u1, 0.0, n).value
@@ -491,11 +439,11 @@ def _check_zone_exponential(cache: _SeriesCache) -> tuple[bool, str, str, str]:
     )
 
 
-def _check_determinism(cache: _SeriesCache) -> tuple[bool, str, str, str]:
+def _check_determinism() -> tuple[bool, str, str, str]:
     def snapshot() -> str:
         lines = []
         for cid in ("01-thresholds", "02-root-algebra"):
-            lines.append(canonical_line(run_check(cid, _SeriesCache())))
+            lines.append(canonical_line(run_check(cid)))
         return "\n".join(lines)
 
     first = snapshot()
@@ -526,16 +474,17 @@ _CHECKS = {
 }
 
 
-def run_check(check_id: str, cache: _SeriesCache | None = None) -> CheckResult:
+CHECK_IDS = tuple(_CHECKS)
+
+
+def run_check(check_id: str) -> CheckResult:
     if check_id not in _CHECKS:
         raise KeyError(f"unknown check {check_id!r}")
-    cache = cache if cache is not None else _SeriesCache()
     start = time.perf_counter()
-    ok, observed, expected, tolerance = _CHECKS[check_id](cache)
+    ok, observed, expected, tolerance = _CHECKS[check_id]()
     elapsed = time.perf_counter() - start
     return CheckResult(check_id, "pass" if ok else "fail", observed, expected, tolerance, elapsed)
 
 
 def run_all(check_ids=CHECK_IDS) -> list[CheckResult]:
-    cache = _SeriesCache()
-    return [run_check(cid, cache) for cid in check_ids]
+    return [run_check(cid) for cid in check_ids]

@@ -1,78 +1,43 @@
 """Acceptance gate: every numbered check at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one JSON line per
-check, or `logplate verify` for the same through the CLI.  Checks share a
-session-scoped cache so the expensive norm series are computed once.
+check, or `logplate verify` for the same through the CLI.  Each check runs
+once and computes its own norm series.
+
+Check 07: Gaussian data has no first-moment term at low frequency, so
+||u - phi1|| decays at -(n+4)/4, one half faster than the paper's generic
+bound -(n+2)/4.  The check fits the slope within 0.1 of -(n+4)/4, keeps it
+below the bound, and pins t^{(n+4)/2}||u - phi1||^2 to 1% of its
+closed-form limit K computed from the masses and alphas.
 """
 
-import pytest
+import json
 
 from logplate import verify
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return verify._SeriesCache()
+def test_check_ids_are_numbered_01_to_13_in_order():
+    assert [cid[:3] for cid in verify.CHECK_IDS] == [f"{k:02d}-" for k in range(1, 14)]
 
 
-def _gate(check_id: str, cache) -> None:
-    result = verify.run_check(check_id, cache)
-    print(verify.render_line(result))
-    assert result.passed, f"{check_id}: observed {result.observed}, expected {result.expected}"
+def _gate(check_id: str):
+    def gate() -> None:
+        result = verify.run_check(check_id)
+        print(verify.render_line(result))
+        assert result.passed, f"{check_id}: observed {result.observed}, expected {result.expected}"
+
+    return gate
 
 
-def test_01_thresholds(cache):
-    _gate("01-thresholds", cache)
+# One gate per check, named after its ID (test_01_thresholds, ...), so that
+# every check in verify.CHECK_IDS is gated and none can be left out.
+for _cid in verify.CHECK_IDS:
+    globals()["test_" + _cid.replace("-", "_")] = _gate(_cid)
 
 
-def test_02_root_algebra(cache):
-    _gate("02-root-algebra", cache)
-
-
-def test_03_oracle_equivalence(cache):
-    _gate("03-oracle-equivalence", cache)
-
-
-def test_04_energy_identities(cache):
-    _gate("04-energy-identities", cache)
-
-
-def test_05_integral_asymptotics(cache):
-    _gate("05-integral-asymptotics", cache)
-
-
-def test_06_profile_norm_anchors(cache):
-    _gate("06-profile-norm-anchors", cache)
-
-
-def test_07_diffusion_profile_rate(cache):
-    # Gaussian data has no first-moment term at low frequency, so
-    # ||u - phi1|| decays at -(n+4)/4, one half faster than the paper's
-    # generic bound -(n+2)/4.  The check fits the slope within 0.1 of
-    # -(n+4)/4, keeps it below the bound, and pins t^{(n+4)/2}||u - phi1||^2
-    # to 1% of its closed-form limit K computed from the masses and alphas.
-    _gate("07-diffusion-profile-rate", cache)
-
-
-def test_08_combined_profile_rate(cache):
-    _gate("08-combined-profile-rate", cache)
-
-
-def test_09_wave_profile_rate(cache):
-    _gate("09-wave-profile-rate", cache)
-
-
-def test_10_solution_norm_sharpness(cache):
-    _gate("10-solution-norm-sharpness", cache)
-
-
-def test_11_optimal_two_sided(cache):
-    _gate("11-optimal-two-sided", cache)
-
-
-def test_12_zone_exponential(cache):
-    _gate("12-zone-exponential", cache)
-
-
-def test_13_determinism(cache):
-    _gate("13-determinism", cache)
+def test_render_line_is_canonical_line_plus_seconds():
+    res = verify.CheckResult("01-x", "pass", "obs", "exp", "tol", 1.23456)
+    assert json.loads(verify.render_line(res)) == {
+        **json.loads(verify.canonical_line(res)),
+        "seconds": 1.235,
+    }

@@ -1,5 +1,6 @@
 """Module layout: no module of the package imports another one's private
-names, and every public function has a caller in the package."""
+names, every public top-level name of a module with __all__ is listed in
+it, and every public function has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -32,14 +33,46 @@ def test_no_private_cross_module_imports():
     assert found == []
 
 
-def _public_functions(tree: ast.Module) -> list[str]:
-    """Top-level functions named in the module's __all__."""
-    exported: set[str] = set()
+def _exported(tree: ast.Module) -> set[str] | None:
+    """The names in the module's __all__, or None without one."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(tgt, ast.Name) and tgt.id == "__all__" for tgt in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned names not starting with _."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [tgt.id for tgt in node.targets if isinstance(tgt, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_is_exported():
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        exported = _exported(tree)
+        if exported is not None:
+            missing += [
+                f"{path.stem}.{name}"
+                for name in _public_definitions(tree)
+                if name not in exported
+            ]
+    assert missing == []
+
+
+def _public_functions(tree: ast.Module) -> list[str]:
+    """Top-level functions named in the module's __all__."""
+    exported = _exported(tree) or set()
     return [
         node.name
         for node in tree.body

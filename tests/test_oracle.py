@@ -27,6 +27,17 @@ def test_cross_validates_closed_form():
     assert math.hypot(abs(exact.u - num.u), abs(exact.v - num.v)) / scale < 1e-8
 
 
+def test_scaled_error():
+    p = symbols.FreqPoint.from_radius(3.0)
+    state = modes.mode_solve(p, 1.0, 1.0, 20.0)
+    assert oracle.scaled_error(state, state, 1.0, 1.0) == 0.0
+    a = modes.ModeState(3.0 + 0j, 0j, 1.0)
+    b = modes.ModeState(3.0 + 1j, 2j, 1.0)
+    # distance sqrt(1 + 4), scale max(|a| = 3, |(u0, u1)| = 5)
+    assert oracle.scaled_error(a, b, 3.0, 4.0) == pytest.approx(math.sqrt(5.0) / 5.0, rel=1e-15)
+    assert oracle.scaled_error(modes.ModeState(0j, 0j, 1.0), b, 0.0, 0.0) == 0.0
+
+
 def test_tolerance_convergence():
     p = symbols.FreqPoint.from_radius(1.5)
     ref, stats = oracle.integrate_mode(

@@ -6,7 +6,6 @@ import pytest
 from logplate import data as data_mod
 from logplate import quadrature as quad
 
-SPEC12 = quad.QuadSpec(n=1, tol=1e-12)
 GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
 
 
@@ -19,11 +18,11 @@ def test_surface_areas():
 
 
 def test_basic_integrals():
-    v, e = quad.radial_integral(lambda r: r, 0.0, 1.0, SPEC12)
+    v, e = quad.radial_integral(lambda r: r, 0.0, 1.0, quad.REF_TOL)
     assert v == pytest.approx(0.5, abs=1e-14)
-    v, _ = quad.radial_integral(lambda r: (1.0 + r * r) ** -2.0 * r, 0.0, 1.0, SPEC12)
+    v, _ = quad.radial_integral(lambda r: (1.0 + r * r) ** -2.0 * r, 0.0, 1.0, quad.REF_TOL)
     assert v == pytest.approx(0.25, abs=1e-14)
-    v, _ = quad.radial_integral(lambda r: np.exp(-r * r), 0.0, 40.0, SPEC12)
+    v, _ = quad.radial_integral(lambda r: np.exp(-r * r), 0.0, 40.0, quad.REF_TOL)
     assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
@@ -161,7 +160,7 @@ def test_non_finite_integrand_detected():
             return 1.0 / (r - 0.5)
 
     with pytest.raises(quad.NonFiniteIntegrandError):
-        quad.radial_integral(f, 0.0, 1.0, SPEC12)
+        quad.radial_integral(f, 0.0, 1.0, quad.REF_TOL)
 
 
 def test_time_grid_shape():
@@ -183,7 +182,6 @@ def test_solution_norm_below_integrated_pointwise_bound():
     d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
     th = quad.THRESHOLDS
     area = quad.surface_area(n)
-    spec = quad.QuadSpec(n=n, tol=1e-9)
 
     def rhs_integrand(t):
         def f(r):
@@ -205,7 +203,7 @@ def test_solution_norm_below_integrated_pointwise_bound():
 
     for t in (1.0, 10.0, 50.0):
         lhs, _ = quad.norm_value(d, "u", n, t, quad.QuadSpec(n=n, tol=1e-8))
-        rhs, _ = quad.radial_integral(rhs_integrand(t), 0.0, 40.0, spec, ladder=16)
+        rhs, _ = quad.radial_integral(rhs_integrand(t), 0.0, 40.0, 1e-9, ladder=16)
         assert lhs <= rhs
 
 
