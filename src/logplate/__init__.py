@@ -43,15 +43,7 @@ from .quadrature import (
     ref_integral_Jp,
     surface_area,
 )
-from .data import (
-    RadialSpectrum,
-    gaussian,
-    log_tail,
-    parse_pair,
-    parse_profile,
-    y_norm,
-    zero_mass,
-)
+from .data import RadialSpectrum, parse_pair, parse_profile, y_norm
 from .rates import BandReport, DecayRegime, RateFit, RegimeReport, classify, fit_rate, two_sided_band
 
 __version__ = "0.1.0"

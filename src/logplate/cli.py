@@ -210,7 +210,7 @@ def _cmd_rates(args) -> int:
         ok = fit.slope / 2.0 <= report.diff_exponent + 0.1
     if report.two_sided and d.mass_sum != 0.0:
         series_u = quadrature.norm_series(d, "u", args.n, grid, spec)
-        band = rates.two_sided_band(series_u, -args.n / 2.0, window, ratio_cap=9.0, drift_tol=0.1)
+        band = rates.two_sided_band(series_u, 2.0 * report.sol_exponent_upper, window)
         out["band"] = {
             "min": band.lo,
             "max": band.hi,

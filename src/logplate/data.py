@@ -46,9 +46,6 @@ __all__ = [
     "GaussianProfile",
     "ZeroMassProfile",
     "LogTailProfile",
-    "gaussian",
-    "zero_mass",
-    "log_tail",
     "parse_profile",
     "RadialSpectrum",
     "parse_pair",
@@ -84,10 +81,6 @@ class RadialProfile:
         factors cancelled analytically, which keeps the integrand noise at
         eps * log(L) instead of eps * L for arbitrarily large log-weights.
         """
-        raise NotImplementedError
-
-    def deviation(self, r):
-        """value(r) - mass, evaluated without cancellation."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -133,11 +126,6 @@ class GaussianProfile(RadialProfile):
         # rsq grows like e^L, so the n L / 4 correction never wins
         return math.log(abs(self.peak)) + 0.25 * self.n * lam - rsq / (4.0 * self.alpha)
 
-    def deviation(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.peak * np.expm1(-r * r / (4.0 * self.alpha))
-        return float(out) if out.ndim == 0 else out
-
 
 class ZeroMassProfile(RadialProfile):
     def __init__(self, alpha: float, n: int):
@@ -170,9 +158,6 @@ class ZeroMassProfile(RadialProfile):
             )
             out = np.where(np.isinf(rsq), -np.inf, out)
         return out
-
-    def deviation(self, r):
-        return self.value(r)
 
     def _l11(self) -> float:
         # Physical profile (a/pi)^{n/2} (2 n a - 4 a^2 rho^2) e^{-a rho^2};
@@ -241,29 +226,12 @@ class LogTailProfile(RadialProfile):
             core = math.log(self.core_peak) + 0.25 * self.n * lam - np.expm1(lam) / 4.0
         return np.where(lam < 1.0, core, tail)
 
-    def deviation(self, r):
-        # the core covers r <= 1 < r_unit, so the Gaussian form applies
-        r = np.asarray(r, dtype=float)
-        out = self.core_peak * np.expm1(-r * r / 4.0)
-        return float(out) if out.ndim == 0 else out
 
-
-def gaussian(alpha: float, amplitude: float = 1.0, n: int = 1) -> GaussianProfile:
-    return GaussianProfile(alpha, amplitude, n)
-
-
-def zero_mass(alpha: float, n: int = 1) -> ZeroMassProfile:
-    return ZeroMassProfile(alpha, n)
-
-
-def log_tail(m: float, beta: float, n: int = 1) -> LogTailProfile:
-    return LogTailProfile(m, beta, n)
-
-
+# selector family -> (profile class, keyword defaults; None = required)
 _FAMILIES = {
-    "gaussian": (gaussian, {"alpha": None, "amplitude": 1.0}),
-    "zero_mass": (zero_mass, {"alpha": None}),
-    "log_tail": (log_tail, {"m": None, "beta": None}),
+    "gaussian": (GaussianProfile, {"alpha": None, "amplitude": 1.0}),
+    "zero_mass": (ZeroMassProfile, {"alpha": None}),
+    "log_tail": (LogTailProfile, {"m": None, "beta": None}),
 }
 
 

@@ -22,7 +22,6 @@ from .symbols import FreqPoint
 
 __all__ = [
     "IntegratorConfig",
-    "IntegrationStats",
     "StepBudgetError",
     "MAX_STEPS",
     "integrate_mode",
@@ -48,13 +47,6 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-6):
             raise ValueError("rel_tol must lie in (0, 1e-6]")
-
-
-@dataclass(frozen=True)
-class IntegrationStats:
-    steps: int
-    rejected: int
-    error_sum: float  # accumulated local error estimates of accepted steps
 
 
 # Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and
@@ -92,19 +84,17 @@ def integrate_mode(
     u1: complex,
     t_end: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-    with_stats: bool = False,
-):
+) -> ModeState:
     """Integrate (u, v)' = (v, -(v + L(1+L) u)/(1+L)) from 0 to t_end.
 
-    Returns the ModeState at t_end, or (state, stats) when `with_stats`.
+    Returns the ModeState at t_end; measure its error with `scaled_error`.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     u = complex(u0)
     v = complex(u1)
     if t_end == 0.0:
-        state = ModeState(u, v, 0.0)
-        return (state, IntegrationStats(0, 0, 0.0)) if with_stats else state
+        return ModeState(u, v, 0.0)
 
     lam = p.lam
     inv = 1.0 / (1.0 + lam)
@@ -119,16 +109,15 @@ def integrate_mode(
     ku[0], kv[0] = rhs(u, v)
     # Conservative first step; the controller adapts within a few steps.
     h = min(t_end, 0.1 / (1.0 + math.sqrt(lam)))
-    steps = 0
-    rejected = 0
-    err_sum = 0.0
+    attempts = 0  # accepted plus rejected steps
     err_prev = 1e-4  # memory of the PI step controller
 
     while t < t_end:
-        if steps + rejected >= MAX_STEPS:
+        if attempts >= MAX_STEPS:
             raise StepBudgetError(
                 f"step budget {MAX_STEPS} exhausted at t={t:.6g} of {t_end:.6g}"
             )
+        attempts += 1
         h = min(h, t_end - t)
         for i in range(1, 7):
             au = u
@@ -161,8 +150,6 @@ def integrate_mode(
             t += h
             u, v = u_new, v_new
             ku[0], kv[0] = ku[6], kv[6]
-            steps += 1
-            err_sum += _state_norm(err_u, err_v)
             # PI controller (proportional-integral): damps step-size
             # oscillation and cuts the accumulated phase error of long
             # oscillatory integrations by a small constant factor.
@@ -175,14 +162,10 @@ def integrate_mode(
                 )
             err_prev = max(err_norm, 1e-10)
         else:
-            rejected += 1
             factor = max(0.2, 0.85 * err_norm**-0.2)
         h *= factor
 
-    state = ModeState(u, v, t_end)
-    if with_stats:
-        return state, IntegrationStats(steps, rejected, err_sum)
-    return state
+    return ModeState(u, v, t_end)
 
 
 def scaled_error(state: ModeState, num: ModeState, u0: complex, u1: complex) -> float:

@@ -305,6 +305,7 @@ def tail_integral(
     where `baseline` is the part of the integral the caller holds apart.
     Returns (total, err, converged); converged is False when MAX_SEGMENTS
     pieces did not meet the test, and the caller decides what that means.
+    On convergence err includes |last piece| for the tail never integrated.
     """
     total = 0.0
     err = 0.0
@@ -318,7 +319,10 @@ def tail_integral(
             and seg <= prev
             and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
         ):
-            return total, err, True
+            # |seg| bounds the pieces never taken as long as each is at most
+            # half the one before.  The high-zone pieces of u for log_tail
+            # data shrink like 2^{-(m+1+beta)}, about 0.22 at m=1, beta=0.2.
+            return total, err + abs(seg), True
         prev = seg
         lo, hi = hi, 2.0 * hi
     return total, err, False

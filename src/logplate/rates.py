@@ -102,9 +102,14 @@ def two_sided_band(
     series,
     exponent: float,
     window=None,
-    ratio_cap: float = 3.0,
-    drift_tol: float = 0.05,
+    ratio_cap: float = 9.0,
+    drift_tol: float = 0.1,
 ) -> BandReport:
+    """Compensate the series by t^{-exponent} and test it for a flat band.
+
+    The defaults are for squared norms, as NormSeries holds (`exponent` twice
+    the norm's): a norm band of ratio 3 and drift 0.05 squares to 9 and 0.1.
+    """
     if window is None:
         window = (series.ts[0], series.ts[-1])
     check_window(series.ts, window, "band")

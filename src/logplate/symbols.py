@@ -127,15 +127,8 @@ class Thresholds:
 
     def residuals(self) -> dict[str, float]:
         """Residuals of each defining equation at the stored root."""
-        l0 = log_weight(self.delta0)
-        ld = log_weight(self.delta)
-        le = log_weight(self.eta)
-        return {
-            "delta0": (1.0 + l0) * math.sqrt(l0) - 1.0,
-            "delta": 4.0 * ld * (1.0 + ld) ** 2 - 1.0,
-            "eta": 4.0 * le * (1.0 + le) ** 2 - 0.75,
-            "r_unit": log_weight(self.r_unit) - 1.0,
-        }
+        res = {name: f(getattr(self, name)) for name, f in _DEFINING.items()}
+        return {**res, "r_unit": log_weight(self.r_unit) - 1.0}
 
 
 def _weight_crossover(r: float) -> float:
@@ -153,15 +146,16 @@ def _gap_defect(r: float) -> float:
     return 4.0 * lam * (1.0 + lam) ** 2 - 0.75
 
 
+# The function whose root defines each bisected threshold.
+_DEFINING = {"delta0": _weight_crossover, "delta": _disc_defect, "eta": _gap_defect}
+
+
 def compute_thresholds() -> Thresholds:
     """Locate all regime thresholds by bisection to |residual| < 1e-12."""
-    for f in (_weight_crossover, _disc_defect, _gap_defect):
+    for f in _DEFINING.values():
         _assert_increasing(f, 0.0, R_UNIT)
     th = Thresholds(
-        delta0=_bisect(_weight_crossover, 0.0, R_UNIT),
-        delta=_bisect(_disc_defect, 0.0, R_UNIT),
-        eta=_bisect(_gap_defect, 0.0, R_UNIT),
-        r_unit=R_UNIT,
+        **{name: _bisect(f, 0.0, R_UNIT) for name, f in _DEFINING.items()}, r_unit=R_UNIT
     )
     if not (0.0 < th.eta < th.delta < th.delta0 < th.r_unit):
         raise RuntimeError("threshold ordering violated")
@@ -185,15 +179,14 @@ def discriminant(lam):
 class CharRoots:
     """Characteristic roots of (1+L) z^2 + z + L (1+L) = 0 at one frequency.
 
-    a is the damping half-rate 1/(2(1+L)); the roots are -a +/- c for
-    disc >= 0 and -a +/- i b for disc < 0, with c = sqrt(disc)/(2(1+L)) and
-    b = sqrt(-disc)/(2(1+L)).  By construction the root sum is exactly
-    -1/(1+L) and the product is L.
+    a is the damping half-rate 1/(2(1+L)); with disc = discriminant(L) the
+    roots are -a +/- c for disc >= 0 and -a +/- i b for disc < 0, with
+    c = sqrt(disc)/(2(1+L)) and b = sqrt(-disc)/(2(1+L)).  By construction
+    the root sum is exactly -1/(1+L) and the product is L.
     """
 
     regime: Regime
     a: float
-    disc: float
     c: float | None
     b: float | None
     lambda_plus: complex
@@ -207,18 +200,18 @@ def char_roots(p: FreqPoint) -> CharRoots:
     disc = discriminant(lam)
     if abs(disc) < _DEGENERATE_TOL:
         lam_dbl = complex(-a, 0.0)
-        return CharRoots(Regime.DEGENERATE, a, disc, 0.0, None, lam_dbl, lam_dbl)
+        return CharRoots(Regime.DEGENERATE, a, 0.0, None, lam_dbl, lam_dbl)
     if disc > 0.0:
         # lambda_plus via the product form: no cancellation for small L.
         sq = math.sqrt(disc)
         lp = -2.0 * lam * one / (1.0 + sq)
         lm = -1.0 / one - lp
         return CharRoots(
-            Regime.REAL_DISTINCT, a, disc, sq / (2.0 * one), None,
+            Regime.REAL_DISTINCT, a, sq / (2.0 * one), None,
             complex(lp, 0.0), complex(lm, 0.0),
         )
     b = math.sqrt(-disc) / (2.0 * one)
-    return CharRoots(Regime.COMPLEX, a, disc, None, b, complex(-a, b), complex(-a, -b))
+    return CharRoots(Regime.COMPLEX, a, None, b, complex(-a, b), complex(-a, -b))
 
 
 def mult_weight(p: FreqPoint, th: Thresholds) -> float:

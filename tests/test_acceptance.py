@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one JSON line per
 check, or `logplate verify` for the same through the CLI.  Each check runs
-once and computes its own norm series.
+once and computes its own norm series, and its canonical line must equal
+the one in verify_canonical.jsonl (written by `logplate verify --out`).
 
 Check 07: Gaussian data has no first-moment term at low frequency, so
 ||u - phi1|| decays at -(n+4)/4, one half faster than the paper's generic
@@ -11,9 +12,16 @@ below the bound, and pins t^{(n+4)/2}||u - phi1||^2 to 1% of its
 closed-form limit K computed from the masses and alphas.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
-from logplate import verify
+from logplate import rates, verify
+
+CANONICAL = {
+    json.loads(line)["check_id"]: line
+    for line in (Path(__file__).parent / "verify_canonical.jsonl").read_text().splitlines()
+}
 
 
 def test_check_ids_are_numbered_01_to_13_in_order():
@@ -25,6 +33,7 @@ def _gate(check_id: str):
         result = verify.run_check(check_id)
         print(verify.render_line(result))
         assert result.passed, f"{check_id}: observed {result.observed}, expected {result.expected}"
+        assert verify.canonical_line(result) == CANONICAL[check_id]
 
     return gate
 
@@ -41,3 +50,19 @@ def test_render_line_is_canonical_line_plus_seconds():
         **json.loads(verify.canonical_line(res)),
         "seconds": 1.235,
     }
+
+
+def test_checks_take_their_exponents_from_the_classifier(monkeypatch):
+    classify = rates.classify
+
+    def lowered(n, l):
+        report = classify(n, l)
+        return dataclasses.replace(
+            report,
+            diff_exponent=report.diff_exponent - 1.0,
+            sol_exponent_upper=report.sol_exponent_upper - 1.0,
+        )
+
+    monkeypatch.setattr(rates, "classify", lowered)
+    for check_id in ("07-diffusion-profile-rate", "11-optimal-two-sided"):
+        assert not verify.run_check(check_id).passed, check_id

@@ -60,13 +60,15 @@ def test_profile_diff_zone_restricted(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    args = (
-        "solve", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "zero_mass:alpha=1",
-        "--t-count", "4",
-    )
-    _, out1 = _run(capsys, *args)
-    _, out2 = _run(capsys, *args)
-    assert out1 == out2
+    for args in (
+        ("solve", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "zero_mass:alpha=1",
+         "--t-count", "4"),
+        ("rates", "--n", "4", "--l", "1", "--data-u0", "gaussian:alpha=1",
+         "--data-u1", "gaussian:alpha=1", "--t-count", "12"),
+    ):
+        _, out1 = _run(capsys, *args)
+        _, out2 = _run(capsys, *args)
+        assert out1 == out2
 
 
 def test_rates_json_report(capsys):

@@ -8,7 +8,7 @@ from logplate import symbols
 
 
 def test_gaussian_values():
-    g = data_mod.gaussian(1.0, n=2)
+    g = data_mod.GaussianProfile(1.0, 1.0, 2)
     assert g.value(0.0) == pytest.approx(math.pi, rel=1e-15)
     assert g.value(2.0) == pytest.approx(math.pi * math.exp(-1.0), rel=1e-14)
     assert g.mass == pytest.approx(math.pi)
@@ -16,26 +16,19 @@ def test_gaussian_values():
 
 def test_gaussian_weighted_l1_closed_form():
     # physical profile e^{-x^2} in one dimension: integral of (1 + |x|)
-    g = data_mod.gaussian(1.0, n=1)
+    g = data_mod.GaussianProfile(1.0, 1.0, 1)
     assert g.l11_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-14)
 
 
 def test_gaussian_low_freq_lipschitz():
-    g = data_mod.gaussian(1.0, n=2)
+    g = data_mod.GaussianProfile(1.0, 1.0, 2)
     rs = np.linspace(1e-6, 1.0, 500)
-    dev = np.abs(g.deviation(rs))
+    dev = np.abs(g.value(rs) - g.mass)
     assert np.all(dev <= g.lip_const * rs * (1.0 + 1e-12))
 
 
-def test_deviation_is_cancellation_free():
-    g = data_mod.gaussian(1.0, n=2)
-    r = 1e-9
-    # naive value(r) - mass would return exactly 0 here
-    assert g.deviation(r) == pytest.approx(-math.pi * r * r / 4.0, rel=1e-9)
-
-
 def test_zero_mass_values():
-    z = data_mod.zero_mass(1.0, n=2)
+    z = data_mod.ZeroMassProfile(1.0, 2)
     assert z.value(0.0) == 0.0
     assert z.mass == 0.0
     assert z.value(2.0) == pytest.approx(4.0 * math.exp(-1.0), rel=1e-14)
@@ -44,12 +37,12 @@ def test_zero_mass_values():
 
 
 def test_zero_mass_weighted_l1_positive():
-    z = data_mod.zero_mass(1.0, n=2)
+    z = data_mod.ZeroMassProfile(1.0, 2)
     assert z.l11_norm is not None and z.l11_norm > 0.0
 
 
 def test_log_tail_continuity_and_mass():
-    lt = data_mod.log_tail(1.0, 0.2, n=8)
+    lt = data_mod.LogTailProfile(1.0, 0.2, 8)
     below = lt.value(symbols.R_UNIT * (1.0 - 1e-9))
     above = lt.value(symbols.R_UNIT * (1.0 + 1e-9))
     assert below == pytest.approx(above, rel=1e-6)
@@ -61,7 +54,7 @@ def test_log_tail_regularity_boundary():
     # Beyond r_unit the squared flat value is (1+L)^{-(m+1+beta)}, so the
     # order-s integrand (1+L)^s |u|^2 dxi ~ (1+L)^{s-m-1-beta} dL is
     # integrable exactly for s < m + beta = 1.2.
-    lt = data_mod.log_tail(1.0, 0.2, n=8)
+    lt = data_mod.LogTailProfile(1.0, 0.2, 8)
     lam = np.array([1.0, 10.0, 1e3, 1e6, 1e12])
     slopes = np.diff(2.0 * lt.log_flat_from_lam(lam)) / np.diff(np.log1p(lam))
     assert slopes == pytest.approx(-(1.0 + 1.0 + 0.2), rel=1e-12)
@@ -75,9 +68,9 @@ def _value_via_flat(prof, lam):
 
 def test_log_flat_from_lam_matches_value():
     for prof in (
-        data_mod.gaussian(1.0, n=2),
-        data_mod.zero_mass(1.0, n=3),
-        data_mod.log_tail(1.0, 0.2, n=8),
+        data_mod.GaussianProfile(1.0, 1.0, 2),
+        data_mod.ZeroMassProfile(1.0, 3),
+        data_mod.LogTailProfile(1.0, 0.2, 8),
     ):
         for r in (0.3, 1.0, 2.0, 5.0):
             lam = symbols.log_weight(r)
@@ -86,9 +79,9 @@ def test_log_flat_from_lam_matches_value():
 
 def test_log_value_handles_extreme_log_weights():
     for prof in (
-        data_mod.gaussian(1.0, n=2),
-        data_mod.zero_mass(1.0, n=3),
-        data_mod.log_tail(1.0, 0.2, n=8),
+        data_mod.GaussianProfile(1.0, 1.0, 2),
+        data_mod.ZeroMassProfile(1.0, 3),
+        data_mod.LogTailProfile(1.0, 0.2, 8),
     ):
         grid = np.array([0.0, 1.0, 700.0, 720.0, 1e6, 1e300])
         assert not np.any(np.isnan(prof.log_flat_from_lam(grid)))
@@ -97,9 +90,9 @@ def test_log_value_handles_extreme_log_weights():
 def test_flat_log_value_consistency():
     # the flat form is |value| (1+r^2)^{n/4}, also at large log-weights
     for prof in (
-        data_mod.gaussian(1.0, n=2),
-        data_mod.zero_mass(1.0, n=3),
-        data_mod.log_tail(1.0, 0.2, n=8),
+        data_mod.GaussianProfile(1.0, 1.0, 2),
+        data_mod.ZeroMassProfile(1.0, 3),
+        data_mod.LogTailProfile(1.0, 0.2, 8),
     ):
         lam = np.array([0.5, 1.0, 3.0, 20.0, 200.0])
         r = np.sqrt(np.expm1(lam))
@@ -107,7 +100,7 @@ def test_flat_log_value_consistency():
 
 
 def test_log_tail_all_tail_call_matches_mixed_call():
-    prof = data_mod.log_tail(1.0, 0.2, n=8)
+    prof = data_mod.LogTailProfile(1.0, 0.2, 8)
     # every node in the tail (L >= 1), as in the whole high zone
     lam = np.linspace(1.0, 5000.0, 77)
     tail_only = prof.log_flat_from_lam(lam)
@@ -118,39 +111,30 @@ def test_log_tail_all_tail_call_matches_mixed_call():
 
 def test_y_norm_gaussian_analytic():
     # n = 1, order 0: w_1 Int pi e^{-r^2/2} dr = 2 pi sqrt(pi/2)
-    g = data_mod.gaussian(1.0, n=1)
+    g = data_mod.GaussianProfile(1.0, 1.0, 1)
     res = data_mod.y_norm(g, 0.0)
     assert not res.diverged
     assert res.value == pytest.approx(2.0 * math.pi * math.sqrt(math.pi / 2.0), rel=1e-8)
 
 
 def test_y_norm_zero_data():
-    g = data_mod.gaussian(1.0, amplitude=0.0, n=2)
+    g = data_mod.GaussianProfile(1.0, 0.0, 2)
     res = data_mod.y_norm(g, 3.0)
     assert res.value == 0.0 and not res.diverged
 
 
 def test_y_norm_monotone_in_order():
-    g = data_mod.gaussian(1.0, n=2)
+    g = data_mod.GaussianProfile(1.0, 1.0, 2)
     values = [data_mod.y_norm(g, s).value for s in (0.0, 1.0, 2.0, 5.0)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_y_norm_divergence_flag_at_regularity_boundary():
-    lt = data_mod.log_tail(1.0, 0.2, n=8)
+    lt = data_mod.LogTailProfile(1.0, 0.2, 8)
     fine = data_mod.y_norm(lt, 1.0)
     assert not fine.diverged and fine.value > 0.0
     coarse = data_mod.y_norm(lt, 2.0)
     assert coarse.diverged
-
-
-def test_low_freq_parts_reconstruction():
-    # u(r) = deviation(r) + mass: the low-frequency split the Lipschitz
-    # surrogate is stated for
-    g = data_mod.gaussian(1.0, n=2)
-    for r in (0.0, 0.25, 0.8):
-        assert g.deviation(r) + g.mass == pytest.approx(g.value(r))
-    assert g.deviation(0.5) == pytest.approx(math.pi * (math.exp(-1.0 / 16.0) - 1.0), rel=1e-12)
 
 
 def test_parse_profile_grammar():
@@ -172,19 +156,19 @@ def test_parse_profile_grammar():
 
 def test_pair_dimension_checked():
     with pytest.raises(ValueError):
-        data_mod.RadialSpectrum(data_mod.gaussian(1.0, n=2), data_mod.gaussian(1.0, n=3))
+        data_mod.RadialSpectrum(data_mod.GaussianProfile(1.0, 1.0, 2), data_mod.GaussianProfile(1.0, 1.0, 3))
     d = data_mod.parse_pair("gaussian:alpha=1", "zero_mass:alpha=1", 2)
     assert d.mass_sum == pytest.approx(math.pi)
 
 
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
-        data_mod.gaussian(-1.0, n=2)
+        data_mod.GaussianProfile(-1.0, 1.0, 2)
     with pytest.raises(ValueError):
-        data_mod.zero_mass(0.0, n=2)
+        data_mod.ZeroMassProfile(0.0, 2)
     with pytest.raises(ValueError):
-        data_mod.log_tail(1.0, 0.0, n=2)
+        data_mod.LogTailProfile(1.0, 0.0, 2)
     with pytest.raises(ValueError):
-        data_mod.log_tail(-1.0, 0.5, n=2)
+        data_mod.LogTailProfile(-1.0, 0.5, 2)
     with pytest.raises(ValueError):
-        data_mod.y_norm(data_mod.gaussian(1.0, n=2), -1.0)
+        data_mod.y_norm(data_mod.GaussianProfile(1.0, 1.0, 2), -1.0)

@@ -39,13 +39,21 @@ def test_scaled_error():
 
 
 def test_tolerance_convergence():
+    # the error against the closed form shrinks with rel_tol and stays below it
     p = symbols.FreqPoint.from_radius(1.5)
-    ref, stats = oracle.integrate_mode(
-        p, 1.0, -0.5, 30.0, oracle.IntegratorConfig(rel_tol=1e-8), with_stats=True
-    )
-    tight = oracle.integrate_mode(p, 1.0, -0.5, 30.0, oracle.IntegratorConfig(rel_tol=5e-9))
-    change = math.hypot(abs(ref.u - tight.u), abs(ref.v - tight.v))
-    assert change < stats.error_sum
+    exact = modes.mode_solve(p, 1.0, -0.5, 30.0)
+    tols = (1e-6, 1e-8, 1e-10)
+    errs = [
+        oracle.scaled_error(
+            exact,
+            oracle.integrate_mode(p, 1.0, -0.5, 30.0, oracle.IntegratorConfig(rel_tol=tol)),
+            1.0,
+            -0.5,
+        )
+        for tol in tols
+    ]
+    assert errs[0] > errs[1] > errs[2]
+    assert all(err < tol for err, tol in zip(errs, tols))
 
 
 def test_energy_monotone_along_samples():

@@ -57,7 +57,7 @@ def test_phi2_at_time_zero_returns_initial_value():
 def test_phi2_unit_log_weight_quarter_period():
     # L = 1, u0 = 0, u1 = 1: phi2(pi/2) = e^{-pi/4} sin(pi/2)
     d = data_mod.RadialSpectrum(
-        data_mod.gaussian(1.0, amplitude=0.0, n=2), data_mod.gaussian(1.0, n=2)
+        data_mod.GaussianProfile(1.0, 0.0, 2), data_mod.GaussianProfile(1.0, 1.0, 2)
     )
     u1v = d.u1.value(symbols.R_UNIT)
     got = _at("phi2", d, symbols.R_UNIT, math.pi / 2.0)
@@ -89,7 +89,7 @@ def test_profile_diff_at_time_zero():
 
 def test_profile_diff_zero_data():
     d = data_mod.RadialSpectrum(
-        data_mod.gaussian(1.0, amplitude=0.0, n=2), data_mod.gaussian(1.0, amplitude=0.0, n=2)
+        data_mod.GaussianProfile(1.0, 0.0, 2), data_mod.GaussianProfile(1.0, 0.0, 2)
     )
     for kind in ProfileKind:
         assert _at(f"u-{kind.value}", d, 0.4, 3.0) == 0.0
