@@ -183,12 +183,11 @@ def _cmd_rates(args) -> int:
     spec = quadrature.QuadSpec(n=args.n, tol=args.tol, osc_guard=args.osc_guard)
     grid = _grid(args)
     window = (10.0 * grid[0], grid[-1])  # drop the first decade
-    # a window too short to fit is known from the grid: reject it before
-    # any series is integrated
-    if report.profile is not None:
-        rates.check_window(grid, window, "fit")
-    if report.two_sided and d.mass_sum != 0.0:
-        rates.check_window(grid, window, "band")
+    banded = report.two_sided and d.mass_sum != 0.0
+    # integrate only the times the fit and band read; a window too short
+    # to fit is rejected here, before any series is integrated
+    if report.profile is not None or banded:
+        times = rates.window_times(grid, window, "fit" if report.profile is not None else "band")
     out: dict = {
         "n": args.n,
         "l": args.l,
@@ -203,13 +202,13 @@ def _cmd_rates(args) -> int:
     }
     ok = None
     if report.profile is not None:
-        series = quadrature.norm_series(d, _DIFF_KINDS[report.profile.value], args.n, grid, spec)
+        series = quadrature.norm_series(d, _DIFF_KINDS[report.profile.value], args.n, times, spec)
         fit = rates.fit_rate(series, window)
         out["fitted_slope"] = fit.slope / 2.0  # norm convention, like theory_exponent
         out["residual"] = fit.residual
         ok = fit.slope / 2.0 <= report.diff_exponent + 0.1
-    if report.two_sided and d.mass_sum != 0.0:
-        series_u = quadrature.norm_series(d, "u", args.n, grid, spec)
+    if banded:
+        series_u = quadrature.norm_series(d, "u", args.n, times, spec)
         band = rates.two_sided_band(series_u, 2.0 * report.sol_exponent_upper, window)
         out["band"] = {
             "min": band.lo,

@@ -305,7 +305,9 @@ def tail_integral(
     where `baseline` is the part of the integral the caller holds apart.
     Returns (total, err, converged); converged is False when MAX_SEGMENTS
     pieces did not meet the test, and the caller decides what that means.
-    On convergence err includes |last piece| for the tail never integrated.
+    On convergence err includes a bound on the tail never integrated: the
+    geometric remainder |last| rho/(1-rho) of pieces that keep shrinking by
+    the last ratio rho = last/previous, and at least |last|.
     """
     total = 0.0
     err = 0.0
@@ -319,10 +321,10 @@ def tail_integral(
             and seg <= prev
             and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
         ):
-            # |seg| bounds the pieces never taken as long as each is at most
-            # half the one before.  The high-zone pieces of u for log_tail
-            # data shrink like 2^{-(m+1+beta)}, about 0.22 at m=1, beta=0.2.
-            return total, err + abs(seg), True
+            # A ratio of 1 or more bounds nothing, so the remainder is infinite.
+            rho = abs(seg / prev) if prev else 0.0
+            rest = abs(seg) * max(1.0, rho / (1.0 - rho)) if rho < 1.0 else math.inf
+            return total, err + rest, True
         prev = seg
         lo, hi = hi, 2.0 * hi
     return total, err, False
@@ -332,18 +334,23 @@ def tail_integral(
 # Reference integrals
 
 
+def _ref_integrand(p_exp: float, t: float):
+    """r -> (1+r^2)^{-t} r^p, the integrand of the reference integrals."""
+
+    def f(r):
+        with np.errstate(divide="ignore"):
+            return (1.0 + r * r) ** (-t) * r ** p_exp
+
+    return f
+
+
 def ref_integral_Ip(p_exp: float, t: float) -> float:
     """int_0^1 (1+r^2)^{-t} r^p dr for p > -1, t >= 0."""
     if p_exp <= -1.0:
         raise ValueError("exponent must exceed -1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-
-    def f(r):
-        with np.errstate(divide="ignore"):
-            return (1.0 + r * r) ** (-t) * r ** p_exp
-
-    value, _ = radial_integral(f, 0.0, 1.0, REF_TOL, ladder=16)
+    value, _ = radial_integral(_ref_integrand(p_exp, t), 0.0, 1.0, REF_TOL, ladder=16)
     return value
 
 
@@ -351,10 +358,7 @@ def ref_integral_Jp(p_exp: float, t: float) -> float:
     """int_1^inf (1+r^2)^{-t} r^p dr for t > max(1, (p+1)/2)."""
     if t <= max(1.0, 0.5 * (p_exp + 1.0)):
         raise ValueError("t too small for a convergent tail")
-
-    def f(r):
-        return (1.0 + r * r) ** (-t) * r ** p_exp
-
+    f = _ref_integrand(p_exp, t)
     total, _, converged = tail_integral(
         lambda lo, hi: radial_integral(f, lo, hi, REF_TOL), 1.0, 2.0, REF_TOL
     )
@@ -365,11 +369,7 @@ def ref_integral_Jp(p_exp: float, t: float) -> float:
 
 def middle_zone_integral(p_exp: float, t: float, lo: float, hi: float = 1.0) -> float:
     """int_lo^hi (1+r^2)^{-t} r^p dr, the exponentially small middle band."""
-
-    def f(r):
-        return (1.0 + r * r) ** (-t) * r ** p_exp
-
-    value, _ = radial_integral(f, lo, hi, REF_TOL)
+    value, _ = radial_integral(_ref_integrand(p_exp, t), lo, hi, REF_TOL)
     return value
 
 

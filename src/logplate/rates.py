@@ -18,7 +18,7 @@ from .profiles import ProfileKind
 
 __all__ = [
     "RateFit",
-    "check_window",
+    "window_times",
     "fit_rate",
     "BandReport",
     "two_sided_band",
@@ -38,48 +38,48 @@ class RateFit:
     """Least-squares exponent of value ~ t^slope over the fitted window.
 
     residual is the worst relative deviation of the data from the fitted
-    line; local_slopes are the per-adjacent-pair exponents, which expose
-    convergence of the instantaneous rate.
+    line.
     """
 
     slope: float
     residual: float
-    local_slopes: tuple[float, ...]
 
 
-def check_window(ts, window, label: str) -> None:
-    """Raise ValueError unless the window holds enough of the times ts.
+def window_times(ts, window, label: str) -> tuple[float, ...]:
+    """The times of ts inside the closed window, in order; ValueError
+    naming the `label` window when fewer than five lie inside.
 
-    Needs only the time grid, so a caller can reject a window before it
-    integrates any series on that grid.
+    Needs only the time grid, so a caller integrates exactly the times a fit
+    or band over `window` reads, and rejects a short window before any
+    quadrature.
     """
     t_lo, t_hi = float(window[0]), float(window[1])
-    if sum(t_lo <= t <= t_hi for t in ts) < _MIN_SAMPLES:
+    inside = tuple(t for t in ts if t_lo <= t <= t_hi)
+    if len(inside) < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples inside the {label} window")
+    return inside
 
 
-def _window_samples(series, window):
-    t_lo, t_hi = float(window[0]), float(window[1])
-    ts = [t for t in series.ts if t_lo <= t <= t_hi]
-    vals = [v for t, v in zip(series.ts, series.values) if t_lo <= t <= t_hi]
-    return ts, vals
+def _window_samples(series, window, label: str):
+    """Arrays of the in-window times and their (positive) values."""
+    ts = window_times(series.ts, window, label)
+    vals = np.array([v for t, v in zip(series.ts, series.values) if t in ts])
+    if np.any(vals <= 0.0):
+        raise ValueError(f"{label} window contains non-positive values")
+    return np.array(ts), vals
 
 
 def fit_rate(series, window) -> RateFit:
     """Fit value ~ C t^slope on the samples inside the window."""
-    check_window(series.ts, window, "fit")
-    ts, vals = _window_samples(series, window)
-    if any(v <= 0.0 for v in vals):
-        raise ValueError("fit window contains non-positive values")
-    lt = np.log(np.array(ts))
-    lv = np.log(np.array(vals))
+    ts, vals = _window_samples(series, window, "fit")
+    lt = np.log(ts)
+    lv = np.log(vals)
     lt_c = lt - lt.mean()
     slope = float(np.dot(lt_c, lv - lv.mean()) / np.dot(lt_c, lt_c))
     intercept = float(lv.mean() - slope * lt.mean())
     fit = np.exp(intercept + slope * lt)
-    residual = float(np.max(np.abs(np.array(vals) / fit - 1.0)))
-    local = tuple(np.diff(lv) / np.diff(lt))
-    return RateFit(slope, residual, local)
+    residual = float(np.max(np.abs(vals / fit - 1.0)))
+    return RateFit(slope, residual)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,8 @@ def two_sided_band(
     """
     if window is None:
         window = (series.ts[0], series.ts[-1])
-    check_window(series.ts, window, "band")
-    ts, vals = _window_samples(series, window)
-    if any(v <= 0.0 for v in vals):
-        raise ValueError("band window contains non-positive values")
-    t_arr = np.array(ts)
-    comp = np.array(vals) * t_arr ** (-exponent)
+    t_arr, vals = _window_samples(series, window, "band")
+    comp = vals * t_arr ** (-exponent)
     lo = float(comp.min())
     hi = float(comp.max())
     ratio = hi / lo

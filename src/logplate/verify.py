@@ -1,7 +1,9 @@
 """The acceptance suite: thirteen numbered checks gating the whole build.
 
 Each check is pure given its inputs and produces one result record; a
-check that needs a norm series computes it, as no two checks share one.
+check that needs a norm series computes it, as no two checks share one, and
+integrates only the times its judge reads: the grid times inside the fit
+window, as `rates.window_times` picks them.
 Check 13 re-executes the sub-second checks and compares their canonical
 serialisation (all fields except the wall-time) byte for byte.
 """
@@ -89,22 +91,24 @@ _ZONE_TIMES = quadrature.default_time_grid(6) + (100.0,)
 _L_DATA = 1.0
 
 
+# The default-grid times inside FIT_WINDOW, the only ones a fit or band reads.
+_FIT_TIMES = rates.window_times(quadrature.default_time_grid(), FIT_WINDOW, "fit")
+
+
 def _series(sel0: str, sel1: str, n: int, kind: str, tol: float, guard: float = 1.0):
-    """Norm series of the data pair (sel0, sel1) on the default time grid."""
+    """Norm series of the data pair (sel0, sel1) on the fit-window times."""
     spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
-    return quadrature.norm_series(
-        data_mod.parse_pair(sel0, sel1, n), kind, n, quadrature.default_time_grid(), spec
-    )
+    return quadrature.norm_series(data_mod.parse_pair(sel0, sel1, n), kind, n, _FIT_TIMES, spec)
 
 
-def _positive_window(series: quadrature.NormSeries, window=FIT_WINDOW):
-    """Sub-window of `window` where the series is positive.
+def _positive_window(series: quadrature.NormSeries):
+    """Sub-window of the series' times where it is positive.
 
     Squared norms of the oscillatory profile underflow to exactly zero for
     Gaussian data at large t (the decay is superpolynomial); a log-log fit
     is only defined on the positive part.
     """
-    ts = [t for t, v in zip(series.ts, series.values) if window[0] <= t <= window[1] and v > 0.0]
+    ts = [t for t, v in zip(series.ts, series.values) if v > 0.0]
     if not ts:
         raise ValueError("no positive samples in window")
     return ts[0], ts[-1]
@@ -338,9 +342,7 @@ def _check_diffusion_rate() -> tuple[bool, str, str, str]:
     theory = -(n + 4) / 4.0
     bound = rates.classify(n, _L_DATA).diff_exponent
     limit = _gaussian_diffusion_constant(data_mod.parse_pair(sel, sel, n), n)
-    t_last, v_last = [
-        (t, v) for t, v in zip(s.ts, s.values) if FIT_WINDOW[0] <= t <= FIT_WINDOW[1]
-    ][-1]
+    t_last, v_last = s.ts[-1], s.values[-1]
     ratio = t_last ** ((n + 4) / 2.0) * v_last / limit
     ok = abs(slope - theory) <= 0.1 and slope <= bound + 0.1 and abs(ratio - 1.0) <= 1e-2
     return (

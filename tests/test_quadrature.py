@@ -52,6 +52,28 @@ def test_tail_integral_closed_form_and_band():
         quad.ref_integral_Jp(1.0, 1.0)
 
 
+def test_tail_error_covers_slowly_shrinking_remainder():
+    # exact pieces of int_1^inf x^{-1.2} dx shrink by 2^{-0.2} ~ 0.87 per
+    # doubling, so |last piece| alone misses most of what is left
+    def segment(a, b):
+        return 5.0 * (a**-0.2 - b**-0.2), 0.0
+
+    total, err, converged = quad.tail_integral(segment, 1.0, 2.0, 1e-3)
+    assert converged
+    remainder = 5.0 - total  # 5 = the whole integral
+    assert err >= remainder * (1.0 - 1e-12)
+    assert err == pytest.approx(remainder, rel=1e-9)
+
+
+def test_y_norm_error_covers_tail_near_regularity_boundary():
+    # s = 1 with tail weight q = m + 1 + beta = 2.2: the pieces shrink by
+    # 0.87 per doubling and the closed-form remainder beyond the last
+    # extent is 4.25
+    res = data_mod.y_norm(data_mod.LogTailProfile(1.0, 0.2, 8), 1.0)
+    assert not res.diverged
+    assert res.err_est >= 4.0
+
+
 def test_middle_zone_bound_with_fitted_constant():
     eta = quad.THRESHOLDS.eta
     for p_exp in (0.0, 1.0):

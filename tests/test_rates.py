@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from logplate import rates
+from logplate import cli, quadrature, rates, verify
 from logplate.profiles import ProfileKind
 from logplate.quadrature import NormSeries
 
@@ -21,7 +21,6 @@ def test_exact_power_law():
     fit = rates.fit_rate(s, (TS[0], TS[-1]))
     assert fit.slope == pytest.approx(-1.5, abs=1e-12)
     assert fit.residual < 1e-12
-    assert all(ls == pytest.approx(-1.5, abs=1e-10) for ls in fit.local_slopes)
 
 
 def test_perturbed_power_law():
@@ -138,3 +137,25 @@ def test_norm_series_input_validation():
         _series((10.0, 5.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         _series((1.0, 2.0), (1.0, -1.0))
+
+
+def test_consumers_integrate_only_window_times(monkeypatch, capsys):
+    seen = []
+    norm_value = quadrature.norm_value
+
+    def record(d, kind, n, t, *args, **kwargs):
+        seen.append(t)
+        return norm_value(d, kind, n, t, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "norm_value", record)
+    assert verify.run_check("07-diffusion-profile-rate").passed
+    lo, hi = verify.FIT_WINDOW
+    assert seen == [t for t in quadrature.default_time_grid() if lo <= t <= hi]
+    assert len(seen) == 13
+
+    seen.clear()
+    assert cli.main([
+        "rates", "--n", "2", "--l", "1", "--data-u0", "gaussian:alpha=1",
+        "--data-u1", "gaussian:alpha=1", "--t-count", "12",
+    ]) == 0
+    assert seen and min(seen) >= 10.0 * 10.0  # the first decade of t0 = 10 is never read
