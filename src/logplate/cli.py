@@ -77,8 +77,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-4,
         help="quadrature tolerance (default 1e-4: slope fits tolerate far "
-        "coarser values than pointwise checks, and tighter tolerances make "
-        "the oscillation-guarded tails of regularity-limited data expensive)",
+        "coarser values than pointwise checks, and a tighter tolerance moves "
+        "more times of regularity-limited data from the phase-split tail to "
+        "the oscillation-guarded one, whose cost grows like t^1.5)",
     )
     sub.add_argument(
         "--osc-guard",

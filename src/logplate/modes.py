@@ -38,6 +38,8 @@ import numpy as np
 from .symbols import FreqPoint, Thresholds, mult_weight
 
 __all__ = [
+    "collision_gap",
+    "oscillating_coeffs",
     "propagator_coeffs",
     "ModeState",
     "mode_solve",
@@ -52,6 +54,20 @@ __all__ = [
 _SERIES_CUT = 1e-6
 
 
+def collision_gap(lam):
+    """(a, a^2 - L): the damping rate a = 1/(2(1+L)) and the discriminant
+    whose sign separates real roots -a +/- sqrt(a^2 - L) (positive) from
+    oscillating ones (negative)."""
+    a = 0.5 / (1.0 + lam)
+    return a, a * a - lam
+
+
+def oscillating_coeffs(a, csq, t: float):
+    """(e^{-at}, b) of oscillating modes, roots -a +/- i b with
+    b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0."""
+    return np.exp(-a * t), np.sqrt(-csq)
+
+
 def propagator_coeffs(lam, t: float):
     """Damped propagator pieces (e^{-at} C(t), e^{-at} S(t), a) at time t.
 
@@ -64,17 +80,14 @@ def propagator_coeffs(lam, t: float):
     lam_arr = np.atleast_1d(lam_arr)
     t = float(t)
 
-    one = 1.0 + lam_arr
-    a = 0.5 / one
-    csq = a * a - lam_arr
+    a, csq = collision_gap(lam_arr)
     z = csq * (t * t)
 
     if not scalar and (z <= -_SERIES_CUT).all():
         # every node oscillates (the whole high zone): the osc branch below
         # on the full array, without the masked gather and scatter
-        b = np.sqrt(-csq)
+        damp, b = oscillating_coeffs(a, csq, t)
         bt = b * t
-        damp = np.exp(-a * t)
         return damp * np.cos(bt), damp * np.sin(bt) / b, a
 
     ec = np.empty_like(lam_arr)
@@ -97,8 +110,7 @@ def propagator_coeffs(lam, t: float):
         ec[real] = 0.5 * slow * (1.0 + np.exp(-2.0 * cc * t))
         es[real] = slow * (-np.expm1(-2.0 * cc * t)) / (2.0 * cc)
     if osc.any():
-        b = np.sqrt(-csq[osc])
-        damp = np.exp(-a[osc] * t)
+        damp, b = oscillating_coeffs(a[osc], csq[osc], t)
         ec[osc] = damp * np.cos(b * t)
         es[osc] = damp * np.sin(b * t) / b
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["ProfileKind", "phi1_coeff", "phi2_coeffs"]
+__all__ = ["ProfileKind", "phi1_coeff", "phi2_envelope", "phi2_coeffs"]
 
 
 class ProfileKind(Enum):
@@ -45,6 +45,15 @@ def phi1_coeff(lam, t: float):
     return float(out) if out.ndim == 0 else out
 
 
+def phi2_envelope(lam: np.ndarray, t: float) -> np.ndarray:
+    """e^{-t/(2L)}, the damping of the oscillatory profile; it underflows to
+    0 at L = 0 for t > 0 and equals 1 at t = 0."""
+    if t == 0.0:
+        return np.ones_like(lam)
+    with np.errstate(divide="ignore"):
+        return np.exp(-t / (2.0 * lam))
+
+
 def phi2_coeffs(lam, t: float):
     """(envelope, sin-coefficient, cos-coefficient) arrays of the oscillatory
     profile over an array of log-weights.
@@ -55,11 +64,7 @@ def phi2_coeffs(lam, t: float):
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     t = float(t)
-    if t == 0.0:
-        env = np.ones_like(lam_arr)
-    else:
-        with np.errstate(divide="ignore"):
-            env = np.exp(-t / (2.0 * lam_arr))
+    env = phi2_envelope(lam_arr, t)
     sq = np.sqrt(lam_arr)
     st = sq * t
     z = lam_arr * t * t

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logplate import data as data_mod
+from logplate import modes, verify
 from logplate import quadrature as quad
 
 GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
@@ -101,11 +102,12 @@ def test_tolerance_halving_within_error_estimate():
     # err_est covers the change to a tighter tolerance: half of it for the
     # Gaussian pair, tol/100 for the data of checks 09 (u-phi2) and 10 (u),
     # whose err_est must include the high-zone tail beyond the last piece
+    # and, at t = 905, the phase bound of the split tail
     cases = [(GAUSS2, "u", 2, 50.0, 1e-6, 5e-7, 1.0)] + [
         (LOG_TAIL8, kind, 8, t, 1e-4, 1e-6, 2.0)
         for kind in ("u-phi2", "u")
         for t in (10.0, 40.0, 160.0)
-    ]
+    ] + [(LOG_TAIL8, "u", 8, 905.0, 1e-4, 1e-6, 2.0)]
     for d, kind, n, t, tol, ref_tol, guard in cases:
         v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=tol, osc_guard=guard))
         ref, _ = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=ref_tol, osc_guard=guard))
@@ -243,3 +245,103 @@ def test_series_csv_convention_fields():
     assert series.ts == (10.0, 20.0)
     assert all(v > 0.0 for v in series.values)
     assert all(e >= 0.0 for e in series.errs)
+
+
+# the inputs of checks 08, 09 and 10: (kind, n, two times where the phase
+# bound is within tol, so the split value is returned)
+SPLIT_CASES = [("u-phi", 4, (1810.0, 2560.0)), ("u-phi2", 8, (1810.0, 2560.0)), ("u", 8, (905.0, 1280.0))]
+
+
+@pytest.mark.parametrize("kind", ["u", "u-phi1", "phi2", "u-phi2", "u-phi"])
+def test_phase_form_reassembles_the_high_zone_value(kind):
+    # m + P cos(bt) + Q sin(bt) is v up to its sign, also near y = 1 where
+    # the folded slow phase (y - b)t of the oscillatory profile is large;
+    # the returned rate is db/dy
+    y = np.linspace(1.0, 4.0, 61)
+    for t in (2.0, 30.0):
+        scaled = quad._scaled_data_y(LOG_TAIL8, kind, t, 8, y)
+        v = quad.node_values(kind, y * y, t, *scaled)
+        m, p, q, db = quad._phase_terms(LOG_TAIL8, kind, t, 8, y)
+        _, b = modes.oscillating_coeffs(*modes.collision_gap(y * y), t)
+        m = 0.0 if m is None else m
+        form = m + p * np.cos(b * t) + q * np.sin(b * t)
+        scale = np.abs(m) + np.abs(p) + np.abs(q)
+        assert np.all(np.abs(np.abs(form) - np.abs(v)) <= 1e-12 * scale), t
+        h = 1e-6
+        _, b_hi = modes.oscillating_coeffs(*modes.collision_gap((y + h) ** 2), t)
+        _, b_lo = modes.oscillating_coeffs(*modes.collision_gap((y - h) ** 2), t)
+        assert np.allclose(db, (b_hi - b_lo) / (2.0 * h), rtol=1e-8)
+        assert np.all(db >= 1.0)
+
+
+def _guarded_only(monkeypatch):
+    monkeypatch.setattr(quad, "_split_tail", lambda *args: None)
+
+
+@pytest.mark.parametrize("kind,n,times", SPLIT_CASES)
+def test_split_tail_within_its_phase_bound_of_the_guarded_value(monkeypatch, kind, n, times):
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    split_tail = quad._split_tail
+    bounds = []
+
+    def spy(*args):
+        out = split_tail(*args)
+        bounds.append(None if out is None else out[2])
+        return out
+
+    monkeypatch.setattr(quad, "_split_tail", spy)
+    split = [quad.norm_value(d, kind, n, t, spec) for t in times]
+    assert None not in bounds and len(bounds) == len(times)
+    _guarded_only(monkeypatch)
+    for t, (v, e), bound in zip(times, split, bounds):
+        guarded, _ = quad.norm_value(d, kind, n, t, spec)
+        assert abs(v - guarded) <= bound <= e, (kind, t)
+
+
+@pytest.mark.parametrize("kind,n", [case[:2] for case in SPLIT_CASES])
+def test_early_time_keeps_the_guarded_value_bit_for_bit(monkeypatch, kind, n):
+    # at t = 160 the phase bound exceeds tol, so the guarded path runs
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    value = quad.norm_value(d, kind, n, 160.0, spec)
+    _guarded_only(monkeypatch)
+    assert quad.norm_value(d, kind, n, 160.0, spec) == value
+
+
+@pytest.mark.parametrize("kind", ["u", "phi2"])
+def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
+    # on Gaussian data g/phi' peaks between the 33 probe points of a piece
+    # (33 points alone read 11% low at t = 1810); the Kronrod nodes of the
+    # smooth integral resolve the peak
+    spec = quad.QuadSpec(n=2, tol=1e-4)
+    phases = []
+    for t in (905.0, 1810.0):
+        phases.append(quad._split_tail(GAUSS2, kind, t, spec, 1.0)[2])
+    high_zone = quad._high_zone
+
+    def dense(*args):
+        *head, probe = args
+        return high_zone(*head, lambda y: probe(np.linspace(y[0], y[-1], 4097)))
+
+    monkeypatch.setattr(quad, "_high_zone", dense)
+    for t, phase in zip((905.0, 1810.0), phases):
+        ref = quad._split_tail(GAUSS2, kind, t, spec, 1.0)[2]
+        assert 0.99 * ref <= phase <= ref, (kind, t)
+
+
+def test_check10_series_panel_count(monkeypatch):
+    # the split tail integrates only the smooth part at t >= 905, so check
+    # 10's series takes 79,703 panels (3,145,076 when every t was guarded)
+    adaptive = quad._adaptive
+    panels = []
+
+    def counting(*args):
+        out = adaptive(*args)
+        panels.append(out[2])
+        return out
+
+    monkeypatch.setattr(quad, "_adaptive", counting)
+    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
+    quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, spec)
+    assert sum(panels) == 79_703
