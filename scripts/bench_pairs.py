@@ -53,11 +53,15 @@ def _archive(rev: str, dest: Path) -> None:
 
 
 def _snapshot(dest: Path) -> None:
-    """Copy the checkout's tracked and untracked, not ignored, files."""
-    names = subprocess.run(
+    """Copy the checkout's tracked and untracked, not ignored, files; a
+    tracked file deleted on disk is left out, as a commit of it would."""
+    listed = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=ROOT, capture_output=True, check=True,
     ).stdout
+    names = b"".join(
+        name + b"\0" for name in listed.split(b"\0") if name and (ROOT / name.decode()).exists()
+    )
     archive = subprocess.run(
         ["tar", "-c", "--null", "-T", "-"], cwd=ROOT, input=names, capture_output=True, check=True
     ).stdout

@@ -24,6 +24,7 @@ names the settings to change).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -124,10 +125,14 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_mode(args) -> int:
+    if not (0.0 <= args.r < math.inf):
+        raise ValueError("--r must be finite and nonnegative")
     p = symbols.FreqPoint.from_radius(args.r)
     th = quadrature.THRESHOLDS
     u0 = complex(args.u0)
     u1 = complex(args.u1)
+    if not (cmath.isfinite(u0) and cmath.isfinite(u1)):
+        raise ValueError("--u0 and --u1 must be finite")
     state = modes.mode_solve(p, u0, u1, args.t)
     w = symbols.mult_weight(p, th)
     dens = modes.energy_density(p, state, w)

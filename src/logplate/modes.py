@@ -31,6 +31,7 @@ the root collision, where the eigen-decomposition is the unstable one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,9 @@ _EIGEN_CUT = 17.0
 
 
 def mode_solve(p: FreqPoint, u0: complex, u1: complex, t: float) -> ModeState:
-    """Exact mode solution with data (u0, u1) at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    """Exact mode solution with data (u0, u1) at a finite time t >= 0."""
+    if not (0.0 <= t < math.inf):
+        raise ValueError("time must be finite and nonnegative")
     lam = p.lam
     one = 1.0 + lam
     a = 0.5 / one

@@ -16,7 +16,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from logplate import rates, verify
+from logplate import modes, oracle, rates, verify
 
 CANONICAL = {
     json.loads(line)["check_id"]: line
@@ -42,6 +42,20 @@ def _gate(check_id: str):
 # every check in verify.CHECK_IDS is gated and none can be left out.
 for _cid in verify.CHECK_IDS:
     globals()["test_" + _cid.replace("-", "_")] = _gate(_cid)
+
+
+def test_check_03_integrates_each_radius_and_data_pair_once(monkeypatch):
+    # 13 radii x 3 data pairs, each run stopping at all five output times;
+    # the stand-in returns the closed form, so no step is taken
+    runs = []
+
+    def counted(p, u0, u1, times, cfg):
+        runs.append(tuple(times))
+        return tuple(modes.mode_solve(p, u0, u1, t) for t in times)
+
+    monkeypatch.setattr(oracle, "integrate_mode_at", counted)
+    assert verify.run_check("03-oracle-equivalence").passed
+    assert runs == [(0.1, 1.0, 10.0, 50.0, 100.0)] * 39
 
 
 def test_render_line_is_canonical_line_plus_seconds():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -139,6 +140,25 @@ def test_bad_time_grid(capsys):
         assert code == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {name}")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    ["--t=nan", "--t=inf", "--t=inf --oracle", "--t=-1 --oracle", "--u0=nan",
+     "--u1=inf --oracle", "--u0=1+nanj", "--r=nan"],
+)
+def test_mode_rejects_non_finite_input(monkeypatch, capsys, flags):
+    from logplate import oracle
+
+    monkeypatch.setattr(oracle, "MAX_STEPS", 0)  # a single step would exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a later flag overrides the same flag given before it
+        code = cli.main(["mode", "--r=1", "--t=5", "--u0=1", "--u1=0"] + flags.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0]
 
 
 def test_bad_data_selector(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from logplate import modes, oracle, symbols
+from logplate import modes, oracle, quadrature, symbols
 
 
 def test_zero_frequency_analytic():
@@ -16,6 +16,12 @@ def test_zero_time_identity():
     p = symbols.FreqPoint.from_radius(2.0)
     state = oracle.integrate_mode(p, 1.0 + 2.0j, -3.0j, 0.0)
     assert state.u == 1.0 + 2.0j and state.v == -3.0j
+    # leading zeros return the data and leave the first step to the first
+    # positive time, so that output is the one-time run's, bit for bit
+    at_zero, again, later = oracle.integrate_mode_at(p, 1.0 + 2.0j, -3.0j, (0.0, 0.0, 1.5))
+    assert (at_zero.u, at_zero.v, again.u, again.v) == (1.0 + 2.0j, -3.0j, 1.0 + 2.0j, -3.0j)
+    alone = oracle.integrate_mode(p, 1.0 + 2.0j, -3.0j, 1.5)
+    assert repr((later.u, later.v, later.t)) == repr((alone.u, alone.v, alone.t))
 
 
 def test_cross_validates_closed_form():
@@ -72,6 +78,11 @@ def test_step_budget_is_a_distinct_failure(monkeypatch):
     cfg = oracle.IntegratorConfig(rel_tol=1e-10)
     with pytest.raises(oracle.StepBudgetError, match="step budget 10000 exhausted"):
         oracle.integrate_mode(p, 1.0, 0.0, 1e5, cfg)
+    # one budget covers all output times: about 6,300 steps reach t = 50
+    # and as many again reach 100, so the run fails although each leg fits
+    oracle.integrate_mode(p, 1.0, 0.0, 50.0, cfg)
+    with pytest.raises(oracle.StepBudgetError, match="exhausted at t=.* of 100$"):
+        oracle.integrate_mode_at(p, 1.0, 0.0, (50.0, 100.0), cfg)
 
 
 def test_config_validation():
@@ -81,6 +92,67 @@ def test_config_validation():
         oracle.IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         oracle.integrate_mode(symbols.FreqPoint.from_radius(1.0), 1.0, 0.0, -2.0)
+    with pytest.raises(ValueError):
+        oracle.integrate_mode(symbols.FreqPoint.from_radius(1.0), 1.0, 0.0, math.nan)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [(2.0, 1.0), (-1.0, 1.0), (0.0, -1e-300), (math.nan,), (1.0, math.nan),
+     (math.inf,), (1.0, math.inf)],
+)
+def test_output_times_are_checked_before_the_first_step(monkeypatch, times):
+    # with no step allowed, only the validation can raise ValueError
+    monkeypatch.setattr(oracle, "MAX_STEPS", 0)
+    p = symbols.FreqPoint.from_radius(1.0)
+    with pytest.raises(oracle.StepBudgetError):
+        oracle.integrate_mode_at(p, 1.0, 0.0, (1.0,))
+    with pytest.raises(ValueError, match="finite, nonnegative and nondecreasing"):
+        oracle.integrate_mode_at(p, 1.0, 0.0, times)
+
+
+_TH = quadrature.THRESHOLDS
+
+
+@pytest.mark.parametrize(
+    "r", [0.0, _TH.eta, _TH.delta * (1.0 - 1e-8), _TH.delta * (1.0 + 1e-8), 1e3]
+)
+def test_output_times_match_the_closed_form_on_fast_aligned_data(r):
+    # u1 = -u0 lies along the fast root below delta, where the state decays
+    # by orders; hence the scaled error of check 03
+    p = symbols.FreqPoint.from_radius(r)
+    times = (0.0, 0.1, 1.0, 10.0, 10.0, 50.0, 100.0)
+    nums = oracle.integrate_mode_at(p, 1.0, -1.0, times, oracle.IntegratorConfig(rel_tol=1e-10))
+    assert tuple(num.t for num in nums) == times
+    for num in nums:
+        exact = modes.mode_solve(p, 1.0, -1.0, num.t)
+        assert oracle.scaled_error(exact, num, 1.0, -1.0) < 1e-8
+
+
+# (r, u0, u1, t, rel_tol) -> repr of (u, v) from the generic stage loop the
+# unrolled step replaced; the unrolled arithmetic keeps every value
+_RECORDED = [
+    ((0.0, 0.0, 1.0, 2.0, 1e-10), ("(0.8646647167623315+0j)", "(0.1353352832376675+0j)")),
+    ((3.0, 1.0, 1.0, 20.0, 1e-10), ("(-0.01796577150686684+0j)", "(0.09055782566101529+0j)")),
+    ((1.5, 1.0, -0.5, 30.0, 1e-6), ("(0.000829217382545409+0j)", "(-0.0008837070031273133+0j)")),
+    (
+        (0.9, 1.0 - 2.0j, 0.5j, 12.0, 1e-10),
+        (
+            "(-0.0042361756668351635+0.02216867820890532j)",
+            "(-0.01625279683355165+0.021791449779130563j)",
+        ),
+    ),
+    ((0.8, 1.0, 1.0, 7.5, 1e-10), ("(-0.18089517940708413+0j)", "(0.1028972023507824+0j)")),
+    ((1e3, 1.0, -1.0, 3.0, 1e-8), ("(0.3714084081429667+0j)", "(3.1716461789053545+0j)")),
+]
+
+
+@pytest.mark.parametrize("case,recorded", _RECORDED)
+def test_one_time_results_keep_their_recorded_bits(case, recorded):
+    r, u0, u1, t, tol = case
+    cfg = oracle.IntegratorConfig(rel_tol=tol)
+    num = oracle.integrate_mode(symbols.FreqPoint.from_radius(r), u0, u1, t, cfg)
+    assert (repr(num.u), repr(num.v)) == recorded
 
 
 def test_complex_data_round_trip():
