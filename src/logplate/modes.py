@@ -1,32 +1,26 @@
 """Closed-form evaluation of a single Fourier mode and its energy functionals.
 
-The mode ODE (1+L) u'' + u' + L(1+L) u = 0 has roots -a +/- c with
-a = 1/(2(1+L)) and c^2 = a^2 - L of either sign.  Instead of switching
-between the textbook two-exponential, cosh/sinh and cos/sin formulas (the
-first of which divides by the root gap and degenerates where the roots
-collide), everything is written through
+The mode ODE (1+L) u'' + u' + L(1+L) u = 0 has roots -a +/- c, a = 1/(2(1+L))
+and c^2 = a^2 - L of either sign.  One kernel, `propagator_coeffs`, serves
+`mode_solve` (a float L) and the quadrature (arrays); with z = c^2 t^2 each
+node takes one of four branches, each written once:
 
-    C(t) = cosh(c t),     S(t) = sinh(c t)/c,
+* series, |z| < 1e-6 (the root collision r ~ delta, or t ~ 0), and
+  oscillating, z < 0 (r > delta): u(t) = e^{-at} [C u0 + S (u1 + a u0)]
+  with C = cosh(ct) and S = sinh(ct)/c, entire in c^2, summed as even
+  series in z, resp. C = cos(bt), S = sin(bt)/b, b^2 = -c^2;
+* unified real, 0 < z <= 8.5^2: the same form, built from e^{lambda_+ t} and
+  expm1(-2ct) so that cosh(ct) never overflows;
+* eigen, z > 8.5^2, i.e. 2ct > 17 (every low-zone node once t >~ 34): the
+  two-exponential eigen-decomposition.  There the unified form is a
+  difference of two slow-scale terms that destroys data aligned with the
+  fast root (at r = 0 the datum (1, -1) gives u = e^{-t}, which it rounds
+  to 0 for t > 36); near the root collision the eigen form is the unstable one.
 
-which are entire functions of c^2.  The solution with data (u0, u1) is
-
-    u(t)  = e^{-a t} [ C(t) u0 + S(t) (u1 + a u0) ]
-    u'(t) = e^{-a t} [ -L S(t) u0 + (C(t) - a S(t)) u1 ]
-
-and an even power series in c^2 t^2 takes over near the root collision.
-For real c the damped products e^{-a t} C(t), e^{-a t} S(t) are formed from
-e^{(c-a)t} and expm1(-2 c t) so that nothing overflows at large t even
-though cosh(c t) would.
-
-One further branch is unavoidable: once e^{-2ct} drops below machine
-epsilon the unified form assembles u as a difference of two slow-scale
-terms, which destroys data aligned with the fast root (at r = 0 the datum
-(1, -1) gives u(t) = e^{-t}, but 0.5 + 0.5 e^{-t} - 0.5 (1 - e^{-t}) rounds
-to exactly 0 in doubles for t > 36).  For well-separated real roots
-(2 c t > 17) the solution is therefore evaluated through the explicit
-two-exponential eigen-decomposition, which is exact for eigen-aligned data
-and has no cancellation there; the unified form keeps the neighbourhood of
-the root collision, where the eigen-decomposition is the unstable one.
+The eigen branch forms the slow root -a + c as -L/(a + c): the difference
+cancels at small L, where c ~ a - L, and its rounding noise times t swamps
+||u - phi1|| of check 07's data near t ~ 1e6.  The unified branch keeps
+e^{(c-a)t}: at small L it runs only for t <= 17, where the noise is < 1e-14.
 """
 
 from __future__ import annotations
@@ -50,9 +44,11 @@ __all__ = [
     "pointwise_bound_check",
 ]
 
-# Below this value of |c^2| t^2 the power series for cosh(ct) and sinh(ct)/c
-# is exact to double precision with four terms.
+# Branch cuts in z = c^2 t^2: below 1e-6 four series terms are exact in
+# doubles; beyond 8.5^2 (2ct > 17) the unified form could lose e^{17} eps
+# ~ 5e-9 of relative accuracy on fast-aligned data.
 _SERIES_CUT = 1e-6
+_EIGEN_CUT = 8.5**2
 
 
 def collision_gap(lam):
@@ -66,58 +62,94 @@ def collision_gap(lam):
 def oscillating_coeffs(a, csq, t: float):
     """(e^{-at}, b) of oscillating modes, roots -a +/- i b with
     b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0."""
-    return np.exp(-a * t), np.sqrt(-csq)
+    return np.exp(a * -t), np.sqrt(-csq)
 
 
-def propagator_coeffs(lam, t: float):
-    """Damped propagator pieces (e^{-at} C(t), e^{-at} S(t), a) at time t.
+# The branches take floats or arrays alike and use numpy's elementwise
+# functions on both, so a float evaluates bit-for-bit as an array entry does;
+# complex data are divided by a real reciprocal, rounded alike by both.
 
-    `lam` may be a scalar or ndarray; `t` is a nonnegative scalar shared by
-    all entries.  Stable across the root-collision boundary and free of
-    cosh overflow for arbitrarily large t.
+
+def _series(a, z, t):
+    damp = np.exp(a * -t)
+    cosh = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
+    return damp * cosh, damp * (t * (1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))))
+
+
+def _oscillating(a, csq, t):
+    damp, b = oscillating_coeffs(a, csq, t)
+    bt = b * t
+    return damp * np.cos(bt), damp * np.sin(bt) / b
+
+
+def _real(a, c, t):
+    slow = np.exp((c - a) * t)
+    fast = -2.0 * c * t
+    return 0.5 * slow * (1.0 + np.exp(fast)), slow * (-np.expm1(fast)) / (2.0 * c)
+
+
+def _eigen(lam, a, c, t, u0, u1, velocity):
+    # lambda_minus + 1 = 2aL - lambda_plus keeps amp_p on fast-aligned data
+    lp = -lam / (a + c)
+    lm = -a - c
+    amp_p = ((2.0 * a * lam - lp) * u0 - (u0 + u1)) * (-0.5 / c)
+    amp_m = u0 - amp_p
+    ep = np.exp(lp * t)
+    em = np.exp(lm * t)
+    u = amp_p * ep + amp_m * em
+    return (u, amp_p * lp * ep + amp_m * lm * em) if velocity else u
+
+
+def _assemble(lam, a, ec, es, u0, u1, velocity):
+    """Value (and velocity) from the damped pieces e^{-at} C, e^{-at} S."""
+    u = ec * u0 + es * (u1 + a * u0)
+    return (u, -lam * es * u0 + (ec - a * es) * u1) if velocity else u
+
+
+def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
+    """Mode value u(t) with data (u0, u1), or with `velocity` (u(t), u'(t)),
+    at log-weights `lam`: a float, or an ndarray with u0, u1 of its shape.
+    `t` >= 0 is shared by all entries; z = c^2 t^2 picks each one's branch.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    lam_arr = np.atleast_1d(lam_arr)
-    t = float(t)
+    a, csq = collision_gap(lam)
+    if not isinstance(lam, np.ndarray):
+        z = csq * (t * t)
+        if abs(z) < _SERIES_CUT:
+            ec, es = _series(a, z, t)
+        elif z < 0.0:
+            ec, es = _oscillating(a, csq, t)
+        elif z > _EIGEN_CUT:
+            return _eigen(lam, a, math.sqrt(csq), t, u0, u1, velocity)
+        else:
+            ec, es = _real(a, math.sqrt(csq), t)
+        return _assemble(lam, a, ec, es, u0, u1, velocity)
 
-    a, csq = collision_gap(lam_arr)
+    # z rises with c^2, so its extremes decide the single-branch calls
+    if csq.max() * (t * t) <= -_SERIES_CUT:
+        # every node oscillates (the whole high zone): no masks
+        return _assemble(lam, a, *_oscillating(a, csq, t), u0, u1, velocity)
+    if csq.min() * (t * t) > _EIGEN_CUT:
+        # well-separated real roots at every node (the low zone at t >~ 34)
+        return _eigen(lam, a, np.sqrt(csq), t, u0, u1, velocity)
     z = csq * (t * t)
-
-    if not scalar and (z <= -_SERIES_CUT).all():
-        # every node oscillates (the whole high zone): the osc branch below
-        # on the full array, without the masked gather and scatter
-        damp, b = oscillating_coeffs(a, csq, t)
-        bt = b * t
-        return damp * np.cos(bt), damp * np.sin(bt) / b, a
-
-    ec = np.empty_like(lam_arr)
-    es = np.empty_like(lam_arr)
-
+    osc = z <= -_SERIES_CUT
+    eig = z > _EIGEN_CUT
     small = np.abs(z) < _SERIES_CUT
-    real = (csq > 0.0) & ~small
-    osc = (csq < 0.0) & ~small
-
+    real = (z >= _SERIES_CUT) & ~eig
+    ec, es = np.zeros_like(lam), np.zeros_like(lam)
     if small.any():
-        zs = z[small]
-        cosh_ser = 1.0 + zs * (0.5 + zs * (1.0 / 24.0 + zs / 720.0))
-        sinhc_ser = t * (1.0 + zs * (1.0 / 6.0 + zs * (1.0 / 120.0 + zs / 5040.0)))
-        damp = np.exp(-a[small] * t)
-        ec[small] = damp * cosh_ser
-        es[small] = damp * sinhc_ser
+        ec[small], es[small] = _series(a[small], z[small], t)
     if real.any():
-        cc = np.sqrt(csq[real])
-        slow = np.exp((cc - a[real]) * t)  # e^{lambda_plus t} <= 1
-        ec[real] = 0.5 * slow * (1.0 + np.exp(-2.0 * cc * t))
-        es[real] = slow * (-np.expm1(-2.0 * cc * t)) / (2.0 * cc)
+        ec[real], es[real] = _real(a[real], np.sqrt(csq[real]), t)
     if osc.any():
-        damp, b = oscillating_coeffs(a[osc], csq[osc], t)
-        ec[osc] = damp * np.cos(b * t)
-        es[osc] = damp * np.sin(b * t) / b
-
-    if scalar:
-        return float(ec[0]), float(es[0]), float(a[0])
-    return ec, es, a
+        ec[osc], es[osc] = _oscillating(a[osc], csq[osc], t)
+    out = _assemble(lam, a, ec, es, u0, u1, velocity)
+    if eig.any():
+        # the data are gathered for the eigen nodes alone
+        part = _eigen(lam[eig], a[eig], np.sqrt(csq[eig]), t, u0[eig], u1[eig], velocity)
+        for whole, piece in zip(out, part) if velocity else ((out, part),):
+            whole[eig] = piece
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,41 +161,11 @@ class ModeState:
     t: float
 
 
-# Root-separation threshold for the eigen-decomposition path: for
-# 2 c t > 17 the unified form could lose up to e^{17} * eps ~ 5e-9 of
-# relative accuracy on fast-aligned data, while the eigenform is safe.
-_EIGEN_CUT = 17.0
-
-
 def mode_solve(p: FreqPoint, u0: complex, u1: complex, t: float) -> ModeState:
     """Exact mode solution with data (u0, u1) at a finite time t >= 0."""
     if not (0.0 <= t < math.inf):
         raise ValueError("time must be finite and nonnegative")
-    lam = p.lam
-    one = 1.0 + lam
-    a = 0.5 / one
-    csq = a * a - lam
-    if csq > 0.0:
-        c = np.sqrt(csq)
-        if 2.0 * c * t > _EIGEN_CUT:
-            # sqrt(disc) = 2 (1+L) c; the product form keeps lambda_plus
-            # cancellation-free for small L, and lambda_minus + 1 is formed
-            # the same way so that amp_p = (lm u0 - u1)/den survives data
-            # nearly aligned with the fast root.
-            lp = -2.0 * lam * one / (1.0 + 2.0 * one * c)
-            lm = -1.0 / one - lp
-            lm1 = lam / one - lp  # lambda_minus + 1, no cancellation
-            den = lm - lp
-            amp_p = (lm1 * u0 - (u0 + u1)) / den
-            amp_m = u0 - amp_p
-            ep = np.exp(lp * t)
-            em = np.exp(lm * t)
-            u = amp_p * ep + amp_m * em
-            v = amp_p * lp * ep + amp_m * lm * em
-            return ModeState(complex(u), complex(v), float(t))
-    ec, es, a = propagator_coeffs(lam, t)
-    u = ec * u0 + es * (u1 + a * u0)
-    v = -lam * es * u0 + (ec - a * es) * u1
+    u, v = propagator_coeffs(p.lam, t, u0, u1, velocity=True)
     return ModeState(complex(u), complex(v), float(t))
 
 

@@ -416,10 +416,9 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
 def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
     """Value of the selected quantity (one of NORM_KINDS) at log-weights lam.
 
-    v0, v1 are the data values and `mass` the heat-like profile term, i.e.
-    mass_sum * phi1_coeff(lam, t) (None for kinds without phi1): plain
-    values in the r-zones, measure-folded ones in the high zone, where the
-    assembly is the same.  The split high-zone tail assembles the same value
+    v0, v1 are the data values, plain in the r-zones and measure-folded in
+    the high zone, and `mass` is mass_sum * phi1_coeff(lam, t) (None for
+    kinds without phi1).  The split high-zone tail assembles the same value
     in phase form instead (`_phase_terms`).
     """
     if kind == "phi1":
@@ -427,8 +426,7 @@ def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarra
     if kind == "phi2":
         env, s2, c2 = phi2_coeffs(lam, t)
         return env * (s2 * v1 + c2 * v0)
-    ec, es, a = propagator_coeffs(lam, t)
-    val = ec * v0 + es * (v1 + a * v0)
+    val = propagator_coeffs(lam, t, v0, v1)
     if kind in _PHI1_KINDS:
         val = val - mass
     if kind in _WAVE_KINDS:

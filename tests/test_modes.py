@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logplate import modes, oracle, symbols
 
@@ -178,19 +178,69 @@ def test_mode_solver_is_linear(a0, b0, a1, b1):
 
 
 def test_propagator_coeffs_vectorized_matches_scalar():
-    lam = symbols.log_weight(np.array(R_SAMPLES))
-    ec, es, a = modes.propagator_coeffs(lam, 7.0)
-    for i, r in enumerate(R_SAMPLES):
-        ec1, es1, a1 = modes.propagator_coeffs(symbols.log_weight(r), 7.0)
-        assert ec[i] == ec1 and es[i] == es1 and a[i] == a1
+    # the array kernel against mode_solve's scalar dispatch, exactly: every
+    # branch (series at the collision straddle, unified real, eigen at small
+    # r and late t, oscillating) and r = 1e-6 with fast-aligned data (1, -1)
+    radii = R_SAMPLES + (1e-6,)
+    lam = symbols.log_weight(np.array(radii))
+    for t in (7.0, 40.0, 1e4):
+        for u0, u1 in DATA:
+            u0, u1 = complex(u0), complex(u1)
+            u, v = modes.propagator_coeffs(
+                lam, t, np.full(lam.shape, u0), np.full(lam.shape, u1), velocity=True
+            )
+            for i, r in enumerate(radii):
+                s = modes.mode_solve(symbols.FreqPoint.from_radius(r), u0, u1, t)
+                assert u[i] == s.u and v[i] == s.v
+
+
+def _fast_matches_mixed(lam, extra):
+    # one node of another branch sends the same nodes through the masks
+    t = 300.0
+    v0, v1 = np.cos(lam), np.sin(3.0 * lam) - 0.5
+    fast = modes.propagator_coeffs(lam, t, v0, v1, velocity=True)
+    mixed = modes.propagator_coeffs(
+        np.append(lam, extra), t, np.append(v0, 1.0), np.append(v1, -1.0), velocity=True
+    )
+    for part, whole in zip(fast, mixed):
+        assert part.tobytes() == whole[:-1].tobytes()
+    # the quadrature's call, without the velocity, gives the same values
+    assert modes.propagator_coeffs(lam, t, v0, v1).tobytes() == fast[0].tobytes()
 
 
 def test_propagator_all_oscillatory_call_matches_mixed_call():
     # c^2 < 0 at every node, as in the whole high zone
-    lam = np.linspace(1.0, 40.0, 101)
-    t = 300.0
-    fast = modes.propagator_coeffs(lam, t)
-    # one real-root node sends the same nodes through the masked branches
-    mixed = modes.propagator_coeffs(np.append(lam, 1e-4), t)
-    for part, whole in zip(fast, mixed):
-        assert part.tobytes() == whole[:-1].tobytes()
+    _fast_matches_mixed(np.linspace(1.0, 40.0, 101), 1e-4)
+
+
+def test_propagator_all_eigen_call_matches_mixed_call():
+    # 2 c t > 17 at every node, as in the low zone at late times
+    _fast_matches_mixed(np.linspace(0.0, 0.05, 101), 2.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=-6.0, max_value=1.0).map(lambda e: 10.0**e),
+        st.sampled_from((TH.delta * (1 - 1e-8), TH.delta * (1 + 1e-8))),
+    ),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+    st.one_of(
+        st.sampled_from(("fast-aligned", "minus")),
+        st.complex_numbers(max_magnitude=10.0),
+    ),
+)
+def test_kernel_matches_the_oracle(r, u0, u1):
+    # u1 = lambda_minus u0 is data on the fast root alone, u1 = -u0 the
+    # nearly fast-aligned datum of check 03.  One oracle run to t = 100 takes
+    # up to 0.1 s (r = 10) and its steps grow like t, so the property stops
+    # at t = 100: runs to t = 1e4 would cost seconds per example in tier-1.
+    p = symbols.FreqPoint.from_radius(r)
+    if u1 == "fast-aligned":
+        u1 = symbols.char_roots(p).lambda_minus * u0
+    elif u1 == "minus":
+        u1 = -u0
+    cfg = oracle.IntegratorConfig(rel_tol=1e-10)
+    for num in oracle.integrate_mode_at(p, u0, u1, (1.0, 10.0, 100.0), cfg):
+        exact = modes.mode_solve(p, u0, u1, num.t)
+        assert oracle.scaled_error(exact, num, u0, u1) < 1e-8

@@ -186,6 +186,16 @@ def test_panel_budget_guard(monkeypatch):
         quad.norm_value(GAUSS2, "u-phi2", 2, 5000.0, spec)
 
 
+@pytest.mark.parametrize("t", (6.4e5, 1e4 * 2.0**6.5))
+def test_check07_low_zone_integrates_at_late_times(t):
+    # check 07's data: unless the slow root is formed without cancellation at
+    # small L, this zone runs out of panels.  t^3 ||u - phi1||^2 tends to
+    # check 07's closed-form constant K = 25.19259, with a gap of about 7/t.
+    spec = quad.QuadSpec(n=2, tol=1e-6)
+    value, _ = quad.norm_value(GAUSS2, "u-phi1", 2, t, spec, zone="low")
+    assert abs(t**3 * value / 25.19259 - 1.0) <= 1e-4
+
+
 def test_non_finite_integrand_detected():
     def f(r):
         with np.errstate(divide="ignore"):
