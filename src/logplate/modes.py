@@ -124,13 +124,9 @@ def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
             ec, es = _real(a, math.sqrt(csq), t)
         return _assemble(lam, a, ec, es, u0, u1, velocity)
 
-    # z rises with c^2, so its extremes decide the single-branch calls
     if csq.max() * (t * t) <= -_SERIES_CUT:
         # every node oscillates (the whole high zone): no masks
         return _assemble(lam, a, *_oscillating(a, csq, t), u0, u1, velocity)
-    if csq.min() * (t * t) > _EIGEN_CUT:
-        # well-separated real roots at every node (the low zone at t >~ 34)
-        return _eigen(lam, a, np.sqrt(csq), t, u0, u1, velocity)
     z = csq * (t * t)
     osc = z <= -_SERIES_CUT
     eig = z > _EIGEN_CUT
