@@ -1,0 +1,118 @@
+"""Compare the norm values of two source trees against their error estimates.
+
+    python3 scripts/compare_values.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a `logplate` package (the `src/`
+of two checkouts).  Each is imported in a subprocess of its own, which
+integrates the comparison set: the data and kinds of checks 06-11 and the
+n = 6 `log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low,
+lowmid, highmid and high, at the 21 times of the default grid.  For every
+(data, kind, zone) one line says
+
+    identical                       every value is the same double
+    within err: X                   X = max |v - v'| / (err + err') <= 1
+    outside err: max rel dv=Y       some |v - v'| exceeds err + err'
+
+and the script exits 1 when a `zone=all` value lies outside err + err'.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GAUSS = "gaussian:alpha=1"
+LOG_TAIL = "log_tail:m=1,beta=0.2"
+ZERO = "zero_mass:alpha=1"
+# (u0, u1, n, kind, tol, osc_guard) of every series the comparison integrates
+CASES = (
+    *((GAUSS, GAUSS, n, "phi1", 1e-6, 1.0) for n in (1, 2, 3)),  # check 06
+    (GAUSS, GAUSS, 2, "phi2", 1e-6, 1.0),  # check 06
+    (GAUSS, GAUSS, 2, "u-phi1", 1e-6, 1.0),  # check 07
+    (GAUSS, LOG_TAIL, 4, "u-phi", 1e-4, 2.0),  # check 08
+    (GAUSS, LOG_TAIL, 8, "u-phi2", 1e-4, 2.0),  # check 09
+    (GAUSS, LOG_TAIL, 8, "u", 1e-4, 2.0),  # check 10
+    (GAUSS, GAUSS, 2, "u", 1e-6, 1.0),  # check 11
+    (GAUSS, GAUSS, 3, "u", 1e-6, 1.0),  # check 11
+    (ZERO, ZERO, 2, "u", 1e-6, 1.0),  # check 11
+    (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4, 2.0),
+)
+ZONES = ("all", "low", "lowmid", "highmid", "high")
+
+
+def _key(case, zone: str) -> str:
+    u0, u1, n, kind, tol, guard = case
+    return f"n={n} {u0} {u1} {kind} tol={tol:g} guard={guard:g} zone={zone}"
+
+
+def emit() -> None:
+    """Integrate the comparison set with the importable logplate; print JSON."""
+    import logplate
+    from logplate import data, quadrature
+
+    out = {"package": logplate.__file__, "values": {}}
+    for case in CASES:
+        u0, u1, n, kind, tol, guard = case
+        d = data.parse_pair(u0, u1, n)
+        spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
+        for zone in ZONES:
+            row = []
+            for t in quadrature.default_time_grid():
+                try:
+                    row.append(list(quadrature.norm_value(d, kind, n, t, spec, zone)))
+                except quadrature.QuadratureError as exc:
+                    row.append(f"{type(exc).__name__}: {exc}")
+            out["values"][_key(case, zone)] = row
+    print(json.dumps(out))
+
+
+def _values(src: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True
+    )
+    out = json.loads(proc.stdout)
+    if not Path(out["package"]).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"error: {src} did not provide logplate ({out['package']} was imported)")
+    return out["values"]
+
+
+def verdict(old: list, new: list) -> tuple[str, bool]:
+    """(line, within): the comparison of one row of (value, err) pairs."""
+    if any(isinstance(a, str) or isinstance(b, str) for a, b in zip(old, new)):
+        same = all(isinstance(a, str) and isinstance(b, str) for a, b in zip(old, new))
+        return ("both raise" if same else "outside err: one side raises"), same
+    if all(a[0] == b[0] for a, b in zip(old, new)):
+        return "identical", True
+    ratio = rel = 0.0
+    for (v, e), (w, f) in zip(old, new):
+        dv = abs(v - w)
+        if dv > 0.0:
+            ratio = max(ratio, dv / (e + f) if e + f > 0.0 else float("inf"))
+            rel = max(rel, dv / abs(v) if v else float("inf"))
+    if ratio <= 1.0:
+        return f"within err: {ratio:.3g}", True
+    return f"outside err: max rel dv={rel:.3g}", False
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--emit"]:
+        emit()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old, new = (_values(src) for src in argv)
+    failed = False
+    for key in old:
+        line, within = verdict(old[key], new[key])
+        failed |= key.endswith("zone=all") and not within
+        print(f"{key}: {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

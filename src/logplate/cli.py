@@ -86,7 +86,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         "--osc-guard",
         type=float,
         default=1.0,
-        help="max panel width in local oscillation periods (default 1.0)",
+        help="half-periods of the fastest phase per initial panel (default 1.0)",
     )
     sub.add_argument(
         "--zone",

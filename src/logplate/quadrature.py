@@ -18,19 +18,19 @@ Design notes
   data values in log space, which also cancels the growth of the measure
   against the decay of the data exactly.
 * Oscillatory integrands (any kind containing the oscillatory profile, or
-  the mode value above the root-collision threshold) get an a-priori panel
-  width cap of osc_guard local half-periods, sized from the local phase
-  rate; 15 Kronrod nodes per period resolve the phase to ~1e-8 relative,
-  so refinement rounds are rare.  The cap serves the r-zones at every t and
+  the mode value above the root-collision threshold) start from panels of
+  exactly osc_guard half-periods of the fastest phase (`_phase_steps`);
+  15 Kronrod nodes per period resolve the phase to ~1e-8 relative, so
+  refinement rounds are rare.  The rule serves the r-zones at every t and
   the high zone at early times only.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  The smooth part is integrated with no width cap and the fast terms
+  2bt.  The smooth part is integrated with no phase steps and the fast terms
   are estimated by the integration-by-parts bound, whose variation term is
   sampled (`_split_tail`).  The estimate falls like t^-1.5 relative to the
   norm: where it is within tol it joins the error estimate, and at the
-  early times, where it is not, the width-capped integral of v^2 runs
+  early times, where it is not, the phase-stepped integral of v^2 runs
   instead.  Both paths share one piece loop, `_high_zone`.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted and weighted-L1 norms) goes through one
@@ -51,7 +51,7 @@ import numpy as np
 
 from .modes import collision_gap, oscillating_coeffs, propagator_coeffs
 from .profiles import phi1_coeff, phi2_coeffs, phi2_envelope
-from .symbols import compute_thresholds, discriminant
+from .symbols import compute_thresholds
 
 __all__ = [
     "THRESHOLDS",
@@ -87,6 +87,13 @@ ZONES = ("low", "lowmid", "highmid", "high")
 
 NORM_KINDS = ("u", "phi1", "phi2", "u-phi1", "u-phi2", "u-phi")
 
+# Radial ends of the zones integrated in r.
+_R_ZONES = {
+    "low": (0.0, THRESHOLDS.eta),
+    "lowmid": (THRESHOLDS.eta, THRESHOLDS.delta),
+    "highmid": (THRESHOLDS.delta, THRESHOLDS.r_unit),
+}
+
 # Kinds whose integrand carries the sqrt(L) t phase of the oscillatory
 # profile (everywhere), resp. the b(r) t phase of the mode value (above the
 # root-collision threshold delta).
@@ -107,6 +114,9 @@ CHUNK = 1 << 14
 #: Tolerance of the fixed-accuracy integrals: the reference integrals and
 #: the weighted-L1 norm of zero-mass data.
 REF_TOL = 1e-12
+# Four ulps of every panel's value join its |K15 - G7| in the reported error
+# (not in the refinement test): the two rules can agree to the last bit.
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -163,9 +173,9 @@ assert _NODES.size == 15 and _WG.size == 7
 class QuadSpec:
     """Quadrature configuration of a norm integral.
 
-    osc_guard is the maximum panel width measured in local oscillation
-    periods of the fastest phase present (period pi / (t * max|d phase/dr|)
-    for squared trigonometric factors); 1.0 means one period per panel.
+    osc_guard is the maximum number of half-periods of the fastest phase
+    present per initial panel: panels end where that phase crosses a
+    multiple of osc_guard * pi (one period of a squared factor per pi).
     """
 
     n: int
@@ -252,40 +262,23 @@ def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int):
         raise PanelBudgetError("adaptive refinement did not reach the tolerance")
     order = np.argsort(lo, kind="stable")
     value = math.fsum(vals[order].tolist())
-    err = math.fsum(errs[order].tolist())
+    err = math.fsum((errs + _ROUNDING * np.abs(vals))[order].tolist())
     return value, err, int(lo.size)
 
 
-def _build_bounds(
-    lo: float,
-    hi: float,
-    breakpoints=(),
-    max_width: float | None = None,
-    ladder: int = 0,
-) -> np.ndarray:
-    """Panel boundaries on [lo, hi] honouring breakpoints and a width cap.
+def _build_bounds(lo: float, hi: float, breakpoints=(), ladder: int = 0) -> np.ndarray:
+    """Panel boundaries on [lo, hi]: its ends and the breakpoints inside it.
 
-    `ladder` > 0 inserts a geometric 2^-k ladder anchored at `lo`, used to
+    `ladder` > 0 adds a geometric 2^-k ladder anchored at `lo`, used to
     pre-resolve integrands that concentrate at the left endpoint.
     """
-    pts = {float(lo), float(hi)}
-    for pnt in breakpoints:
-        if lo < pnt < hi:
-            pts.add(float(pnt))
-    if ladder > 0:
-        span = hi - lo
-        for k in range(1, ladder + 1):
-            pts.add(lo + span * 2.0 ** (-k))
-    ordered = np.array(sorted(pts))
-    if max_width is None or max_width <= 0.0:
-        return ordered
-    segs = []
-    for i in range(ordered.size - 1):
-        gap = ordered[i + 1] - ordered[i]
-        pieces = max(1, int(math.ceil(gap / max_width)))
-        segs.append(np.linspace(ordered[i], ordered[i + 1], pieces + 1)[:-1])
-    segs.append(ordered[-1:])
-    return np.concatenate(segs)
+    inner = np.asarray(breakpoints, dtype=float)
+    pts = np.sort(np.concatenate((
+        [lo, hi],
+        inner[(inner > lo) & (inner < hi)],
+        lo + (hi - lo) * 2.0 ** -np.arange(1, ladder + 1),
+    )))
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def radial_integral(
@@ -386,18 +379,39 @@ def middle_zone_integral(p_exp: float, t: float, lo: float, hi: float = 1.0) -> 
 # --------------------------------------------------------------------------
 # Norm-series machinery
 
-# Dense monotone table of the oscillation rate b(r) on [delta, r_unit],
-# quadratically clustered at delta where b has a square-root singularity.
-_BB_R = THRESHOLDS.delta + (THRESHOLDS.r_unit - THRESHOLDS.delta) * np.linspace(
-    0.0, 1.0, 4097
-) ** 2
-_BB_LAM = np.log1p(_BB_R * _BB_R)
-_BB_B = np.sqrt(np.maximum(-discriminant(_BB_LAM), 0.0)) / (2.0 * (1.0 + _BB_LAM))
+
+def _mode_rate_inverse(b: np.ndarray) -> np.ndarray:
+    """L with b(L) = sqrt(L - a^2) = b >= 0: Newton steps on the increasing,
+    concave L - 1/(4(1+L)^2) - b^2 from L = b^2, where it is negative, so
+    every step rises towards the root; five reach it to a few ulps."""
+    lam = b * b
+    for _ in range(5):
+        a = 0.5 / (1.0 + lam)
+        lam = lam - (lam - a * a - b * b) / (1.0 + 4.0 * a**3)
+    return lam
 
 
-def _mode_phase_breakpoints(delta_b: float) -> np.ndarray:
-    targets = np.arange(delta_b, float(_BB_B[-1]), delta_b)
-    return np.interp(targets, _BB_B, _BB_R)
+def _phase_steps(kind: str, zone: str, t: float, osc_guard: float, lo: float, hi: float):
+    """Points in (lo, hi) (r in the r-zones, y = sqrt(L) in the high zone)
+    where the fastest phase of the kind's integrand crosses a multiple of
+    osc_guard * pi: the mode's bt above delta for the kinds containing the
+    mode, as db/dL = (1 + 4a^3)/(2b) > 1/(2 sqrt(L)) there, else the
+    oscillatory profile's sqrt(L) t.  Both phases are inverted exactly.
+    """
+    high = zone == "high"
+    ends = np.array([lo, hi]) ** 2 if high else np.log1p(np.array([lo, hi]) ** 2)
+    if t > 0.0 and kind in _MODE_KINDS and zone in ("highmid", "high"):
+        rates, inverse = np.sqrt(np.maximum(-collision_gap(ends)[1], 0.0)), _mode_rate_inverse
+    elif t > 0.0 and kind in _WAVE_KINDS:
+        rates, inverse = np.sqrt(ends), np.square
+    else:
+        return np.empty(0)
+    step = osc_guard * math.pi / t
+    k_lo, k_hi = math.floor(rates[0] / step) + 1, math.ceil(rates[1] / step)
+    if k_hi - k_lo > MAX_PANELS:
+        raise PanelBudgetError(f"{k_hi - k_lo} phase steps exceed the panel budget")
+    lam = inverse(np.arange(k_lo, k_hi) * step)
+    return np.sqrt(lam if high else np.expm1(lam))
 
 
 def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
@@ -463,28 +477,9 @@ def _scaled_data_y(d, kind: str, t: float, n: int, y: np.ndarray):
     return w0, w1, wial
 
 
-def _r_zone_bounds(kind: str, zone: str, t: float, spec: QuadSpec) -> np.ndarray:
-    th = THRESHOLDS
-    lo, hi = {
-        "low": (0.0, th.eta),
-        "lowmid": (th.eta, th.delta),
-        "highmid": (th.delta, th.r_unit),
-    }[zone]
-    breakpoints: tuple | np.ndarray = ()
-    width = None
-    ladder = 16 if zone == "low" else 0
-    if t > 0.0:
-        guard = spec.osc_guard * math.pi / t
-        if kind in _WAVE_KINDS:
-            # |d sqrt(L)/dr| <= 1 below delta and <= 0.90 on [delta, r_unit]
-            width = guard if zone in ("low", "lowmid") else guard / 0.90
-        if zone == "highmid" and kind in _MODE_KINDS:
-            breakpoints = _mode_phase_breakpoints(guard)
-    return _build_bounds(lo, hi, breakpoints, width, ladder)
-
-
-def _phase_terms(d, kind: str, t: float, n: int, y: np.ndarray):
-    """High-zone value in phase form v = m + P cos(bt) + Q sin(bt) at y.
+def _phase_terms(kind: str, y: np.ndarray, t: float, w0, w1, wial):
+    """High-zone value in phase form v = m + P cos(bt) + Q sin(bt) at y, from
+    the measure-folded data (w0, w1, wial) of `_scaled_data_y`.
 
     Returns (m, P, Q, db/dy).  The mode's phase bt is taken out of P and Q;
     the oscillatory profile's phase yt = bt + (y - b)t is folded into them
@@ -493,7 +488,6 @@ def _phase_terms(d, kind: str, t: float, n: int, y: np.ndarray):
     term, None for kinds without phi1.  The overall sign of v is immaterial,
     as only v^2 is integrated.
     """
-    w0, w1, wial = _scaled_data_y(d, kind, t, n, y)
     a, csq = collision_gap(y * y)
     damp, b = oscillating_coeffs(a, csq, t)
     p = q = 0.0
@@ -524,13 +518,14 @@ def _fast_over_rate(m, p, q, db, t: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _high_zone(d, kind: str, t: float, spec: QuadSpec, baseline: float, f, cap, probe=None):
+def _high_zone(d, kind: str, t: float, spec: QuadSpec, baseline: float, f, osc_guard, probe=None):
     """tail_integral of f over the high zone in y, s = 1 + y^2 doubling from
     TAIL_START -> (total, err, converged).
 
-    `cap` is the panel-width cap (None for none).  Every piece is probed on
-    33 points, which `probe` sees when given; pieces where every folded term
-    underflows there are skipped.  All pieces share the panel budget.
+    With `osc_guard` (None for none) panels end at `_phase_steps`.  Every
+    piece is probed on 33 points y, which `probe(y, scaled)` sees with their
+    folded data when given; pieces where every folded term underflows there
+    are skipped.  All pieces share the panel budget.
     """
     n = spec.n
     panels_left = MAX_PANELS
@@ -540,17 +535,18 @@ def _high_zone(d, kind: str, t: float, spec: QuadSpec, baseline: float, f, cap, 
         y_lo = math.sqrt(s_lo - 1.0)
         y_hi = math.sqrt(s_hi - 1.0)
         y = np.linspace(y_lo, y_hi, 33)
+        scaled = _scaled_data_y(d, kind, t, n, y)
         if probe is not None:
-            probe(y)
+            probe(y, scaled)
         # skip segments where every folded term underflows to zero
-        w0, w1, wial = _scaled_data_y(d, kind, t, n, y)
+        w0, w1, wial = scaled
         env = np.abs(w0) + np.abs(w1)
         if wial is not None:
             env = env + np.abs(wial)
         if float(np.max(env)) == 0.0:
             return 0.0, 0.0
-        bounds = _build_bounds(y_lo, y_hi, max_width=cap)
-        seg, segerr, used = _adaptive(f, bounds, spec.tol, panels_left)
+        steps = () if osc_guard is None else _phase_steps(kind, "high", t, osc_guard, y_lo, y_hi)
+        seg, segerr, used = _adaptive(f, _build_bounds(y_lo, y_hi, steps), spec.tol, panels_left)
         panels_left -= used
         return seg, segerr
 
@@ -574,20 +570,20 @@ def _split_tail(d, kind: str, t: float, spec: QuadSpec, baseline: float):
     checks 08-10 and on Gaussian data it reads within 0.3% of a sampling
     that also resolves the folded phase.  Beyond the last piece g/phi' is
     taken to fall monotonically to 0, which counts |g/phi'| at the last end
-    twice.  The smooth part needs no width cap, so its panels do not follow
-    the oscillation.
+    twice.  The smooth part needs no phase steps, so its panels do not
+    follow the oscillation.
     """
     n = spec.n
     ys, hs = [], []  # every sample of g/phi': points and rows
 
-    def sample(y):
-        terms = _phase_terms(d, kind, t, n, y)
+    def sample(y, scaled):
+        terms = _phase_terms(kind, y, t, *scaled)
         ys.append(y)
         hs.append(_fast_over_rate(*terms, t))
         return terms
 
     def f(y):
-        m, p, q, _ = sample(y)
+        m, p, q, _ = sample(y, _scaled_data_y(d, kind, t, n, y))
         smooth = 0.5 * (p * p + q * q)
         return smooth if m is None else smooth + m * m
 
@@ -606,12 +602,11 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float):
     """High-zone integral in y with s = 1 + log-weight doubling.
 
     Oscillating kinds first try `_split_tail`.  Where its phase estimate is
-    too large (the early times) every oscillation is resolved instead, under
-    a panel-width cap of osc_guard local half-periods.
+    too large (the early times) every oscillation is resolved instead, on
+    panels of osc_guard half-periods (`_phase_steps`).
     """
     n = spec.n
-    oscillatory = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
-    if oscillatory:
+    if t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS):
         split = _split_tail(d, kind, t, spec, baseline)
         if split is not None:
             total, err, phase = split
@@ -621,9 +616,7 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float):
         v = node_values(kind, y * y, t, *_scaled_data_y(d, kind, t, n, y))
         return v * v
 
-    # phase rates in y: d(y t)/dy = t and d(b t)/dy <= 1.15 t on the high zone
-    cap = spec.osc_guard * math.pi / (1.15 * t) if oscillatory else None
-    total, err, converged = _high_zone(d, kind, t, spec, baseline, f, cap)
+    total, err, converged = _high_zone(d, kind, t, spec, baseline, f, spec.osc_guard)
     if not converged:
         raise QuadratureError("high-frequency tail did not converge")
     return total, err
@@ -689,7 +682,10 @@ def norm_value(
             if z == "high":
                 val, er = _tail_value(d, kind, t, spec, baseline=math.fsum(parts))
             else:
-                val, er, _ = _adaptive(f, _r_zone_bounds(kind, z, t, spec), spec.tol, MAX_PANELS)
+                lo, hi = _R_ZONES[z]
+                steps = _phase_steps(kind, z, t, spec.osc_guard, lo, hi)
+                bounds = _build_bounds(lo, hi, steps, 16 if z == "low" else 0)
+                val, er, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
             parts.append(val)
             errs.append(er)
     except QuadratureError as exc:

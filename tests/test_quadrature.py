@@ -271,7 +271,7 @@ def test_phase_form_reassembles_the_high_zone_value(kind):
     for t in (2.0, 30.0):
         scaled = quad._scaled_data_y(LOG_TAIL8, kind, t, 8, y)
         v = quad.node_values(kind, y * y, t, *scaled)
-        m, p, q, db = quad._phase_terms(LOG_TAIL8, kind, t, 8, y)
+        m, p, q, db = quad._phase_terms(kind, y, t, *scaled)
         _, b = modes.oscillating_coeffs(*modes.collision_gap(y * y), t)
         m = 0.0 if m is None else m
         form = m + p * np.cos(b * t) + q * np.sin(b * t)
@@ -330,9 +330,14 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
         phases.append(quad._split_tail(GAUSS2, kind, t, spec, 1.0)[2])
     high_zone = quad._high_zone
 
-    def dense(*args):
-        *head, probe = args
-        return high_zone(*head, lambda y: probe(np.linspace(y[0], y[-1], 4097)))
+    def dense(d, kind, t, spec, *rest):
+        *head, probe = rest
+
+        def resampled(y, _):
+            y = np.linspace(y[0], y[-1], 4097)
+            probe(y, quad._scaled_data_y(d, kind, t, spec.n, y))
+
+        return high_zone(d, kind, t, spec, *head, resampled)
 
     monkeypatch.setattr(quad, "_high_zone", dense)
     for t, phase in zip((905.0, 1810.0), phases):
@@ -340,9 +345,83 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
         assert 0.99 * ref <= phase <= ref, (kind, t)
 
 
+# the kinds whose integrand carries the mode's phase bt above delta, and
+# those that carry the oscillatory profile's phase sqrt(L) t
+MODE_KINDS = ("u", "u-phi1", "u-phi2", "u-phi")
+WAVE_KINDS = ("phi2", "u-phi2", "u-phi")
+
+
+def _fastest_phase(kind, zone, lam, t):
+    if kind in MODE_KINDS and zone in ("highmid", "high"):
+        return t * np.sqrt(np.maximum(-modes.collision_gap(lam)[1], 0.0))
+    if kind in WAVE_KINDS:
+        return t * np.sqrt(lam)
+    return None
+
+
+@pytest.mark.parametrize("kind", quad.NORM_KINDS)
+def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
+    # every initial panel spans at most osc_guard * pi of the fastest phase,
+    # and a panel between two phase steps spans exactly that
+    calls = []
+
+    def record(f, bounds, tol, max_panels):
+        calls.append(bounds)
+        return 0.0, 0.0, 0
+
+    monkeypatch.setattr(quad, "_adaptive", record)
+    _guarded_only(monkeypatch)
+    ladder = quad.THRESHOLDS.eta * 2.0 ** -np.arange(1, 17)
+    for t in (10.0, 160.0, 7240.8):
+        for guard in (1.0, 2.0):
+            calls.clear()
+            quad.norm_value(LOG_TAIL8, kind, 8, t, quad.QuadSpec(n=8, tol=1e-4, osc_guard=guard))
+            assert len(calls) > 3
+            step = guard * math.pi
+            for i, x in enumerate(calls):
+                zone = quad.ZONES[min(i, 3)]
+                lam = x * x if zone == "high" else np.log1p(x * x)
+                steps = ~np.isin(x[1:-1], ladder)  # the bounds that are phase steps
+                phase = _fastest_phase(kind, zone, lam, t)
+                if phase is None:
+                    assert not steps.any(), (kind, zone)
+                    continue
+                assert np.all(np.diff(phase) <= step * (1.0 + 1e-9)), (kind, zone, t)
+                between = np.diff(phase[1:-1][steps])
+                assert np.all(np.abs(between - step) <= 1e-9 * step), (kind, zone, t)
+
+
+def test_phase_steps_beyond_the_budget_raise_before_any_allocation(monkeypatch):
+    # a tiny osc_guard or a huge t asks for more steps than memory holds
+    monkeypatch.setattr(quad, "MAX_PANELS", 100)
+    th = quad.THRESHOLDS
+    assert quad._phase_steps("u", "highmid", 300.0, 1.0, th.delta, th.r_unit).size == 92
+    with pytest.raises(quad.PanelBudgetError):
+        quad._phase_steps("u", "highmid", 1000.0, 1.0, th.delta, th.r_unit)
+
+
+def test_mode_rate_inverse_meets_the_collision_gap():
+    # the phase steps of the mode invert b = sqrt(L - a^2) from b = 0 (the
+    # root collision) to far out in the high zone
+    b = np.concatenate(([0.0], np.logspace(-8, 4, 241)))
+    lam = quad._mode_rate_inverse(b)
+    _, csq = modes.collision_gap(lam)
+    assert np.all(np.abs(-csq - b * b) <= 4.0 * np.finfo(float).eps * lam)
+
+
+def test_error_estimate_has_a_rounding_floor():
+    # check 12's lowmid zone at t = 10: K15 and G7 agree to about the last
+    # bit, so |K15 - G7| alone reads 3.4e-16 of the value, and a change of
+    # the integrand at the rounding level would leave the reported error
+    spec = quad.QuadSpec(n=2, tol=1e-8)
+    value, err = quad.norm_value(GAUSS2, "u", 2, 10.0, spec, zone="lowmid")
+    assert err >= 4.0 * np.finfo(float).eps * value > 0.0
+
+
 def test_check10_series_panel_count(monkeypatch):
-    # the split tail integrates only the smooth part at t >= 905, so check
-    # 10's series takes 79,703 panels (3,145,076 when every t was guarded)
+    # the split tail integrates only the smooth part at t >= 905, and the
+    # initial panels end at steps of the mode's phase: check 10's series
+    # takes 69,928 panels
     adaptive = quad._adaptive
     panels = []
 
@@ -354,4 +433,4 @@ def test_check10_series_panel_count(monkeypatch):
     monkeypatch.setattr(quad, "_adaptive", counting)
     spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, spec)
-    assert sum(panels) == 79_703
+    assert sum(panels) == 69_928

@@ -160,9 +160,9 @@ def test_sinhc_exponential_bound():
 
 def test_oscillation_ratio_band_above_unit_radius():
     # The mode phase rate b = sqrt(-D) / (2 (1+L)) on the high zone, in
-    # y = sqrt(L): b/y lies in [sqrt(15/16), 1), and d b/dy stays below the
-    # 1.15 that sizes the panel-width cap of the high-zone tail in
-    # quadrature (maximum ~1.097 at y = 1, tending to 1 as y grows).
+    # y = sqrt(L): b/y lies in [sqrt(15/16), 1), and d b/dy peaks at ~1.097
+    # at y = 1 and tends to 1 as y grows: the mode's phase bt is faster than
+    # the oscillatory profile's yt there, by at most 10%.
     y = np.linspace(1.0, 60.0, 200_001)
     lam = y * y
     b = np.sqrt(-symbols.discriminant(lam)) / (2.0 * (1.0 + lam))
