@@ -6,14 +6,18 @@ OLD_SRC and NEW_SRC are directories holding a `logplate` package (the `src/`
 of two checkouts).  Each is imported in a subprocess of its own, which
 integrates the comparison set: the data and kinds of checks 06-11 and the
 n = 6 `log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low,
-lowmid, highmid and high, at the 21 times of the default grid.  For every
-(data, kind, zone) one line says
+lowmid, highmid and high, at the 21 times of the default grid; and the
+log-weighted norm `data.y_norm` of the three data families at n = 1, 2, 3,
+4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
+and every y_norm (family, n) one line says
 
     identical                       every value is the same double
     within err: X                   X = max |v - v'| / (err + err') <= 1
     outside err: max rel dv=Y       some |v - v'| exceeds err + err'
 
-and the script exits 1 when a `zone=all` value lies outside err + err'.
+plus `diverged flag changed` where a y_norm divergence flag differs.  The
+script exits 1 when a `zone=all` or y_norm value lies outside err + err',
+or a divergence flag changed.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ CASES = (
     (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4, 2.0),
 )
 ZONES = ("all", "low", "lowmid", "highmid", "high")
+Y_NORM_DATA = (GAUSS, ZERO, LOG_TAIL)
+Y_NORM_DIMS = (1, 2, 3, 4, 8)
+Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
 
 
 def _key(case, zone: str) -> str:
@@ -53,7 +60,7 @@ def emit() -> None:
     import logplate
     from logplate import data, quadrature
 
-    out = {"package": logplate.__file__, "values": {}}
+    out = {"package": logplate.__file__, "values": {}, "diverged": {}}
     for case in CASES:
         u0, u1, n, kind, tol, guard = case
         d = data.parse_pair(u0, u1, n)
@@ -66,6 +73,12 @@ def emit() -> None:
                 except quadrature.QuadratureError as exc:
                     row.append(f"{type(exc).__name__}: {exc}")
             out["values"][_key(case, zone)] = row
+    for sel in Y_NORM_DATA:
+        for n in Y_NORM_DIMS:
+            key = f"y_norm n={n} {sel} s={','.join(f'{s:g}' for s in Y_NORM_ORDERS)}"
+            res = [data.y_norm(data.parse_profile(sel, n), s) for s in Y_NORM_ORDERS]
+            out["values"][key] = [[r.value, r.err_est] for r in res]
+            out["diverged"][key] = [r.diverged for r in res]
     print(json.dumps(out))
 
 
@@ -77,7 +90,7 @@ def _values(src: str) -> dict:
     out = json.loads(proc.stdout)
     if not Path(out["package"]).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: {src} did not provide logplate ({out['package']} was imported)")
-    return out["values"]
+    return out
 
 
 def verdict(old: list, new: list) -> tuple[str, bool]:
@@ -107,9 +120,12 @@ def main(argv: list[str]) -> int:
         return 2
     old, new = (_values(src) for src in argv)
     failed = False
-    for key in old:
-        line, within = verdict(old[key], new[key])
-        failed |= key.endswith("zone=all") and not within
+    for key in old["values"]:
+        line, within = verdict(old["values"][key], new["values"][key])
+        failed |= (key.endswith("zone=all") or key.startswith("y_norm")) and not within
+        if old["diverged"].get(key) != new["diverged"].get(key):
+            line += "; diverged flag changed"
+            failed = True
         print(f"{key}: {line}")
     return 1 if failed else 0
 

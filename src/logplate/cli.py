@@ -98,8 +98,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _grid(args) -> tuple[float, ...]:
-    if args.t0 <= 0.0:
-        raise ValueError("--t0 must be positive")
+    if not 0.0 < args.t0 < math.inf:
+        raise ValueError("--t0 must be positive and finite")
     if args.t_count < 1:
         raise ValueError("--t-count must be at least 1")
     return quadrature.default_time_grid(k_max=args.t_count - 1, t0=args.t0)

@@ -19,8 +19,9 @@ Three families:
                 measure cancel exactly, leaving a pure power of (1+L).
 
 Each profile also exposes log |u| as a function of the log-weight alone so
-that the high-frequency quadrature can fold the radial measure into the
-data in log space (r itself overflows once the log-weight exceeds ~709).
+that the quadrature and `y_norm`, which integrate in y = sqrt(L) on the
+whole line, can fold the radial measure into the data in log space (r
+itself overflows once the log-weight exceeds ~709).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .quadrature import (
     surface_area,
     tail_integral,
 )
-from .symbols import R_UNIT
 
 __all__ = [
     "RadialProfile",
@@ -260,7 +260,10 @@ def parse_profile(selector: str, n: int) -> RadialProfile:
     missing = [k for k, v in kwargs.items() if v is None]
     if missing:
         raise ValueError(f"data family {family!r} requires {missing}")
-    return ctor(n=n, **kwargs)
+    try:
+        return ctor(n=n, **kwargs)
+    except OverflowError:
+        raise ValueError(f"data {selector!r} overflows a double in dimension {n}") from None
 
 
 @dataclass(frozen=True)
@@ -295,10 +298,11 @@ class YNormResult:
 def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
     """w_n int_0^inf (1 + L)^s |u(r)|^2 r^{n-1} dr, with divergence flagged.
 
-    The head [0, r_unit] is integrated in r; the tail in y = sqrt(L) with
-    the measure folded in log space, doubling the extent of 1 + L until the
-    increment is negligible.  If the doubling budget runs out while the
-    increments still move the total, the norm is flagged divergent.
+    The integral is taken in y = sqrt(L) with the measure folded into the
+    data in log space: the head over y in [0, 1], the tail doubling the
+    extent of 1 + L until the increment is negligible.  If the doubling
+    budget runs out while the increments still move the total, the norm is
+    flagged divergent.
     """
     if s < 0.0:
         raise ValueError("regularity order must be nonnegative")
@@ -306,21 +310,16 @@ def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
     if n != d.n:
         raise ValueError("profile dimension does not match the request")
     tol = 1e-8
-    area = surface_area(n)
 
-    def f_head(r):
-        v = d.value(r)
-        return (1.0 + np.log1p(r * r)) ** s * v * v * area * r ** (n - 1)
-
-    head, head_err = radial_integral(f_head, 0.0, R_UNIT, tol, ladder=16)
-
-    def f_tail(y):
+    def f(y):
         lam = y * y
         logv = d.log_flat_from_lam(lam)
         return np.exp(s * np.log1p(lam) + 2.0 * logv + log_flat_measure(y, n))
 
+    head, head_err = radial_integral(f, 0.0, 1.0, tol, ladder=16)
+
     def segment(s_lo, s_hi):
-        return radial_integral(f_tail, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), tol)
+        return radial_integral(f, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), tol)
 
     tail, tail_err, converged = tail_integral(
         segment, TAIL_START, 2.0 * TAIL_START, tol, baseline=head

@@ -38,10 +38,11 @@ class ProfileKind(Enum):
 _SINC_CUT = 1e-12
 
 
-def phi1_coeff(lam, t: float):
-    """e^{-t L (1+L)} for scalar or array lam."""
+def phi1_coeff(lam, t: float, log_scale=0.0):
+    """e^{log_scale - t L (1+L)} for scalar or array lam; a log_scale folds
+    a factor into the exponent, where it cannot overflow."""
     lam = np.asarray(lam, dtype=float)
-    out = np.exp(-t * lam * (1.0 + lam))
+    out = np.exp(log_scale - t * lam * (1.0 + lam))
     return float(out) if out.ndim == 0 else out
 
 

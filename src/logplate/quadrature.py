@@ -8,21 +8,23 @@ Design notes
   of evaluation order.  The final value accumulates panel results sorted by
   position with math.fsum (exactly rounded), making output bit-reproducible
   for a fixed spec.
-* The radial line is split at the regime thresholds into four zones:
-  low [0, eta], low-middle [eta, delta], high-middle [delta, r_unit] and
-  high [r_unit, inf).  The whole-space value is the sum of the four.
-* The high zone is integrated in y = sqrt(log(1 + r^2)); r overflows a
-  double once log(1+r^2) > 709 while the regularity-limited tails live out
-  to log-weights of order t, so the substituted variable is the only
-  representable one.  The radial measure w_n r^{n-1} dr is folded into the
-  data values in log space, which also cancels the growth of the measure
-  against the decay of the data exactly.
+* Every zone is integrated in y = sqrt(L), L = log(1 + r^2): r overflows a
+  double once L > 709 while the regularity-limited tails live out to
+  log-weights of order t, so y is the only representable variable there,
+  and one variable serves the whole line.  The radial measure w_n r^{n-1} dr
+  is folded into the data values in log space (`_scaled_data_y`), which
+  also cancels the growth of the measure against the decay of the data
+  exactly; every zone integrates the same v^2 (`_squared_value`).
+* The line is split at the regime thresholds into four zones: low
+  [0, y(eta)], low-middle [y(eta), y(delta)], high-middle [y(delta), 1]
+  and high [1, inf), with y(r) = sqrt(log(1 + r^2)) and y(r_unit) = 1.  The
+  whole-space value is the sum of the four.
 * Oscillatory integrands (any kind containing the oscillatory profile, or
   the mode value above the root-collision threshold) start from panels of
   exactly osc_guard half-periods of the fastest phase (`_phase_steps`);
   15 Kronrod nodes per period resolve the phase to ~1e-8 relative, so
-  refinement rounds are rare.  The rule serves the r-zones at every t and
-  the high zone at early times only.
+  refinement rounds are rare.  The rule serves the bounded zones at every
+  t and the high zone at early times only.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
@@ -87,12 +89,10 @@ ZONES = ("low", "lowmid", "highmid", "high")
 
 NORM_KINDS = ("u", "phi1", "phi2", "u-phi1", "u-phi2", "u-phi")
 
-# Radial ends of the zones integrated in r.
-_R_ZONES = {
-    "low": (0.0, THRESHOLDS.eta),
-    "lowmid": (THRESHOLDS.eta, THRESHOLDS.delta),
-    "highmid": (THRESHOLDS.delta, THRESHOLDS.r_unit),
-}
+# Ends y = sqrt(L) of the bounded zones: the thresholds eta and delta, and
+# r_unit, where y = 1.
+_Y_ETA, _Y_DELTA = (math.sqrt(math.log1p(r * r)) for r in (THRESHOLDS.eta, THRESHOLDS.delta))
+_Y_ZONES = {"low": (0.0, _Y_ETA), "lowmid": (_Y_ETA, _Y_DELTA), "highmid": (_Y_DELTA, 1.0)}
 
 # Kinds whose integrand carries the sqrt(L) t phase of the oscillatory
 # profile (everywhere), resp. the b(r) t phase of the mode value (above the
@@ -187,15 +187,18 @@ class QuadSpec:
             raise ValueError("dimension must be at least 1")
         if not (1e-12 <= self.tol <= 1e-3):
             raise ValueError("tol must lie in [1e-12, 1e-3]")
-        if self.osc_guard <= 0.0:
-            raise ValueError("osc_guard must be positive")
+        if not 0.0 < self.osc_guard < math.inf:
+            raise ValueError("osc_guard must be positive and finite")
 
 
 def surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise ValueError(f"dimension {n} is too large: Gamma(n/2) overflows a double") from None
 
 
 def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
@@ -392,14 +395,13 @@ def _mode_rate_inverse(b: np.ndarray) -> np.ndarray:
 
 
 def _phase_steps(kind: str, zone: str, t: float, osc_guard: float, lo: float, hi: float):
-    """Points in (lo, hi) (r in the r-zones, y = sqrt(L) in the high zone)
-    where the fastest phase of the kind's integrand crosses a multiple of
-    osc_guard * pi: the mode's bt above delta for the kinds containing the
-    mode, as db/dL = (1 + 4a^3)/(2b) > 1/(2 sqrt(L)) there, else the
-    oscillatory profile's sqrt(L) t.  Both phases are inverted exactly.
+    """Points y = sqrt(L) in (lo, hi) where the fastest phase of the kind's
+    integrand crosses a multiple of osc_guard * pi: the mode's bt above
+    delta for the kinds containing the mode, as db/dL = (1 + 4a^3)/(2b) >
+    1/(2 sqrt(L)) there, else the oscillatory profile's sqrt(L) t.  Both
+    phases are inverted exactly.
     """
-    high = zone == "high"
-    ends = np.array([lo, hi]) ** 2 if high else np.log1p(np.array([lo, hi]) ** 2)
+    ends = np.array([lo, hi]) ** 2
     if t > 0.0 and kind in _MODE_KINDS and zone in ("highmid", "high"):
         rates, inverse = np.sqrt(np.maximum(-collision_gap(ends)[1], 0.0)), _mode_rate_inverse
     elif t > 0.0 and kind in _WAVE_KINDS:
@@ -410,8 +412,7 @@ def _phase_steps(kind: str, zone: str, t: float, osc_guard: float, lo: float, hi
     k_lo, k_hi = math.floor(rates[0] / step) + 1, math.ceil(rates[1] / step)
     if k_hi - k_lo > MAX_PANELS:
         raise PanelBudgetError(f"{k_hi - k_lo} phase steps exceed the panel budget")
-    lam = inverse(np.arange(k_lo, k_hi) * step)
-    return np.sqrt(lam if high else np.expm1(lam))
+    return np.sqrt(inverse(np.arange(k_lo, k_hi) * step))
 
 
 def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
@@ -422,7 +423,7 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     lam = y * y
     return (
         math.log(surface_area(n))
-        + 0.5 * (n - 2) * np.log1p(-np.exp(-lam))
+        + 0.5 * (n - 2) * np.log(-np.expm1(-lam))
         + np.log(y)
     )
 
@@ -430,10 +431,10 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
 def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
     """Value of the selected quantity (one of NORM_KINDS) at log-weights lam.
 
-    v0, v1 are the data values, plain in the r-zones and measure-folded in
-    the high zone, and `mass` is mass_sum * phi1_coeff(lam, t) (None for
-    kinds without phi1).  The split high-zone tail assembles the same value
-    in phase form instead (`_phase_terms`).
+    v0, v1 are the data values and `mass` the heat-like profile's mass term
+    mass_sum * phi1_coeff(lam, t) (None for kinds without phi1), all three
+    measure-folded as `_scaled_data_y` returns them.  The split high-zone
+    tail assembles the same value in phase form instead (`_phase_terms`).
     """
     if kind == "phi1":
         return mass
@@ -450,14 +451,15 @@ def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarra
 
 
 def _scaled_data_y(d, kind: str, t: float, n: int, y: np.ndarray):
-    """Measure-folded data values and mass term on the high zone.
+    """Measure-folded data values and mass term at y = sqrt(L).
 
-    Returns (w0, w1, wial) where w_j = u_j(r) * sqrt(measure) and wial is the
-    signed, damped, measure-folded mass coefficient of the heat-like profile
-    (None for kinds without phi1, which never read it).
-    Everything is assembled in log space through the flat representation, so
-    the cancellation between measure growth and data decay is analytic and
-    survives arbitrarily large log-weights.
+    Returns (w0, w1, wial) where w_j = u_j(r) * sqrt(w_n r^{n-1} dr/dy) and
+    wial is the heat-like profile's mass term mass_sum * phi1_coeff(L, t)
+    times the same root (None for kinds without phi1, which never read it),
+    so that node_values of them, squared, is the integrand in y of every
+    zone.  Everything is assembled in log space through the flat
+    representation, so the cancellation between measure growth and data
+    decay is analytic and survives arbitrarily large log-weights.
     """
     lam = y * y
     lw = 0.5 * log_flat_measure(y, n)
@@ -469,12 +471,19 @@ def _scaled_data_y(d, kind: str, t: float, n: int, y: np.ndarray):
     elif ms == 0.0:
         wial = np.zeros_like(y)
     else:
-        # exponent = log|ms| - t L (1+L) + n L / 4 + lw, grouped so the two
-        # L-sized terms merge into one well-conditioned product
-        wial = math.copysign(1.0, ms) * np.exp(
-            math.log(abs(ms)) + lam * (0.25 * n - t * (1.0 + lam)) + lw
-        )
+        wial = math.copysign(1.0, ms) * phi1_coeff(lam, t, math.log(abs(ms)) + 0.25 * n * lam + lw)
     return w0, w1, wial
+
+
+def _squared_value(d, kind: str, t: float, n: int):
+    """The integrand of every zone: y -> v^2 with v the measure-folded value
+    of the kind, so that int v^2 dy is the zone's squared norm."""
+
+    def f(y):
+        v = node_values(kind, y * y, t, *_scaled_data_y(d, kind, t, n, y))
+        return v * v
+
+    return f
 
 
 def _phase_terms(kind: str, y: np.ndarray, t: float, w0, w1, wial):
@@ -598,24 +607,19 @@ def _split_tail(d, kind: str, t: float, spec: QuadSpec, baseline: float):
     return total, err, phase
 
 
-def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float):
-    """High-zone integral in y with s = 1 + log-weight doubling.
+def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
+    """High-zone integral of f = `_squared_value` with s = 1 + log-weight
+    doubling.
 
     Oscillating kinds first try `_split_tail`.  Where its phase estimate is
     too large (the early times) every oscillation is resolved instead, on
     panels of osc_guard half-periods (`_phase_steps`).
     """
-    n = spec.n
     if t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS):
         split = _split_tail(d, kind, t, spec, baseline)
         if split is not None:
             total, err, phase = split
             return total, err + phase
-
-    def f(y):
-        v = node_values(kind, y * y, t, *_scaled_data_y(d, kind, t, n, y))
-        return v * v
-
     total, err, converged = _high_zone(d, kind, t, spec, baseline, f, spec.osc_guard)
     if not converged:
         raise QuadratureError("high-frequency tail did not converge")
@@ -653,8 +657,8 @@ def norm_value(
         raise ValueError(f"unknown integrand kind {kind!r}")
     if zone != "all" and zone not in ZONES:
         raise ValueError(f"unknown zone {zone!r}")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if t == 0.0 and kind in _PHI1_KINDS and d.mass_sum != 0.0:
         raise ValueError(
             f"{kind!r} at t=0 contains phi1 = the mass {d.mass_sum:g} at every "
@@ -666,23 +670,16 @@ def norm_value(
     for profile in (d.u0, d.u1):
         if profile.n != n:
             raise ValueError("data profile dimension does not match the run")
-    area = surface_area(n)
-
-    def f(r):
-        lam = np.log1p(r * r)
-        mass = d.mass_sum * phi1_coeff(lam, t) if kind in _PHI1_KINDS else None
-        v = node_values(kind, lam, t, d.u0.value(r), d.u1.value(r), mass)
-        return v * v * area * r ** (n - 1)
-
+    f = _squared_value(d, kind, t, n)
     zones = ZONES if zone == "all" else (zone,)
     parts: list[float] = []
     errs: list[float] = []
     try:
         for z in zones:
             if z == "high":
-                val, er = _tail_value(d, kind, t, spec, baseline=math.fsum(parts))
+                val, er = _tail_value(d, kind, t, spec, math.fsum(parts), f)
             else:
-                lo, hi = _R_ZONES[z]
+                lo, hi = _Y_ZONES[z]
                 steps = _phase_steps(kind, z, t, spec.osc_guard, lo, hi)
                 bounds = _build_bounds(lo, hi, steps, 16 if z == "low" else 0)
                 val, er, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
@@ -711,4 +708,6 @@ def norm_series(
 def default_time_grid(k_max: int = 20, t0: float = 10.0) -> tuple[float, ...]:
     """Geometric grid t_k = t0 * 2^{k/2}; the default ends near 1e4, the
     window the checks' fits and bands read."""
+    if k_max / 2.0 + math.log2(t0) >= 1024.0:
+        raise ValueError(f"the last time t0 * 2^({k_max}/2) of the grid overflows a double")
     return tuple(t0 * 2.0 ** (k / 2.0) for k in range(k_max + 1))

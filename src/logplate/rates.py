@@ -9,6 +9,7 @@ branches are labelled, never extrapolated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,8 +162,8 @@ def classify(n: int, l: float) -> RegimeReport:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if l < 0.0:
-        raise ValueError("regularity must be nonnegative")
+    if not 0.0 <= l < math.inf:
+        raise ValueError("regularity must be finite and nonnegative")
     lstar = n / 2.0 - 1.0
 
     regime = DecayRegime.UNCOVERED

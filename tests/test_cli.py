@@ -134,12 +134,39 @@ def test_usage_errors():
 
 def test_bad_time_grid(capsys):
     base = ["solve", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "gaussian:alpha=1"]
-    for flags, name in ((["--t0", "0"], "--t0"), (["--t-count", "0"], "--t-count")):
+    for flags, name in (
+        (["--t0", "0"], "--t0"), (["--t0", "nan"], "--t0"), (["--t0", "inf"], "--t0"),
+        (["--t-count", "0"], "--t-count"),
+    ):
         code = cli.main(base + flags)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --n 2 --data-u0 gaussian:alpha=1 --t-count 3000",  # the grid's last time
+        "solve --n 400 --data-u0 gaussian:alpha=1",  # Gamma(n/2) of the sphere's area
+        "solve --n 200 --data-u0 gaussian:alpha=0.001",  # the peak (pi/alpha)^(n/2)
+        "solve --n 2 --data-u0 gaussian:alpha=1 --osc-guard nan",
+        "rates --n 2 --data-u0 gaussian:alpha=1 --l nan",
+    ],
+)
+def test_overflowing_or_non_finite_input_is_rejected_before_any_work(monkeypatch, capsys, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran before the input was rejected")
+
+    monkeypatch.setattr(quadrature, "_gk_eval", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv.split() + ["--data-u1", "gaussian:alpha=1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ ZERO2 = data_mod.parse_pair("zero_mass:alpha=1", "zero_mass:alpha=1", 2)
 
 
 def _values(kind, d, r, t):
-    """quadrature.node_values at radii r with plain data values and the
-    heat-like mass term, as the r-zones of norm_value assemble them."""
+    """The r-space reference: quadrature.node_values at radii r with the
+    plain data values `value(r)` and the plain mass term
+    mass_sum * phi1_coeff, with no measure folded in."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     lam = np.log1p(r * r)
     mass = d.mass_sum * profiles.phi1_coeff(lam, t)
@@ -174,3 +175,23 @@ def test_phi2_coeffs_without_small_node_matches_mixed_call():
     mixed = profiles.phi2_coeffs(np.append(lam, 1e-20), t)
     for part, whole in zip(plain, mixed):
         assert part.tobytes() == whole[:-1].tobytes()
+
+
+@pytest.mark.parametrize("kind", quadrature.NORM_KINDS)
+def test_y_integrand_is_the_r_space_integrand_times_dr_dy(kind):
+    # norm_value integrates every zone in y = sqrt(L), r^2 = e^{y^2} - 1, with
+    # the radial measure folded into the data: its integrand is the squared
+    # r-space value times r^{n-1} |S^{n-1}| dr/dy, dr/dy = y e^{y^2} / r
+    pairs = (("gaussian:alpha=1",) * 2, ("zero_mass:alpha=1",) * 2,
+             ("gaussian:alpha=1", "log_tail:m=1,beta=0.2"))
+    for n in (1, 2, 3, 8):
+        area = quadrature.surface_area(n)
+        for pair in pairs:
+            d = data_mod.parse_pair(*pair, n)
+            for t in (10.0, 1e3):
+                f = quadrature._squared_value(d, kind, t, n)
+                for zone, (lo, hi) in quadrature._Y_ZONES.items():
+                    y = lo + (hi - lo) * np.array([0.1, 0.5, 0.9])
+                    r = np.sqrt(np.expm1(y * y))
+                    ref = _values(kind, d, r, t) ** 2 * r ** (n - 1) * area * y * np.exp(y * y) / r
+                    assert np.all(np.abs(f(y) - ref) <= 1e-10 * ref), (pair, n, t, zone)

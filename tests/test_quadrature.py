@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -18,6 +19,24 @@ def test_surface_areas():
     assert quad.surface_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
     with pytest.raises(ValueError):
         quad.surface_area(0)
+
+
+def test_log_flat_measure_matches_a_decimal_evaluation():
+    # the low zone reaches L ~ 1e-12, where 1 - e^{-L} keeps its digits only
+    # when formed as -expm1(-L)
+    ys = (1e-6, 1e-3, 0.1, 1.0, 10.0)
+    for n in (1, 3, 8):
+        got = quad.log_flat_measure(np.array(ys), n)
+        for y, value in zip(ys, got):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                yd = decimal.Decimal(y)
+                want = float(
+                    decimal.Decimal(math.log(quad.surface_area(n)))
+                    + decimal.Decimal(n - 2) / 2 * (1 - (-yd * yd).exp()).ln()
+                    + yd.ln()
+                )
+            assert abs(value - want) <= 1e-14 * abs(want), (n, y)
 
 
 def test_basic_integrals():
@@ -140,6 +159,9 @@ def test_norm_series_validation():
         quad.QuadSpec(n=2, tol=1e-2)
     with pytest.raises(ValueError):
         quad.QuadSpec(n=0)
+    for guard in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            quad.QuadSpec(n=2, osc_guard=guard)
 
 
 def _no_quadrature(monkeypatch):
@@ -152,8 +174,9 @@ def _no_quadrature(monkeypatch):
 def test_norm_value_rejects_negative_time(monkeypatch):
     _no_quadrature(monkeypatch)
     for kind in quad.NORM_KINDS:
-        with pytest.raises(ValueError, match="nonnegative"):
-            quad.norm_value(GAUSS2, kind, 2, -1.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                quad.norm_value(GAUSS2, kind, 2, t)
 
 
 def test_norm_value_rejects_phi1_at_time_zero(monkeypatch):
@@ -371,7 +394,7 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
 
     monkeypatch.setattr(quad, "_adaptive", record)
     _guarded_only(monkeypatch)
-    ladder = quad.THRESHOLDS.eta * 2.0 ** -np.arange(1, 17)
+    ladder = math.sqrt(math.log1p(quad.THRESHOLDS.eta**2)) * 2.0 ** -np.arange(1, 17)
     for t in (10.0, 160.0, 7240.8):
         for guard in (1.0, 2.0):
             calls.clear()
@@ -380,7 +403,7 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
             step = guard * math.pi
             for i, x in enumerate(calls):
                 zone = quad.ZONES[min(i, 3)]
-                lam = x * x if zone == "high" else np.log1p(x * x)
+                lam = x * x
                 steps = ~np.isin(x[1:-1], ladder)  # the bounds that are phase steps
                 phase = _fastest_phase(kind, zone, lam, t)
                 if phase is None:
@@ -394,10 +417,10 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
 def test_phase_steps_beyond_the_budget_raise_before_any_allocation(monkeypatch):
     # a tiny osc_guard or a huge t asks for more steps than memory holds
     monkeypatch.setattr(quad, "MAX_PANELS", 100)
-    th = quad.THRESHOLDS
-    assert quad._phase_steps("u", "highmid", 300.0, 1.0, th.delta, th.r_unit).size == 92
+    y_delta = math.sqrt(math.log1p(quad.THRESHOLDS.delta**2))
+    assert quad._phase_steps("u", "highmid", 300.0, 1.0, y_delta, 1.0).size == 92
     with pytest.raises(quad.PanelBudgetError):
-        quad._phase_steps("u", "highmid", 1000.0, 1.0, th.delta, th.r_unit)
+        quad._phase_steps("u", "highmid", 1000.0, 1.0, y_delta, 1.0)
 
 
 def test_mode_rate_inverse_meets_the_collision_gap():

@@ -119,6 +119,8 @@ def test_classify_uncovered_inputs():
         rates.classify(0, 1.0)
     with pytest.raises(ValueError):
         rates.classify(3, -1.0)
+    with pytest.raises(ValueError):
+        rates.classify(3, math.nan)
 
 
 def test_solution_norm_exponents():
