@@ -15,15 +15,24 @@ and every y_norm (family, n) one line says
     within err: X                   X = max |v - v'| / (err + err') <= 1
     outside err: max rel dv=Y       some |v - v'| exceeds err + err'
 
-plus `diverged flag changed` where a y_norm divergence flag differs.  The
-script exits 1 when a `zone=all` or y_norm value lies outside err + err',
-or a divergence flag changed.
+plus `diverged flag changed` where a y_norm divergence flag differs.
+
+A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
+(u, v) and `modes.pointwise_bound_check`'s verdict and margins at 3,000
+seeded points, 750 in each branch of the kernel (series, oscillating,
+unified real, eigen), a quarter of them with the nearly fast-aligned data
+u1 = -u0.  It reads `identical` or `differs at K of 3000 points`.
+
+The script exits 1 when a `zone=all` or y_norm value lies outside err + err',
+a divergence flag changed, or a scalar mode point differs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +57,43 @@ ZONES = ("all", "low", "lowmid", "highmid", "high")
 Y_NORM_DATA = (GAUSS, ZERO, LOG_TAIL)
 Y_NORM_DIMS = (1, 2, 3, 4, 8)
 Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
+SCALAR_POINTS = 3000
+
+
+def scalar_points(delta: float, eta: float) -> list[tuple[float, complex, complex, float]]:
+    """(r, u0, u1, t) of the scalar comparison, seeded, one branch in turn:
+    series (the root collision r ~ delta, or t <= 1e-4), oscillating
+    (r > delta), unified real (r < delta, 2ct <= 17) and eigen (r < eta,
+    t > 34, so 2ct > 17)."""
+    rng = random.Random("compare_values/scalar")
+    pts = []
+    for i in range(SCALAR_POINTS):
+        branch = i % 4
+        if branch == 0 and i % 8 == 0:
+            r, t = delta * (1.0 + rng.uniform(-1e-9, 1e-9)), 10.0 ** rng.uniform(-2.0, 1.0)
+        elif branch == 0:
+            r, t = 10.0 ** rng.uniform(-6.0, 3.0), 10.0 ** rng.uniform(-9.0, -4.0)
+        elif branch == 1:
+            r, t = delta * 10.0 ** rng.uniform(1e-6, 3.0), 10.0 ** rng.uniform(-1.0, 2.5)
+        elif branch == 2:
+            r, t = delta * (1.0 - 10.0 ** rng.uniform(-3.0, 0.0)), 10.0 ** rng.uniform(-1.0, 1.0)
+        else:
+            r, t = 10.0 ** rng.uniform(-6.0, math.log10(eta)), rng.uniform(40.0, 300.0)
+        u0 = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        u1 = -u0 if rng.random() < 0.25 else complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        pts.append((r, u0, u1, t))
+    return pts
+
+
+def _bits(*xs) -> list:
+    """Exact text of floats, complexes and None: hex digits keep every bit."""
+    out = []
+    for x in xs:
+        if isinstance(x, complex):
+            out += [x.real.hex(), x.imag.hex()]
+        else:
+            out.append(None if x is None else float(x).hex())
+    return out
 
 
 def _key(case, zone: str) -> str:
@@ -58,9 +104,15 @@ def _key(case, zone: str) -> str:
 def emit() -> None:
     """Integrate the comparison set with the importable logplate; print JSON."""
     import logplate
-    from logplate import data, quadrature
+    from logplate import data, modes, quadrature, symbols
 
-    out = {"package": logplate.__file__, "values": {}, "diverged": {}}
+    out = {"package": logplate.__file__, "values": {}, "diverged": {}, "scalar": []}
+    th = symbols.compute_thresholds()
+    for r, u0, u1, t in scalar_points(th.delta, th.eta):
+        p = symbols.FreqPoint.from_radius(r)
+        s = modes.mode_solve(p, u0, u1, t)
+        b = modes.pointwise_bound_check(p, u0, u1, t, th)
+        out["scalar"].append([*_bits(s.u, s.v, b.energy_margin, b.amplitude_margin), b.passed])
     for case in CASES:
         u0, u1, n, kind, tol, guard = case
         d = data.parse_pair(u0, u1, n)
@@ -127,7 +179,10 @@ def main(argv: list[str]) -> int:
             line += "; diverged flag changed"
             failed = True
         print(f"{key}: {line}")
-    return 1 if failed else 0
+    differ = sum(a != b for a, b in zip(old["scalar"], new["scalar"]))
+    print(f"scalar modes, {SCALAR_POINTS} points: ", end="")
+    print(f"differs at {differ} of {SCALAR_POINTS} points" if differ else "identical")
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

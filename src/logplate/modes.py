@@ -66,8 +66,13 @@ def oscillating_coeffs(a, csq, t: float):
 
 
 # The branches take floats or arrays alike and use numpy's elementwise
-# functions on both, so a float evaluates bit-for-bit as an array entry does;
-# complex data are divided by a real reciprocal, rounded alike by both.
+# functions on both, so a float evaluates bit-for-bit as an array entry does
+# (math.exp differs from np.exp in the last bit on some arguments); complex
+# data are divided by a real reciprocal, rounded alike by both.  A float's
+# damped pieces are converted to Python floats before they meet the data:
+# numpy-scalar times complex costs about 0.7 us an operation, Python float
+# and complex arithmetic round as float64 and complex128 do, and `_eigen`
+# puts the complex amplitude first, so its products stay Python complex.
 
 
 def _series(a, z, t):
@@ -122,7 +127,7 @@ def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
             return _eigen(lam, a, math.sqrt(csq), t, u0, u1, velocity)
         else:
             ec, es = _real(a, math.sqrt(csq), t)
-        return _assemble(lam, a, ec, es, u0, u1, velocity)
+        return _assemble(lam, a, float(ec), float(es), u0, u1, velocity)
 
     if csq.max() * (t * t) <= -_SERIES_CUT:
         # every node oscillates (the whole high zone): no masks
@@ -223,7 +228,7 @@ def pointwise_bound_check(
     one = 1.0 + lam
     w = mult_weight(p, th)
     s = mode_solve(p, u0, u1, t)
-    decay = np.exp(-0.5 * w * t)
+    decay = float(np.exp(-0.5 * w * t))
 
     lhs_e = one * abs(s.v) ** 2 + lam * one * abs(s.u) ** 2
     rhs_e = 6.0 * decay * (one * abs(u1) ** 2 + lam * one * abs(u0) ** 2)

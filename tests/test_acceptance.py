@@ -44,18 +44,19 @@ for _cid in verify.CHECK_IDS:
     globals()["test_" + _cid.replace("-", "_")] = _gate(_cid)
 
 
-def test_check_03_integrates_each_radius_and_data_pair_once(monkeypatch):
-    # 13 radii x 3 data pairs, each run stopping at all five output times;
-    # the stand-in returns the closed form, so no step is taken
+def test_check_03_integrates_each_radius_once(monkeypatch):
+    # 13 radii, each one run with data (1, i) stopping at all five output
+    # times, whose real and imaginary parts serve every data pair; the
+    # stand-in returns the closed form, so no step is taken
     runs = []
 
     def counted(p, u0, u1, times, cfg):
-        runs.append(tuple(times))
+        runs.append((u0, u1, tuple(times)))
         return tuple(modes.mode_solve(p, u0, u1, t) for t in times)
 
     monkeypatch.setattr(oracle, "integrate_mode_at", counted)
     assert verify.run_check("03-oracle-equivalence").passed
-    assert runs == [(0.1, 1.0, 10.0, 50.0, 100.0)] * 39
+    assert runs == [(1.0, 1j, (0.1, 1.0, 10.0, 50.0, 100.0))] * 13
 
 
 def test_render_line_is_canonical_line_plus_seconds():

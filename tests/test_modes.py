@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logplate import modes, oracle, symbols
 
@@ -192,6 +192,30 @@ def test_propagator_coeffs_vectorized_matches_scalar():
             for i, r in enumerate(radii):
                 s = modes.mode_solve(symbols.FreqPoint.from_radius(r), u0, u1, t)
                 assert u[i] == s.u and v[i] == s.v
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-1e-9, max_value=1e-9).map(lambda d: TH.delta * (1.0 + d)),
+    ),
+    st.one_of(st.floats(min_value=0.0, max_value=300.0), st.floats(0.0, 1e-4)),
+    st.complex_numbers(max_magnitude=10.0),
+    st.complex_numbers(max_magnitude=10.0),
+)
+@example(TH.delta * (1.0 + 1e-10), 2.0, 1.0 + 2.0j, -0.5j)  # series, at the collision
+@example(3.0, 1e-5, 1.0 + 2.0j, -0.5j)  # series, at t ~ 0
+@example(2.0, 150.0, 1.0 + 2.0j, -0.5j)  # oscillating
+@example(0.3, 2.0, 1.0 + 2.0j, -0.5j)  # unified real
+@example(1e-3, 250.0, 1.0 + 2.0j, -1.0 - 2.0j)  # eigen
+def test_mode_solve_is_the_array_kernel_entry_bit_for_bit(r, t, u0, u1):
+    # mode_solve's float dispatch runs in Python float and complex arithmetic,
+    # which must round as numpy's float64 and complex128 do on an array entry
+    s = modes.mode_solve(symbols.FreqPoint.from_radius(r), u0, u1, t)
+    lam = np.array([symbols.log_weight(r)])
+    u, v = modes.propagator_coeffs(lam, t, np.array([u0]), np.array([u1]), velocity=True)
+    assert np.array([s.u, s.v]).tobytes() == np.array([u[0], v[0]]).tobytes()
 
 
 def test_propagator_all_oscillatory_call_matches_mixed_call():

@@ -162,3 +162,20 @@ def test_complex_data_round_trip():
     num = oracle.integrate_mode(p, u0, u1, 12.0, oracle.IntegratorConfig(rel_tol=1e-10))
     scale = math.hypot(abs(exact.u), abs(exact.v))
     assert math.hypot(abs(exact.u - num.u), abs(exact.v - num.v)) / scale < 1e-8
+
+
+@pytest.mark.parametrize("r", [0.0, _TH.delta * (1.0 - 1e-8), _TH.delta * (1.0 + 1e-8), 1.0])
+def test_one_complex_run_gives_every_real_data_pair(r):
+    # the mode ODE is linear with real coefficients, so the run with data
+    # (1, i) holds X1 = Re u and X2 = Im u, and data (u0, u1) evolves to
+    # u0 X1 + u1 X2: check 03's combination against a run per data pair
+    p = symbols.FreqPoint.from_radius(r)
+    times = (0.1, 1.0, 10.0, 50.0, 100.0)
+    cfg = oracle.IntegratorConfig(rel_tol=1e-10)
+    basis = oracle.integrate_mode_at(p, 1.0, 1j, times, cfg)
+    for u0, u1 in ((1.0, 0.0), (0.0, 1.0), (1.0, -1.0)):
+        for b, num in zip(basis, oracle.integrate_mode_at(p, u0, u1, times, cfg)):
+            combo = modes.ModeState(
+                u0 * b.u.real + u1 * b.u.imag, u0 * b.v.real + u1 * b.v.imag, b.t
+            )
+            assert oracle.scaled_error(num, combo, u0, u1) < 1e-10
