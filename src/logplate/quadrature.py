@@ -34,6 +34,25 @@ Design notes
   norm: where it is within tol it joins the error estimate, and at the
   early times, where it is not, the phase-stepped integral of v^2 runs
   instead.  Both paths share one piece loop, `_high_zone`.
+* The middle zones decay exponentially, so a whole-space value (zone
+  "all") integrates the low and high zones first and replaces lowmid or
+  highmid by 0 wherever an a-priori bound B_z(t) <= tol |low + high|; B_z
+  joins the error estimate (`_middle_bounds`).  With k the number of the
+  terms mode, heat-like and oscillatory profile in the kind, |v|^2 <=
+  k sum |term|^2.  The mode is e^{-at} [C w0 + S (w1 + a w0)] with the
+  measure-folded data w0, w1: real roots give |C| = |cosh(ct)| <= e^{ct}
+  and |S| = |sinh(ct)/c| <= t e^{ct}, oscillating ones |C| <= 1 and
+  |S| <= t, and a <= 1/2, so |mode|^2 <= 2 (1+t)^2 e^{-kappa_u t}
+  (w0^2 + w1^2), kappa_u the least 2(a - c) = 2L/(a + c) over the zone (at
+  L_lo on lowmid) resp. 2a (1/2 at L_hi = 1 on highmid).  The oscillatory
+  profile has |sin(sqrt(L) t)/sqrt(L)| <= t and damping e^{-t/(2L)}, so
+  |phi2|^2 <= 2 (1+t)^2 e^{-t/L_hi} (w0^2 + w1^2); the heat-like profile is
+  m0 e^{-t L(1+L)} with m0 its t = 0 mass term, so |phi1|^2 <=
+  e^{-2t L_lo(1+L_lo)} m0^2.  Integrated over the zone:
+    B_z = k [2 (1+t)^2 (e^{-kappa_u t} [mode] + e^{-t/L_hi} [wave]) D_z
+             + e^{-2t L_lo(1+L_lo)} M_z [phi1]],
+  D_z = int_z (w0^2 + w1^2) dy and M_z = int_z m0^2 dy.  Explicit zone
+  requests always integrate.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted and weighted-L1 norms) goes through one
   tail-doubling loop, `tail_integral`: it doubles the extent until the
@@ -100,6 +119,18 @@ _Y_ZONES = {"low": (0.0, _Y_ETA), "lowmid": (_Y_ETA, _Y_DELTA), "highmid": (_Y_D
 _WAVE_KINDS = frozenset({"phi2", "u-phi2", "u-phi"})
 _MODE_KINDS = frozenset({"u", "u-phi1", "u-phi2", "u-phi"})
 _PHI1_KINDS = frozenset({"phi1", "u-phi1", "u-phi"})
+
+# The middle zones, and the slowest decay over each (module notes) of the
+# squared mode, 2(a - Re c): at the lowmid start, where the roots are real,
+# and at the highmid end, where they oscillate; of the squared oscillatory
+# profile, 1/L at the end; and of the squared heat-like profile, 2L(1 + L)
+# at the start.
+_MIDDLE = ("lowmid", "highmid")
+_MIDDLE_LO, _MIDDLE_HI = np.array([_Y_ZONES[z] for z in _MIDDLE]).T
+_A_SLOW, _CSQ_SLOW = collision_gap(np.array([_MIDDLE_LO[0], _MIDDLE_HI[1]]) ** 2)
+_MODE_RATES = 2.0 * (_A_SLOW - np.sqrt(np.maximum(_CSQ_SLOW, 0.0)))
+_WAVE_RATES = 1.0 / _MIDDLE_HI**2
+_HEAT_RATES = 2.0 * _MIDDLE_LO**2 * (1.0 + _MIDDLE_LO**2)
 
 #: Panel budget of one adaptive integral; the high-zone tail segments share one.
 MAX_PANELS = 6_000_000
@@ -626,6 +657,28 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
     return total, err
 
 
+def _middle_bounds(d, kind: str, t: float, n: int) -> np.ndarray:
+    """A-priori bounds B_z(t) >= int_z v^2 dy of lowmid and highmid (module
+    notes).  D_z and M_z do not depend on t; each is one GK15 panel per zone,
+    taken as its value plus |K15 - G7|."""
+    mode, wave, heat = kind in _MODE_KINDS, kind in _WAVE_KINDS, kind in _PHI1_KINDS
+
+    def upper(square):
+        def f(y):
+            return square(*_scaled_data_y(d, "phi1", 0.0, n, y))
+
+        vals, errs = _gk_eval(f, _MIDDLE_LO, _MIDDLE_HI)
+        return vals + errs
+
+    bound = np.zeros(2)
+    if mode or wave:
+        decay = mode * np.exp(-_MODE_RATES * t) + wave * np.exp(-_WAVE_RATES * t)
+        bound += 2.0 * (1.0 + t) ** 2 * decay * upper(lambda w0, w1, m0: w0 * w0 + w1 * w1)
+    if heat:
+        bound += np.exp(-_HEAT_RATES * t) * upper(lambda w0, w1, m0: m0 * m0)
+    return (mode + wave + heat) * bound
+
+
 @dataclass(frozen=True)
 class NormSeries:
     """Sampled squared-norm values of one integrand kind over a time grid.
@@ -671,23 +724,27 @@ def norm_value(
         if profile.n != n:
             raise ValueError("data profile dimension does not match the run")
     f = _squared_value(d, kind, t, n)
-    zones = ZONES if zone == "all" else (zone,)
-    parts: list[float] = []
-    errs: list[float] = []
+
+    def integrate(z: str, baseline: float = 0.0) -> tuple[float, float]:
+        if z == "high":
+            return _tail_value(d, kind, t, spec, baseline, f)
+        lo, hi = _Y_ZONES[z]
+        steps = _phase_steps(kind, z, t, spec.osc_guard, lo, hi)
+        bounds = _build_bounds(lo, hi, steps, 16 if z == "low" else 0)
+        val, er, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
+        return val, er
+
     try:
-        for z in zones:
-            if z == "high":
-                val, er = _tail_value(d, kind, t, spec, math.fsum(parts), f)
-            else:
-                lo, hi = _Y_ZONES[z]
-                steps = _phase_steps(kind, z, t, spec.osc_guard, lo, hi)
-                bounds = _build_bounds(lo, hi, steps, 16 if z == "low" else 0)
-                val, er, _ = _adaptive(f, bounds, spec.tol, MAX_PANELS)
-            parts.append(val)
-            errs.append(er)
+        if zone != "all":
+            return integrate(zone)
+        low = integrate("low")
+        parts = [low, integrate("high", low[0])]
+        rest = abs(math.fsum(v for v, _ in parts))
+        for z, bound in zip(_MIDDLE, _middle_bounds(d, kind, t, n).tolist()):
+            parts.append((0.0, bound) if bound <= spec.tol * rest else integrate(z))
     except QuadratureError as exc:
         raise type(exc)(f"{exc} (t={t:g}, tol={spec.tol:g}, osc_guard={spec.osc_guard:g})") from exc
-    return math.fsum(parts), math.fsum(errs)
+    return math.fsum(v for v, _ in parts), math.fsum(e for _, e in parts)
 
 
 def norm_series(

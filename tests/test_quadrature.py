@@ -394,15 +394,19 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
 
     monkeypatch.setattr(quad, "_adaptive", record)
     _guarded_only(monkeypatch)
-    ladder = math.sqrt(math.log1p(quad.THRESHOLDS.eta**2)) * 2.0 ** -np.arange(1, 17)
+    th = quad.THRESHOLDS
+    y_eta, y_delta = (math.sqrt(math.log1p(r * r)) for r in (th.eta, th.delta))
+    ladder = y_eta * 2.0 ** -np.arange(1, 17)
+    # each call integrates one zone, named by its first bound
+    starts = {0.0: "low", y_eta: "lowmid", y_delta: "highmid"}
     for t in (10.0, 160.0, 7240.8):
         for guard in (1.0, 2.0):
             calls.clear()
             quad.norm_value(LOG_TAIL8, kind, 8, t, quad.QuadSpec(n=8, tol=1e-4, osc_guard=guard))
             assert len(calls) > 3
             step = guard * math.pi
-            for i, x in enumerate(calls):
-                zone = quad.ZONES[min(i, 3)]
+            for x in calls:
+                zone = starts.get(x[0], "high")
                 lam = x * x
                 steps = ~np.isin(x[1:-1], ladder)  # the bounds that are phase steps
                 phase = _fastest_phase(kind, zone, lam, t)
@@ -442,9 +446,10 @@ def test_error_estimate_has_a_rounding_floor():
 
 
 def test_check10_series_panel_count(monkeypatch):
-    # the split tail integrates only the smooth part at t >= 905, and the
-    # initial panels end at steps of the mode's phase: check 10's series
-    # takes 69,928 panels
+    # the split tail integrates only the smooth part at t >= 905, the
+    # initial panels end at steps of the mode's phase, and the middle zones
+    # are skipped where their bound is negligible: check 10's series takes
+    # 66,123 panels
     adaptive = quad._adaptive
     panels = []
 
@@ -456,4 +461,49 @@ def test_check10_series_panel_count(monkeypatch):
     monkeypatch.setattr(quad, "_adaptive", counting)
     spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, spec)
-    assert sum(panels) == 69_928
+    assert sum(panels) == 66_123
+
+
+# the data of checks 06, 07 and 11 (n = 2), of 11's zero-mass series, and
+# of checks 09 and 10 (n = 8)
+ZERO2 = data_mod.parse_pair("zero_mass:alpha=1", "zero_mass:alpha=1", 2)
+BOUND_DATA = [(GAUSS2, 2), (ZERO2, 2), (LOG_TAIL8, 8)]
+
+
+@pytest.mark.parametrize("kind", quad.NORM_KINDS)
+def test_middle_zone_bound_covers_the_integrated_zone(kind):
+    for d, n in BOUND_DATA:
+        spec = quad.QuadSpec(n=n, tol=1e-10)
+        for t in (10.0, 40.0, 160.0, 640.0, 2560.0):
+            bounds = quad._middle_bounds(d, kind, t, n)
+            for zone, bound in zip(("lowmid", "highmid"), bounds):
+                value, _ = quad.norm_value(d, kind, n, t, spec, zone=zone)
+                assert value <= bound, (kind, n, t, zone)
+
+
+@pytest.mark.parametrize(
+    "d,kind,n,t,tol",
+    [(GAUSS2, "u-phi1", 2, 1e3, 1e-6), (ZERO2, "u", 2, 640.0, 1e-6),
+     (LOG_TAIL8, "u", 8, 1280.0, 1e-4), (LOG_TAIL8, "u-phi2", 8, 160.0, 1e-4)],
+)
+def test_skipped_middle_zones_leave_low_plus_high_and_join_the_error(d, kind, n, t, tol):
+    spec = quad.QuadSpec(n=n, tol=tol, osc_guard=2.0)
+    low, low_err = quad.norm_value(d, kind, n, t, spec, zone="low")
+    f = quad._squared_value(d, kind, t, n)
+    high, high_err = quad._tail_value(d, kind, t, spec, low, f)
+    bounds = quad._middle_bounds(d, kind, t, n)
+    assert np.all(bounds <= tol * abs(low + high))  # both zones are skipped
+    value, err = quad.norm_value(d, kind, n, t, spec)
+    assert value == math.fsum([low, high])
+    assert err == math.fsum([low_err, high_err, *bounds.tolist()])
+
+
+def test_series_is_the_per_time_norm_value_bit_for_bit():
+    # the benchmark's tracer counts a series' panels inside its norm_value
+    # calls; the grid spans times with and without skipped middle zones
+    grid = (10.0, 40.0, 160.0, 640.0)
+    for d, kind, n in ((GAUSS2, "u-phi1", 2), (LOG_TAIL8, "u-phi", 8)):
+        spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+        series = quad.norm_series(d, kind, n, grid, spec)
+        pairs = [quad.norm_value(d, kind, n, t, spec) for t in grid]
+        assert list(zip(series.values, series.errs)) == pairs

@@ -38,6 +38,18 @@ def test_log_weight_rejects_negative():
         symbols.log_weight(np.array([0.1, -0.1]))
 
 
+def test_log_weight_of_a_scalar_is_the_array_entry_bit_for_bit():
+    # a float, int or numpy scalar skips the 0-d array but not np.log1p
+    rng = np.random.default_rng(11)
+    radii = np.concatenate(([0.0, 5e-324, 1e-160, 1.0], 10.0 ** rng.uniform(-200, 150, 2000)))
+    whole = symbols.log_weight(radii)
+    for r, lam in zip(radii.tolist(), whole.tolist()):
+        assert symbols.log_weight(r) == lam and symbols.log_weight(np.float64(r)) == lam
+    assert symbols.log_weight(3) == symbols.log_weight(np.array([3.0]))[0]
+    with pytest.raises(ValueError):
+        symbols.log_weight(np.float64(-0.5))
+
+
 def test_freqpoint_consistency():
     p = symbols.FreqPoint.from_radius(2.5)
     assert p.lam == symbols.log_weight(2.5)
