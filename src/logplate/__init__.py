@@ -21,7 +21,6 @@ from .symbols import (
     FreqPoint,
     Thresholds,
     CharRoots,
-    Regime,
     char_roots,
     compute_thresholds,
     log_weight,

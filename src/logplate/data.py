@@ -1,14 +1,12 @@
 """Catalog of radial Fourier-side initial data.
 
 Profiles are defined directly on the Fourier side as real radial functions
-of the frequency r; physical-space hypotheses enter only through directly
-checkable surrogates (the mass = value at r = 0, and a low-frequency
-Lipschitz constant K with |u(r) - mass| <= K r for r <= 1).
+of the frequency r; the physical mass is the value at r = 0.
 
 Three families:
 
 * gaussian    - transform of a Gaussian bump; every log-weighted norm is
-                finite, the physical weighted-L1 norm has a closed form.
+                finite.
 * zero_mass   - transform of a Laplacian applied to a Gaussian: same decay,
                 but the mass vanishes (the degenerate case of the two-sided
                 decay results).
@@ -31,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    REF_TOL,
-    TAIL_START,
-    QuadratureError,
-    log_flat_measure,
-    radial_integral,
-    surface_area,
-    tail_integral,
-)
+from .quadrature import TAIL_START, log_flat_measure, radial_integral, tail_integral
 
 __all__ = [
     "RadialProfile",
@@ -58,16 +48,13 @@ class RadialProfile:
     """One radial Fourier-side profile.
 
     Attributes set by every family: name, n, mass, sign (constant sign of
-    the profile), lip_const (low-frequency Lipschitz surrogate), l11_norm
-    (physical weighted-L1 norm when it has a closed form, else None).
+    the profile).
     """
 
     name: str
     n: int
     mass: float
     sign: float
-    lip_const: float
-    l11_norm: float | None
 
     def value(self, r):
         raise NotImplementedError
@@ -100,17 +87,6 @@ class GaussianProfile(RadialProfile):
         self.mass = self.peak
         self.sign = math.copysign(1.0, amplitude) if amplitude != 0.0 else 0.0
         self.name = f"gaussian:alpha={alpha:g},amplitude={amplitude:g}"
-        # max |d value/dr| on [0, 1]; the slope r e^{-r^2/(4a)} peaks at
-        # r = sqrt(2a), so the maximum sits at min(1, sqrt(2a)).
-        rstar = min(1.0, math.sqrt(2.0 * alpha))
-        self.lip_const = abs(self.peak) * rstar / (2.0 * alpha) * math.exp(
-            -rstar * rstar / (4.0 * alpha)
-        )
-        # physical side |amplitude| e^{-alpha |x|^2}: integral of (1 + |x|)
-        self.l11_norm = abs(amplitude) * (
-            (math.pi / alpha) ** (n / 2.0)
-            + surface_area(n) * math.gamma((n + 1) / 2.0) / (2.0 * alpha ** ((n + 1) / 2.0))
-        )
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -138,9 +114,6 @@ class ZeroMassProfile(RadialProfile):
         self.mass = 0.0
         self.sign = 1.0
         self.name = f"zero_mass:alpha={alpha:g}"
-        rstar = min(1.0, math.sqrt(2.0 * alpha))
-        self.lip_const = rstar * math.exp(-rstar * rstar / (4.0 * alpha))
-        self.l11_norm = self._l11()
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -158,28 +131,6 @@ class ZeroMassProfile(RadialProfile):
             )
             out = np.where(np.isinf(rsq), -np.inf, out)
         return out
-
-    def _l11(self) -> float:
-        # Physical profile (a/pi)^{n/2} (2 n a - 4 a^2 rho^2) e^{-a rho^2};
-        # integrate (1 + rho)|.| radially, splitting at the sign change.
-        a = self.alpha
-        n = self.n
-        coef = (a / math.pi) ** (n / 2.0) * surface_area(n)
-        kink = math.sqrt(n / (2.0 * a))
-
-        def f(rho):
-            g = np.abs(2.0 * n * a - 4.0 * a * a * rho * rho)
-            return coef * (1.0 + rho) * g * np.exp(-a * rho * rho) * rho ** (n - 1)
-
-        total, _, converged = tail_integral(
-            lambda lo, hi: radial_integral(f, lo, hi, REF_TOL, breakpoints=(kink,)),
-            0.0,
-            max(2.0 * kink, 2.0),
-            REF_TOL,
-        )
-        if not converged:
-            raise QuadratureError("weighted-L1 tail did not converge")
-        return total
 
 
 class LogTailProfile(RadialProfile):
@@ -201,9 +152,6 @@ class LogTailProfile(RadialProfile):
         # continuity at r_unit (log-weight 1): core value = c e^{-n/4} 2^{-q/2}
         core_at_unit = math.log(self.core_peak) - (math.e - 1.0) / 4.0
         self.log_c = core_at_unit + n / 4.0 + 0.5 * self.q * math.log(2.0)
-        rstar = min(1.0, math.sqrt(2.0))
-        self.lip_const = self.core_peak * rstar / 2.0 * math.exp(-rstar * rstar / 4.0)
-        self.l11_norm = None  # no closed form; rate checks are slope-based
 
     def value(self, r):
         r = np.asarray(r, dtype=float)

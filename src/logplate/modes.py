@@ -1,9 +1,10 @@
 """Closed-form evaluation of a single Fourier mode and its energy functionals.
 
 The mode ODE (1+L) u'' + u' + L(1+L) u = 0 has roots -a +/- c, a = 1/(2(1+L))
-and c^2 = a^2 - L of either sign.  One kernel, `propagator_coeffs`, serves
-`mode_solve` (a float L) and the quadrature (arrays); with z = c^2 t^2 each
-node takes one of four branches, each written once:
+and c^2 = a^2 - L of either sign, both from `symbols.collision_gap`.  One
+kernel, `propagator_coeffs`, serves `mode_solve` (a float L) and the
+quadrature (arrays); with z = c^2 t^2 each node takes one of four branches,
+each written once:
 
 * series, |z| < 1e-6 (the root collision r ~ delta, or t ~ 0), and
   oscillating, z < 0 (r > delta): u(t) = e^{-at} [C u0 + S (u1 + a u0)]
@@ -17,7 +18,8 @@ node takes one of four branches, each written once:
   fast root (at r = 0 the datum (1, -1) gives u = e^{-t}, which it rounds
   to 0 for t > 36); near the root collision the eigen form is the unstable one.
 
-The eigen branch forms the slow root -a + c as -L/(a + c): the difference
+The eigen branch takes its roots from `symbols.real_roots`, the ones check 02
+tests, which forms the slow root -a + c as -L/(a + c): the difference
 cancels at small L, where c ~ a - L, and its rounding noise times t swamps
 ||u - phi1|| of check 07's data near t ~ 1e6.  The unified branch keeps
 e^{(c-a)t}: at small L it runs only for t <= 17, where the noise is < 1e-14.
@@ -30,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import FreqPoint, Thresholds, mult_weight
+from .symbols import FreqPoint, Thresholds, collision_gap, mult_weight, real_roots
 
 __all__ = [
-    "collision_gap",
     "oscillating_coeffs",
     "propagator_coeffs",
     "ModeState",
@@ -51,14 +52,6 @@ _SERIES_CUT = 1e-6
 _EIGEN_CUT = 8.5**2
 
 
-def collision_gap(lam):
-    """(a, a^2 - L): the damping rate a = 1/(2(1+L)) and the discriminant
-    whose sign separates real roots -a +/- sqrt(a^2 - L) (positive) from
-    oscillating ones (negative)."""
-    a = 0.5 / (1.0 + lam)
-    return a, a * a - lam
-
-
 def oscillating_coeffs(a, csq, t: float):
     """(e^{-at}, b) of oscillating modes, roots -a +/- i b with
     b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0."""
@@ -73,6 +66,22 @@ def oscillating_coeffs(a, csq, t: float):
 # numpy-scalar times complex costs about 0.7 us an operation, Python float
 # and complex arithmetic round as float64 and complex128 do, and `_eigen`
 # puts the complex amplitude first, so its products stay Python complex.
+# Up to the sign of a zero: see `_zero_parts_settled`.
+
+
+def _zero_parts_settled(u, v, u0, u1) -> bool:
+    """Whether each zero part of a float's results u, v has numpy's sign of zero.
+
+    A real times a complex rounds alike in Python and numpy except where a
+    part of the product underflows: numpy's complex loop may fuse the
+    multiply-add and keep the product's own sign of zero, while Python adds
+    0 times the other part and can flip it.  A sign of zero reaches only a
+    zero part of the result, and the kernel's coefficients are real, so the
+    real parts come from the data's real parts alone (and the imaginary from
+    the imaginary): a zero part is settled when those data parts are zero.
+    """
+    real, imag = u0.real or u1.real, u0.imag or u1.imag
+    return bool((u.real and v.real or not real) and (u.imag and v.imag or not imag))
 
 
 def _series(a, z, t):
@@ -95,8 +104,7 @@ def _real(a, c, t):
 
 def _eigen(lam, a, c, t, u0, u1, velocity):
     # lambda_minus + 1 = 2aL - lambda_plus keeps amp_p on fast-aligned data
-    lp = -lam / (a + c)
-    lm = -a - c
+    lp, lm = real_roots(lam, a, c)
     amp_p = ((2.0 * a * lam - lp) * u0 - (u0 + u1)) * (-0.5 / c)
     amp_m = u0 - amp_p
     ep = np.exp(lp * t)
@@ -119,15 +127,21 @@ def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
     a, csq = collision_gap(lam)
     if not isinstance(lam, np.ndarray):
         z = csq * (t * t)
-        if abs(z) < _SERIES_CUT:
-            ec, es = _series(a, z, t)
-        elif z < 0.0:
-            ec, es = _oscillating(a, csq, t)
-        elif z > _EIGEN_CUT:
-            return _eigen(lam, a, math.sqrt(csq), t, u0, u1, velocity)
+        if z > _EIGEN_CUT:
+            out = _eigen(lam, a, math.sqrt(csq), t, u0, u1, velocity)
         else:
-            ec, es = _real(a, math.sqrt(csq), t)
-        return _assemble(lam, a, float(ec), float(es), u0, u1, velocity)
+            if abs(z) < _SERIES_CUT:
+                ec, es = _series(a, z, t)
+            elif z < 0.0:
+                ec, es = _oscillating(a, csq, t)
+            else:
+                ec, es = _real(a, math.sqrt(csq), t)
+            out = _assemble(lam, a, float(ec), float(es), u0, u1, velocity)
+        u, v = out if velocity else (out, out)
+        if u.real and u.imag and v.real and v.imag or _zero_parts_settled(u, v, u0, u1):
+            return out
+        out = propagator_coeffs(np.array([lam]), t, np.array([u0]), np.array([u1]), velocity)
+        return tuple(w.item() for w in out) if velocity else out.item()
 
     if csq.max() * (t * t) <= -_SERIES_CUT:
         # every node oscillates (the whole high zone): no masks

@@ -70,9 +70,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import collision_gap, oscillating_coeffs, propagator_coeffs
+from .modes import oscillating_coeffs, propagator_coeffs
 from .profiles import phi1_coeff, phi2_coeffs, phi2_envelope
-from .symbols import compute_thresholds
+from .symbols import collision_gap, compute_thresholds
 
 __all__ = [
     "THRESHOLDS",
@@ -214,8 +214,7 @@ class QuadSpec:
     osc_guard: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
+        surface_area(self.n)  # rejects n < 1 and an n whose Gamma(n/2) overflows
         if not (1e-12 <= self.tol <= 1e-3):
             raise ValueError("tol must lie in [1e-12, 1e-3]")
         if not 0.0 < self.osc_guard < math.inf:
@@ -315,18 +314,11 @@ def _build_bounds(lo: float, hi: float, breakpoints=(), ladder: int = 0) -> np.n
     return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
-def radial_integral(
-    f,
-    lo: float,
-    hi: float,
-    tol: float,
-    breakpoints=(),
-    ladder: int = 0,
-):
+def radial_integral(f, lo: float, hi: float, tol: float, ladder: int = 0):
     """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
-    bounds = _build_bounds(lo, hi, breakpoints, ladder=ladder)
+    bounds = _build_bounds(lo, hi, ladder=ladder)
     value, err, _ = _adaptive(f, bounds, tol, MAX_PANELS)
     return value, err
 

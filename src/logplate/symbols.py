@@ -9,7 +9,9 @@ where r >= 0 is the radial frequency.  All coefficients depend on r only
 through the log-weight L, so this module works with the pair (r, L) and
 provides the characteristic roots, the regime thresholds where the root
 structure changes, and the piecewise multiplier weight that drives the
-pointwise energy decay estimate.
+pointwise energy decay estimate.  The roots are written once:
+`collision_gap` gives a and a^2 - L, `real_roots` the real pair, and the
+mode kernel (`modes`), the quadrature and check 02 all take them from here.
 
 Everything here is pure scalar/array arithmetic in double precision; values
 are freely shareable across threads.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,20 +30,15 @@ __all__ = [
     "FreqPoint",
     "Thresholds",
     "compute_thresholds",
-    "Regime",
+    "collision_gap",
+    "real_roots",
     "CharRoots",
     "char_roots",
     "mult_weight",
-    "discriminant",
 ]
 
 #: Radius where the log-weight equals one: log(1 + r^2) = 1.
 R_UNIT = math.sqrt(math.e - 1.0)
-
-# Tolerance below which the discriminant is treated as exactly zero when
-# classifying the root regime.  The boundary has measure zero; callers that
-# need continuity across it use the unified evaluator in `modes`.
-_DEGENERATE_TOL = 1e-14
 
 
 def log_weight(r):
@@ -51,17 +47,25 @@ def log_weight(r):
     Accepts a scalar or ndarray; negative radii are rejected.  A scalar
     skips the 0-d array, which costs about twenty times as much, but keeps
     np.log1p: math.log1p differs from it in the last bit on some arguments.
+    Where r^2 overflows (finite r >= 1.34e154) L is 2 log r: log1p(r^-2) is
+    far below an ulp of it there.
     """
-    if not isinstance(r, np.ndarray):
+    if not isinstance(r, np.ndarray) or r.ndim == 0:
         r = float(r)
         if r < 0.0:
             raise ValueError("radial frequency must be nonnegative")
-        return float(np.log1p(r * r))
+        rsq = r * r
+        return float(np.log1p(rsq) if rsq < math.inf else 2.0 * np.log(r))
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("radial frequency must be nonnegative")
-    out = np.log1p(arr * arr)
-    return float(out) if arr.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        rsq = arr * arr
+    out = np.log1p(rsq)
+    big = rsq == math.inf
+    if big.any():
+        out[big] = 2.0 * np.log(arr[big])
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,56 +173,40 @@ def compute_thresholds() -> Thresholds:
     return th
 
 
-class Regime(Enum):
-    """Root structure of the characteristic polynomial at one frequency."""
+def collision_gap(lam):
+    """(a, a^2 - L): the damping rate a = 1/(2(1+L)) and the discriminant
+    whose sign separates real roots -a +/- sqrt(a^2 - L) (positive) from
+    oscillating ones (negative)."""
+    a = 0.5 / (1.0 + lam)
+    return a, a * a - lam
 
-    REAL_DISTINCT = "real-distinct"
-    DEGENERATE = "degenerate"
-    COMPLEX = "complex"
 
+def real_roots(lam, a, c):
+    """(lambda_+, lambda_-) = (-L/(a + c), -a - c) for c = sqrt(a^2 - L) >= 0.
 
-def discriminant(lam):
-    """D = 1 - 4 L (1+L)^2; positive iff both characteristic roots are real."""
-    return 1.0 - 4.0 * lam * (1.0 + lam) ** 2
+    The slow root -a + c is formed as the product L over the fast root:
+    the difference cancels at small L, where c ~ a - L.  Floats or arrays;
+    the mode kernel's eigen branch takes its roots from here.
+    """
+    return -lam / (a + c), -a - c
 
 
 @dataclass(frozen=True)
 class CharRoots:
-    """Characteristic roots of (1+L) z^2 + z + L (1+L) = 0 at one frequency.
+    """Characteristic roots of (1+L) z^2 + z + L (1+L) = 0 at one frequency:
+    `real_roots` where a^2 - L >= 0, else -a +/- i sqrt(L - a^2)."""
 
-    a is the damping half-rate 1/(2(1+L)); with disc = discriminant(L) the
-    roots are -a +/- c for disc >= 0 and -a +/- i b for disc < 0, with
-    c = sqrt(disc)/(2(1+L)) and b = sqrt(-disc)/(2(1+L)).  By construction
-    the root sum is exactly -1/(1+L) and the product is L.
-    """
-
-    regime: Regime
-    a: float
-    c: float | None
-    b: float | None
     lambda_plus: complex
     lambda_minus: complex
 
 
 def char_roots(p: FreqPoint) -> CharRoots:
-    lam = p.lam
-    one = 1.0 + lam
-    a = 0.5 / one
-    disc = discriminant(lam)
-    if abs(disc) < _DEGENERATE_TOL:
-        lam_dbl = complex(-a, 0.0)
-        return CharRoots(Regime.DEGENERATE, a, 0.0, None, lam_dbl, lam_dbl)
-    if disc > 0.0:
-        # lambda_plus via the product form: no cancellation for small L.
-        sq = math.sqrt(disc)
-        lp = -2.0 * lam * one / (1.0 + sq)
-        lm = -1.0 / one - lp
-        return CharRoots(
-            Regime.REAL_DISTINCT, a, sq / (2.0 * one), None,
-            complex(lp, 0.0), complex(lm, 0.0),
-        )
-    b = math.sqrt(-disc) / (2.0 * one)
-    return CharRoots(Regime.COMPLEX, a, None, b, complex(-a, b), complex(-a, -b))
+    a, csq = collision_gap(p.lam)
+    if csq >= 0.0:
+        lp, lm = real_roots(p.lam, a, math.sqrt(csq))
+        return CharRoots(complex(lp), complex(lm))
+    b = math.sqrt(-csq)
+    return CharRoots(complex(-a, b), complex(-a, -b))
 
 
 def mult_weight(p: FreqPoint, th: Thresholds) -> float:

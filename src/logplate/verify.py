@@ -149,8 +149,6 @@ def _check_root_algebra() -> tuple[bool, str, str, str]:
                 worst,
                 abs((1.0 + lam) * lam_root**2 + lam_root + lam * (1.0 + lam)),
             )
-        if roots.regime is symbols.Regime.REAL_DISTINCT:
-            worst = max(worst, abs(roots.c**2 - (roots.a**2 - lam)))
         if r <= _TH.delta:
             lp = lp_.real
             lm = lm_.real

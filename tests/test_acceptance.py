@@ -16,7 +16,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from logplate import modes, oracle, rates, verify
+from logplate import modes, oracle, rates, symbols, verify
 
 CANONICAL = {
     json.loads(line)["check_id"]: line
@@ -81,3 +81,17 @@ def test_checks_take_their_exponents_from_the_classifier(monkeypatch):
     monkeypatch.setattr(rates, "classify", lowered)
     for check_id in ("07-diffusion-profile-rate", "11-optimal-two-sided"):
         assert not verify.run_check(check_id).passed, check_id
+
+
+def test_check_02_reads_the_roots_the_mode_kernel_uses(monkeypatch):
+    # the eigen branch of the kernel evaluates symbols.real_roots itself, so
+    # a slow root off by a relative 1e-10 there fails the root algebra
+    assert modes.real_roots is symbols.real_roots
+    real_roots = symbols.real_roots
+
+    def skewed(lam, a, c):
+        lp, lm = real_roots(lam, a, c)
+        return lp * (1.0 + 1e-10), lm
+
+    monkeypatch.setattr(symbols, "real_roots", skewed)
+    assert verify.run_check("02-root-algebra").status == "fail"

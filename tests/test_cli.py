@@ -33,6 +33,14 @@ def test_mode_row_with_oracle(capsys):
     assert float(cols["e0"]) >= 0.0
 
 
+def test_mode_row_where_the_radius_squared_overflows(capsys):
+    # r^2 overflows a double at r = 1e200; the log-weight 2 log r does not
+    code, out = _run(capsys, "mode", "--r", "1e200", "--t", "1")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert all(math.isfinite(float(x)) for x in row.split(","))
+
+
 def test_solve_csv_schema(capsys):
     code, out = _run(
         capsys,

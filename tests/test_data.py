@@ -14,31 +14,13 @@ def test_gaussian_values():
     assert g.mass == pytest.approx(math.pi)
 
 
-def test_gaussian_weighted_l1_closed_form():
-    # physical profile e^{-x^2} in one dimension: integral of (1 + |x|)
-    g = data_mod.GaussianProfile(1.0, 1.0, 1)
-    assert g.l11_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-14)
-
-
-def test_gaussian_low_freq_lipschitz():
-    g = data_mod.GaussianProfile(1.0, 1.0, 2)
-    rs = np.linspace(1e-6, 1.0, 500)
-    dev = np.abs(g.value(rs) - g.mass)
-    assert np.all(dev <= g.lip_const * rs * (1.0 + 1e-12))
-
-
 def test_zero_mass_values():
     z = data_mod.ZeroMassProfile(1.0, 2)
     assert z.value(0.0) == 0.0
     assert z.mass == 0.0
     assert z.value(2.0) == pytest.approx(4.0 * math.exp(-1.0), rel=1e-14)
     rs = np.linspace(1e-6, 1.0, 300)
-    assert np.all(np.abs(z.value(rs)) <= rs)  # lip surrogate with K <= 1
-
-
-def test_zero_mass_weighted_l1_positive():
-    z = data_mod.ZeroMassProfile(1.0, 2)
-    assert z.l11_norm is not None and z.l11_norm > 0.0
+    assert np.all(np.abs(z.value(rs)) <= rs)
 
 
 def test_log_tail_continuity_and_mass():
@@ -47,7 +29,6 @@ def test_log_tail_continuity_and_mass():
     above = lt.value(symbols.R_UNIT * (1.0 + 1e-9))
     assert below == pytest.approx(above, rel=1e-6)
     assert lt.mass == pytest.approx(math.pi**4)
-    assert lt.l11_norm is None
 
 
 def test_log_tail_regularity_boundary():

@@ -143,6 +143,15 @@ def test_no_overflow_at_large_time():
     assert s.u.real == pytest.approx(amp * math.exp(lp * 1e4), rel=1e-9)
 
 
+def test_finite_at_the_log_weight_of_an_overflowing_square():
+    # r = 1e200: r^2 overflows, L = 2 log r = 921.03 is finite, and so is the mode
+    p = symbols.FreqPoint.from_radius(1e200)
+    assert p.lam == pytest.approx(921.0340371976183, rel=1e-15)
+    s = modes.mode_solve(p, 1.0, 0.0, 1.0)
+    assert math.isfinite(abs(s.u)) and math.isfinite(abs(s.v))
+    assert modes.pointwise_bound_check(p, 1.0, 0.0, 1.0, TH).passed
+
+
 def test_pointwise_bound_check():
     assert modes.pointwise_bound_check(
         symbols.FreqPoint.from_radius(0.3), 1.0, 0.0, 10.0, TH
@@ -209,9 +218,11 @@ def test_propagator_coeffs_vectorized_matches_scalar():
 @example(2.0, 150.0, 1.0 + 2.0j, -0.5j)  # oscillating
 @example(0.3, 2.0, 1.0 + 2.0j, -0.5j)  # unified real
 @example(1e-3, 250.0, 1.0 + 2.0j, -1.0 - 2.0j)  # eigen
+@example(1.0, 263.0, 2.2250738585e-313j, 0j)  # a product underflows to a signed zero
 def test_mode_solve_is_the_array_kernel_entry_bit_for_bit(r, t, u0, u1):
     # mode_solve's float dispatch runs in Python float and complex arithmetic,
-    # which must round as numpy's float64 and complex128 do on an array entry
+    # which must round as numpy's float64 and complex128 do on an array entry,
+    # down to the sign of a zero part
     s = modes.mode_solve(symbols.FreqPoint.from_radius(r), u0, u1, t)
     lam = np.array([symbols.log_weight(r)])
     u, v = modes.propagator_coeffs(lam, t, np.array([u0]), np.array([u1]), velocity=True)

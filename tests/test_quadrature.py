@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logplate import data as data_mod
-from logplate import modes, verify
+from logplate import modes, symbols, verify
 from logplate import quadrature as quad
 
 GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
@@ -241,8 +241,6 @@ def test_solution_norm_below_integrated_pointwise_bound():
     # Integrating the factor-6 pointwise decay bound over all frequencies
     # dominates ||u||^2; near r = 0 the 1/L weight is removed analytically
     # via r^2/L -> 1 (integrable for n >= 3).
-    import logplate.symbols as symbols
-
     n = 3
     d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
     th = quad.THRESHOLDS
@@ -295,14 +293,14 @@ def test_phase_form_reassembles_the_high_zone_value(kind):
         scaled = quad._scaled_data_y(LOG_TAIL8, kind, t, 8, y)
         v = quad.node_values(kind, y * y, t, *scaled)
         m, p, q, db = quad._phase_terms(kind, y, t, *scaled)
-        _, b = modes.oscillating_coeffs(*modes.collision_gap(y * y), t)
+        _, b = modes.oscillating_coeffs(*symbols.collision_gap(y * y), t)
         m = 0.0 if m is None else m
         form = m + p * np.cos(b * t) + q * np.sin(b * t)
         scale = np.abs(m) + np.abs(p) + np.abs(q)
         assert np.all(np.abs(np.abs(form) - np.abs(v)) <= 1e-12 * scale), t
         h = 1e-6
-        _, b_hi = modes.oscillating_coeffs(*modes.collision_gap((y + h) ** 2), t)
-        _, b_lo = modes.oscillating_coeffs(*modes.collision_gap((y - h) ** 2), t)
+        _, b_hi = modes.oscillating_coeffs(*symbols.collision_gap((y + h) ** 2), t)
+        _, b_lo = modes.oscillating_coeffs(*symbols.collision_gap((y - h) ** 2), t)
         assert np.allclose(db, (b_hi - b_lo) / (2.0 * h), rtol=1e-8)
         assert np.all(db >= 1.0)
 
@@ -376,7 +374,7 @@ WAVE_KINDS = ("phi2", "u-phi2", "u-phi")
 
 def _fastest_phase(kind, zone, lam, t):
     if kind in MODE_KINDS and zone in ("highmid", "high"):
-        return t * np.sqrt(np.maximum(-modes.collision_gap(lam)[1], 0.0))
+        return t * np.sqrt(np.maximum(-symbols.collision_gap(lam)[1], 0.0))
     if kind in WAVE_KINDS:
         return t * np.sqrt(lam)
     return None
@@ -432,7 +430,7 @@ def test_mode_rate_inverse_meets_the_collision_gap():
     # root collision) to far out in the high zone
     b = np.concatenate(([0.0], np.logspace(-8, 4, 241)))
     lam = quad._mode_rate_inverse(b)
-    _, csq = modes.collision_gap(lam)
+    _, csq = symbols.collision_gap(lam)
     assert np.all(np.abs(-csq - b * b) <= 4.0 * np.finfo(float).eps * lam)
 
 

@@ -41,7 +41,9 @@ def test_log_weight_rejects_negative():
 def test_log_weight_of_a_scalar_is_the_array_entry_bit_for_bit():
     # a float, int or numpy scalar skips the 0-d array but not np.log1p
     rng = np.random.default_rng(11)
-    radii = np.concatenate(([0.0, 5e-324, 1e-160, 1.0], 10.0 ** rng.uniform(-200, 150, 2000)))
+    radii = np.concatenate(
+        ([0.0, 5e-324, 1e-160, 1.0, 1e200, 1.7e308], 10.0 ** rng.uniform(-200, 150, 2000))
+    )
     whole = symbols.log_weight(radii)
     for r, lam in zip(radii.tolist(), whole.tolist()):
         assert symbols.log_weight(r) == lam and symbols.log_weight(np.float64(r)) == lam
@@ -67,34 +69,42 @@ def test_thresholds_residuals_and_ordering():
     assert 0.0 < TH.eta < TH.delta < TH.delta0 < TH.r_unit
 
 
+def test_log_weight_where_the_square_overflows():
+    # finite r >= 1.34e154: r^2 is inf, and L = 2 log r
+    radii = np.array([1.3407807929942596e154, 1e200, 1.7e308])
+    assert symbols.log_weight(radii).tolist() == pytest.approx(
+        (2.0 * np.log(radii)).tolist(), rel=1e-15
+    )
+    assert symbols.log_weight(np.inf) == np.inf
+
+
 def test_char_roots_at_zero():
     roots = symbols.char_roots(symbols.FreqPoint.from_radius(0.0))
-    assert roots.regime is symbols.Regime.REAL_DISTINCT
     assert roots.lambda_plus == 0.0
     assert roots.lambda_minus == -1.0
 
 
 def test_char_roots_at_unit_log_weight():
     roots = symbols.char_roots(symbols.FreqPoint.from_radius(symbols.R_UNIT))
-    assert roots.regime is symbols.Regime.COMPLEX
-    assert roots.a == pytest.approx(0.25, abs=1e-15)
-    assert roots.b == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-14)
     assert roots.lambda_plus == pytest.approx(complex(-0.25, math.sqrt(15.0) / 4.0), abs=1e-14)
+    assert roots.lambda_minus == roots.lambda_plus.conjugate()
 
 
 def test_char_roots_degenerate_at_delta():
+    # the roots collide at delta: their gap 2 sqrt(a^2 - L) is twice the
+    # root of a rounding residual, 1.05e-8
     p = symbols.FreqPoint.from_radius(TH.delta)
     roots = symbols.char_roots(p)
-    assert roots.regime is symbols.Regime.DEGENERATE
-    assert roots.lambda_plus == roots.lambda_minus
-    assert roots.lambda_plus.real == pytest.approx(-0.5 / (1.0 + p.lam), rel=1e-10)
+    assert abs(roots.lambda_plus - roots.lambda_minus) < 1e-7
+    assert roots.lambda_plus.real == pytest.approx(-0.5 / (1.0 + p.lam), rel=1e-7)
 
 
 def test_regime_split_at_delta():
     below = symbols.char_roots(symbols.FreqPoint.from_radius(TH.delta * (1 - 1e-6)))
     above = symbols.char_roots(symbols.FreqPoint.from_radius(TH.delta * (1 + 1e-6)))
-    assert below.regime is symbols.Regime.REAL_DISTINCT
-    assert above.regime is symbols.Regime.COMPLEX
+    assert below.lambda_plus.imag == below.lambda_minus.imag == 0.0
+    assert below.lambda_plus.real > below.lambda_minus.real
+    assert above.lambda_plus.imag > 0.0 and above.lambda_minus == above.lambda_plus.conjugate()
 
 
 @given(st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
@@ -106,18 +116,6 @@ def test_root_identities(r):
     assert abs(roots.lambda_plus * roots.lambda_minus - lam) < 1e-12
     for root in (roots.lambda_plus, roots.lambda_minus):
         assert abs((1.0 + lam) * root**2 + root + lam * (1.0 + lam)) < 1e-12
-    if roots.regime is symbols.Regime.REAL_DISTINCT:
-        assert abs(roots.c**2 - (roots.a**2 - lam)) < 1e-12
-    if roots.regime is symbols.Regime.COMPLEX:
-        assert abs(roots.a**2 + roots.b**2 - lam) < 1e-12
-
-
-def test_discriminant_decreasing_and_sign_change():
-    rs = np.linspace(0.0, 1.0, 2001)
-    disc = symbols.discriminant(symbols.log_weight(rs))
-    assert np.all(np.diff(disc) < 0.0)
-    assert symbols.discriminant(symbols.log_weight(TH.delta - 1e-6)) > 0.0
-    assert symbols.discriminant(symbols.log_weight(TH.delta + 1e-6)) < 0.0
 
 
 def test_explicit_root_bounds():
@@ -171,13 +169,12 @@ def test_sinhc_exponential_bound():
 
 
 def test_oscillation_ratio_band_above_unit_radius():
-    # The mode phase rate b = sqrt(-D) / (2 (1+L)) on the high zone, in
+    # The mode phase rate b = sqrt(L - a^2) on the high zone, in
     # y = sqrt(L): b/y lies in [sqrt(15/16), 1), and d b/dy peaks at ~1.097
     # at y = 1 and tends to 1 as y grows: the mode's phase bt is faster than
     # the oscillatory profile's yt there, by at most 10%.
     y = np.linspace(1.0, 60.0, 200_001)
-    lam = y * y
-    b = np.sqrt(-symbols.discriminant(lam)) / (2.0 * (1.0 + lam))
+    b = np.sqrt(-symbols.collision_gap(y * y)[1])
     ratio = b / y
     assert np.all(ratio >= math.sqrt(15.0 / 16.0) * (1.0 - 1e-15))
     assert np.all(ratio < 1.0)
