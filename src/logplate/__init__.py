@@ -28,7 +28,6 @@ from .symbols import (
 )
 from .modes import ModeState, EnergyDensity, energy_density, mode_solve, pointwise_bound_check
 from .oracle import IntegratorConfig, StepBudgetError, integrate_mode
-from .profiles import ProfileKind
 from .quadrature import (
     NORM_KINDS,
     ZONES,

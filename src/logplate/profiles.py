@@ -19,20 +19,9 @@ assembles every profile and every difference u - profile from them.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-__all__ = ["ProfileKind", "phi1_coeff", "phi2_envelope", "phi2_coeffs"]
-
-
-class ProfileKind(Enum):
-    """Profile selector; values double as the CLI tokens."""
-
-    PHI1 = "phi1"
-    PHI2 = "phi2"
-    PHI_SUM = "phi"
-
+__all__ = ["phi1_coeff", "phi2_envelope", "phi2_coeffs"]
 
 # Below lam * t^2 = 1e-12 the sin(sqrt(lam) t)/sqrt(lam) series avoids 0/0.
 _SINC_CUT = 1e-12

@@ -54,7 +54,7 @@ Design notes
   D_z = int_z (w0^2 + w1^2) dy and M_z = int_z m0^2 dy.  Explicit zone
   requests always integrate.
 * Every unbounded integral (the high zone, the reference tail, and the data
-  module's log-weighted and weighted-L1 norms) goes through one
+  module's log-weighted norm) goes through one
   tail-doubling loop, `tail_integral`: it doubles the extent until the
   increment is negligible and, for the high zone, the envelope peak (at
   log-weight ~ t) has been passed.
@@ -72,7 +72,7 @@ import numpy as np
 
 from .modes import oscillating_coeffs, propagator_coeffs
 from .profiles import phi1_coeff, phi2_coeffs, phi2_envelope
-from .symbols import collision_gap, compute_thresholds
+from .symbols import collision_gap, compute_thresholds, log_weight
 
 __all__ = [
     "THRESHOLDS",
@@ -110,7 +110,7 @@ NORM_KINDS = ("u", "phi1", "phi2", "u-phi1", "u-phi2", "u-phi")
 
 # Ends y = sqrt(L) of the bounded zones: the thresholds eta and delta, and
 # r_unit, where y = 1.
-_Y_ETA, _Y_DELTA = (math.sqrt(math.log1p(r * r)) for r in (THRESHOLDS.eta, THRESHOLDS.delta))
+_Y_ETA, _Y_DELTA = (math.sqrt(log_weight(r)) for r in (THRESHOLDS.eta, THRESHOLDS.delta))
 _Y_ZONES = {"low": (0.0, _Y_ETA), "lowmid": (_Y_ETA, _Y_DELTA), "highmid": (_Y_DELTA, 1.0)}
 
 # Kinds whose integrand carries the sqrt(L) t phase of the oscillatory
@@ -142,8 +142,7 @@ TAIL_START = 2.0
 #: float64 temporary of one call (128 KB) stays in the L2 cache.  Panel
 #: sums are taken row by row, so no value depends on the batch size.
 CHUNK = 1 << 14
-#: Tolerance of the fixed-accuracy integrals: the reference integrals and
-#: the weighted-L1 norm of zero-mass data.
+#: Tolerance of the fixed-accuracy reference integrals.
 REF_TOL = 1e-12
 # Four ulps of every panel's value join its |K15 - G7| in the reported error
 # (not in the refinement test): the two rules can agree to the last bit.
@@ -396,9 +395,9 @@ def ref_integral_Jp(p_exp: float, t: float) -> float:
     return total
 
 
-def middle_zone_integral(p_exp: float, t: float, lo: float, hi: float = 1.0) -> float:
-    """int_lo^hi (1+r^2)^{-t} r^p dr, the exponentially small middle band."""
-    value, _ = radial_integral(_ref_integrand(p_exp, t), lo, hi, REF_TOL)
+def middle_zone_integral(p_exp: float, t: float, lo: float) -> float:
+    """int_lo^1 (1+r^2)^{-t} r^p dr, the exponentially small middle band."""
+    value, _ = radial_integral(_ref_integrand(p_exp, t), lo, 1.0, REF_TOL)
     return value
 
 

@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .profiles import ProfileKind
-
 __all__ = [
     "RateFit",
     "window_times",
@@ -135,16 +133,18 @@ class DecayRegime(Enum):
 class RegimeReport:
     """Classification of (dimension, regularity) with theoretical exponents.
 
-    Exponents are in the norm convention (not squared).  diff_exponent
-    bounds ||u - profile||; sol_exponent_upper bounds ||u||; two_sided marks
-    when a matching lower bound for ||u|| is available provided the data
-    masses do not cancel.
+    profile is the token of the regime's profile: "phi1" (heat-like),
+    "phi2" (oscillatory) or "phi" (their sum); u - profile is the norm kind
+    f"u-{profile}".  Exponents are in the norm convention (not squared).
+    diff_exponent bounds ||u - profile||; sol_exponent_upper bounds ||u||;
+    two_sided marks when a matching lower bound for ||u|| is available
+    provided the data masses do not cancel.
     """
 
     n: int
     l: float
     regime: DecayRegime
-    profile: ProfileKind | None
+    profile: str | None
     diff_exponent: float | None
     sol_exponent_upper: float | None
     two_sided: bool
@@ -172,15 +172,15 @@ def classify(n: int, l: float) -> RegimeReport:
     if l >= 1.0:
         if abs(l - lstar) <= _L_EQ_TOL and n >= 4:
             regime = DecayRegime.BOTH
-            profile = ProfileKind.PHI_SUM
+            profile = "phi"
             diff_exponent = -(n + 2.0) / 4.0
         elif l > lstar:
             regime = DecayRegime.DIFFUSION_LIKE
-            profile = ProfileKind.PHI1
+            profile = "phi1"
             diff_exponent = -min((n + 2.0) / 4.0, (l + 1.0) / 2.0)
         elif l < lstar and n >= 5:
             regime = DecayRegime.WAVE_LIKE
-            profile = ProfileKind.PHI2
+            profile = "phi2"
             diff_exponent = -min(n / 4.0, (l + 3.0) / 2.0)
 
     sol_exponent_upper = None

@@ -41,31 +41,20 @@ __all__ = [
 R_UNIT = math.sqrt(math.e - 1.0)
 
 
-def log_weight(r):
-    """Log-weight L(r) = log(1 + r^2), accurate for small r via log1p.
+def log_weight(r: float) -> float:
+    """Log-weight L(r) = log(1 + r^2) of a radius, accurate for small r via
+    log1p; negative radii are rejected.
 
-    Accepts a scalar or ndarray; negative radii are rejected.  A scalar
-    skips the 0-d array, which costs about twenty times as much, but keeps
-    np.log1p: math.log1p differs from it in the last bit on some arguments.
-    Where r^2 overflows (finite r >= 1.34e154) L is 2 log r: log1p(r^-2) is
-    far below an ulp of it there.
+    np.log1p, not math.log1p, which differs from it in the last bit on some
+    arguments: the pinned outputs are built on these bits.  Where r^2
+    overflows (finite r >= 1.34e154) L is 2 log r: log1p(r^-2) is far below
+    an ulp of it there.
     """
-    if not isinstance(r, np.ndarray) or r.ndim == 0:
-        r = float(r)
-        if r < 0.0:
-            raise ValueError("radial frequency must be nonnegative")
-        rsq = r * r
-        return float(np.log1p(rsq) if rsq < math.inf else 2.0 * np.log(r))
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
+    r = float(r)
+    if r < 0.0:
         raise ValueError("radial frequency must be nonnegative")
-    with np.errstate(over="ignore"):
-        rsq = arr * arr
-    out = np.log1p(rsq)
-    big = rsq == math.inf
-    if big.any():
-        out[big] = 2.0 * np.log(arr[big])
-    return out
+    rsq = r * r
+    return float(np.log1p(rsq) if rsq < math.inf else 2.0 * np.log(r))
 
 
 @dataclass(frozen=True)

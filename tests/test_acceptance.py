@@ -83,6 +83,24 @@ def test_checks_take_their_exponents_from_the_classifier(monkeypatch):
         assert not verify.run_check(check_id).passed, check_id
 
 
+def test_checks_take_their_profile_from_the_classifier(monkeypatch):
+    # a classifier naming the wrong profile fails checks 07-09.  A classifier
+    # that names the sum "phi" where phi1 or phi2 is due is not caught: on
+    # these data the other profile is negligible, and checks 07 and 09 read
+    # the same slopes (-1.5064 and -2.0972) from either kind
+    classify = rates.classify
+    wrong = {"phi1": "phi2", "phi2": "phi1", "phi": "phi1"}
+
+    def swapped(n, l):
+        report = classify(n, l)
+        return dataclasses.replace(report, profile=wrong[report.profile])
+
+    monkeypatch.setattr(rates, "classify", swapped)
+    for check_id in ("07-diffusion-profile-rate", "08-combined-profile-rate",
+                     "09-wave-profile-rate"):
+        assert verify.run_check(check_id).status == "fail", check_id
+
+
 def test_check_02_reads_the_roots_the_mode_kernel_uses(monkeypatch):
     # the eigen branch of the kernel evaluates symbols.real_roots itself, so
     # a slow root off by a relative 1e-10 there fails the root algebra

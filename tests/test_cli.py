@@ -41,6 +41,16 @@ def test_mode_row_where_the_radius_squared_overflows(capsys):
     assert all(math.isfinite(float(x)) for x in row.split(","))
 
 
+def test_mode_ode_residual_is_relative_to_the_terms(capsys):
+    # the three terms of the ODE grow like the log-weight squared; an
+    # absolute residual read 0.31 (t = 1) and 0.61 (t = 100) here
+    for t in ("1", "100"):
+        code, out = _run(capsys, "mode", "--r", "1e200", "--t", t)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert float(dict(zip(header.split(","), row.split(",")))["ode_residual"]) < 1e-5
+
+
 def test_solve_csv_schema(capsys):
     code, out = _run(
         capsys,
@@ -242,3 +252,4 @@ def test_step_budget_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: step budget")
+    assert captured.err.endswith("; use a smaller --t\n")

@@ -191,7 +191,7 @@ def test_propagator_coeffs_vectorized_matches_scalar():
     # branch (series at the collision straddle, unified real, eigen at small
     # r and late t, oscillating) and r = 1e-6 with fast-aligned data (1, -1)
     radii = R_SAMPLES + (1e-6,)
-    lam = symbols.log_weight(np.array(radii))
+    lam = np.array([symbols.log_weight(r) for r in radii])
     for t in (7.0, 40.0, 1e4):
         for u0, u1 in DATA:
             u0, u1 = complex(u0), complex(u1)

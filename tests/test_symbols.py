@@ -35,20 +35,6 @@ def test_log_weight_rejects_negative():
     with pytest.raises(ValueError):
         symbols.log_weight(-0.5)
     with pytest.raises(ValueError):
-        symbols.log_weight(np.array([0.1, -0.1]))
-
-
-def test_log_weight_of_a_scalar_is_the_array_entry_bit_for_bit():
-    # a float, int or numpy scalar skips the 0-d array but not np.log1p
-    rng = np.random.default_rng(11)
-    radii = np.concatenate(
-        ([0.0, 5e-324, 1e-160, 1.0, 1e200, 1.7e308], 10.0 ** rng.uniform(-200, 150, 2000))
-    )
-    whole = symbols.log_weight(radii)
-    for r, lam in zip(radii.tolist(), whole.tolist()):
-        assert symbols.log_weight(r) == lam and symbols.log_weight(np.float64(r)) == lam
-    assert symbols.log_weight(3) == symbols.log_weight(np.array([3.0]))[0]
-    with pytest.raises(ValueError):
         symbols.log_weight(np.float64(-0.5))
 
 
@@ -71,11 +57,9 @@ def test_thresholds_residuals_and_ordering():
 
 def test_log_weight_where_the_square_overflows():
     # finite r >= 1.34e154: r^2 is inf, and L = 2 log r
-    radii = np.array([1.3407807929942596e154, 1e200, 1.7e308])
-    assert symbols.log_weight(radii).tolist() == pytest.approx(
-        (2.0 * np.log(radii)).tolist(), rel=1e-15
-    )
-    assert symbols.log_weight(np.inf) == np.inf
+    for r in (1.3407807929942596e154, 1e200, 1.7e308):
+        assert symbols.log_weight(r) == pytest.approx(2.0 * math.log(r), rel=1e-15)
+    assert symbols.log_weight(math.inf) == math.inf
 
 
 def test_char_roots_at_zero():
