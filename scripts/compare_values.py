@@ -15,7 +15,10 @@ and every y_norm (family, n) one line says
     within err: X                   X = max |v - v'| / (err + err') <= 1
     outside err: max rel dv=Y       some |v - v'| exceeds err + err'
 
-plus `diverged flag changed` where a y_norm divergence flag differs.
+followed by `err'/err <= Z`, the largest ratio of the new error estimate to
+the old (a change that only loosens err_est would otherwise read `within
+err`; 0/0 counts as 1), and `diverged flag changed` where a y_norm
+divergence flag differs.
 
 A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
 (u, v) and `modes.pointwise_bound_check`'s verdict and margins at 3,000
@@ -145,6 +148,12 @@ def _values(src: str) -> dict:
     return out
 
 
+def err_ratio(old: list, new: list) -> float:
+    """Largest err'/err over the rows where both sides hold (value, err)."""
+    errs = [(a[1], b[1]) for a, b in zip(old, new) if not (isinstance(a, str) or isinstance(b, str))]
+    return max((f / e if e > 0.0 else math.inf if f > 0.0 else 1.0 for e, f in errs), default=1.0)
+
+
 def verdict(old: list, new: list) -> tuple[str, bool]:
     """(line, within): the comparison of one row of (value, err) pairs."""
     if any(isinstance(a, str) or isinstance(b, str) for a, b in zip(old, new)):
@@ -174,6 +183,7 @@ def main(argv: list[str]) -> int:
     failed = False
     for key in old["values"]:
         line, within = verdict(old["values"][key], new["values"][key])
+        line += f"; err'/err <= {err_ratio(old['values'][key], new['values'][key]):.3g}"
         failed |= not within
         if old["diverged"].get(key) != new["diverged"].get(key):
             line += "; diverged flag changed"

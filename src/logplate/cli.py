@@ -76,8 +76,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         default=1e-4,
         help="quadrature tolerance (default 1e-4: slope fits tolerate far "
         "coarser values than pointwise checks, and a tighter tolerance moves "
-        "more times of regularity-limited data from the phase-split tail to "
-        "the oscillation-guarded one, whose cost grows like t^1.5)",
+        "more high-zone pieces of regularity-limited data from the phase-split "
+        "tail to phase-stepped panels, whose cost grows like t^1.5)",
     )
     sub.add_argument(
         "--osc-guard",
@@ -136,11 +136,13 @@ def _cmd_mode(args) -> int:
     header = ["r", "t", "u_re", "u_im", "ut_re", "ut_im", "e0", "e_mod", "ode_residual"]
     lam = p.lam
     if args.t >= 2e-4:
-        h = 1e-4
-        um = modes.mode_solve(p, u0, u1, args.t - h).u
-        up = modes.mode_solve(p, u0, u1, args.t + h).u
-        terms = ((1.0 + lam) * (up - 2.0 * state.u + um) / (h * h), state.v,
-                 lam * (1.0 + lam) * state.u)
+        # u'' as the central difference of the closed-form velocity: a second
+        # difference of u would divide u's rounding, which grows with the
+        # phase, by h^2
+        h = 1e-5
+        vm = modes.mode_solve(p, u0, u1, args.t - h).v
+        vp = modes.mode_solve(p, u0, u1, args.t + h).v
+        terms = ((1.0 + lam) * (vp - vm) / (2.0 * h), state.v, lam * (1.0 + lam) * state.u)
         # relative to the sizes of the three terms, which grow with lam
         scale = sum(abs(x) for x in terms)
         residual = abs(sum(terms)) / scale if scale > 0.0 else 0.0

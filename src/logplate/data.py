@@ -90,7 +90,8 @@ class GaussianProfile(RadialProfile):
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        out = self.peak * np.exp(-r * r / (4.0 * self.alpha))
+        with np.errstate(over="ignore"):  # r^2 = inf (r >= 1.34e154) gives the limit 0
+            out = self.peak * np.exp(-r * r / (4.0 * self.alpha))
         return float(out) if out.ndim == 0 else out
 
     def log_flat_from_lam(self, lam):
@@ -117,7 +118,10 @@ class ZeroMassProfile(RadialProfile):
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        out = r * r * np.exp(-r * r / (4.0 * self.alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rsq = r * r
+            # where r^2 overflows, inf * 0 would read nan: the limit is 0
+            out = np.where(rsq < np.inf, rsq * np.exp(-rsq / (4.0 * self.alpha)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def log_flat_from_lam(self, lam):
@@ -155,8 +159,11 @@ class LogTailProfile(RadialProfile):
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        lam = np.log1p(r * r)
-        core = self.core_peak * np.exp(-r * r / 4.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            rsq = r * r
+            # where r^2 overflows the log-weight is 2 log r (symbols.log_weight)
+            lam = np.where(rsq < np.inf, np.log1p(rsq), 2.0 * np.log(r))
+            core = self.core_peak * np.exp(-rsq / 4.0)
         tail = np.exp(self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam))
         out = np.where(lam < 1.0, core, tail)
         return float(out) if out.ndim == 0 else out

@@ -24,16 +24,18 @@ Design notes
   exactly osc_guard half-periods of the fastest phase (`_phase_steps`);
   15 Kronrod nodes per period resolve the phase to ~1e-8 relative, so
   refinement rounds are rare.  The rule serves the bounded zones at every
-  t and the high zone at early times only.
+  t and the high-zone pieces whose phase estimate misses the budget.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  The smooth part is integrated with no phase steps and the fast terms
-  are estimated by the integration-by-parts bound, whose variation term is
-  sampled (`_split_tail`).  The estimate falls like t^-1.5 relative to the
-  norm: where it is within tol it joins the error estimate, and at the
-  early times, where it is not, the phase-stepped integral of v^2 runs
-  instead.  Both paths share one piece loop, `_high_zone`.
+  2bt.  One piece loop (`_tail_value`) integrates each tail piece's smooth
+  part with no phase steps and estimates its fast terms by the
+  integration-by-parts bound, whose variation term is sampled.  Once the
+  tail has converged the estimates join the error estimate, smallest
+  first, while their sum stays within tol of the norm; each remaining
+  piece is integrated again as v^2 on phase-stepped panels, and that value
+  replaces its smooth one.  The estimates fall like t^-1.5 relative to the
+  norm, so the stepped pieces are many at early times and few or none late.
 * The middle zones decay exponentially, so a whole-space value (zone
   "all") integrates the low and high zones first and replaces lowmid or
   highmid by 0 wherever an a-priori bound B_z(t) <= tol |low + high|; B_z
@@ -549,103 +551,86 @@ def _fast_over_rate(m, p, q, db, t: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _high_zone(d, kind: str, t: float, spec: QuadSpec, baseline: float, f, osc_guard, probe=None):
-    """tail_integral of f over the high zone in y, s = 1 + y^2 doubling from
-    TAIL_START -> (total, err, converged).
+def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
+    """High-zone integral of f = `_squared_value`: `tail_integral` over pieces
+    in y, s = 1 + y^2 doubling from TAIL_START -> (value, err).
 
-    With `osc_guard` (None for none) panels end at `_phase_steps`.  Every
-    piece is probed on 33 points y, which `probe(y, scaled)` sees with their
-    folded data when given; pieces where every folded term underflows there
-    are skipped.  All pieces share the panel budget.
+    Every piece is probed once, on 33 points y; pieces where every folded
+    term underflows there are skipped.  Kinds without a phase, and t = 0,
+    integrate f itself.  Oscillating kinds integrate each piece's smooth
+    part m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps and estimate its
+    fast terms: |int g cos(phi)| <= |g/phi'| at both ends + the total
+    variation of g/phi' (one integration by parts; Iserles & Norsett 2005),
+    with |g/phi'| at the right end counted twice, as if g/phi' fell
+    monotonically to 0 beyond it.  The variation is sampled on the probe and
+    on the Kronrod nodes of the smooth integral, which follow the peak of
+    the damped data, so the estimate can only under-read the bound.  Once
+    the tail has converged, the estimates join the error, smallest first,
+    while their sum stays within tol * (|baseline| + |total|); every other
+    piece is integrated again on panels of osc_guard half-periods
+    (`_phase_steps`), and that value replaces its smooth one.  All pieces
+    share the panel budget.
     """
     n = spec.n
+    split = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
     panels_left = MAX_PANELS
+    pieces = []  # [y_lo, y_hi, value, err, phase estimate] of every non-empty piece
+
+    def integrate(g, y_lo, y_hi, steps=()):
+        nonlocal panels_left
+        value, err, used = _adaptive(g, _build_bounds(y_lo, y_hi, steps), spec.tol, panels_left)
+        panels_left -= used
+        return value, err
+
+    def stepped(y_lo, y_hi):
+        return integrate(f, y_lo, y_hi, _phase_steps(kind, "high", t, spec.osc_guard, y_lo, y_hi))
 
     def segment(s_lo, s_hi):
-        nonlocal panels_left
         y_lo = math.sqrt(s_lo - 1.0)
         y_hi = math.sqrt(s_hi - 1.0)
         y = np.linspace(y_lo, y_hi, 33)
         scaled = _scaled_data_y(d, kind, t, n, y)
-        if probe is not None:
-            probe(y, scaled)
-        # skip segments where every folded term underflows to zero
-        w0, w1, wial = scaled
-        env = np.abs(w0) + np.abs(w1)
-        if wial is not None:
-            env = env + np.abs(wial)
-        if float(np.max(env)) == 0.0:
+        if not any(w is not None and w.any() for w in scaled):
             return 0.0, 0.0
-        steps = () if osc_guard is None else _phase_steps(kind, "high", t, osc_guard, y_lo, y_hi)
-        seg, segerr, used = _adaptive(f, _build_bounds(y_lo, y_hi, steps), spec.tol, panels_left)
-        panels_left -= used
-        return seg, segerr
+        if not split:
+            value, err = stepped(y_lo, y_hi)
+            pieces.append([y_lo, y_hi, value, err, 0.0])
+            return value, err
+        ys, hs = [], []  # samples of g/phi': points and rows
+
+        def smooth(y, scaled):
+            m, p, q, db = _phase_terms(kind, y, t, *scaled)
+            ys.append(y)
+            hs.append(_fast_over_rate(m, p, q, db, t))
+            part = 0.5 * (p * p + q * q)
+            return part if m is None else part + m * m
+
+        smooth(y, scaled)
+        value, err = integrate(lambda y: smooth(y, _scaled_data_y(d, kind, t, n, y)), y_lo, y_hi)
+        h = np.concatenate(hs, axis=1)[:, np.argsort(np.concatenate(ys), kind="stable")]
+        ends = np.abs(h[:, 0]) + 2.0 * np.abs(h[:, -1])
+        pieces.append([y_lo, y_hi, value, err, float(ends.sum() + np.abs(np.diff(h, axis=1)).sum())])
+        return value, err
 
     peak_s = max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START
-    return tail_integral(
+    total, err, converged = tail_integral(
         segment, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline, stop_from=peak_s
     )
-
-
-def _split_tail(d, kind: str, t: float, spec: QuadSpec, baseline: float):
-    """High-zone integral of the smooth part m^2 + (P^2 + Q^2)/2 of v^2 and
-    an estimate of the fast terms -> (value, err, phase), or None when the
-    estimate exceeds the tolerance.
-
-    Each fast term obeys |int g cos(phi)| <= |g/phi'| at both ends + the total
-    variation of g/phi' (one integration by parts; Iserles & Norsett 2005).
-    The variation is sampled on the 33-point probe of every piece and on
-    the Kronrod nodes of the smooth integral, which follow the peak of the
-    damped data, so `phase` estimates that bound rather than proving it: a
-    sampled variation can only under-read the true one.  On the inputs of
-    checks 08-10 and on Gaussian data it reads within 0.3% of a sampling
-    that also resolves the folded phase.  Beyond the last piece g/phi' is
-    taken to fall monotonically to 0, which counts |g/phi'| at the last end
-    twice.  The smooth part needs no phase steps, so its panels do not
-    follow the oscillation.
-    """
-    n = spec.n
-    ys, hs = [], []  # every sample of g/phi': points and rows
-
-    def sample(y, scaled):
-        terms = _phase_terms(kind, y, t, *scaled)
-        ys.append(y)
-        hs.append(_fast_over_rate(*terms, t))
-        return terms
-
-    def f(y):
-        m, p, q, _ = sample(y, _scaled_data_y(d, kind, t, n, y))
-        smooth = 0.5 * (p * p + q * q)
-        return smooth if m is None else smooth + m * m
-
-    total, err, converged = _high_zone(d, kind, t, spec, baseline, f, None, sample)
-    if not converged:
-        return None
-    h = np.concatenate(hs, axis=1)[:, np.argsort(np.concatenate(ys), kind="stable")]
-    ends = np.abs(h[:, 0]) + 2.0 * np.abs(h[:, -1])
-    phase = float(ends.sum() + np.abs(np.diff(h, axis=1)).sum())
-    if phase > spec.tol * (abs(baseline) + abs(total)):
-        return None
-    return total, err, phase
-
-
-def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
-    """High-zone integral of f = `_squared_value` with s = 1 + log-weight
-    doubling.
-
-    Oscillating kinds first try `_split_tail`.  Where its phase estimate is
-    too large (the early times) every oscillation is resolved instead, on
-    panels of osc_guard half-periods (`_phase_steps`).
-    """
-    if t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS):
-        split = _split_tail(d, kind, t, spec, baseline)
-        if split is not None:
-            total, err, phase = split
-            return total, err + phase
-    total, err, converged = _high_zone(d, kind, t, spec, baseline, f, spec.osc_guard)
     if not converged:
         raise QuadratureError("high-frequency tail did not converge")
-    return total, err
+    budget = spec.tol * (abs(baseline) + abs(total))
+    phase = 0.0
+    for piece in sorted(pieces, key=lambda p: p[4]):
+        y_lo, y_hi, _, piece_err, estimate = piece
+        if phase + estimate <= budget:
+            phase += estimate
+        else:
+            piece[2], step_err = stepped(y_lo, y_hi)
+            err += step_err - piece_err
+    total = 0.0
+    for piece in pieces:  # in position order, as tail_integral summed them
+        total += piece[2]
+    return total, err + phase
 
 
 def _middle_bounds(d, kind: str, t: float, n: int) -> np.ndarray:

@@ -51,6 +51,15 @@ def test_mode_ode_residual_is_relative_to_the_terms(capsys):
         assert float(dict(zip(header.split(","), row.split(",")))["ode_residual"]) < 1e-5
 
 
+def test_mode_ode_residual_stays_at_rounding_level_at_late_times(capsys):
+    # a second difference of u divides u's rounding, which grows like the
+    # phase b t, by h^2: it read 1.4e-5 here
+    code, out = _run(capsys, "mode", "--r", "1e3", "--t", "1e4")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["ode_residual"]) < 1e-7
+
+
 def test_solve_csv_schema(capsys):
     code, out = _run(
         capsys,

@@ -80,6 +80,21 @@ def test_flat_log_value_consistency():
         assert np.allclose(_value_via_flat(prof, lam), prof.value(r), rtol=1e-10, atol=0.0)
 
 
+def test_values_where_the_radius_squared_overflows():
+    # r^2 overflows a double for r >= 1.34e154, which raised an overflow
+    # warning and read nan for zero_mass; at n = 8 every family is 0 there
+    for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1,beta=0.2"):
+        prof = data_mod.parse_profile(sel, 8)
+        assert prof.value(1e200) == 0.0, sel
+        assert prof.value(np.array([0.0, 1.0, 1e200]))[2] == 0.0, sel
+    # at n = 1 the log_tail tail c (1+r^2)^{-1/4} (1+L)^{-q/2} is still about
+    # 1e-103, on the log-weight 2 log r
+    prof = data_mod.LogTailProfile(1.0, 0.2, 1)
+    lam = symbols.log_weight(1e200)
+    assert prof.value(1e200) == pytest.approx(float(_value_via_flat(prof, lam)), rel=1e-12)
+    assert prof.value(1e200) > 0.0
+
+
 def test_log_tail_all_tail_call_matches_mixed_call():
     prof = data_mod.LogTailProfile(1.0, 0.2, 8)
     # every node in the tail (L >= 1), as in the whole high zone

@@ -278,9 +278,11 @@ def test_series_csv_convention_fields():
     assert all(e >= 0.0 for e in series.errs)
 
 
-# the inputs of checks 08, 09 and 10: (kind, n, two times where the phase
-# bound is within tol, so the split value is returned)
-SPLIT_CASES = [("u-phi", 4, (1810.0, 2560.0)), ("u-phi2", 8, (1810.0, 2560.0)), ("u", 8, (905.0, 1280.0))]
+# the inputs of checks 08, 09 and 10: (kind, n, times where every tail
+# piece's phase estimate fits the budget, so every piece is split)
+SPLIT_CASES = [("u-phi", 4, (3620.0,)), ("u-phi2", 8, (3620.0,)), ("u", 8, (2560.0,))]
+# a sample of g/phi' far beyond any budget, finite so that no inf - inf arises
+HUGE = 1e300
 
 
 @pytest.mark.parametrize("kind", ["u", "u-phi1", "phi2", "u-phi2", "u-phi"])
@@ -305,65 +307,162 @@ def test_phase_form_reassembles_the_high_zone_value(kind):
         assert np.all(db >= 1.0)
 
 
+def _rows(value):
+    """Stand-in for `_fast_over_rate`: every sample of g/phi' reads `value`."""
+    return lambda m, p, q, db, t: np.full((1, db.size), value)
+
+
 def _guarded_only(monkeypatch):
-    monkeypatch.setattr(quad, "_split_tail", lambda *args: None)
+    # every piece's phase estimate misses the budget, so every piece is stepped
+    monkeypatch.setattr(quad, "_fast_over_rate", _rows(HUGE))
+
+
+def _norm(d, kind, n, t, spec, rows):
+    """norm_value with every sample of g/phi' reading `rows`: 0.0 splits
+    every piece, HUGE steps every piece."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_fast_over_rate", _rows(rows))
+        return quad.norm_value(d, kind, n, t, spec)
+
+
+def _high_calls(monkeypatch):
+    """Record (bounds, value) of every high-zone `_adaptive` call."""
+    adaptive = quad._adaptive
+    calls = []
+
+    def spy(f, bounds, tol, max_panels):
+        out = adaptive(f, bounds, tol, max_panels)
+        if bounds[0] >= 1.0:
+            calls.append((bounds, out[0]))
+        return out
+
+    monkeypatch.setattr(quad, "_adaptive", spy)
+    return calls
+
+
+def _split_and_stepped(calls):
+    """Ends of the pieces integrated once (split) and twice (stepped)."""
+    ends = [(b[0], b[-1]) for b, _ in calls]
+    stepped = {e for e in ends if ends.count(e) > 1}
+    return set(ends) - stepped, stepped
 
 
 @pytest.mark.parametrize("kind,n,times", SPLIT_CASES)
-def test_split_tail_within_its_phase_bound_of_the_guarded_value(monkeypatch, kind, n, times):
+def test_split_tail_within_its_phase_bound_of_the_guarded_value(kind, n, times):
+    # where every piece is split the value is the smooth integral bit for
+    # bit, the phase estimates are what err_est adds to it, and they bound
+    # the distance to the stepped value
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
-    split_tail = quad._split_tail
-    bounds = []
-
-    def spy(*args):
-        out = split_tail(*args)
-        bounds.append(None if out is None else out[2])
-        return out
-
-    monkeypatch.setattr(quad, "_split_tail", spy)
-    split = [quad.norm_value(d, kind, n, t, spec) for t in times]
-    assert None not in bounds and len(bounds) == len(times)
-    _guarded_only(monkeypatch)
-    for t, (v, e), bound in zip(times, split, bounds):
-        guarded, _ = quad.norm_value(d, kind, n, t, spec)
-        assert abs(v - guarded) <= bound <= e, (kind, t)
+    for t in times:
+        v, e = quad.norm_value(d, kind, n, t, spec)
+        smooth, smooth_err = _norm(d, kind, n, t, spec, rows=0.0)
+        guarded, _ = _norm(d, kind, n, t, spec, rows=HUGE)
+        assert v == smooth, (kind, t)
+        assert abs(v - guarded) <= e - smooth_err <= e, (kind, t)
 
 
 @pytest.mark.parametrize("kind,n", [case[:2] for case in SPLIT_CASES])
 def test_early_time_keeps_the_guarded_value_bit_for_bit(monkeypatch, kind, n):
-    # at t = 160 the phase bound exceeds tol, so the guarded path runs
+    # at t = 160 the phase estimates of some pieces miss the budget; each of
+    # them takes the value the stepped-only tail gives it, bit for bit
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
-    value = quad.norm_value(d, kind, n, 160.0, spec)
+    calls = _high_calls(monkeypatch)
+    quad.norm_value(d, kind, n, 160.0, spec)
+    stepped = {(b[0], b[-1]): v for b, v in calls if b.size > 2}
+    calls.clear()
     _guarded_only(monkeypatch)
-    assert quad.norm_value(d, kind, n, 160.0, spec) == value
+    quad.norm_value(d, kind, n, 160.0, spec)
+    guarded = {(b[0], b[-1]): v for b, v in calls if b.size > 2}
+    assert stepped and len(stepped) < len(guarded)
+    assert all(guarded[ends] == v for ends, v in stepped.items())
 
 
 @pytest.mark.parametrize("kind", ["u", "phi2"])
 def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
     # on Gaussian data g/phi' peaks between the 33 probe points of a piece
     # (33 points alone read 11% low at t = 1810); the Kronrod nodes of the
-    # smooth integral resolve the peak
+    # smooth integral resolve the peak.  A baseline of 1 admits every piece.
     spec = quad.QuadSpec(n=2, tol=1e-4)
-    phases = []
+    phase_terms = quad._phase_terms
     for t in (905.0, 1810.0):
-        phases.append(quad._split_tail(GAUSS2, kind, t, spec, 1.0)[2])
-    high_zone = quad._high_zone
+        f = quad._squared_value(GAUSS2, kind, t, 2)
+        samples = []
 
-    def dense(d, kind, t, spec, *rest):
-        *head, probe = rest
+        def spy(kind, y, t, *scaled):
+            samples.append(y)
+            return phase_terms(kind, y, t, *scaled)
 
-        def resampled(y, _):
-            y = np.linspace(y[0], y[-1], 4097)
-            probe(y, quad._scaled_data_y(d, kind, t, spec.n, y))
+        monkeypatch.setattr(quad, "_phase_terms", spy)
+        v, e = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        monkeypatch.undo()
+        monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
+        smooth, smooth_err = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        monkeypatch.undo()
+        assert v == smooth
+        # the estimate of each piece, on 4,097 more points of it
+        ref = 0.0
+        for probe in (y for y in samples if y.size == 33):
+            lo, hi = probe[0], probe[-1]
+            ys = [y for y in samples if lo <= y.min() and y.max() <= hi]
+            y = np.sort(np.concatenate([np.linspace(lo, hi, 4097), *ys]))
+            scaled = quad._scaled_data_y(GAUSS2, kind, t, 2, y)
+            h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
+            ref += np.abs(h[:, 0]).sum() + 2.0 * np.abs(h[:, -1]).sum() + np.abs(np.diff(h)).sum()
+        assert 0.99 * ref <= e - smooth_err <= ref * (1.0 + 1e-12), (kind, t)
 
-        return high_zone(d, kind, t, spec, *head, resampled)
 
-    monkeypatch.setattr(quad, "_high_zone", dense)
-    for t, phase in zip((905.0, 1810.0), phases):
-        ref = quad._split_tail(GAUSS2, kind, t, spec, 1.0)[2]
-        assert 0.99 * ref <= phase <= ref, (kind, t)
+def test_check10_pieces_split_and_stepped_at_t160(monkeypatch):
+    # at t = 160 the budget admits the phase estimates of some pieces and
+    # not of others; the value lies within err_est of the stepped value
+    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
+    calls = _high_calls(monkeypatch)
+    v, e = quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
+    split, stepped = _split_and_stepped(calls)
+    assert split and stepped
+    monkeypatch.undo()
+    guarded, _ = _norm(LOG_TAIL8, "u", 8, 160.0, spec, rows=HUGE)
+    assert abs(v - guarded) <= e
+
+
+@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u", 8)])
+def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch, kind, n):
+    # a piece is probed once (33 points); it is integrated once, or, when
+    # its phase estimate misses the budget, once smooth and once stepped
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    scaled_data = quad._scaled_data_y
+    probes = []
+
+    def spy(d, kind, t, n, y):
+        if y.size == 33:
+            probes.append((y[0], y[-1]))
+        return scaled_data(d, kind, t, n, y)
+
+    monkeypatch.setattr(quad, "_scaled_data_y", spy)
+    calls = _high_calls(monkeypatch)
+    for t in (10.0, 160.0, 2560.0):
+        probes.clear()
+        calls.clear()
+        quad.norm_value(d, kind, n, t, spec)
+        assert len(probes) == len(set(probes)), t
+        split, stepped = _split_and_stepped(calls)
+        assert len(calls) == len(split) + 2 * len(stepped), t
+        for b, _ in calls:
+            if (b[0], b[-1]) in split:
+                assert b.size == 2, t
+
+
+@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u", 8)])
+def test_error_estimate_bounds_a_stepped_reference(kind, n):
+    # the data of checks 08 and 10: err_est covers the distance to the
+    # stepped-only value at tol / 100
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    for t in (40.0, 160.0, 640.0):
+        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0))
+        ref, _ = _norm(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-6, osc_guard=2.0), rows=HUGE)
+        assert abs(v - ref) <= e, (kind, t)
 
 
 # the kinds whose integrand carries the mode's phase bt above delta, and
@@ -384,10 +483,10 @@ def _fastest_phase(kind, zone, lam, t):
 def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
     # every initial panel spans at most osc_guard * pi of the fastest phase,
     # and a panel between two phase steps spans exactly that
-    calls = []
+    calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
     def record(f, bounds, tol, max_panels):
-        calls.append(bounds)
+        calls[bounds[0], bounds[-1]] = bounds
         return 0.0, 0.0, 0
 
     monkeypatch.setattr(quad, "_adaptive", record)
@@ -403,7 +502,7 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
             quad.norm_value(LOG_TAIL8, kind, 8, t, quad.QuadSpec(n=8, tol=1e-4, osc_guard=guard))
             assert len(calls) > 3
             step = guard * math.pi
-            for x in calls:
+            for x in calls.values():
                 zone = starts.get(x[0], "high")
                 lam = x * x
                 steps = ~np.isin(x[1:-1], ladder)  # the bounds that are phase steps
@@ -444,10 +543,10 @@ def test_error_estimate_has_a_rounding_floor():
 
 
 def test_check10_series_panel_count(monkeypatch):
-    # the split tail integrates only the smooth part at t >= 905, the
-    # initial panels end at steps of the mode's phase, and the middle zones
-    # are skipped where their bound is negligible: check 10's series takes
-    # 66,123 panels
+    # the tail steps only the pieces whose phase estimate misses the budget,
+    # the initial panels end at steps of the mode's phase, and the middle
+    # zones are skipped where their bound is negligible: check 10's series
+    # takes 15,104 panels
     adaptive = quad._adaptive
     panels = []
 
@@ -459,7 +558,7 @@ def test_check10_series_panel_count(monkeypatch):
     monkeypatch.setattr(quad, "_adaptive", counting)
     spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, spec)
-    assert sum(panels) == 66_123
+    assert sum(panels) == 15_104
 
 
 # the data of checks 06, 07 and 11 (n = 2), of 11's zero-mass series, and
