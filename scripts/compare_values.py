@@ -6,9 +6,10 @@ OLD_SRC and NEW_SRC are directories holding a `logplate` package (the `src/`
 of two checkouts).  Each is imported in a subprocess of its own, which
 integrates the comparison set: the data and kinds of checks 06-11 and the
 n = 6 `log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low,
-lowmid, highmid and high, at the 21 times of the default grid; and the
-log-weighted norm `data.y_norm` of the three data families at n = 1, 2, 3,
-4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
+lowmid, highmid and high, at the 21 times of the default grid, each at its
+check's tolerance and the other `QuadSpec` defaults, as `logplate verify`
+runs them; and the log-weighted norm `data.y_norm` of the three data
+families at n = 1, 2, 3, 4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
 and every y_norm (family, n) one line says
 
     identical                       every value is the same double
@@ -43,18 +44,18 @@ from pathlib import Path
 GAUSS = "gaussian:alpha=1"
 LOG_TAIL = "log_tail:m=1,beta=0.2"
 ZERO = "zero_mass:alpha=1"
-# (u0, u1, n, kind, tol, osc_guard) of every series the comparison integrates
+# (u0, u1, n, kind, tol) of every series the comparison integrates
 CASES = (
-    *((GAUSS, GAUSS, n, "phi1", 1e-6, 1.0) for n in (1, 2, 3)),  # check 06
-    (GAUSS, GAUSS, 2, "phi2", 1e-6, 1.0),  # check 06
-    (GAUSS, GAUSS, 2, "u-phi1", 1e-6, 1.0),  # check 07
-    (GAUSS, LOG_TAIL, 4, "u-phi", 1e-4, 2.0),  # check 08
-    (GAUSS, LOG_TAIL, 8, "u-phi2", 1e-4, 2.0),  # check 09
-    (GAUSS, LOG_TAIL, 8, "u", 1e-4, 2.0),  # check 10
-    (GAUSS, GAUSS, 2, "u", 1e-6, 1.0),  # check 11
-    (GAUSS, GAUSS, 3, "u", 1e-6, 1.0),  # check 11
-    (ZERO, ZERO, 2, "u", 1e-6, 1.0),  # check 11
-    (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4, 2.0),
+    *((GAUSS, GAUSS, n, "phi1", 1e-6) for n in (1, 2, 3)),  # check 06
+    (GAUSS, GAUSS, 2, "phi2", 1e-6),  # check 06
+    (GAUSS, GAUSS, 2, "u-phi1", 1e-6),  # check 07
+    (GAUSS, LOG_TAIL, 4, "u-phi", 1e-4),  # check 08
+    (GAUSS, LOG_TAIL, 8, "u-phi2", 1e-4),  # check 09
+    (GAUSS, LOG_TAIL, 8, "u", 1e-4),  # check 10
+    (GAUSS, GAUSS, 2, "u", 1e-6),  # check 11
+    (GAUSS, GAUSS, 3, "u", 1e-6),  # check 11
+    (ZERO, ZERO, 2, "u", 1e-6),  # check 11
+    (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4),
 )
 ZONES = ("all", "low", "lowmid", "highmid", "high")
 Y_NORM_DATA = (GAUSS, ZERO, LOG_TAIL)
@@ -100,8 +101,8 @@ def _bits(*xs) -> list:
 
 
 def _key(case, zone: str) -> str:
-    u0, u1, n, kind, tol, guard = case
-    return f"n={n} {u0} {u1} {kind} tol={tol:g} guard={guard:g} zone={zone}"
+    u0, u1, n, kind, tol = case
+    return f"n={n} {u0} {u1} {kind} tol={tol:g} zone={zone}"
 
 
 def emit() -> None:
@@ -117,9 +118,9 @@ def emit() -> None:
         b = modes.pointwise_bound_check(p, u0, u1, t, th)
         out["scalar"].append([*_bits(s.u, s.v, b.energy_margin, b.amplitude_margin), b.passed])
     for case in CASES:
-        u0, u1, n, kind, tol, guard = case
+        u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)
-        spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
+        spec = quadrature.QuadSpec(n=n, tol=tol)
         for zone in ZONES:
             row = []
             for t in quadrature.default_time_grid():

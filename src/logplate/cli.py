@@ -80,12 +80,6 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         "tail to phase-stepped panels, whose cost grows like t^1.5)",
     )
     sub.add_argument(
-        "--osc-guard",
-        type=float,
-        default=1.0,
-        help="half-periods of the fastest phase per initial panel (default 1.0)",
-    )
-    sub.add_argument(
         "--zone",
         default="all",
         choices=("all",) + quadrature.ZONES,
@@ -170,7 +164,7 @@ def _cmd_mode(args) -> int:
 
 def _make_series(args, kind: str) -> quadrature.NormSeries:
     d = data_mod.parse_pair(args.data_u0, args.data_u1, args.n)
-    spec = quadrature.QuadSpec(n=args.n, tol=args.tol, osc_guard=args.osc_guard)
+    spec = quadrature.QuadSpec(n=args.n, tol=args.tol)
     return quadrature.norm_series(d, kind, args.n, _grid(args), spec, zone=args.zone)
 
 
@@ -187,7 +181,7 @@ def _cmd_profile_diff(args) -> int:
 def _cmd_rates(args) -> int:
     report = rates.classify(args.n, args.l)
     d = data_mod.parse_pair(args.data_u0, args.data_u1, args.n)
-    spec = quadrature.QuadSpec(n=args.n, tol=args.tol, osc_guard=args.osc_guard)
+    spec = quadrature.QuadSpec(n=args.n, tol=args.tol)
     grid = _grid(args)
     window = (10.0 * grid[0], grid[-1])  # drop the first decade
     banded = report.two_sided and d.mass_sum != 0.0
@@ -333,7 +327,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except quadrature.QuadratureError as exc:
-        sys.stderr.write(f"error: {exc}; use a smaller t, a larger --tol or a larger --osc-guard\n")
+        sys.stderr.write(f"error: {exc}; use a smaller t or a larger --tol\n")
         return 3
     except oracle.StepBudgetError as exc:
         sys.stderr.write(f"error: {exc}; use a smaller --t\n")

@@ -96,9 +96,9 @@ _L_DATA = 1.0
 _FIT_TIMES = rates.window_times(quadrature.default_time_grid(), FIT_WINDOW, "fit")
 
 
-def _series(sel0: str, sel1: str, n: int, kind: str, tol: float, guard: float = 1.0):
+def _series(sel0: str, sel1: str, n: int, kind: str, tol: float):
     """Norm series of the data pair (sel0, sel1) on the fit-window times."""
-    spec = quadrature.QuadSpec(n=n, tol=tol, osc_guard=guard)
+    spec = quadrature.QuadSpec(n=n, tol=tol)
     return quadrature.norm_series(data_mod.parse_pair(sel0, sel1, n), kind, n, _FIT_TIMES, spec)
 
 
@@ -378,8 +378,7 @@ def _profile_rate(n: int) -> tuple[bool, str, str, str]:
     """Checks 08 (n = 4, both) and 09 (n = 8, wave-like): ||u - profile||
     of the classifier's profile decays no slower than its exponent + 0.1."""
     report = rates.classify(n, _L_DATA)
-    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n, f"u-{report.profile}", 1e-4,
-                guard=2.0)
+    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n, f"u-{report.profile}", 1e-4)
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
     theory = report.diff_exponent
     name, formula = _PROFILE_TEXT[report.profile]
@@ -393,7 +392,7 @@ def _profile_rate(n: int) -> tuple[bool, str, str, str]:
 
 
 def _check_solution_sharpness() -> tuple[bool, str, str, str]:
-    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4, guard=2.0)
+    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4)
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
     upper = rates.classify(8, _L_DATA).sol_exponent_upper
     return (

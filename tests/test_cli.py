@@ -178,7 +178,6 @@ def test_bad_time_grid(capsys):
         "solve --n 2 --data-u0 gaussian:alpha=1 --t-count 3000",  # the grid's last time
         "solve --n 400 --data-u0 gaussian:alpha=1",  # Gamma(n/2) of the sphere's area
         "solve --n 200 --data-u0 gaussian:alpha=0.001",  # the peak (pi/alpha)^(n/2)
-        "solve --n 2 --data-u0 gaussian:alpha=1 --osc-guard nan",
         "rates --n 2 --data-u0 gaussian:alpha=1 --l nan",
     ],
 )
@@ -237,17 +236,18 @@ def test_out_file_writing(tmp_path, capsys):
 def test_panel_budget_exit_code(monkeypatch, capsys):
     from logplate import quadrature
 
+    # check 10's data at t = 160 steps tail pieces on more panels than 50
     monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     code = cli.main(
-        ["profile-diff", "--n", "2", "--data-u0", "gaussian:alpha=1",
-         "--data-u1", "gaussian:alpha=1", "--profile", "phi2", "--t0", "5000", "--t-count", "1"]
+        ["solve", "--n", "8", "--data-u0", "gaussian:alpha=1",
+         "--data-u1", "log_tail:m=1,beta=0.2", "--t0", "160", "--t-count", "1"]
     )
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert all(key in lines[0] for key in ("t=5000", "--tol", "--osc-guard"))
+    assert all(key in lines[0] for key in ("t=160", "--tol"))
 
 
 def test_step_budget_exit_code(monkeypatch, capsys):

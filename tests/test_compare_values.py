@@ -18,13 +18,13 @@ def _load_script():
 
 def test_compare_values_cases_cover_checks_06_to_11(monkeypatch):
     cases = {
-        (data.parse_profile(u0, n).name, data.parse_profile(u1, n).name, n, kind, tol, guard)
-        for u0, u1, n, kind, tol, guard in _load_script().CASES
+        (data.parse_profile(u0, n).name, data.parse_profile(u1, n).name, n, kind, tol)
+        for u0, u1, n, kind, tol in _load_script().CASES
     }
     seen = set()
 
     def record(d, kind, n, spec):
-        seen.add((d.u0.name, d.u1.name, n, kind, spec.tol, spec.osc_guard))
+        seen.add((d.u0.name, d.u1.name, n, kind, spec.tol))
 
     def norm_value(d, kind, n, t, spec=None, zone="all"):
         record(d, kind, n, spec)

@@ -122,14 +122,14 @@ def test_tolerance_halving_within_error_estimate():
     # Gaussian pair, tol/100 for the data of checks 09 (u-phi2) and 10 (u),
     # whose err_est must include the high-zone tail beyond the last piece
     # and, at t = 905, the phase bound of the split tail
-    cases = [(GAUSS2, "u", 2, 50.0, 1e-6, 5e-7, 1.0)] + [
-        (LOG_TAIL8, kind, 8, t, 1e-4, 1e-6, 2.0)
+    cases = [(GAUSS2, "u", 2, 50.0, 1e-6, 5e-7)] + [
+        (LOG_TAIL8, kind, 8, t, 1e-4, 1e-6)
         for kind in ("u-phi2", "u")
         for t in (10.0, 40.0, 160.0)
-    ] + [(LOG_TAIL8, "u", 8, 905.0, 1e-4, 1e-6, 2.0)]
-    for d, kind, n, t, tol, ref_tol, guard in cases:
-        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=tol, osc_guard=guard))
-        ref, _ = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=ref_tol, osc_guard=guard))
+    ] + [(LOG_TAIL8, "u", 8, 905.0, 1e-4, 1e-6)]
+    for d, kind, n, t, tol, ref_tol in cases:
+        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=tol))
+        ref, _ = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=ref_tol))
         assert abs(v - ref) <= max(e, 1e-15 * abs(v)), (kind, t)
 
 
@@ -194,7 +194,7 @@ def test_norm_value_rejects_phi1_at_time_zero(monkeypatch):
 def test_guarded_series_bit_identical_across_runs_and_batch_sizes(monkeypatch):
     # check-10 data on a short grid: the high-zone segments span several
     # CHUNK-sized batches, and no byte may depend on where a batch ends
-    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
+    spec = quad.QuadSpec(n=8, tol=1e-4)
     grid = (20.0, 160.0, 1280.0)
     first = repr(quad.norm_series(LOG_TAIL8, "u", 8, grid, spec))
     assert repr(quad.norm_series(LOG_TAIL8, "u", 8, grid, spec)) == first
@@ -203,10 +203,12 @@ def test_guarded_series_bit_identical_across_runs_and_batch_sizes(monkeypatch):
 
 
 def test_panel_budget_guard(monkeypatch):
+    # check 10's data at t = 160: the tail pieces whose phase estimate misses
+    # the budget are stepped on more panels than 50
     monkeypatch.setattr(quad, "MAX_PANELS", 50)
-    spec = quad.QuadSpec(n=2, tol=1e-6)
+    spec = quad.QuadSpec(n=8, tol=1e-4)
     with pytest.raises(quad.PanelBudgetError):
-        quad.norm_value(GAUSS2, "u-phi2", 2, 5000.0, spec)
+        quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
 
 
 @pytest.mark.parametrize("t", (6.4e5, 1e4 * 2.0**6.5))
@@ -353,7 +355,7 @@ def test_split_tail_within_its_phase_bound_of_the_guarded_value(kind, n, times):
     # bit, the phase estimates are what err_est adds to it, and they bound
     # the distance to the stepped value
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    spec = quad.QuadSpec(n=n, tol=1e-4)
     for t in times:
         v, e = quad.norm_value(d, kind, n, t, spec)
         smooth, smooth_err = _norm(d, kind, n, t, spec, rows=0.0)
@@ -367,7 +369,7 @@ def test_early_time_keeps_the_guarded_value_bit_for_bit(monkeypatch, kind, n):
     # at t = 160 the phase estimates of some pieces miss the budget; each of
     # them takes the value the stepped-only tail gives it, bit for bit
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    spec = quad.QuadSpec(n=n, tol=1e-4)
     calls = _high_calls(monkeypatch)
     quad.norm_value(d, kind, n, 160.0, spec)
     stepped = {(b[0], b[-1]): v for b, v in calls if b.size > 2}
@@ -416,7 +418,7 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
 def test_check10_pieces_split_and_stepped_at_t160(monkeypatch):
     # at t = 160 the budget admits the phase estimates of some pieces and
     # not of others; the value lies within err_est of the stepped value
-    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
+    spec = quad.QuadSpec(n=8, tol=1e-4)
     calls = _high_calls(monkeypatch)
     v, e = quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
     split, stepped = _split_and_stepped(calls)
@@ -431,7 +433,7 @@ def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch
     # a piece is probed once (33 points); it is integrated once, or, when
     # its phase estimate misses the budget, once smooth and once stepped
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+    spec = quad.QuadSpec(n=n, tol=1e-4)
     scaled_data = quad._scaled_data_y
     probes = []
 
@@ -460,8 +462,8 @@ def test_error_estimate_bounds_a_stepped_reference(kind, n):
     # stepped-only value at tol / 100
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     for t in (40.0, 160.0, 640.0):
-        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0))
-        ref, _ = _norm(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-6, osc_guard=2.0), rows=HUGE)
+        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-4))
+        ref, _ = _norm(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-6), rows=HUGE)
         assert abs(v - ref) <= e, (kind, t)
 
 
@@ -471,9 +473,10 @@ MODE_KINDS = ("u", "u-phi1", "u-phi2", "u-phi")
 WAVE_KINDS = ("phi2", "u-phi2", "u-phi")
 
 
-def _fastest_phase(kind, zone, lam, t):
-    if kind in MODE_KINDS and zone in ("highmid", "high"):
-        return t * np.sqrt(np.maximum(-symbols.collision_gap(lam)[1], 0.0))
+def _fastest_phase(kind, lam, t):
+    """The fastest phase of the kind's integrand in the high zone."""
+    if kind in MODE_KINDS:
+        return t * np.sqrt(-symbols.collision_gap(lam)[1])
     if kind in WAVE_KINDS:
         return t * np.sqrt(lam)
     return None
@@ -481,8 +484,10 @@ def _fastest_phase(kind, zone, lam, t):
 
 @pytest.mark.parametrize("kind", quad.NORM_KINDS)
 def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
-    # every initial panel spans at most osc_guard * pi of the fastest phase,
-    # and a panel between two phase steps spans exactly that
+    # the bounded zones start from their ends and the low zone's ladder
+    # alone; every initial panel of a stepped high-zone piece spans at most
+    # osc_guard * pi of the fastest phase, and a panel between two phase
+    # steps spans exactly that
     calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
     def record(f, bounds, tol, max_panels):
@@ -494,34 +499,36 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
     th = quad.THRESHOLDS
     y_eta, y_delta = (math.sqrt(math.log1p(r * r)) for r in (th.eta, th.delta))
     ladder = y_eta * 2.0 ** -np.arange(1, 17)
-    # each call integrates one zone, named by its first bound
-    starts = {0.0: "low", y_eta: "lowmid", y_delta: "highmid"}
+    # the initial panels of each bounded zone, keyed by its first bound
+    bounded = {0.0: np.sort(np.concatenate(([0.0, y_eta], ladder))),
+               y_eta: np.array([y_eta, y_delta]), y_delta: np.array([y_delta, 1.0])}
+    spec = quad.QuadSpec(n=8, tol=1e-4)
+    step = spec.osc_guard * math.pi
     for t in (10.0, 160.0, 7240.8):
-        for guard in (1.0, 2.0):
-            calls.clear()
-            quad.norm_value(LOG_TAIL8, kind, 8, t, quad.QuadSpec(n=8, tol=1e-4, osc_guard=guard))
-            assert len(calls) > 3
-            step = guard * math.pi
-            for x in calls.values():
-                zone = starts.get(x[0], "high")
-                lam = x * x
-                steps = ~np.isin(x[1:-1], ladder)  # the bounds that are phase steps
-                phase = _fastest_phase(kind, zone, lam, t)
-                if phase is None:
-                    assert not steps.any(), (kind, zone)
-                    continue
-                assert np.all(np.diff(phase) <= step * (1.0 + 1e-9)), (kind, zone, t)
-                between = np.diff(phase[1:-1][steps])
-                assert np.all(np.abs(between - step) <= 1e-9 * step), (kind, zone, t)
+        calls.clear()
+        quad.norm_value(LOG_TAIL8, kind, 8, t, spec)
+        high = [x for x in calls.values() if x[0] >= 1.0]
+        assert high and (0.0, y_eta) in calls, (kind, t)
+        for x in calls.values():
+            if x[0] < 1.0:
+                assert np.array_equal(x, bounded[x[0]]), (kind, t)
+                continue
+            phase = _fastest_phase(kind, x * x, t)
+            if phase is None:
+                assert x.size == 2, (kind, t)
+                continue
+            assert x.size > 2, (kind, t)
+            assert np.all(np.diff(phase) <= step * (1.0 + 1e-9)), (kind, t)
+            between = np.diff(phase[1:-1])
+            assert np.all(np.abs(between - step) <= 1e-9 * step), (kind, t)
 
 
 def test_phase_steps_beyond_the_budget_raise_before_any_allocation(monkeypatch):
     # a tiny osc_guard or a huge t asks for more steps than memory holds
     monkeypatch.setattr(quad, "MAX_PANELS", 100)
-    y_delta = math.sqrt(math.log1p(quad.THRESHOLDS.delta**2))
-    assert quad._phase_steps("u", "highmid", 300.0, 1.0, y_delta, 1.0).size == 92
+    assert quad._phase_steps("u", 300.0, 1.0, 1.0, 2.0).size == 98
     with pytest.raises(quad.PanelBudgetError):
-        quad._phase_steps("u", "highmid", 1000.0, 1.0, y_delta, 1.0)
+        quad._phase_steps("u", 1000.0, 1.0, 1.0, 2.0)
 
 
 def test_mode_rate_inverse_meets_the_collision_gap():
@@ -542,11 +549,8 @@ def test_error_estimate_has_a_rounding_floor():
     assert err >= 4.0 * np.finfo(float).eps * value > 0.0
 
 
-def test_check10_series_panel_count(monkeypatch):
-    # the tail steps only the pieces whose phase estimate misses the budget,
-    # the initial panels end at steps of the mode's phase, and the middle
-    # zones are skipped where their bound is negligible: check 10's series
-    # takes 15,104 panels
+def _series_panels(monkeypatch, kind, grid):
+    """Panels of the series of checks 09 and 10's data and the kind on the grid."""
     adaptive = quad._adaptive
     panels = []
 
@@ -556,9 +560,24 @@ def test_check10_series_panel_count(monkeypatch):
         return out
 
     monkeypatch.setattr(quad, "_adaptive", counting)
-    spec = quad.QuadSpec(n=8, tol=1e-4, osc_guard=2.0)
-    quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, spec)
-    assert sum(panels) == 15_104
+    quad.norm_series(LOG_TAIL8, kind, 8, grid, quad.QuadSpec(n=8, tol=1e-4))
+    return sum(panels)
+
+
+def test_check10_series_panel_count(monkeypatch):
+    # the tail steps only the pieces whose phase estimate misses the budget,
+    # their initial panels end at steps of the mode's phase, and the middle
+    # zones are skipped where their bound is negligible: check 10's series
+    # takes 15,104 panels
+    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 15_104
+
+
+def test_check09_late_series_panel_count(monkeypatch):
+    # check 09's kind on 14 times from 1e4 to 9.05e5: the low zone adapts to
+    # a wave profile damped by e^{-t/(2L)} instead of stepping through its
+    # phase sqrt(L) t, and the series takes 651 panels
+    panels = _series_panels(monkeypatch, "u-phi2", quad.default_time_grid(13, 1e4))
+    assert panels == 651 < 1_000
 
 
 # the data of checks 06, 07 and 11 (n = 2), of 11's zero-mass series, and
@@ -584,7 +603,7 @@ def test_middle_zone_bound_covers_the_integrated_zone(kind):
      (LOG_TAIL8, "u", 8, 1280.0, 1e-4), (LOG_TAIL8, "u-phi2", 8, 160.0, 1e-4)],
 )
 def test_skipped_middle_zones_leave_low_plus_high_and_join_the_error(d, kind, n, t, tol):
-    spec = quad.QuadSpec(n=n, tol=tol, osc_guard=2.0)
+    spec = quad.QuadSpec(n=n, tol=tol)
     low, low_err = quad.norm_value(d, kind, n, t, spec, zone="low")
     f = quad._squared_value(d, kind, t, n)
     high, high_err = quad._tail_value(d, kind, t, spec, low, f)
@@ -600,7 +619,7 @@ def test_series_is_the_per_time_norm_value_bit_for_bit():
     # calls; the grid spans times with and without skipped middle zones
     grid = (10.0, 40.0, 160.0, 640.0)
     for d, kind, n in ((GAUSS2, "u-phi1", 2), (LOG_TAIL8, "u-phi", 8)):
-        spec = quad.QuadSpec(n=n, tol=1e-4, osc_guard=2.0)
+        spec = quad.QuadSpec(n=n, tol=1e-4)
         series = quad.norm_series(d, kind, n, grid, spec)
         pairs = [quad.norm_value(d, kind, n, t, spec) for t in grid]
         assert list(zip(series.values, series.errs)) == pairs
