@@ -11,10 +11,11 @@ the same command, `python3 perfbench/run.py --workload <w> --seed <s>
 --seconds <S> --trace 0`, from the root of their own tree, one process at a
 time, for every workload and the run length S that BENCHMARK.json names.
 Seeds 0-9 of a workload are its ten pairs: even seeds run the parent first,
-odd seeds the change.  Per-layer numbers come from one `--trace 1` run per
-side at seed 0, one second long.  The output has the schema of BENCH_5.json: `end_to_end`
-(per workload: summary and pairs) and `per_layer` (per workload: parent,
-change, unit).
+odd seeds the change.  Each per-layer number is the median of three
+`--trace 1` runs per side at seed 0, one second long, the side that runs
+first alternating between the three.  The output has the schema of
+BENCH_5.json: `end_to_end` (per workload: summary and pairs) and
+`per_layer` (per workload: parent, change, unit).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 PAIRS = 10
 TRACE_SECONDS = 1.0
+TRACE_RUNS = 3
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -84,6 +86,25 @@ def _summary(pairs: list[dict], metric: str) -> dict:
     }
 
 
+def _per_layer(trees: dict[str, Path], workload: str) -> dict:
+    """Median of TRACE_RUNS traced runs per side for every per-layer metric
+    of the change (None where the parent does not report it)."""
+    runs = {"parent": [], "change": []}
+    for k in range(TRACE_RUNS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(_run(trees[side], workload, 0, TRACE_SECONDS, 1)["metrics"])
+
+    def median(side: str, name: str):
+        values = [m[name]["value"] for m in runs[side] if m.get(name, {}).get("value") is not None]
+        return statistics.median(values) if values else None
+
+    return {
+        name: {"parent": median("parent", name), "change": median("change", name),
+               "unit": metric["unit"]}
+        for name, metric in runs["change"][0].items()
+    }
+
+
 def _hardware() -> str:
     import numpy
 
@@ -124,8 +145,9 @@ def main(argv=None) -> int:
         "method": "alternating parent/change pairs per seed (even seeds run the parent "
         "first, odd seeds the change first); run_s and setup_s are the benchmark's "
         "calibration-scaled medians, peak_rss_mb the measuring process's peak; "
-        f"per-layer numbers are one --trace 1 run per side at seed 0 with --seconds "
-        f"{TRACE_SECONDS:g} (unscaled)",
+        f"per-layer numbers are the median of {TRACE_RUNS} --trace 1 runs per side at "
+        f"seed 0 with --seconds {TRACE_SECONDS:g} (unscaled), the side that runs first "
+        "alternating",
         "end_to_end": {},
         "per_layer": {},
     }
@@ -155,18 +177,7 @@ def main(argv=None) -> int:
                 "summary": {m: _summary(pairs, m) for m in END_TO_END},
                 "pairs": pairs,
             }
-            traced = {
-                side: _run(trees[side], workload, 0, TRACE_SECONDS, 1)["metrics"]
-                for side in ("parent", "change")
-            }
-            out["per_layer"][workload] = {
-                name: {
-                    "parent": traced["parent"].get(name, {}).get("value"),
-                    "change": traced["change"][name]["value"],
-                    "unit": traced["change"][name]["unit"],
-                }
-                for name in traced["change"]
-            }
+            out["per_layer"][workload] = _per_layer(trees, workload)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 

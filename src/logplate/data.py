@@ -193,8 +193,8 @@ _FAMILIES = {
 def parse_profile(selector: str, n: int) -> RadialProfile:
     """Build a profile from a selector like "gaussian:alpha=1".
 
-    Grammar: family:key=value[,key=value...].  Unknown families and unknown
-    or missing keys are rejected.
+    Grammar: family:key=value[,key=value...].  Unknown families, unknown or
+    missing keys and non-finite values are rejected.
     """
     family, _, args = selector.partition(":")
     family = family.strip()
@@ -212,6 +212,8 @@ def parse_profile(selector: str, n: int) -> RadialProfile:
                 kwargs[key] = float(val)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r}: {val!r}") from exc
+            if not math.isfinite(kwargs[key]):
+                raise ValueError(f"value for {key!r} must be finite, got {val.strip()!r}")
     missing = [k for k, v in kwargs.items() if v is None]
     if missing:
         raise ValueError(f"data family {family!r} requires {missing}")

@@ -17,10 +17,13 @@ Design notes
   exactly; every zone integrates the same v^2 (`_squared_value`).
 * The line is split at the regime thresholds into four zones: low
   [0, y(eta)], low-middle [y(eta), y(delta)], high-middle [y(delta), 1]
-  and high [1, inf), with y(r) = sqrt(log(1 + r^2)) and y(r_unit) = 1.  The
-  whole-space value is the sum of the four.
-* The bounded zones are refined adaptively from their ends (and a 2^-k
-  ladder on the low zone).  There the oscillatory profile is damped by
+  and high [1, inf), with y(r) = sqrt(log(1 + r^2)) and y(r_unit) = 1.
+  The mode is analytic in c^2 across the root collision (the kernel's
+  series branch), so v^2 on [0, 1] is one smooth integrand: a whole-space
+  value (zone "all") integrates [0, 1] once, to tol of its own value, and
+  adds the high zone.  An explicit zone request integrates that zone alone.
+* The bounded integrals are refined adaptively from their ends (and a 2^-k
+  ladder from y = 0).  There the oscillatory profile is damped by
   e^{-t/(2L)} (e^{-3.49t} on the low zone), and the mode oscillates only on
   highmid, turning at most 0.15 t periods while its square decays like
   e^{-t/2}: refinement resolves the few periods that are not negligible.
@@ -39,26 +42,6 @@ Design notes
   piece is integrated again as v^2 on phase-stepped panels, and that value
   replaces its smooth one.  The estimates fall like t^-1.5 relative to the
   norm, so the stepped pieces are many at early times and few or none late.
-* The middle zones decay exponentially, so a whole-space value (zone
-  "all") integrates the low and high zones first and replaces lowmid or
-  highmid by 0 wherever an a-priori bound B_z(t) <= tol |low + high|; B_z
-  joins the error estimate (`_middle_bounds`).  A bound costs one or two
-  GK15 panels, fewer than integrating its zone.  With k the number of the
-  terms mode, heat-like and oscillatory profile in the kind, |v|^2 <=
-  k sum |term|^2.  The mode is e^{-at} [C w0 + S (w1 + a w0)] with the
-  measure-folded data w0, w1: real roots give |C| = |cosh(ct)| <= e^{ct}
-  and |S| = |sinh(ct)/c| <= t e^{ct}, oscillating ones |C| <= 1 and
-  |S| <= t, and a <= 1/2, so |mode|^2 <= 2 (1+t)^2 e^{-kappa_u t}
-  (w0^2 + w1^2), kappa_u the least 2(a - c) = 2L/(a + c) over the zone (at
-  L_lo on lowmid) resp. 2a (1/2 at L_hi = 1 on highmid).  The oscillatory
-  profile has |sin(sqrt(L) t)/sqrt(L)| <= t and damping e^{-t/(2L)}, so
-  |phi2|^2 <= 2 (1+t)^2 e^{-t/L_hi} (w0^2 + w1^2); the heat-like profile is
-  m0 e^{-t L(1+L)} with m0 its t = 0 mass term, so |phi1|^2 <=
-  e^{-2t L_lo(1+L_lo)} m0^2.  Integrated over the zone:
-    B_z = k [2 (1+t)^2 (e^{-kappa_u t} [mode] + e^{-t/L_hi} [wave]) D_z
-             + e^{-2t L_lo(1+L_lo)} M_z [phi1]],
-  D_z = int_z (w0^2 + w1^2) dy and M_z = int_z m0^2 dy.  Explicit zone
-  requests always integrate.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted norm) goes through one
   tail-doubling loop, `tail_integral`: it doubles the extent until the
@@ -125,18 +108,6 @@ _Y_ZONES = {"low": (0.0, _Y_ETA), "lowmid": (_Y_ETA, _Y_DELTA), "highmid": (_Y_D
 _WAVE_KINDS = frozenset({"phi2", "u-phi2", "u-phi"})
 _MODE_KINDS = frozenset({"u", "u-phi1", "u-phi2", "u-phi"})
 _PHI1_KINDS = frozenset({"phi1", "u-phi1", "u-phi"})
-
-# The middle zones, and the slowest decay over each (module notes) of the
-# squared mode, 2(a - Re c): at the lowmid start, where the roots are real,
-# and at the highmid end, where they oscillate; of the squared oscillatory
-# profile, 1/L at the end; and of the squared heat-like profile, 2L(1 + L)
-# at the start.
-_MIDDLE = ("lowmid", "highmid")
-_MIDDLE_LO, _MIDDLE_HI = np.array([_Y_ZONES[z] for z in _MIDDLE]).T
-_A_SLOW, _CSQ_SLOW = collision_gap(np.array([_MIDDLE_LO[0], _MIDDLE_HI[1]]) ** 2)
-_MODE_RATES = 2.0 * (_A_SLOW - np.sqrt(np.maximum(_CSQ_SLOW, 0.0)))
-_WAVE_RATES = 1.0 / _MIDDLE_HI**2
-_HEAT_RATES = 2.0 * _MIDDLE_LO**2 * (1.0 + _MIDDLE_LO**2)
 
 #: Panel budget of one adaptive integral; the high-zone tail segments share one.
 MAX_PANELS = 6_000_000
@@ -636,28 +607,6 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
     return total, err + phase
 
 
-def _middle_bounds(d, kind: str, t: float, n: int) -> np.ndarray:
-    """A-priori bounds B_z(t) >= int_z v^2 dy of lowmid and highmid (module
-    notes).  D_z and M_z do not depend on t; each is one GK15 panel per zone,
-    taken as its value plus |K15 - G7|."""
-    mode, wave, heat = kind in _MODE_KINDS, kind in _WAVE_KINDS, kind in _PHI1_KINDS
-
-    def upper(square):
-        def f(y):
-            return square(*_scaled_data_y(d, "phi1", 0.0, n, y))
-
-        vals, errs = _gk_eval(f, _MIDDLE_LO, _MIDDLE_HI)
-        return vals + errs
-
-    bound = np.zeros(2)
-    if mode or wave:
-        decay = mode * np.exp(-_MODE_RATES * t) + wave * np.exp(-_WAVE_RATES * t)
-        bound += 2.0 * (1.0 + t) ** 2 * decay * upper(lambda w0, w1, m0: w0 * w0 + w1 * w1)
-    if heat:
-        bound += np.exp(-_HEAT_RATES * t) * upper(lambda w0, w1, m0: m0 * m0)
-    return (mode + wave + heat) * bound
-
-
 @dataclass(frozen=True)
 class NormSeries:
     """Sampled squared-norm values of one integrand kind over a time grid.
@@ -703,23 +652,16 @@ def norm_value(
         if profile.n != n:
             raise ValueError("data profile dimension does not match the run")
     f = _squared_value(d, kind, t, n)
-
-    def integrate(z: str, baseline: float = 0.0) -> tuple[float, float]:
-        if z == "high":
-            return _tail_value(d, kind, t, spec, baseline, f)
-        return radial_integral(f, *_Y_ZONES[z], spec.tol, ladder=16 if z == "low" else 0)
-
     try:
+        if zone == "high":
+            return _tail_value(d, kind, t, spec, 0.0, f)
         if zone != "all":
-            return integrate(zone)
-        low = integrate("low")
-        parts = [low, integrate("high", low[0])]
-        rest = abs(math.fsum(v for v, _ in parts))
-        for z, bound in zip(_MIDDLE, _middle_bounds(d, kind, t, n).tolist()):
-            parts.append((0.0, bound) if bound <= spec.tol * rest else integrate(z))
+            return radial_integral(f, *_Y_ZONES[zone], spec.tol, ladder=16 if zone == "low" else 0)
+        head = radial_integral(f, 0.0, 1.0, spec.tol, ladder=16)
+        tail = _tail_value(d, kind, t, spec, head[0], f)
     except QuadratureError as exc:
         raise type(exc)(f"{exc} (t={t:g}, tol={spec.tol:g})") from exc
-    return math.fsum(v for v, _ in parts), math.fsum(e for _, e in parts)
+    return head[0] + tail[0], head[1] + tail[1]
 
 
 def norm_series(

@@ -179,6 +179,13 @@ def test_bad_time_grid(capsys):
         "solve --n 400 --data-u0 gaussian:alpha=1",  # Gamma(n/2) of the sphere's area
         "solve --n 200 --data-u0 gaussian:alpha=0.001",  # the peak (pi/alpha)^(n/2)
         "rates --n 2 --data-u0 gaussian:alpha=1 --l nan",
+        # a non-finite selector value
+        "solve --n 2 --data-u0 gaussian:alpha=nan",
+        "solve --n 2 --data-u0 gaussian:alpha=inf",
+        "solve --n 2 --data-u0 gaussian:alpha=1,amplitude=nan",
+        "solve --n 2 --data-u0 gaussian:alpha=1,amplitude=inf",
+        "solve --n 2 --data-u0 gaussian:alpha=1,amplitude=-inf",
+        "solve --n 2 --data-u0 log_tail:m=nan,beta=0.2",
     ],
 )
 def test_overflowing_or_non_finite_input_is_rejected_before_any_work(monkeypatch, capsys, argv):

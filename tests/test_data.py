@@ -148,6 +148,10 @@ def test_parse_profile_grammar():
         data_mod.parse_profile("gaussian", 2)  # missing alpha
     with pytest.raises(ValueError):
         data_mod.parse_profile("log_tail:m=1,beta=nope", 8)
+    for sel, key in (("gaussian:alpha=inf", "alpha"), ("gaussian:alpha=1,amplitude=nan", "amplitude"),
+                     ("log_tail:m=nan,beta=0.2", "m")):
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            data_mod.parse_profile(sel, 2)
 
 
 def test_pair_dimension_checked():

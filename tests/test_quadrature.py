@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logplate import data as data_mod
-from logplate import modes, symbols, verify
+from logplate import modes, rates, symbols, verify
 from logplate import quadrature as quad
 
 GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
@@ -104,10 +104,16 @@ def test_middle_zone_bound_with_fitted_constant():
 
 
 def test_zone_additivity():
-    spec = quad.QuadSpec(n=2, tol=1e-8)
-    total, err = quad.norm_value(GAUSS2, "u", 2, 10.0, spec)
-    parts = [quad.norm_value(GAUSS2, "u", 2, 10.0, spec, zone=z)[0] for z in quad.ZONES]
-    assert abs(total - math.fsum(parts)) <= 2.0 * max(err, 1e-15 * total)
+    # the one integral over [0, 1] plus the high zone, and the four zones
+    # integrated alone, agree within their combined error estimates
+    for d, n, tol in ((GAUSS2, 2, 1e-8), (LOG_TAIL8, 8, 1e-4)):
+        spec = quad.QuadSpec(n=n, tol=tol)
+        for kind in quad.NORM_KINDS:
+            for t in (10.0, 160.0, 2560.0):
+                total, err = quad.norm_value(d, kind, n, t, spec)
+                parts = [quad.norm_value(d, kind, n, t, spec, zone=z) for z in quad.ZONES]
+                gap = abs(total - math.fsum(v for v, _ in parts))
+                assert gap <= err + math.fsum(e for _, e in parts), (n, kind, t)
 
 
 def test_determinism_bit_identical():
@@ -484,10 +490,10 @@ def _fastest_phase(kind, lam, t):
 
 @pytest.mark.parametrize("kind", quad.NORM_KINDS)
 def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
-    # the bounded zones start from their ends and the low zone's ladder
-    # alone; every initial panel of a stepped high-zone piece spans at most
-    # osc_guard * pi of the fastest phase, and a panel between two phase
-    # steps spans exactly that
+    # the only bounded integral of a whole-space value is [0, 1], started
+    # from its ends and the 2^-k ladder alone; every initial panel of a
+    # stepped high-zone piece spans at most osc_guard * pi of the fastest
+    # phase, and a panel between two phase steps spans exactly that
     calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
     def record(f, bounds, tol, max_panels):
@@ -496,22 +502,17 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
 
     monkeypatch.setattr(quad, "_adaptive", record)
     _guarded_only(monkeypatch)
-    th = quad.THRESHOLDS
-    y_eta, y_delta = (math.sqrt(math.log1p(r * r)) for r in (th.eta, th.delta))
-    ladder = y_eta * 2.0 ** -np.arange(1, 17)
-    # the initial panels of each bounded zone, keyed by its first bound
-    bounded = {0.0: np.sort(np.concatenate(([0.0, y_eta], ladder))),
-               y_eta: np.array([y_eta, y_delta]), y_delta: np.array([y_delta, 1.0])}
+    head = np.sort(np.concatenate(([0.0, 1.0], 2.0 ** -np.arange(1, 17))))
     spec = quad.QuadSpec(n=8, tol=1e-4)
     step = spec.osc_guard * math.pi
     for t in (10.0, 160.0, 7240.8):
         calls.clear()
         quad.norm_value(LOG_TAIL8, kind, 8, t, spec)
-        high = [x for x in calls.values() if x[0] >= 1.0]
-        assert high and (0.0, y_eta) in calls, (kind, t)
+        bounded = [x for x in calls.values() if x[0] < 1.0]
+        assert len(bounded) == 1 and np.array_equal(bounded[0], head), (kind, t)
+        assert len(calls) > 1, (kind, t)
         for x in calls.values():
             if x[0] < 1.0:
-                assert np.array_equal(x, bounded[x[0]]), (kind, t)
                 continue
             phase = _fastest_phase(kind, x * x, t)
             if phase is None:
@@ -566,10 +567,25 @@ def _series_panels(monkeypatch, kind, grid):
 
 def test_check10_series_panel_count(monkeypatch):
     # the tail steps only the pieces whose phase estimate misses the budget,
-    # their initial panels end at steps of the mode's phase, and the middle
-    # zones are skipped where their bound is negligible: check 10's series
-    # takes 15,104 panels
+    # and their initial panels end at steps of the mode's phase: check 10's
+    # series takes 15,104 panels
     assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 15_104
+
+
+def test_check07_series_gk15_panel_count(monkeypatch):
+    # every GK15 panel of check 07's window series, counted where panels are
+    # evaluated: [0, 1] is one integral refined to tol of its own value
+    gk_eval = quad._gk_eval
+    rows = []
+
+    def counting(f, lo, hi):
+        rows.append(lo.size)
+        return gk_eval(f, lo, hi)
+
+    monkeypatch.setattr(quad, "_gk_eval", counting)
+    kind = f"u-{rates.classify(2, verify._L_DATA).profile}"
+    verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, kind, 1e-6)
+    assert sum(rows) == 586
 
 
 def test_check09_late_series_panel_count(monkeypatch):
@@ -580,43 +596,9 @@ def test_check09_late_series_panel_count(monkeypatch):
     assert panels == 651 < 1_000
 
 
-# the data of checks 06, 07 and 11 (n = 2), of 11's zero-mass series, and
-# of checks 09 and 10 (n = 8)
-ZERO2 = data_mod.parse_pair("zero_mass:alpha=1", "zero_mass:alpha=1", 2)
-BOUND_DATA = [(GAUSS2, 2), (ZERO2, 2), (LOG_TAIL8, 8)]
-
-
-@pytest.mark.parametrize("kind", quad.NORM_KINDS)
-def test_middle_zone_bound_covers_the_integrated_zone(kind):
-    for d, n in BOUND_DATA:
-        spec = quad.QuadSpec(n=n, tol=1e-10)
-        for t in (10.0, 40.0, 160.0, 640.0, 2560.0):
-            bounds = quad._middle_bounds(d, kind, t, n)
-            for zone, bound in zip(("lowmid", "highmid"), bounds):
-                value, _ = quad.norm_value(d, kind, n, t, spec, zone=zone)
-                assert value <= bound, (kind, n, t, zone)
-
-
-@pytest.mark.parametrize(
-    "d,kind,n,t,tol",
-    [(GAUSS2, "u-phi1", 2, 1e3, 1e-6), (ZERO2, "u", 2, 640.0, 1e-6),
-     (LOG_TAIL8, "u", 8, 1280.0, 1e-4), (LOG_TAIL8, "u-phi2", 8, 160.0, 1e-4)],
-)
-def test_skipped_middle_zones_leave_low_plus_high_and_join_the_error(d, kind, n, t, tol):
-    spec = quad.QuadSpec(n=n, tol=tol)
-    low, low_err = quad.norm_value(d, kind, n, t, spec, zone="low")
-    f = quad._squared_value(d, kind, t, n)
-    high, high_err = quad._tail_value(d, kind, t, spec, low, f)
-    bounds = quad._middle_bounds(d, kind, t, n)
-    assert np.all(bounds <= tol * abs(low + high))  # both zones are skipped
-    value, err = quad.norm_value(d, kind, n, t, spec)
-    assert value == math.fsum([low, high])
-    assert err == math.fsum([low_err, high_err, *bounds.tolist()])
-
-
 def test_series_is_the_per_time_norm_value_bit_for_bit():
     # the benchmark's tracer counts a series' panels inside its norm_value
-    # calls; the grid spans times with and without skipped middle zones
+    # calls
     grid = (10.0, 40.0, 160.0, 640.0)
     for d, kind, n in ((GAUSS2, "u-phi1", 2), (LOG_TAIL8, "u-phi", 8)):
         spec = quad.QuadSpec(n=n, tol=1e-4)
