@@ -148,10 +148,25 @@ def test_parse_profile_grammar():
         data_mod.parse_profile("gaussian", 2)  # missing alpha
     with pytest.raises(ValueError):
         data_mod.parse_profile("log_tail:m=1,beta=nope", 8)
-    for sel, key in (("gaussian:alpha=inf", "alpha"), ("gaussian:alpha=1,amplitude=nan", "amplitude"),
-                     ("log_tail:m=nan,beta=0.2", "m")):
-        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
-            data_mod.parse_profile(sel, 2)
+
+
+@pytest.mark.parametrize(
+    "selector, key",
+    [
+        ("gaussian:alpha=nan", "alpha"),
+        ("gaussian:alpha=inf", "alpha"),
+        ("gaussian:alpha=1,amplitude=nan", "amplitude"),
+        ("gaussian:alpha=1,amplitude=-inf", "amplitude"),
+        ("zero_mass:alpha=inf", "alpha"),
+        ("log_tail:m=nan,beta=0.2", "m"),
+        ("log_tail:m=1,beta=inf", "beta"),
+    ],
+)
+def test_parse_profile_rejects_non_finite_values(selector, key):
+    # float() accepts "nan" and "inf"; the parser names the key instead of
+    # building a profile whose integrals overflow or read zero
+    with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+        data_mod.parse_profile(selector, 2)
 
 
 def test_pair_dimension_checked():
