@@ -275,10 +275,11 @@ def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
 
     head, head_err = radial_integral(f, 0.0, 1.0, tol, ladder=16)
 
-    def segment(s_lo, s_hi):
-        return radial_integral(f, math.sqrt(s_lo - 1.0), math.sqrt(s_hi - 1.0), tol)
+    def segments(ends):
+        ys = [math.sqrt(s_end - 1.0) for s_end in ends]
+        return [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]
 
     tail, tail_err, converged = tail_integral(
-        segment, TAIL_START, 2.0 * TAIL_START, tol, baseline=head
+        segments, TAIL_START, 2.0 * TAIL_START, tol, baseline=head
     )
     return YNormResult(head + tail, head_err + tail_err, not converged)

@@ -8,6 +8,12 @@ Design notes
   of evaluation order.  The final value accumulates panel results sorted by
   position with math.fsum (exactly rounded), making output bit-reproducible
   for a fixed spec.
+* One `_adaptive` call refines several intervals in shared rounds: a round
+  evaluates the panels every unconverged interval splits in one batch,
+  while each interval keeps its own panels, test, threshold, round limit
+  and sum, so no value depends on the intervals it shares rounds with.
+  Per-call overhead, not nodes, dominates the small batches of the tail
+  pieces, so the high zone integrates its pieces a run at a time.
 * Every zone is integrated in y = sqrt(L), L = log(1 + r^2): r overflows a
   double once L > 709 while the regularity-limited tails live out to
   log-weights of order t, so y is the only representable variable there,
@@ -34,19 +40,22 @@ Design notes
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  One piece loop (`_tail_value`) integrates each tail piece's smooth
-  part with no phase steps and estimates its fast terms by the
-  integration-by-parts bound, whose variation term is sampled.  Once the
-  tail has converged the estimates join the error estimate, smallest
-  first, while their sum stays within tol of the norm; each remaining
-  piece is integrated again as v^2 on phase-stepped panels, and that value
-  replaces its smooth one.  The estimates fall like t^-1.5 relative to the
+  2bt.  One piece loop (`_tail_value`) integrates the smooth part of each
+  run of tail pieces with no phase steps, in one `_adaptive` call, and
+  estimates each piece's fast terms by the integration-by-parts bound,
+  whose variation term is sampled.  Once the tail has converged the
+  estimates join the error estimate, smallest first, while their sum stays
+  within tol of the norm; the remaining pieces are integrated again as v^2
+  on phase-stepped panels, all in one `_adaptive` call, and each value
+  replaces its piece's smooth one.  The estimates fall like t^-1.5 relative to the
   norm, so the stepped pieces are many at early times and few or none late.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted norm) goes through one
   tail-doubling loop, `tail_integral`: it doubles the extent until the
   increment is negligible and, for the high zone, the envelope peak (at
-  log-weight ~ t) has been passed.
+  log-weight ~ t) has been passed.  The pieces up to the first one past
+  the peak are integrated as one run, since none of them can stop the
+  loop; after that, one piece at a time.
 * The integrand is evaluated in batches of at most CHUNK nodes, sized so
   that every temporary array of one batch stays in the L2 cache.  Panel
   sums are taken row by row, so values never depend on the batch size.
@@ -54,6 +63,7 @@ Design notes
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +129,8 @@ TAIL_START = 2.0
 #: float64 temporary of one call (128 KB) stays in the L2 cache.  Panel
 #: sums are taken row by row, so no value depends on the batch size.
 CHUNK = 1 << 14
+#: Points of the probe of each high-zone tail piece.
+_PROBE = 33
 #: Tolerance of the fixed-accuracy reference integrals.
 REF_TOL = 1e-12
 # Four ulps of every panel's value join its |K15 - G7| in the reported error
@@ -231,50 +243,74 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(f, bounds: np.ndarray, tol: float, max_panels: int):
-    """Adaptive refinement starting from the given panel boundaries.
+def _adaptive(f, intervals, tol: float, max_panels: int):
+    """Adaptive refinement of f on each of several intervals, each starting
+    from its own array of panel boundaries.
 
-    Returns (value, error estimate, panels used).
+    Every interval refines as it would alone: its own refinement test and
+    threshold over its own panels, at most 200 rounds, and its value summed
+    in position order.  A round evaluates the panels that every unconverged
+    interval splits in one `_gk_eval` call.  The intervals share the panel
+    budget, checked before every evaluation.
+    Returns [(value, error estimate, panels used)], one per interval.
     """
-    lo = bounds[:-1]
-    hi = bounds[1:]
-    if lo.size == 0:
-        return 0.0, 0.0, 0
-    if lo.size > max_panels:
-        raise PanelBudgetError(
-            f"initial subdivision needs {lo.size} panels, budget is {max_panels}"
-        )
-    vals, errs = _gk_eval(f, lo, hi)
+    lo = [b[:-1] for b in intervals]
+    hi = [b[1:] for b in intervals]
+    used = sum(x.size for x in lo)
+    if used == 0:
+        return [(0.0, 0.0, 0)] * len(intervals)
+    if used > max_panels:
+        raise PanelBudgetError(f"initial subdivision needs {used} panels, budget is {max_panels}")
+    vals, errs = _gk_runs(f, lo, hi)
+    refining = [i for i, x in enumerate(lo) if x.size]
     for _ in range(200):
-        total = float(np.sum(vals))
-        err = float(np.sum(errs))
-        if err <= tol * abs(total) + 1e-300:
+        split = []  # (interval, mask, left and right ends of the panels it splits)
+        for i in refining:
+            total = float(np.sum(vals[i]))
+            if float(np.sum(errs[i])) <= tol * abs(total) + 1e-300:
+                continue
+            mask = errs[i] > tol * abs(total) / (2.0 * lo[i].size)
+            if not mask.any():
+                mask = errs[i] >= errs[i].max()
+            split.append((i, mask, lo[i][mask], hi[i][mask]))
+        if not split:
             break
-        thresh = tol * abs(total) / (2.0 * lo.size)
-        mask = errs > thresh
-        if not mask.any():
-            mask = errs >= errs.max()
-        mlo = lo[mask]
-        mhi = hi[mask]
-        if lo.size + mlo.size > max_panels:
+        used += sum(mlo.size for _, _, mlo, _ in split)
+        if used > max_panels:
             raise PanelBudgetError(
                 "panel budget exhausted; t is too large for the requested tolerance"
             )
-        mid = 0.5 * (mlo + mhi)
-        clo = np.concatenate([mlo, mid])
-        chi = np.concatenate([mid, mhi])
-        cvals, cerrs = _gk_eval(f, clo, chi)
-        keep = ~mask
-        lo = np.concatenate([lo[keep], clo])
-        hi = np.concatenate([hi[keep], chi])
-        vals = np.concatenate([vals[keep], cvals])
-        errs = np.concatenate([errs[keep], cerrs])
+        clo, chi = [], []
+        for _, _, mlo, mhi in split:
+            mid = 0.5 * (mlo + mhi)
+            clo.append(np.concatenate([mlo, mid]))
+            chi.append(np.concatenate([mid, mhi]))
+        cvals, cerrs = _gk_runs(f, clo, chi)
+        for (i, mask, _, _), a, b, v, e in zip(split, clo, chi, cvals, cerrs):
+            keep = ~mask
+            lo[i] = np.concatenate([lo[i][keep], a])
+            hi[i] = np.concatenate([hi[i][keep], b])
+            vals[i] = np.concatenate([vals[i][keep], v])
+            errs[i] = np.concatenate([errs[i][keep], e])
+        refining = [i for i, _, _, _ in split]
     else:
         raise PanelBudgetError("adaptive refinement did not reach the tolerance")
-    order = np.argsort(lo, kind="stable")
-    value = math.fsum(vals[order].tolist())
-    err = math.fsum((errs + _ROUNDING * np.abs(vals))[order].tolist())
-    return value, err, int(lo.size)
+    out = []
+    for x, v, e in zip(lo, vals, errs):
+        order = np.argsort(x, kind="stable")
+        value = math.fsum(v[order].tolist())
+        err = math.fsum((e + _ROUNDING * np.abs(v))[order].tolist())
+        out.append((value, err, int(x.size)))
+    return out
+
+
+def _gk_runs(f, lo: list, hi: list):
+    """`_gk_eval` of several panel lists in one call -> (values, error
+    estimates), each split back into one array per list."""
+    vals, errs = _gk_eval(f, np.concatenate(lo), np.concatenate(hi))
+    cuts = [0, *itertools.accumulate(x.size for x in lo)]
+    runs = list(zip(cuts, cuts[1:]))
+    return [vals[a:b] for a, b in runs], [errs[a:b] for a, b in runs]
 
 
 def _build_bounds(lo: float, hi: float, breakpoints=(), ladder: int = 0) -> np.ndarray:
@@ -296,20 +332,23 @@ def radial_integral(f, lo: float, hi: float, tol: float, ladder: int = 0):
     """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
-    bounds = _build_bounds(lo, hi, ladder=ladder)
-    value, err, _ = _adaptive(f, bounds, tol, MAX_PANELS)
+    value, err, _ = _adaptive(f, [_build_bounds(lo, hi, ladder=ladder)], tol, MAX_PANELS)[0]
     return value, err
 
 
 def tail_integral(
-    segment, lo: float, hi: float, tol: float, baseline: float = 0.0, stop_from: float = -math.inf
+    segments, lo: float, hi: float, tol: float, baseline: float = 0.0, stop_from: float = -math.inf
 ):
-    """Sum segment(lo, hi), segment(hi, 2 hi), ... until the increments stop.
+    """Sum the pieces [lo, hi], [hi, 2 hi], ... until the increments stop.
 
-    `segment(a, b)` integrates one piece and returns (value, err).  The loop
-    stops after a piece that starts at or beyond `stop_from`, is no larger
-    than the piece before it and is at most tol * (|baseline| + |total|),
-    where `baseline` is the part of the integral the caller holds apart.
+    `segments(ends)` integrates the run of consecutive pieces between the
+    points of `ends` and returns one (value, err) per piece.  The loop stops
+    after a piece that starts at or beyond `stop_from`, is no larger than
+    the piece before it and is at most tol * (|baseline| + |total|), where
+    `baseline` is the part of the integral the caller holds apart.  No
+    piece before the first one that starts at or beyond `stop_from` can
+    stop the loop, so the first run is all of them up to that one; every
+    later run is one piece, and no piece past the stop is integrated.
     Returns (total, err, converged); converged is False when MAX_SEGMENTS
     pieces did not meet the test, and the caller decides what that means.
     On convergence err includes a bound on the tail never integrated: the
@@ -319,21 +358,26 @@ def tail_integral(
     total = 0.0
     err = 0.0
     prev = math.inf
-    for _ in range(MAX_SEGMENTS):
-        seg, segerr = segment(lo, hi)
-        total += seg
-        err += segerr
-        if (
-            lo >= stop_from
-            and seg <= prev
-            and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
-        ):
-            # A ratio of 1 or more bounds nothing, so the remainder is infinite.
-            rho = abs(seg / prev) if prev else 0.0
-            rest = abs(seg) * max(1.0, rho / (1.0 - rho)) if rho < 1.0 else math.inf
-            return total, err + rest, True
-        prev = seg
-        lo, hi = hi, 2.0 * hi
+    ends = [lo, hi]
+    while ends[-2] < stop_from and len(ends) <= MAX_SEGMENTS:
+        ends.append(2.0 * ends[-1])
+    done = 0
+    while done < MAX_SEGMENTS:
+        for start, (seg, segerr) in zip(ends, segments(ends)):
+            total += seg
+            err += segerr
+            if (
+                start >= stop_from
+                and seg <= prev
+                and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
+            ):
+                # A ratio of 1 or more bounds nothing, so the remainder is infinite.
+                rho = abs(seg / prev) if prev else 0.0
+                rest = abs(seg) * max(1.0, rho / (1.0 - rho)) if rho < 1.0 else math.inf
+                return total, err + rest, True
+            prev = seg
+        done += len(ends) - 1
+        ends = [ends[-1], 2.0 * ends[-1]]
     return total, err, False
 
 
@@ -367,7 +411,8 @@ def ref_integral_Jp(p_exp: float, t: float) -> float:
         raise ValueError("t too small for a convergent tail")
     f = _ref_integrand(p_exp, t)
     total, _, converged = tail_integral(
-        lambda lo, hi: radial_integral(f, lo, hi, REF_TOL), 1.0, 2.0, REF_TOL
+        lambda ends: [radial_integral(f, a, b, REF_TOL) for a, b in zip(ends, ends[1:])],
+        1.0, 2.0, REF_TOL,
     )
     if not converged:
         raise QuadratureError("tail did not converge")
@@ -395,12 +440,14 @@ def _mode_rate_inverse(b: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _phase_steps(kind: str, t: float, osc_guard: float, lo: float, hi: float):
-    """Points y = sqrt(L) in the high-zone interval (lo, hi) where the
-    fastest phase of the kind's integrand (t > 0, a kind with a phase)
-    crosses a multiple of osc_guard * pi: the mode's bt for the kinds
-    containing the mode, as db/dL = (1 + 4a^3)/(2b) > 1/(2 sqrt(L)), else
-    the oscillatory profile's sqrt(L) t.  Both phases are inverted exactly.
+def _phase_steps(kind: str, t: float, osc_guard: float, lo, hi, budget: int):
+    """For each high-zone interval (lo[i], hi[i]): the points y = sqrt(L)
+    inside it where the fastest phase of the kind's integrand (t > 0, a kind
+    with a phase) crosses a multiple of osc_guard * pi: the mode's bt for
+    the kinds containing the mode, as db/dL = (1 + 4a^3)/(2b) > 1/(2 sqrt(L)),
+    else the oscillatory profile's sqrt(L) t.  Both phases are inverted
+    exactly.  Steps of all intervals beyond `budget` panels together raise
+    PanelBudgetError before any is built.
     """
     ends = np.array([lo, hi]) ** 2
     if kind in _MODE_KINDS:
@@ -408,10 +455,11 @@ def _phase_steps(kind: str, t: float, osc_guard: float, lo: float, hi: float):
     else:
         rates, inverse = np.sqrt(ends), np.square
     step = osc_guard * math.pi / t
-    k_lo, k_hi = math.floor(rates[0] / step) + 1, math.ceil(rates[1] / step)
-    if k_hi - k_lo > MAX_PANELS:
-        raise PanelBudgetError(f"{k_hi - k_lo} phase steps exceed the panel budget")
-    return np.sqrt(inverse(np.arange(k_lo, k_hi) * step))
+    k_lo, k_hi = np.floor(rates[0] / step) + 1.0, np.ceil(rates[1] / step)
+    steps = float(np.sum(np.maximum(k_hi - k_lo, 0.0)))
+    if steps > budget:
+        raise PanelBudgetError(f"{steps:.0f} phase steps exceed the {budget} panels left")
+    return [np.sqrt(inverse(np.arange(int(a), int(b)) * step)) for a, b in zip(k_lo, k_hi)]
 
 
 def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
@@ -530,77 +578,103 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
     """High-zone integral of f = `_squared_value`: `tail_integral` over pieces
     in y, s = 1 + y^2 doubling from TAIL_START -> (value, err).
 
-    Every piece is probed once, on 33 points y; pieces where every folded
-    term underflows there are skipped.  Kinds without a phase, and t = 0,
-    integrate f itself.  Oscillating kinds integrate each piece's smooth
-    part m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps and estimate its
-    fast terms: |int g cos(phi)| <= |g/phi'| at both ends + the total
-    variation of g/phi' (one integration by parts; Iserles & Norsett 2005),
-    with |g/phi'| at the right end counted twice, as if g/phi' fell
-    monotonically to 0 beyond it.  The variation is sampled on the probe and
-    on the Kronrod nodes of the smooth integral, which follow the peak of
-    the damped data, so the estimate can only under-read the bound.  Once
-    the tail has converged, the estimates join the error, smallest first,
-    while their sum stays within tol * (|baseline| + |total|); every other
-    piece is integrated again on panels of osc_guard half-periods
-    (`_phase_steps`; no other integral of a norm value is phase-stepped),
-    and that value replaces its smooth one.  All pieces share the panel
-    budget.
+    `tail_integral` hands over runs of consecutive pieces.  The pieces of a
+    run are probed in one call, on 33 points y each; pieces where every
+    folded term underflows there are skipped, and the others are integrated
+    in one `_adaptive` call.  Kinds without a phase, and t = 0, integrate f
+    itself.  Oscillating kinds integrate each piece's smooth part
+    m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps and estimate its fast
+    terms: |int g cos(phi)| <= |g/phi'| at both ends + the total variation
+    of g/phi' (one integration by parts; Iserles & Norsett 2005), with
+    |g/phi'| at the right end counted twice, as if g/phi' fell
+    monotonically to 0 beyond it.  The variation is sampled on the piece's
+    probe and on the Kronrod nodes of its smooth integral, which follow the
+    peak of the damped data, so the estimate can only under-read the bound;
+    the samples of a run are assigned to its pieces by position.  Once the
+    tail has converged, the estimates join the error, smallest first, while
+    their sum stays within tol * (|baseline| + |total|); every other piece
+    is integrated again on panels of osc_guard half-periods (`_phase_steps`;
+    no other integral of a norm value is phase-stepped), all of them in one
+    `_adaptive` call, and each value replaces its piece's smooth one.  All
+    pieces share the panel budget, and the phase steps are checked against
+    what is left of it before any is built.
     """
     n = spec.n
     split = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
     panels_left = MAX_PANELS
     pieces = []  # [y_lo, y_hi, value, err, phase estimate] of every non-empty piece
 
-    def integrate(g, y_lo, y_hi, steps=()):
+    def integrate(g, bounds):
         nonlocal panels_left
-        value, err, used = _adaptive(g, _build_bounds(y_lo, y_hi, steps), spec.tol, panels_left)
-        panels_left -= used
-        return value, err
+        out = _adaptive(g, bounds, spec.tol, panels_left)
+        panels_left -= sum(used for _, _, used in out)
+        return out
 
-    def segment(s_lo, s_hi):
-        y_lo = math.sqrt(s_lo - 1.0)
-        y_hi = math.sqrt(s_hi - 1.0)
-        y = np.linspace(y_lo, y_hi, 33)
-        scaled = _scaled_data_y(d, kind, t, n, y)
-        if not any(w is not None and w.any() for w in scaled):
-            return 0.0, 0.0
+    def segments(ends):
+        ys = [math.sqrt(s - 1.0) for s in ends]
+        probe = np.linspace(ys[:-1], ys[1:], _PROBE, axis=1)  # one row per piece
+        scaled = _scaled_data_y(d, kind, t, n, probe.ravel())
+        live = np.zeros(probe.shape[0], dtype=bool)
+        for w in scaled:
+            if w is not None:
+                live |= w.reshape(probe.shape).any(axis=1)
+        out = [(0.0, 0.0)] * live.size
+        if not live.any():
+            return out
+        idx = np.flatnonzero(live)
+        bounds = [_build_bounds(ys[i], ys[i + 1]) for i in idx]
         if not split:
-            value, err = integrate(f, y_lo, y_hi)
-            pieces.append([y_lo, y_hi, value, err, 0.0])
-            return value, err
-        ys, hs = [], []  # samples of g/phi': points and rows
+            for i, (value, err, _) in zip(idx, integrate(f, bounds)):
+                pieces.append([ys[i], ys[i + 1], value, err, 0.0])
+                out[i] = value, err
+            return out
+        samples = []  # (points, rows of g/phi') of every evaluation, the probe first
 
         def smooth(y, scaled):
             m, p, q, db = _phase_terms(kind, y, t, *scaled)
-            ys.append(y)
-            hs.append(_fast_over_rate(m, p, q, db, t))
+            samples.append((y, _fast_over_rate(m, p, q, db, t)))
             part = 0.5 * (p * p + q * q)
             return part if m is None else part + m * m
 
-        smooth(y, scaled)
-        value, err = integrate(lambda y: smooth(y, _scaled_data_y(d, kind, t, n, y)), y_lo, y_hi)
-        h = np.concatenate(hs, axis=1)[:, np.argsort(np.concatenate(ys), kind="stable")]
-        ends = np.abs(h[:, 0]) + 2.0 * np.abs(h[:, -1])
-        pieces.append([y_lo, y_hi, value, err, float(ends.sum() + np.abs(np.diff(h, axis=1)).sum())])
-        return value, err
+        keep = np.repeat(live, _PROBE)
+        smooth(probe.ravel()[keep], [None if w is None else w[keep] for w in scaled])
+        results = integrate(lambda y: smooth(y, _scaled_data_y(d, kind, t, n, y)), bounds)
+        at = np.concatenate([y for y, _ in samples])
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        h_all = np.concatenate([h for _, h in samples], axis=1)[:, order]
+        h_ends = samples[0][1].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
+        for j, (i, (value, err, _)) in enumerate(zip(idx, results)):
+            # the piece's probe ends and, by position, every sample between them
+            inner = h_all[:, np.searchsorted(at, ys[i], "right"):np.searchsorted(at, ys[i + 1])]
+            h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
+            ends = np.abs(h[:, 0]) + 2.0 * np.abs(h[:, -1])
+            estimate = float(ends.sum() + np.abs(np.diff(h, axis=1)).sum())
+            pieces.append([ys[i], ys[i + 1], value, err, estimate])
+            out[i] = value, err
+        return out
 
     peak_s = max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START
     total, err, converged = tail_integral(
-        segment, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline, stop_from=peak_s
+        segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline, stop_from=peak_s
     )
     if not converged:
         raise QuadratureError("high-frequency tail did not converge")
     budget = spec.tol * (abs(baseline) + abs(total))
     phase = 0.0
+    stepped = []
     for piece in sorted(pieces, key=lambda p: p[4]):
-        y_lo, y_hi, _, piece_err, estimate = piece
-        if phase + estimate <= budget:
-            phase += estimate
+        if phase + piece[4] <= budget:
+            phase += piece[4]
         else:
-            steps = _phase_steps(kind, t, spec.osc_guard, y_lo, y_hi)
-            piece[2], step_err = integrate(f, y_lo, y_hi, steps)
-            err += step_err - piece_err
+            stepped.append(piece)
+    if stepped:
+        y_lo, y_hi = [p[0] for p in stepped], [p[1] for p in stepped]
+        steps = _phase_steps(kind, t, spec.osc_guard, y_lo, y_hi, panels_left)
+        bounds = [_build_bounds(*ends) for ends in zip(y_lo, y_hi, steps)]
+        for piece, (value, step_err, _) in zip(stepped, integrate(f, bounds)):
+            piece[2] = value
+            err += step_err - piece[3]
     total = 0.0
     for piece in pieces:  # in position order, as tail_integral summed them
         total += piece[2]

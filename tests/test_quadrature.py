@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logplate import data as data_mod
 from logplate import modes, rates, symbols, verify
@@ -48,6 +49,55 @@ def test_basic_integrals():
     assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
+# integrands of the batched refinement: smooth, peaked at x = 0 (the left
+# end of the intervals that start there) and oscillating
+INTEGRANDS = {
+    "smooth": lambda c: lambda x: np.exp(c * x),
+    "peaked": lambda c: lambda x: 1.0 / np.sqrt(x + 10.0 ** -(3.0 + abs(c))),
+    "oscillating": lambda c: lambda x: 1.5 + np.cos(40.0 * c * x),
+}
+_bounds = st.lists(
+    st.floats(0.0, 4.0), min_size=2, max_size=5, unique=True
+).map(sorted).filter(lambda b: b[-1] - b[0] > 1e-3).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(INTEGRANDS)),
+    c=st.floats(-3.0, 3.0),
+    intervals=st.lists(_bounds, min_size=1, max_size=5),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
+)
+def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol):
+    # every interval of one `_adaptive` call refines as it would alone, bit
+    # for bit, and a round evaluates all open intervals in one GK15 call;
+    # the intervals share the panel budget, checked before each evaluation
+    f = INTEGRANDS[shape](c)
+    gk_eval = quad._gk_eval
+    calls = []
+
+    def counting(f, lo, hi):
+        calls.append(lo.size)
+        return gk_eval(f, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_gk_eval", counting)
+        alone = []
+        rounds = []
+        for bounds in intervals:
+            calls.clear()
+            alone.append(quad._adaptive(f, [bounds], tol, quad.MAX_PANELS)[0])
+            rounds.append(len(calls))
+        panels = sum(used for _, _, used in alone)
+        calls.clear()
+        assert quad._adaptive(f, intervals, tol, panels) == alone
+        assert len(calls) == max(rounds)
+        calls.clear()
+        with pytest.raises(quad.PanelBudgetError):
+            quad._adaptive(f, intervals, tol, panels - 1)
+        assert len(calls) == max(rounds) - 1
+
+
 def test_head_integral_closed_forms():
     for t in (2.0, 5.0, 10.0, 30.0):
         exact = (1.0 - 2.0 ** (1.0 - t)) / (2.0 * (t - 1.0))
@@ -75,10 +125,10 @@ def test_tail_integral_closed_form_and_band():
 def test_tail_error_covers_slowly_shrinking_remainder():
     # exact pieces of int_1^inf x^{-1.2} dx shrink by 2^{-0.2} ~ 0.87 per
     # doubling, so |last piece| alone misses most of what is left
-    def segment(a, b):
-        return 5.0 * (a**-0.2 - b**-0.2), 0.0
+    def segments(ends):
+        return [(5.0 * (a**-0.2 - b**-0.2), 0.0) for a, b in zip(ends, ends[1:])]
 
-    total, err, converged = quad.tail_integral(segment, 1.0, 2.0, 1e-3)
+    total, err, converged = quad.tail_integral(segments, 1.0, 2.0, 1e-3)
     assert converged
     remainder = 5.0 - total  # 5 = the whole integral
     assert err >= remainder * (1.0 - 1e-12)
@@ -334,14 +384,13 @@ def _norm(d, kind, n, t, spec, rows):
 
 
 def _high_calls(monkeypatch):
-    """Record (bounds, value) of every high-zone `_adaptive` call."""
+    """Record (bounds, value) of every high-zone interval `_adaptive` integrates."""
     adaptive = quad._adaptive
     calls = []
 
-    def spy(f, bounds, tol, max_panels):
-        out = adaptive(f, bounds, tol, max_panels)
-        if bounds[0] >= 1.0:
-            calls.append((bounds, out[0]))
+    def spy(f, intervals, tol, max_panels):
+        out = adaptive(f, intervals, tol, max_panels)
+        calls.extend((b, v) for b, (v, _, _) in zip(intervals, out) if b[0] >= 1.0)
         return out
 
     monkeypatch.setattr(quad, "_adaptive", spy)
@@ -397,6 +446,7 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
     for t in (905.0, 1810.0):
         f = quad._squared_value(GAUSS2, kind, t, 2)
         samples = []
+        calls = _high_calls(monkeypatch)  # the pieces, each integrated once
 
         def spy(kind, y, t, *scaled):
             samples.append(y)
@@ -411,10 +461,10 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
         assert v == smooth
         # the estimate of each piece, on 4,097 more points of it
         ref = 0.0
-        for probe in (y for y in samples if y.size == 33):
-            lo, hi = probe[0], probe[-1]
-            ys = [y for y in samples if lo <= y.min() and y.max() <= hi]
-            y = np.sort(np.concatenate([np.linspace(lo, hi, 4097), *ys]))
+        sampled = np.concatenate(samples)
+        for lo, hi in ((b[0], b[-1]) for b, _ in calls):
+            ys = sampled[(lo <= sampled) & (sampled <= hi)]
+            y = np.sort(np.concatenate([np.linspace(lo, hi, 4097), ys]))
             scaled = quad._scaled_data_y(GAUSS2, kind, t, 2, y)
             h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
             ref += np.abs(h[:, 0]).sum() + 2.0 * np.abs(h[:, -1]).sum() + np.abs(np.diff(h)).sum()
@@ -436,19 +486,30 @@ def test_check10_pieces_split_and_stepped_at_t160(monkeypatch):
 
 @pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u", 8)])
 def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch, kind, n):
-    # a piece is probed once (33 points); it is integrated once, or, when
-    # its phase estimate misses the budget, once smooth and once stepped
+    # a piece is probed once (33 points, in the one call per run of pieces
+    # made outside `_gk_eval`); it is integrated once, or, when its phase
+    # estimate misses the budget, once smooth and once stepped
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     spec = quad.QuadSpec(n=n, tol=1e-4)
     scaled_data = quad._scaled_data_y
+    gk_eval = quad._gk_eval
     probes = []
+    evaluating = []
 
     def spy(d, kind, t, n, y):
-        if y.size == 33:
-            probes.append((y[0], y[-1]))
+        if not evaluating:
+            probes.extend(zip(y[::33], y[32::33]))
         return scaled_data(d, kind, t, n, y)
 
+    def gk_spy(f, lo, hi):
+        evaluating.append(True)
+        try:
+            return gk_eval(f, lo, hi)
+        finally:
+            evaluating.pop()
+
     monkeypatch.setattr(quad, "_scaled_data_y", spy)
+    monkeypatch.setattr(quad, "_gk_eval", gk_spy)
     calls = _high_calls(monkeypatch)
     for t in (10.0, 160.0, 2560.0):
         probes.clear()
@@ -456,6 +517,7 @@ def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch
         quad.norm_value(d, kind, n, t, spec)
         assert len(probes) == len(set(probes)), t
         split, stepped = _split_and_stepped(calls)
+        assert split | stepped <= set(probes), t
         assert len(calls) == len(split) + 2 * len(stepped), t
         for b, _ in calls:
             if (b[0], b[-1]) in split:
@@ -496,9 +558,10 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
     # phase, and a panel between two phase steps spans exactly that
     calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
-    def record(f, bounds, tol, max_panels):
-        calls[bounds[0], bounds[-1]] = bounds
-        return 0.0, 0.0, 0
+    def record(f, intervals, tol, max_panels):
+        for bounds in intervals:
+            calls[bounds[0], bounds[-1]] = bounds
+        return [(0.0, 0.0, 0)] * len(intervals)
 
     monkeypatch.setattr(quad, "_adaptive", record)
     _guarded_only(monkeypatch)
@@ -524,12 +587,43 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
             assert np.all(np.abs(between - step) <= 1e-9 * step), (kind, t)
 
 
-def test_phase_steps_beyond_the_budget_raise_before_any_allocation(monkeypatch):
-    # a tiny osc_guard or a huge t asks for more steps than memory holds
-    monkeypatch.setattr(quad, "MAX_PANELS", 100)
-    assert quad._phase_steps("u", 300.0, 1.0, 1.0, 2.0).size == 98
+def test_phase_steps_beyond_the_budget_raise_before_any_allocation():
+    # a tiny osc_guard or a huge t asks for more steps than memory holds;
+    # the steps of several intervals count together
+    assert quad._phase_steps("u", 300.0, 1.0, [1.0], [2.0], 100)[0].size == 98
     with pytest.raises(quad.PanelBudgetError):
-        quad._phase_steps("u", 1000.0, 1.0, 1.0, 2.0)
+        quad._phase_steps("u", 1000.0, 1.0, [1.0], [2.0], 100)
+    with pytest.raises(quad.PanelBudgetError):
+        quad._phase_steps("u", 300.0, 1.0, [1.0, 1.0], [2.0, 2.0], 100)
+
+
+def test_stepped_pieces_share_the_panels_left(monkeypatch):
+    # check 10's data at t = 160: the smooth tail takes 14 of 200 panels and
+    # the five stepped pieces need 43 to 169 steps, each within the 186
+    # panels left, 477 together; the budget error comes before any stepped
+    # panel is evaluated
+    monkeypatch.setattr(quad, "MAX_PANELS", 200)
+    gk_eval = quad._gk_eval
+    phase_steps = quad._phase_steps
+    evaluated = []
+    asked = []
+
+    def counting(f, lo, hi):
+        evaluated.append(lo.size)
+        return gk_eval(f, lo, hi)
+
+    def steps(kind, t, osc_guard, lo, hi, budget):
+        asked.append(len(evaluated))
+        assert budget == 186 and len(lo) == 5
+        for a, b in zip(lo, hi):
+            assert phase_steps(kind, t, osc_guard, [a], [b], budget)[0].size < budget
+        return phase_steps(kind, t, osc_guard, lo, hi, budget)
+
+    monkeypatch.setattr(quad, "_gk_eval", counting)
+    monkeypatch.setattr(quad, "_phase_steps", steps)
+    with pytest.raises(quad.PanelBudgetError, match="phase steps"):
+        quad.norm_value(LOG_TAIL8, "u", 8, 160.0, quad.QuadSpec(n=8, tol=1e-4))
+    assert asked == [len(evaluated)]
 
 
 def test_mode_rate_inverse_meets_the_collision_gap():
@@ -557,7 +651,7 @@ def _series_panels(monkeypatch, kind, grid):
 
     def counting(*args):
         out = adaptive(*args)
-        panels.append(out[2])
+        panels.extend(used for _, _, used in out)
         return out
 
     monkeypatch.setattr(quad, "_adaptive", counting)
@@ -572,9 +666,8 @@ def test_check10_series_panel_count(monkeypatch):
     assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 15_104
 
 
-def test_check07_series_gk15_panel_count(monkeypatch):
-    # every GK15 panel of check 07's window series, counted where panels are
-    # evaluated: [0, 1] is one integral refined to tol of its own value
+def _gk15_rows(monkeypatch):
+    """Record the panels of every `_gk_eval` call, one entry per call."""
     gk_eval = quad._gk_eval
     rows = []
 
@@ -583,6 +676,23 @@ def test_check07_series_gk15_panel_count(monkeypatch):
         return gk_eval(f, lo, hi)
 
     monkeypatch.setattr(quad, "_gk_eval", counting)
+    return rows
+
+
+def test_check10_series_gk15_calls(monkeypatch):
+    # each round of refinement evaluates the open panels of all pieces of a
+    # run in one call: check 10's window series takes 146 calls (342 with
+    # one call per piece and round), and its 15,195 GK15 panels show that
+    # no piece is integrated beyond the one that stops the tail
+    rows = _gk15_rows(monkeypatch)
+    quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, quad.QuadSpec(n=8, tol=1e-4))
+    assert (len(rows), sum(rows)) == (146, 15_195)
+
+
+def test_check07_series_gk15_panel_count(monkeypatch):
+    # every GK15 panel of check 07's window series, counted where panels are
+    # evaluated: [0, 1] is one integral refined to tol of its own value
+    rows = _gk15_rows(monkeypatch)
     kind = f"u-{rates.classify(2, verify._L_DATA).profile}"
     verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, kind, 1e-6)
     assert sum(rows) == 586
