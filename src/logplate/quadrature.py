@@ -33,22 +33,18 @@ Design notes
   e^{-t/(2L)} (e^{-3.49t} on the low zone), and the mode oscillates only on
   highmid, turning at most 0.15 t periods while its square decays like
   e^{-t/2}: refinement resolves the few periods that are not negligible.
-  Only the high-zone pieces whose phase estimate misses the budget start
+  Only the high-zone pieces whose variation misses the budget start
   from panels of exactly osc_guard half-periods of the fastest phase
   (`_phase_steps`); 15 Kronrod nodes per period resolve the phase to ~1e-8
   relative, so refinement rounds are rare.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  One piece loop (`_tail_value`) integrates the smooth part of each
-  run of tail pieces with no phase steps, in one `_adaptive` call, and
-  estimates each piece's fast terms by the integration-by-parts bound,
-  whose variation term is sampled.  Once the tail has converged the
-  estimates join the error estimate, smallest first, while their sum stays
-  within tol of the norm; the remaining pieces are integrated again as v^2
-  on phase-stepped panels, all in one `_adaptive` call, and each value
-  replaces its piece's smooth one.  The estimates fall like t^-1.5 relative to the
-  norm, so the stepped pieces are many at early times and few or none late.
+  2bt.  One piece loop (`_tail_value`) integrates the smooth part of a run
+  of tail pieces in one `_adaptive` call.  By parts, each fast term is exact
+  boundary terms plus a remainder within a sampled variation.  Pieces whose
+  variations fit within tol of the norm, smallest first, add their boundary
+  terms; the rest are integrated again as v^2 on phase-stepped panels.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted norm) goes through one
   tail-doubling loop, `tail_integral`: it doubles the extent until the
@@ -583,26 +579,24 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
     folded term underflows there are skipped, and the others are integrated
     in one `_adaptive` call.  Kinds without a phase, and t = 0, integrate f
     itself.  Oscillating kinds integrate each piece's smooth part
-    m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps and estimate its fast
-    terms: |int g cos(phi)| <= |g/phi'| at both ends + the total variation
-    of g/phi' (one integration by parts; Iserles & Norsett 2005), with
-    |g/phi'| at the right end counted twice, as if g/phi' fell
-    monotonically to 0 beyond it.  The variation is sampled on the piece's
-    probe and on the Kronrod nodes of its smooth integral, which follow the
-    peak of the damped data, so the estimate can only under-read the bound;
-    the samples of a run are assigned to its pieces by position.  Once the
-    tail has converged, the estimates join the error, smallest first, while
-    their sum stays within tol * (|baseline| + |total|); every other piece
-    is integrated again on panels of osc_guard half-periods (`_phase_steps`;
-    no other integral of a norm value is phase-stepped), all of them in one
-    `_adaptive` call, and each value replaces its piece's smooth one.  All
-    pieces share the panel budget, and the phase steps are checked against
-    what is left of it before any is built.
+    m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps.  A fast term
+    g cos(phi) = h phi' cos(phi), h = g/phi', integrates by parts to
+    [h sin(phi)] - int h' sin(phi), and g sin(phi) likewise (Iserles &
+    Norsett 2005).  The boundary terms take h at the probe's ends; the
+    remainder is at most the variation of h, sampled on the probe and on
+    the Kronrod nodes of the smooth integral (which follow the peak of the
+    damped data), the samples of a run assigned to its pieces by position.
+    Once the tail has converged, the variations join the error, smallest
+    first, while their sum stays within tol * (|baseline| + |total|), and
+    those pieces add their boundary terms.  Every other piece is integrated
+    again in place of its smooth value, on panels of osc_guard half-periods
+    (`_phase_steps`, checked against the panels left before any is built),
+    all in one `_adaptive` call.
     """
     n = spec.n
     split = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
     panels_left = MAX_PANELS
-    pieces = []  # [y_lo, y_hi, value, err, phase estimate] of every non-empty piece
+    pieces = []  # [y_lo, y_hi, value, err, variation, boundary terms] of every non-empty piece
 
     def integrate(g, bounds):
         nonlocal panels_left
@@ -625,7 +619,7 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
         bounds = [_build_bounds(ys[i], ys[i + 1]) for i in idx]
         if not split:
             for i, (value, err, _) in zip(idx, integrate(f, bounds)):
-                pieces.append([ys[i], ys[i + 1], value, err, 0.0])
+                pieces.append([ys[i], ys[i + 1], value, err, 0.0, 0.0])
                 out[i] = value, err
             return out
         samples = []  # (points, rows of g/phi') of every evaluation, the probe first
@@ -644,13 +638,18 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
         at = at[order]
         h_all = np.concatenate([h for _, h in samples], axis=1)[:, order]
         h_ends = samples[0][1].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
+        # boundary terms [h sin(phi)], [-h cos(phi)] of the rows, phi = 2bt, 2bt, bt, bt
+        bt = t * np.sqrt(-collision_gap(probe[idx][:, [0, -1]] ** 2)[1])
+        rows = np.arange(len(h_ends))[:, None, None]
+        phi = np.where(rows < 2, 2.0 * bt, bt)
+        terms = h_ends * np.where(rows % 2, -np.cos(phi), np.sin(phi))
+        edges = (terms[:, :, 1] - terms[:, :, 0]).sum(axis=0)
         for j, (i, (value, err, _)) in enumerate(zip(idx, results)):
             # the piece's probe ends and, by position, every sample between them
             inner = h_all[:, np.searchsorted(at, ys[i], "right"):np.searchsorted(at, ys[i + 1])]
             h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
-            ends = np.abs(h[:, 0]) + 2.0 * np.abs(h[:, -1])
-            estimate = float(ends.sum() + np.abs(np.diff(h, axis=1)).sum())
-            pieces.append([ys[i], ys[i + 1], value, err, estimate])
+            variation = float(np.abs(np.diff(h, axis=1)).sum())
+            pieces.append([ys[i], ys[i + 1], value, err, variation, float(edges[j])])
             out[i] = value, err
         return out
 
@@ -666,6 +665,7 @@ def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
     for piece in sorted(pieces, key=lambda p: p[4]):
         if phase + piece[4] <= budget:
             phase += piece[4]
+            piece[2] += piece[5]
         else:
             stepped.append(piece)
     if stepped:

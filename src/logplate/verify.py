@@ -4,7 +4,7 @@ Each check is pure given its inputs and produces one result record; a
 check that needs a norm series computes it, as no two checks share one, and
 integrates only the times its judge reads: the grid times inside the fit
 window, as `rates.window_times` picks them.
-Check 13 re-executes the sub-second checks and compares their canonical
+Check 13 re-executes checks 01, 02 and 10 and compares their canonical
 serialisation (all fields except the wall-time) byte for byte.
 """
 
@@ -462,7 +462,7 @@ def _check_zone_exponential() -> tuple[bool, str, str, str]:
 def _check_determinism() -> tuple[bool, str, str, str]:
     def snapshot() -> str:
         lines = []
-        for cid in ("01-thresholds", "02-root-algebra"):
+        for cid in ("01-thresholds", "02-root-algebra", "10-solution-norm-sharpness"):
             lines.append(canonical_line(run_check(cid)))
         return "\n".join(lines)
 

@@ -366,21 +366,35 @@ def test_phase_form_reassembles_the_high_zone_value(kind):
 
 
 def _rows(value):
-    """Stand-in for `_fast_over_rate`: every sample of g/phi' reads `value`."""
-    return lambda m, p, q, db, t: np.full((1, db.size), value)
+    """Stand-in for `_fast_over_rate`: the samples of g/phi' of each call read
+    `value` and `-value` in turn, so every piece's sampled variation is at
+    least 2 |value| unless value is 0."""
+    return lambda m, p, q, db, t: np.where(np.arange(db.size) % 2, -value, value)[None, :]
 
 
 def _guarded_only(monkeypatch):
-    # every piece's phase estimate misses the budget, so every piece is stepped
+    # every piece's variation misses the budget, so every piece is stepped
     monkeypatch.setattr(quad, "_fast_over_rate", _rows(HUGE))
 
 
 def _norm(d, kind, n, t, spec, rows):
-    """norm_value with every sample of g/phi' reading `rows`: 0.0 splits
-    every piece, HUGE steps every piece."""
+    """norm_value with the samples of g/phi' reading `rows` and `-rows` in
+    turn: 0.0 splits every piece and adds no boundary terms, HUGE steps
+    every piece."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_fast_over_rate", _rows(rows))
         return quad.norm_value(d, kind, n, t, spec)
+
+
+def _boundary_terms(d, kind, n, t, y):
+    """Sum over the fast terms g cos(phi) + ... of v^2 of the boundary terms
+    [h sin(phi)] or [-h cos(phi)], h = g/phi', that one integration by parts
+    leaves at the points y."""
+    scaled = quad._scaled_data_y(d, kind, t, n, y)
+    h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
+    _, b = modes.oscillating_coeffs(*symbols.collision_gap(y * y), t)
+    trig = (np.sin(2.0 * b * t), -np.cos(2.0 * b * t), np.sin(b * t), -np.cos(b * t))
+    return sum(row * g for row, g in zip(h, trig))
 
 
 def _high_calls(monkeypatch):
@@ -405,17 +419,24 @@ def _split_and_stepped(calls):
 
 
 @pytest.mark.parametrize("kind,n,times", SPLIT_CASES)
-def test_split_tail_within_its_phase_bound_of_the_guarded_value(kind, n, times):
-    # where every piece is split the value is the smooth integral bit for
-    # bit, the phase estimates are what err_est adds to it, and they bound
-    # the distance to the stepped value
+def test_split_tail_within_its_phase_bound_of_the_guarded_value(monkeypatch, kind, n, times):
+    # where every piece is split the value is the smooth integral plus the
+    # boundary terms of the fast terms, which cancel between adjacent pieces
+    # up to rounding and leave those at the tail's two ends; the sampled
+    # variations are what err_est adds to it, and they bound the distance to
+    # the stepped value
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     spec = quad.QuadSpec(n=n, tol=1e-4)
     for t in times:
+        calls = _high_calls(monkeypatch)
         v, e = quad.norm_value(d, kind, n, t, spec)
+        monkeypatch.undo()
+        assert not _split_and_stepped(calls)[1], (kind, t)
         smooth, smooth_err = _norm(d, kind, n, t, spec, rows=0.0)
         guarded, _ = _norm(d, kind, n, t, spec, rows=HUGE)
-        assert v == smooth, (kind, t)
+        ends = np.array([1.0, max(b[-1] for b, _ in calls)])
+        first, last = _boundary_terms(d, kind, n, t, ends)
+        assert v != smooth and abs(v - smooth - (last - first)) <= 1e-14 * v, (kind, t)
         assert abs(v - guarded) <= e - smooth_err <= e, (kind, t)
 
 
@@ -453,13 +474,13 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
             return phase_terms(kind, y, t, *scaled)
 
         monkeypatch.setattr(quad, "_phase_terms", spy)
-        v, e = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        _, e = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
         monkeypatch.undo()
         monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-        smooth, smooth_err = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        _, smooth_err = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
         monkeypatch.undo()
-        assert v == smooth
-        # the estimate of each piece, on 4,097 more points of it
+        assert not _split_and_stepped(calls)[1]
+        # the variation of each piece, on 4,097 more points of it
         ref = 0.0
         sampled = np.concatenate(samples)
         for lo, hi in ((b[0], b[-1]) for b, _ in calls):
@@ -467,7 +488,7 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
             y = np.sort(np.concatenate([np.linspace(lo, hi, 4097), ys]))
             scaled = quad._scaled_data_y(GAUSS2, kind, t, 2, y)
             h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
-            ref += np.abs(h[:, 0]).sum() + 2.0 * np.abs(h[:, -1]).sum() + np.abs(np.diff(h)).sum()
+            ref += np.abs(np.diff(h)).sum()
         assert 0.99 * ref <= e - smooth_err <= ref * (1.0 + 1e-12), (kind, t)
 
 
@@ -524,15 +545,71 @@ def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch
                 assert b.size == 2, t
 
 
-@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u", 8)])
+@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u-phi2", 8), ("u", 8)])
 def test_error_estimate_bounds_a_stepped_reference(kind, n):
-    # the data of checks 08 and 10: err_est covers the distance to the
+    # the data of checks 08, 09 and 10: err_est covers the distance to the
     # stepped-only value at tol / 100
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    for t in (40.0, 160.0, 640.0):
+    for t in (40.0, 160.0, 640.0, 2560.0):
         v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-4))
         ref, _ = _norm(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-6), rows=HUGE)
         assert abs(v - ref) <= e, (kind, t)
+
+
+@pytest.mark.parametrize("kind", ["u-phi1", "u-phi"])
+def test_split_tail_adds_the_boundary_terms_of_every_row(monkeypatch, kind):
+    # at t = 2 the mass term is not yet damped in the high zone, so all four
+    # fast terms leave boundary terms of order 1 at y = 1; an infinite
+    # baseline splits every piece, and the value differs from the smooth one
+    # by the terms at the tail's ends
+    t = 2.0
+    f = quad._squared_value(GAUSS2, kind, t, 2)
+    spec = quad.QuadSpec(n=2, tol=1e-4)
+    calls = _high_calls(monkeypatch)
+    v, _ = quad._tail_value(GAUSS2, kind, t, spec, math.inf, f)
+    monkeypatch.undo()
+    monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
+    smooth, _ = quad._tail_value(GAUSS2, kind, t, spec, math.inf, f)
+    monkeypatch.undo()
+    ends = np.array([1.0, max(b[-1] for b, _ in calls)])
+    first, last = _boundary_terms(GAUSS2, kind, 2, t, ends)
+    assert abs(v - smooth - (last - first)) <= 1e-14 * v < abs(last - first)
+
+
+@pytest.mark.parametrize("kind,n", [case[:2] for case in SPLIT_CASES])
+def test_unstepped_piece_within_its_variation_of_the_stepped_piece(monkeypatch, kind, n):
+    # a piece left unstepped adds the boundary terms of its fast terms to its
+    # smooth part, and err_est adds the sampled variation of g/phi'; piece by
+    # piece, that value lies within the variation and both integrals' errors
+    # of the piece integrated on phase steps at tol / 100.  The smooth part
+    # alone does not, on some piece of each kind: the boundary terms count.
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    spec = quad.QuadSpec(n=n, tol=1e-4)
+    missed = []
+    for t in (160.0, 640.0):
+        calls = _high_calls(monkeypatch)
+        quad.norm_value(d, kind, n, t, spec)
+        monkeypatch.undo()
+        f = quad._squared_value(d, kind, t, n)
+        for lo, hi in sorted({(b[0], b[-1]) for b, _ in calls}):
+            s_lo = round(1.0 + lo * lo)
+
+            def one_piece(segments, *args, **kwargs):
+                ((value, err),) = segments([s_lo, 2 * s_lo])
+                return value, err, True
+
+            # the tail is this piece alone, left unstepped by an infinite baseline
+            monkeypatch.setattr(quad, "tail_integral", one_piece)
+            v, e = quad._tail_value(d, kind, t, spec, math.inf, f)
+            monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
+            smooth, _ = quad._tail_value(d, kind, t, spec, math.inf, f)
+            monkeypatch.undo()
+            steps = quad._phase_steps(kind, t, spec.osc_guard, [lo], [hi], quad.MAX_PANELS)[0]
+            bounds = [quad._build_bounds(lo, hi, steps)]
+            ((ref, ref_err, _),) = quad._adaptive(f, bounds, spec.tol / 100.0, quad.MAX_PANELS)
+            assert abs(v - ref) <= e + ref_err, (kind, t, lo)
+            missed.append(abs(smooth - ref) > e + ref_err)
+    assert any(missed), kind
 
 
 # the kinds whose integrand carries the mode's phase bt above delta, and
@@ -599,8 +676,8 @@ def test_phase_steps_beyond_the_budget_raise_before_any_allocation():
 
 def test_stepped_pieces_share_the_panels_left(monkeypatch):
     # check 10's data at t = 160: the smooth tail takes 14 of 200 panels and
-    # the five stepped pieces need 43 to 169 steps, each within the 186
-    # panels left, 477 together; the budget error comes before any stepped
+    # the four stepped pieces need 43 to 120 steps, each within the 186
+    # panels left, 308 together; the budget error comes before any stepped
     # panel is evaluated
     monkeypatch.setattr(quad, "MAX_PANELS", 200)
     gk_eval = quad._gk_eval
@@ -614,7 +691,7 @@ def test_stepped_pieces_share_the_panels_left(monkeypatch):
 
     def steps(kind, t, osc_guard, lo, hi, budget):
         asked.append(len(evaluated))
-        assert budget == 186 and len(lo) == 5
+        assert budget == 186 and len(lo) == 4
         for a, b in zip(lo, hi):
             assert phase_steps(kind, t, osc_guard, [a], [b], budget)[0].size < budget
         return phase_steps(kind, t, osc_guard, lo, hi, budget)
@@ -660,10 +737,11 @@ def _series_panels(monkeypatch, kind, grid):
 
 
 def test_check10_series_panel_count(monkeypatch):
-    # the tail steps only the pieces whose phase estimate misses the budget,
-    # and their initial panels end at steps of the mode's phase: check 10's
-    # series takes 15,104 panels
-    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 15_104
+    # the tail adds the boundary terms of the fast terms and steps only the
+    # pieces whose sampled variation misses the budget, and their initial
+    # panels end at steps of the mode's phase: check 10's series takes 3,285
+    # panels (15,104 when each piece's fast terms were only bounded)
+    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 3_285
 
 
 def _gk15_rows(monkeypatch):
@@ -681,12 +759,13 @@ def _gk15_rows(monkeypatch):
 
 def test_check10_series_gk15_calls(monkeypatch):
     # each round of refinement evaluates the open panels of all pieces of a
-    # run in one call: check 10's window series takes 146 calls (342 with
-    # one call per piece and round), and its 15,195 GK15 panels show that
-    # no piece is integrated beyond the one that stops the tail
+    # run in one call: check 10's window series takes 143 calls (146 and
+    # 15,195 panels when the fast terms were only bounded), and its 3,376
+    # GK15 panels show that no piece is integrated beyond the one that stops
+    # the tail
     rows = _gk15_rows(monkeypatch)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, quad.QuadSpec(n=8, tol=1e-4))
-    assert (len(rows), sum(rows)) == (146, 15_195)
+    assert (len(rows), sum(rows)) == (143, 3_376)
 
 
 def test_check07_series_gk15_panel_count(monkeypatch):
