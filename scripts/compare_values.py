@@ -8,7 +8,8 @@ integrates the comparison set: the data and kinds of checks 06-11 and the
 n = 6 `log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low,
 lowmid, highmid and high, at the 21 times of the default grid, each at its
 check's tolerance and the other `QuadSpec` defaults, as `logplate verify`
-runs them; and the log-weighted norm `data.y_norm` of the three data
+runs them, once a time with `norm_value` and once as one `norm_series`
+(the rows ending in "series"); and the log-weighted norm `data.y_norm` of the three data
 families at n = 1, 2, 3, 4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
 and every y_norm (family, n) one line says
 
@@ -129,6 +130,12 @@ def emit() -> None:
                 except quadrature.QuadratureError as exc:
                     row.append(f"{type(exc).__name__}: {exc}")
             out["values"][_key(case, zone)] = row
+            try:
+                s = quadrature.norm_series(d, kind, n, quadrature.default_time_grid(), spec, zone)
+                row = [list(pair) for pair in zip(s.values, s.errs)]
+            except quadrature.QuadratureError as exc:
+                row = [f"{type(exc).__name__}: {exc}"] * len(row)
+            out["values"][_key(case, zone) + " series"] = row
     for sel in Y_NORM_DATA:
         for n in Y_NORM_DIMS:
             key = f"y_norm n={n} {sel} s={','.join(f'{s:g}' for s in Y_NORM_ORDERS)}"

@@ -275,11 +275,11 @@ def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
 
     head, head_err = radial_integral(f, 0.0, 1.0, tol, ladder=16)
 
-    def segments(ends):
-        ys = [math.sqrt(s_end - 1.0) for s_end in ends]
-        return [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]
+    def segments(runs):
+        ys = [math.sqrt(s_end - 1.0) for s_end in runs[0]]
+        return {0: [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]}
 
-    tail, tail_err, converged = tail_integral(
-        segments, TAIL_START, 2.0 * TAIL_START, tol, baseline=head
+    ((tail, tail_err, converged),) = tail_integral(
+        segments, TAIL_START, 2.0 * TAIL_START, tol, baselines=(head,)
     )
     return YNormResult(head + tail, head_err + tail_err, not converged)

@@ -52,7 +52,7 @@ _SERIES_CUT = 1e-6
 _EIGEN_CUT = 8.5**2
 
 
-def oscillating_coeffs(a, csq, t: float):
+def oscillating_coeffs(a, csq, t):
     """(e^{-at}, b) of oscillating modes, roots -a +/- i b with
     b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0."""
     return np.exp(a * -t), np.sqrt(-csq)
@@ -119,10 +119,10 @@ def _assemble(lam, a, ec, es, u0, u1, velocity):
     return (u, -lam * es * u0 + (ec - a * es) * u1) if velocity else u
 
 
-def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
+def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     """Mode value u(t) with data (u0, u1), or with `velocity` (u(t), u'(t)),
-    at log-weights `lam`: a float, or an ndarray with u0, u1 of its shape.
-    `t` >= 0 is shared by all entries; z = c^2 t^2 picks each one's branch.
+    at log-weights `lam`: a float, or an ndarray with u0, u1 of its shape
+    and t >= 0 a float or one more such array; z = c^2 t^2 picks the branch.
     """
     a, csq = collision_gap(lam)
     if not isinstance(lam, np.ndarray):
@@ -143,9 +143,10 @@ def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
         out = propagator_coeffs(np.array([lam]), t, np.array([u0]), np.array([u1]), velocity)
         return tuple(w.item() for w in out) if velocity else out.item()
 
-    if csq.max() * (t * t) <= -_SERIES_CUT:
-        # every node oscillates (the whole high zone): no masks
+    if (csq.max() * t * t).max() <= -_SERIES_CUT:
+        # every node oscillates (the whole high zone at t > 0): no masks
         return _assemble(lam, a, *_oscillating(a, csq, t), u0, u1, velocity)
+    t = np.broadcast_to(t, lam.shape)
     z = csq * (t * t)
     osc = z <= -_SERIES_CUT
     eig = z > _EIGEN_CUT
@@ -153,15 +154,15 @@ def propagator_coeffs(lam, t: float, u0, u1, velocity: bool = False):
     real = (z >= _SERIES_CUT) & ~eig
     ec, es = np.zeros_like(lam), np.zeros_like(lam)
     if small.any():
-        ec[small], es[small] = _series(a[small], z[small], t)
+        ec[small], es[small] = _series(a[small], z[small], t[small])
     if real.any():
-        ec[real], es[real] = _real(a[real], np.sqrt(csq[real]), t)
+        ec[real], es[real] = _real(a[real], np.sqrt(csq[real]), t[real])
     if osc.any():
-        ec[osc], es[osc] = _oscillating(a[osc], csq[osc], t)
+        ec[osc], es[osc] = _oscillating(a[osc], csq[osc], t[osc])
     out = _assemble(lam, a, ec, es, u0, u1, velocity)
     if eig.any():
         # the data are gathered for the eigen nodes alone
-        part = _eigen(lam[eig], a[eig], np.sqrt(csq[eig]), t, u0[eig], u1[eig], velocity)
+        part = _eigen(lam[eig], a[eig], np.sqrt(csq[eig]), t[eig], u0[eig], u1[eig], velocity)
         for whole, piece in zip(out, part) if velocity else ((out, part),):
             whole[eig] = piece
     return out

@@ -27,33 +27,30 @@ __all__ = ["phi1_coeff", "phi2_envelope", "phi2_coeffs"]
 _SINC_CUT = 1e-12
 
 
-def phi1_coeff(lam, t: float, log_scale=0.0):
-    """e^{log_scale - t L (1+L)} for scalar or array lam; a log_scale folds
-    a factor into the exponent, where it cannot overflow."""
+def phi1_coeff(lam, t, log_scale=0.0):
+    """e^{log_scale - t L (1+L)} for scalar or array lam and t; a log_scale
+    folds a factor into the exponent, where it cannot overflow."""
     lam = np.asarray(lam, dtype=float)
     out = np.exp(log_scale - t * lam * (1.0 + lam))
     return float(out) if out.ndim == 0 else out
 
 
-def phi2_envelope(lam: np.ndarray, t: float) -> np.ndarray:
-    """e^{-t/(2L)}, the damping of the oscillatory profile; it underflows to
-    0 at L = 0 for t > 0 and equals 1 at t = 0."""
-    if t == 0.0:
-        return np.ones_like(lam)
-    with np.errstate(divide="ignore"):
-        return np.exp(-t / (2.0 * lam))
+def phi2_envelope(lam: np.ndarray, t) -> np.ndarray:
+    """e^{-t/(2L)}, the oscillatory profile's damping, t a float or aligned
+    with L; it underflows to 0 at L = 0 for t > 0 and equals 1 at t = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t == 0.0, 1.0, np.exp(-t / (2.0 * lam)))
 
 
-def phi2_coeffs(lam, t: float):
+def phi2_coeffs(lam, t):
     """(envelope, sin-coefficient, cos-coefficient) arrays of the oscillatory
-    profile over an array of log-weights.
+    profile over an array of log-weights, t a float or aligned with them.
 
     phi2 = env * (s2 * u1 + c2 * u0) with env = e^{-t/(2L)},
     s2 = sin(sqrt(L) t)/sqrt(L), c2 = cos(sqrt(L) t).  At L = 0 the envelope
     underflows to 0 for t > 0 and equals 1 at t = 0.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    t = float(t)
     env = phi2_envelope(lam_arr, t)
     sq = np.sqrt(lam_arr)
     st = sq * t

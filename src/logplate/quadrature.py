@@ -10,10 +10,11 @@ Design notes
   for a fixed spec.
 * One `_adaptive` call refines several intervals in shared rounds: a round
   evaluates the panels every unconverged interval splits in one batch,
-  while each interval keeps its own panels, test, threshold, round limit
-  and sum, so no value depends on the intervals it shares rounds with.
-  Per-call overhead, not nodes, dominates the small batches of the tail
-  pieces, so the high zone integrates its pieces a run at a time.
+  while each interval keeps its own panels, test, threshold, round limit,
+  sum and t, and each owner (a time) its own budget and errors, so no value
+  depends on the intervals it shares rounds with.  Per-call overhead, not
+  nodes, dominates small batches, so a series integrates all its times in
+  the same calls; node functions take t as a float or aligned with y.
 * Every zone is integrated in y = sqrt(L), L = log(1 + r^2): r overflows a
   double once L > 709 while the regularity-limited tails live out to
   log-weights of order t, so y is the only representable variable there,
@@ -40,7 +41,7 @@ Design notes
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  One piece loop (`_tail_value`) integrates the smooth part of a run
+  2bt.  One piece loop (`_tail_values`) integrates the smooth part of a run
   of tail pieces in one `_adaptive` call.  By parts, each fast term is exact
   boundary terms plus a remainder within a sampled variation.  Pieces whose
   variations fit within tol of the norm, smallest first, add their boundary
@@ -51,7 +52,8 @@ Design notes
   increment is negligible and, for the high zone, the envelope peak (at
   log-weight ~ t) has been passed.  The pieces up to the first one past
   the peak are integrated as one run, since none of them can stop the
-  loop; after that, one piece at a time.
+  loop; after that, one piece at a time.  Several loops, one per time of a
+  series, run in lockstep.
 * The integrand is evaluated in batches of at most CHUNK nodes, sized so
   that every temporary array of one batch stays in the L2 cache.  Panel
   sums are taken row by row, so values never depend on the batch size.
@@ -218,7 +220,9 @@ def surface_area(n: int) -> float:
 
 
 def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorised GK15 on a batch of panels -> (values, error estimates)."""
+    """Vectorised GK15 on a batch of panels -> (values, error estimates);
+    f(x, rows) evaluates the nodes x, 15 per panel, of the panels `rows` (a
+    slice), and a non-finite sample makes its panel's value non-finite."""
     m = lo.size
     vals = np.empty(m)
     errs = np.empty(m)
@@ -229,9 +233,9 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
         b = hi[sl]
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
-        y = f(x.reshape(-1)).reshape(x.shape)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteIntegrandError("integrand returned a non-finite sample")
+        y = f(x.reshape(-1), sl).reshape(x.shape)
+        if not np.isfinite(y).all():
+            y = np.where(np.isfinite(y), y, np.nan)  # NaN, unlike inf, sums without warnings
         k = (y * _WK).sum(axis=1) * half
         g = (y[:, 1::2] * _WG).sum(axis=1) * half
         vals[sl] = k
@@ -239,74 +243,90 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(f, intervals, tol: float, max_panels: int):
-    """Adaptive refinement of f on each of several intervals, each starting
-    from its own array of panel boundaries.
+def _adaptive(f, intervals, tol: float, budget, failed: dict):
+    """Adaptive refinement of f(y, t) on intervals (bounds, t, owner), each
+    starting from its own array of panel boundaries, at its own t.
 
     Every interval refines as it would alone: its own refinement test and
     threshold over its own panels, at most 200 rounds, and its value summed
     in position order.  A round evaluates the panels that every unconverged
-    interval splits in one `_gk_eval` call.  The intervals share the panel
-    budget, checked before every evaluation.
-    Returns [(value, error estimate, panels used)], one per interval.
+    interval splits in one `_gk_eval` call.  The intervals of an owner (an
+    index) share the panels budget[owner], checked before every evaluation
+    and reduced by the panels they end with.  An owner fails on an exhausted
+    budget, a non-finite sample or the round limit: `failed` maps it to its
+    error, and every owner at or after the earliest failed one is dropped.
+    Returns [(value, error estimate, panels used)], one per interval,
+    (0.0, 0.0, 0) for a dropped one.
     """
-    lo = [b[:-1] for b in intervals]
-    hi = [b[1:] for b in intervals]
-    used = sum(x.size for x in lo)
-    if used == 0:
-        return [(0.0, 0.0, 0)] * len(intervals)
-    if used > max_panels:
-        raise PanelBudgetError(f"initial subdivision needs {used} panels, budget is {max_panels}")
-    vals, errs = _gk_runs(f, lo, hi)
-    refining = [i for i, x in enumerate(lo) if x.size]
-    for _ in range(200):
-        split = []  # (interval, mask, left and right ends of the panels it splits)
-        for i in refining:
-            total = float(np.sum(vals[i]))
-            if float(np.sum(errs[i])) <= tol * abs(total) + 1e-300:
-                continue
-            mask = errs[i] > tol * abs(total) / (2.0 * lo[i].size)
-            if not mask.any():
-                mask = errs[i] >= errs[i].max()
-            split.append((i, mask, lo[i][mask], hi[i][mask]))
+    cut = min(failed, default=math.inf)
+
+    def fail(owners, error):
+        nonlocal cut
+        if owners and min(owners) < cut:
+            cut = min(owners)
+            failed[cut] = error(cut)
+
+    owner = [o for _, _, o in intervals]
+    lo, hi = [b[:-1] for b, _, _ in intervals], [b[1:] for b, _, _ in intervals]
+    vals, errs = list(lo), list(hi)  # placeholders until evaluated
+    used = dict.fromkeys(owner, 0)
+    # (interval, mask of its panels that split, ends of its new panels); round 0 has no mask
+    split = [(i, None, lo[i], hi[i]) for i in range(len(intervals))]
+    for rnd in range(201):
+        if rnd:
+            refining, split, bad = [i for i, _, _, _ in split], [], []
+            for i in refining:
+                total = float(np.sum(vals[i]))
+                if owner[i] >= cut or float(np.sum(errs[i])) <= tol * abs(total) + 1e-300:
+                    continue
+                if not math.isfinite(total):
+                    bad.append(owner[i])
+                    continue
+                mask = errs[i] > tol * abs(total) / (2.0 * lo[i].size)
+                if not mask.any():
+                    mask = errs[i] >= errs[i].max()
+                mlo, mhi = lo[i][mask], hi[i][mask]
+                mid = 0.5 * (mlo + mhi)
+                split.append((i, mask, np.concatenate([mlo, mid]), np.concatenate([mid, mhi])))
+            fail(bad, lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
+        for i, mask, a, _ in split:
+            used[owner[i]] += a.size if mask is None else np.count_nonzero(mask)
+        fail([owner[s[0]] for s in split if used[owner[s[0]]] > budget[owner[s[0]]]],
+             lambda o: PanelBudgetError(
+                 f"initial subdivision needs {used[o]} panels, budget is {budget[o]}" if not rnd
+                 else "panel budget exhausted; t is too large for the requested tolerance"))
+        split = [s for s in split if owner[s[0]] < cut and s[2].size]
         if not split:
             break
-        used += sum(mlo.size for _, _, mlo, _ in split)
-        if used > max_panels:
-            raise PanelBudgetError(
-                "panel budget exhausted; t is too large for the requested tolerance"
-            )
-        clo, chi = [], []
-        for _, _, mlo, mhi in split:
-            mid = 0.5 * (mlo + mhi)
-            clo.append(np.concatenate([mlo, mid]))
-            chi.append(np.concatenate([mid, mhi]))
-        cvals, cerrs = _gk_runs(f, clo, chi)
-        for (i, mask, _, _), a, b, v, e in zip(split, clo, chi, cvals, cerrs):
-            keep = ~mask
-            lo[i] = np.concatenate([lo[i][keep], a])
-            hi[i] = np.concatenate([hi[i][keep], b])
-            vals[i] = np.concatenate([vals[i][keep], v])
-            errs[i] = np.concatenate([errs[i][keep], e])
-        refining = [i for i, _, _, _ in split]
+        idx, _, clo, chi = zip(*split)
+        sizes = [a.size for a in clo]
+        # one float t when they share it, which the kernels take faster, else one per panel
+        t = [intervals[i][1] for i in idx]
+        t = t[0] if len(set(t)) == 1 else np.repeat(t, sizes)
+        v, e = _gk_eval(lambda x, rows: f(x, np.repeat(t[rows], 15)
+                                          if isinstance(t, np.ndarray) else t),
+                        np.concatenate(clo), np.concatenate(chi))
+        runs = list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
+        for (i, mask, a, b), (start, stop) in zip(split, runs):
+            new = a, b, v[start:stop], e[start:stop]
+            if mask is not None:  # keep the panels that did not split
+                keep = ~mask
+                new = [np.concatenate([old[keep], x])
+                       for old, x in zip((lo[i], hi[i], vals[i], errs[i]), new)]
+            lo[i], hi[i], vals[i], errs[i] = new
     else:
-        raise PanelBudgetError("adaptive refinement did not reach the tolerance")
+        fail([owner[i] for i, _, _, _ in split], lambda o: PanelBudgetError(
+            "adaptive refinement did not reach the tolerance"))
     out = []
-    for x, v, e in zip(lo, vals, errs):
+    for o, x, v, e in zip(owner, lo, vals, errs):
+        if o >= cut:
+            x = v = e = np.empty(0)
         order = np.argsort(x, kind="stable")
         value = math.fsum(v[order].tolist())
         err = math.fsum((e + _ROUNDING * np.abs(v))[order].tolist())
         out.append((value, err, int(x.size)))
+        budget[o] -= x.size
     return out
-
-
-def _gk_runs(f, lo: list, hi: list):
-    """`_gk_eval` of several panel lists in one call -> (values, error
-    estimates), each split back into one array per list."""
-    vals, errs = _gk_eval(f, np.concatenate(lo), np.concatenate(hi))
-    cuts = [0, *itertools.accumulate(x.size for x in lo)]
-    runs = list(zip(cuts, cuts[1:]))
-    return [vals[a:b] for a, b in runs], [errs[a:b] for a, b in runs]
 
 
 def _build_bounds(lo: float, hi: float, breakpoints=(), ladder: int = 0) -> np.ndarray:
@@ -328,53 +348,68 @@ def radial_integral(f, lo: float, hi: float, tol: float, ladder: int = 0):
     """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
-    value, err, _ = _adaptive(f, [_build_bounds(lo, hi, ladder=ladder)], tol, MAX_PANELS)[0]
+    failed = {}
+    bounds = [(_build_bounds(lo, hi, ladder=ladder), 0.0, 0)]
+    ((value, err, _),) = _adaptive(lambda y, t: f(y), bounds, tol, [MAX_PANELS], failed)
+    if failed:
+        raise failed[0]
     return value, err
 
 
-def tail_integral(
-    segments, lo: float, hi: float, tol: float, baseline: float = 0.0, stop_from: float = -math.inf
-):
-    """Sum the pieces [lo, hi], [hi, 2 hi], ... until the increments stop.
+def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), stops=(-math.inf,)):
+    """Sum the pieces [lo, hi], [hi, 2 hi], ... until the increments stop, in
+    one loop per entry of `baselines`, all loops in lockstep.
 
-    `segments(ends)` integrates the run of consecutive pieces between the
-    points of `ends` and returns one (value, err) per piece.  The loop stops
-    after a piece that starts at or beyond `stop_from`, is no larger than
-    the piece before it and is at most tol * (|baseline| + |total|), where
-    `baseline` is the part of the integral the caller holds apart.  No
-    piece before the first one that starts at or beyond `stop_from` can
-    stop the loop, so the first run is all of them up to that one; every
-    later run is one piece, and no piece past the stop is integrated.
-    Returns (total, err, converged); converged is False when MAX_SEGMENTS
-    pieces did not meet the test, and the caller decides what that means.
-    On convergence err includes a bound on the tail never integrated: the
-    geometric remainder |last| rho/(1-rho) of pieces that keep shrinking by
-    the last ratio rho = last/previous, and at least |last|.
+    `segments(runs)` takes {loop: ends}, the run of consecutive pieces
+    between the points `ends` of every open loop, and returns {loop: one
+    (value, err) per piece}.  A loop stops after a piece that starts at or
+    beyond its entry of `stops`, is no larger than the piece before it and
+    is at most tol * (|baseline| + |total|), where `baseline` is the part of
+    the integral the caller holds apart.  No piece before the first one that
+    starts at or beyond the stop can stop the loop, so the first run is all
+    of them up to that one; every later run is one piece, and no piece past
+    the stop is integrated.  Returns one (total, err, converged) per loop;
+    converged is False when MAX_SEGMENTS pieces did not meet the test, and
+    the caller decides what that means.  On convergence err includes a
+    bound on the tail never integrated: the geometric remainder
+    |last| rho/(1-rho) of pieces that keep shrinking by the last ratio
+    rho = last/previous, and at least |last|.
     """
-    total = 0.0
-    err = 0.0
-    prev = math.inf
-    ends = [lo, hi]
-    while ends[-2] < stop_from and len(ends) <= MAX_SEGMENTS:
-        ends.append(2.0 * ends[-1])
-    done = 0
-    while done < MAX_SEGMENTS:
-        for start, (seg, segerr) in zip(ends, segments(ends)):
-            total += seg
-            err += segerr
-            if (
-                start >= stop_from
-                and seg <= prev
-                and seg <= tol * (abs(baseline) + abs(total)) + 1e-300
-            ):
-                # A ratio of 1 or more bounds nothing, so the remainder is infinite.
-                rho = abs(seg / prev) if prev else 0.0
-                rest = abs(seg) * max(1.0, rho / (1.0 - rho)) if rho < 1.0 else math.inf
-                return total, err + rest, True
-            prev = seg
-        done += len(ends) - 1
-        ends = [ends[-1], 2.0 * ends[-1]]
-    return total, err, False
+    out = [None] * len(baselines)
+    state = [[0.0, 0.0, math.inf, 0] for _ in baselines]  # total, err, previous piece, pieces
+    runs = {}
+    for k, stop in enumerate(stops):
+        runs[k] = [lo, hi]
+        while runs[k][-2] < stop and len(runs[k]) <= MAX_SEGMENTS:
+            runs[k].append(2.0 * runs[k][-1])
+    while runs:
+        later = {}
+        for k, found in segments(runs).items():
+            ends = runs[k]
+            total, err, prev, count = state[k]
+            for start, (seg, segerr) in zip(ends, found):
+                total += seg
+                err += segerr
+                if (
+                    start >= stops[k]
+                    and seg <= prev
+                    and seg <= tol * (abs(baselines[k]) + abs(total)) + 1e-300
+                ):
+                    # A ratio of 1 or more bounds nothing, so the remainder is infinite.
+                    rho = abs(seg / prev) if prev else 0.0
+                    rest = abs(seg) * max(1.0, rho / (1.0 - rho)) if rho < 1.0 else math.inf
+                    out[k] = total, err + rest, True
+                    break
+                prev = seg
+            else:
+                count += len(ends) - 1
+                state[k] = [total, err, prev, count]
+                if count < MAX_SEGMENTS:
+                    later[k] = [ends[-1], 2.0 * ends[-1]]
+                else:
+                    out[k] = total, err, False
+        runs = later
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -406,8 +441,8 @@ def ref_integral_Jp(p_exp: float, t: float) -> float:
     if t <= max(1.0, 0.5 * (p_exp + 1.0)):
         raise ValueError("t too small for a convergent tail")
     f = _ref_integrand(p_exp, t)
-    total, _, converged = tail_integral(
-        lambda ends: [radial_integral(f, a, b, REF_TOL) for a, b in zip(ends, ends[1:])],
+    ((total, _, converged),) = tail_integral(
+        lambda runs: {0: [radial_integral(f, *ab, REF_TOL) for ab in itertools.pairwise(runs[0])]},
         1.0, 2.0, REF_TOL,
     )
     if not converged:
@@ -471,7 +506,7 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarray:
+def node_values(kind: str, lam: np.ndarray, t, v0, v1, mass) -> np.ndarray:
     """Value of the selected quantity (one of NORM_KINDS) at log-weights lam.
 
     v0, v1 are the data values and `mass` the heat-like profile's mass term
@@ -493,7 +528,7 @@ def node_values(kind: str, lam: np.ndarray, t: float, v0, v1, mass) -> np.ndarra
     return val
 
 
-def _scaled_data_y(d, kind: str, t: float, n: int, y: np.ndarray):
+def _scaled_data_y(d, kind: str, t, n: int, y: np.ndarray):
     """Measure-folded data values and mass term at y = sqrt(L).
 
     Returns (w0, w1, wial) where w_j = u_j(r) * sqrt(w_n r^{n-1} dr/dy) and
@@ -518,18 +553,18 @@ def _scaled_data_y(d, kind: str, t: float, n: int, y: np.ndarray):
     return w0, w1, wial
 
 
-def _squared_value(d, kind: str, t: float, n: int):
-    """The integrand of every zone: y -> v^2 with v the measure-folded value
-    of the kind, so that int v^2 dy is the zone's squared norm."""
+def _squared_value(d, kind: str, n: int):
+    """The integrand of every zone: (y, t) -> v^2 with v the measure-folded
+    value of the kind, so that int v^2 dy is the zone's squared norm."""
 
-    def f(y):
+    def f(y, t):
         v = node_values(kind, y * y, t, *_scaled_data_y(d, kind, t, n, y))
         return v * v
 
     return f
 
 
-def _phase_terms(kind: str, y: np.ndarray, t: float, w0, w1, wial):
+def _phase_terms(kind: str, y: np.ndarray, t, w0, w1, wial):
     """High-zone value in phase form v = m + P cos(bt) + Q sin(bt) at y, from
     the measure-folded data (w0, w1, wial) of `_scaled_data_y`.
 
@@ -559,7 +594,7 @@ def _phase_terms(kind: str, y: np.ndarray, t: float, w0, w1, wial):
     return m, p, q, y * (1.0 + 4.0 * a**3) / b
 
 
-def _fast_over_rate(m, p, q, db, t: float) -> np.ndarray:
+def _fast_over_rate(m, p, q, db, t) -> np.ndarray:
     """Rows g / phi' of the fast terms of v^2 = m^2 + (P^2 + Q^2)/2
     + (P^2 - Q^2)/2 cos 2bt + PQ sin 2bt + 2mP cos bt + 2mQ sin bt:
     each amplitude g over the rate phi' of its phase."""
@@ -570,115 +605,134 @@ def _fast_over_rate(m, p, q, db, t: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _tail_value(d, kind: str, t: float, spec: QuadSpec, baseline: float, f):
-    """High-zone integral of f = `_squared_value`: `tail_integral` over pieces
-    in y, s = 1 + y^2 doubling from TAIL_START -> (value, err).
+def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
+    """High-zone integrals of v^2 at the times `ts` -> [(value, err)] of the
+    times before the earliest failed one (`failed` and budgets as in
+    `_adaptive`): one `tail_integral` loop per time, the loops in lockstep,
+    over pieces in y, s = 1 + y^2 doubling from TAIL_START.
 
-    `tail_integral` hands over runs of consecutive pieces.  The pieces of a
-    run are probed in one call, on 33 points y each; pieces where every
-    folded term underflows there are skipped, and the others are integrated
-    in one `_adaptive` call.  Kinds without a phase, and t = 0, integrate f
-    itself.  Oscillating kinds integrate each piece's smooth part
-    m^2 + (P^2 + Q^2)/2 of v^2 with no phase steps.  A fast term
-    g cos(phi) = h phi' cos(phi), h = g/phi', integrates by parts to
-    [h sin(phi)] - int h' sin(phi), and g sin(phi) likewise (Iserles &
-    Norsett 2005).  The boundary terms take h at the probe's ends; the
-    remainder is at most the variation of h, sampled on the probe and on
-    the Kronrod nodes of the smooth integral (which follow the peak of the
-    damped data), the samples of a run assigned to its pieces by position.
-    Once the tail has converged, the variations join the error, smallest
-    first, while their sum stays within tol * (|baseline| + |total|), and
-    those pieces add their boundary terms.  Every other piece is integrated
-    again in place of its smooth value, on panels of osc_guard half-periods
-    (`_phase_steps`, checked against the panels left before any is built),
-    all in one `_adaptive` call.
+    The pieces of a round, a run of every open loop, are probed in one call,
+    on 33 points y each; pieces where every folded term underflows there are
+    skipped, and the others are integrated in one `_adaptive` call.  Kinds
+    without a phase, and t = 0, integrate v^2 itself.  Oscillating kinds
+    integrate each piece's smooth part m^2 + (P^2 + Q^2)/2 of v^2 with no
+    phase steps.  A fast term g cos(phi) = h phi' cos(phi), h = g/phi',
+    integrates by parts to [h sin(phi)] - int h' sin(phi), and g sin(phi)
+    likewise (Iserles & Norsett 2005).  The boundary terms take h at the
+    probe's ends; the remainder is at most the variation of h, sampled on
+    the probe and on the Kronrod nodes of the smooth integral (which follow
+    the peak of the damped data), the samples of a round assigned to its
+    pieces by (t, y).  Once a tail has converged, the variations join its
+    error, smallest first, while their sum stays within tol * (|baseline| +
+    |total|), and those pieces add their boundary terms.  Every other piece
+    is integrated again in place of its smooth value, on panels of osc_guard
+    half-periods (`_phase_steps`, checked against the panels its time has
+    left before any is built), the pieces of all times in one `_adaptive`
+    call.
     """
     n = spec.n
-    split = t > 0.0 and (kind in _WAVE_KINDS or kind in _MODE_KINDS)
-    panels_left = MAX_PANELS
-    pieces = []  # [y_lo, y_hi, value, err, variation, boundary terms] of every non-empty piece
+    f = _squared_value(d, kind, n)
+    phased = kind in _WAVE_KINDS or kind in _MODE_KINDS
+    panels_left = [MAX_PANELS] * len(ts)
+    # of each time: [y_lo, y_hi, value, err, variation, boundary terms] of every non-empty piece
+    pieces = [[] for _ in ts]
 
-    def integrate(g, bounds):
-        nonlocal panels_left
-        out = _adaptive(g, bounds, spec.tol, panels_left)
-        panels_left -= sum(used for _, _, used in out)
-        return out
-
-    def segments(ends):
-        ys = [math.sqrt(s - 1.0) for s in ends]
-        probe = np.linspace(ys[:-1], ys[1:], _PROBE, axis=1)  # one row per piece
-        scaled = _scaled_data_y(d, kind, t, n, probe.ravel())
-        live = np.zeros(probe.shape[0], dtype=bool)
+    def segments(runs):
+        owner = [k for k, ends in runs.items() for _ in ends[1:]]  # of each piece
+        lo = [math.sqrt(s - 1.0) for ends in runs.values() for s in ends[:-1]]
+        hi = [math.sqrt(s - 1.0) for ends in runs.values() for s in ends[1:]]
+        t = np.asarray(ts)[owner]
+        probe = np.linspace(lo, hi, _PROBE, axis=1)  # one row per piece
+        scaled = _scaled_data_y(d, kind, np.repeat(t, _PROBE), n, probe.ravel())
+        live = np.zeros(len(owner), dtype=bool)
         for w in scaled:
             if w is not None:
                 live |= w.reshape(probe.shape).any(axis=1)
-        out = [(0.0, 0.0)] * live.size
-        if not live.any():
-            return out
-        idx = np.flatnonzero(live)
-        bounds = [_build_bounds(ys[i], ys[i + 1]) for i in idx]
-        if not split:
-            for i, (value, err, _) in zip(idx, integrate(f, bounds)):
-                pieces.append([ys[i], ys[i + 1], value, err, 0.0, 0.0])
-                out[i] = value, err
-            return out
-        samples = []  # (points, rows of g/phi') of every evaluation, the probe first
+        split = live & (t > 0.0) & phased
+        found = np.zeros((4, len(owner)))  # value, err, variation, boundary terms
+        plain = np.flatnonzero(live & ~split)
+        intervals = [(np.array([lo[i], hi[i]]), t[i], owner[i]) for i in plain]
+        results = _adaptive(f, intervals, spec.tol, panels_left, failed) if intervals else []
+        for i, res in zip(plain, results):
+            found[:2, i] = res[:2]
+        idx = np.flatnonzero(split)
+        if idx.size:
+            samples = []  # (points, times, rows of g/phi') of every evaluation, the probe first
 
-        def smooth(y, scaled):
-            m, p, q, db = _phase_terms(kind, y, t, *scaled)
-            samples.append((y, _fast_over_rate(m, p, q, db, t)))
-            part = 0.5 * (p * p + q * q)
-            return part if m is None else part + m * m
+            def smooth(y, t, scaled):
+                m, p, q, db = _phase_terms(kind, y, t, *scaled)
+                samples.append((y, np.full(y.shape, t), _fast_over_rate(m, p, q, db, t)))
+                part = 0.5 * (p * p + q * q)
+                return part if m is None else part + m * m
 
-        keep = np.repeat(live, _PROBE)
-        smooth(probe.ravel()[keep], [None if w is None else w[keep] for w in scaled])
-        results = integrate(lambda y: smooth(y, _scaled_data_y(d, kind, t, n, y)), bounds)
-        at = np.concatenate([y for y, _ in samples])
-        order = np.argsort(at, kind="stable")
-        at = at[order]
-        h_all = np.concatenate([h for _, h in samples], axis=1)[:, order]
-        h_ends = samples[0][1].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
-        # boundary terms [h sin(phi)], [-h cos(phi)] of the rows, phi = 2bt, 2bt, bt, bt
-        bt = t * np.sqrt(-collision_gap(probe[idx][:, [0, -1]] ** 2)[1])
-        rows = np.arange(len(h_ends))[:, None, None]
-        phi = np.where(rows < 2, 2.0 * bt, bt)
-        terms = h_ends * np.where(rows % 2, -np.cos(phi), np.sin(phi))
-        edges = (terms[:, :, 1] - terms[:, :, 0]).sum(axis=0)
-        for j, (i, (value, err, _)) in enumerate(zip(idx, results)):
-            # the piece's probe ends and, by position, every sample between them
-            inner = h_all[:, np.searchsorted(at, ys[i], "right"):np.searchsorted(at, ys[i + 1])]
-            h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
-            variation = float(np.abs(np.diff(h, axis=1)).sum())
-            pieces.append([ys[i], ys[i + 1], value, err, variation, float(edges[j])])
-            out[i] = value, err
+            keep = np.repeat(split, _PROBE)
+            smooth(probe.ravel()[keep], np.repeat(t[idx], _PROBE),
+                   [None if w is None else w[keep] for w in scaled])
+            intervals = [(np.array([lo[i], hi[i]]), t[i], owner[i]) for i in idx]
+            results = _adaptive(lambda y, t: smooth(y, t, _scaled_data_y(d, kind, t, n, y)),
+                                intervals, spec.tol, panels_left, failed)
+            h_ends = samples[0][2].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
+            at_y, at_t, h_all = (np.concatenate(x, axis=-1) for x in zip(*samples))
+            order = np.lexsort((at_y, at_t))
+            at_y, at_t, h_all = at_y[order], at_t[order], h_all[:, order]
+            # boundary terms [h sin(phi)], [-h cos(phi)] of the rows, phi = 2bt, 2bt, bt, bt
+            bt = t[idx][:, None] * np.sqrt(-collision_gap(probe[idx][:, [0, -1]] ** 2)[1])
+            rows = np.arange(len(h_ends))[:, None, None]
+            phi = np.where(rows < 2, 2.0 * bt, bt)
+            terms = h_ends * np.where(rows % 2, -np.cos(phi), np.sin(phi))
+            found[3, idx] = (terms[:, :, 1] - terms[:, :, 0]).sum(axis=0)
+            for j, (i, res) in enumerate(zip(idx, results)):
+                # the piece's probe ends and, by (t, y), every sample between them
+                a, b = at_t.searchsorted(t[i]), at_t.searchsorted(t[i], "right")
+                near = at_y[a:b]
+                inner = h_all[:, a + near.searchsorted(lo[i], "right"):a + near.searchsorted(hi[i])]
+                h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
+                found[:3, i] = res[0], res[1], np.abs(np.diff(h, axis=1)).sum()
+        out = {k: [] for k in runs}  # a failed time's pieces read 0 and are never used
+        for i, (k, row) in enumerate(zip(owner, found.T.tolist())):
+            out[k].append((row[0], row[1]))
+            if live[i]:
+                pieces[k].append([lo[i], hi[i], *row])
         return out
 
-    peak_s = max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START
-    total, err, converged = tail_integral(
-        segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baseline, stop_from=peak_s
-    )
-    if not converged:
-        raise QuadratureError("high-frequency tail did not converge")
-    budget = spec.tol * (abs(baseline) + abs(total))
-    phase = 0.0
-    stepped = []
-    for piece in sorted(pieces, key=lambda p: p[4]):
-        if phase + piece[4] <= budget:
-            phase += piece[4]
-            piece[2] += piece[5]
-        else:
-            stepped.append(piece)
-    if stepped:
-        y_lo, y_hi = [p[0] for p in stepped], [p[1] for p in stepped]
-        steps = _phase_steps(kind, t, spec.osc_guard, y_lo, y_hi, panels_left)
-        bounds = [_build_bounds(*ends) for ends in zip(y_lo, y_hi, steps)]
-        for piece, (value, step_err, _) in zip(stepped, integrate(f, bounds)):
-            piece[2] = value
-            err += step_err - piece[3]
-    total = 0.0
-    for piece in pieces:  # in position order, as tail_integral summed them
-        total += piece[2]
-    return total, err + phase
+    stops = [max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START for t in ts]
+    loops = tail_integral(segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baselines, stops)
+    stepped, intervals, errs = [], [], {}  # errs: time -> [err, phase estimate]
+    for k, loop in enumerate(loops):
+        if k >= min(failed, default=math.inf):
+            break
+        if not loop[2]:
+            failed[k] = QuadratureError("high-frequency tail did not converge")
+            break
+        budget = spec.tol * (abs(baselines[k]) + abs(loop[0]))
+        errs[k] = [loop[1], 0.0]
+        mine = []  # the pieces stepped
+        for piece in sorted(pieces[k], key=lambda p: p[4]):
+            if errs[k][1] + piece[4] <= budget:
+                errs[k][1] += piece[4]
+                piece[2] += piece[5]
+            else:
+                mine.append(piece)
+        if mine:
+            y_lo, y_hi = [p[0] for p in mine], [p[1] for p in mine]
+            try:
+                steps = _phase_steps(kind, ts[k], spec.osc_guard, y_lo, y_hi, panels_left[k])
+            except PanelBudgetError as exc:
+                failed[k] = exc
+                break
+            intervals += [(_build_bounds(*ends), ts[k], k) for ends in zip(y_lo, y_hi, steps)]
+            stepped += [(k, piece) for piece in mine]
+    results = _adaptive(f, intervals, spec.tol, panels_left, failed) if intervals else []
+    for (k, piece), res in zip(stepped, results):
+        piece[2] = res[0]
+        errs[k][0] += res[1] - piece[3]
+    out = []
+    for k in range(min(failed, default=len(ts))):
+        total = 0.0
+        for piece in pieces[k]:  # in position order, as tail_integral summed them
+            total += piece[2]
+        out.append((total, errs[k][0] + errs[k][1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -704,53 +758,61 @@ class NormSeries:
             raise ValueError("squared norms must be nonnegative")
 
 
-def norm_value(
-    d, kind: str, n: int, t: float, spec: QuadSpec | None = None, zone: str = "all"
-) -> tuple[float, float]:
-    """Squared norm of the selected quantity at one time -> (value, err)."""
+def _norm_pairs(d, kind: str, n: int, ts, spec: QuadSpec, zone: str) -> list:
+    """(value, err) of the squared norm at every time of `ts`, the request
+    checked before any integration.  The times are integrated together,
+    each on its own panels within its own budgets, so each gets the result
+    it has alone; the error of the earliest failing time is raised."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     if zone != "all" and zone not in ZONES:
         raise ValueError(f"unknown zone {zone!r}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    if t == 0.0 and kind in _PHI1_KINDS and d.mass_sum != 0.0:
-        raise ValueError(
-            f"{kind!r} at t=0 contains phi1 = the mass {d.mass_sum:g} at every "
-            "frequency, whose norm is infinite; use t > 0"
-        )
-    spec = spec or QuadSpec(n=n)
+    for t in ts:
+        if not 0.0 <= t < math.inf:
+            raise ValueError("t must be finite and nonnegative")
+        if t == 0.0 and kind in _PHI1_KINDS and d.mass_sum != 0.0:
+            raise ValueError(
+                f"{kind!r} at t=0 contains phi1 = the mass {d.mass_sum:g} at every "
+                "frequency, whose norm is infinite; use t > 0"
+            )
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("time grid must be strictly increasing")
     if spec.n != n:
         raise ValueError("spec dimension does not match the requested dimension")
     for profile in (d.u0, d.u1):
         if profile.n != n:
             raise ValueError("data profile dimension does not match the run")
-    f = _squared_value(d, kind, t, n)
-    try:
-        if zone == "high":
-            return _tail_value(d, kind, t, spec, 0.0, f)
-        if zone != "all":
-            return radial_integral(f, *_Y_ZONES[zone], spec.tol, ladder=16 if zone == "low" else 0)
-        head = radial_integral(f, 0.0, 1.0, spec.tol, ladder=16)
-        tail = _tail_value(d, kind, t, spec, head[0], f)
-    except QuadratureError as exc:
-        raise type(exc)(f"{exc} (t={t:g}, tol={spec.tol:g})") from exc
-    return head[0] + tail[0], head[1] + tail[1]
+    failed = {}
+    out = [(0.0, 0.0)] * len(ts)  # the bounded part: none of the high zone
+    if zone != "high":
+        ends = _Y_ZONES.get(zone, (0.0, 1.0))
+        bounds = _build_bounds(*ends, ladder=16 if zone in ("all", "low") else 0)
+        out = _adaptive(_squared_value(d, kind, n), [(bounds, t, k) for k, t in enumerate(ts)],
+                        spec.tol, [MAX_PANELS] * len(ts), failed)
+    if zone in ("all", "high"):
+        tails = _tail_values(d, kind, ts, spec, [h[0] for h in out], failed)
+        out = [(h[0] + tail[0], h[1] + tail[1]) for h, tail in zip(out, tails)]
+    if failed:
+        k = min(failed)
+        raise type(failed[k])(f"{failed[k]} (t={ts[k]:g}, tol={spec.tol:g})") from failed[k]
+    return [pair[:2] for pair in out]
+
+
+def norm_value(
+    d, kind: str, n: int, t: float, spec: QuadSpec | None = None, zone: str = "all"
+) -> tuple[float, float]:
+    """Squared norm of the selected quantity at one time -> (value, err)."""
+    return _norm_pairs(d, kind, n, (t,), spec or QuadSpec(n=n), zone)[0]
 
 
 def norm_series(
     d, kind: str, n: int, t_grid, spec: QuadSpec | None = None, zone: str = "all"
 ) -> NormSeries:
-    """Squared-norm series of the selected quantity over the time grid."""
-    spec = spec or QuadSpec(n=n)
+    """Squared-norm series of the selected quantity over the time grid; each
+    time's (value, err) is the one `norm_value` gives it."""
     ts = tuple(float(t) for t in t_grid)
-    values = []
-    errs = []
-    for t in ts:
-        v, e = norm_value(d, kind, n, t, spec, zone)
-        values.append(v)
-        errs.append(e)
-    return NormSeries(kind, zone, n, ts, tuple(values), tuple(errs))
+    pairs = _norm_pairs(d, kind, n, ts, spec or QuadSpec(n=n), zone)
+    return NormSeries(kind, zone, n, ts, tuple(v for v, _ in pairs), tuple(e for _, e in pairs))
 
 
 def default_time_grid(k_max: int = 20, t0: float = 10.0) -> tuple[float, ...]:

@@ -443,7 +443,7 @@ def _check_zone_exponential() -> tuple[bool, str, str, str]:
         ("lowmid", 0.5 / (1.0 + math.log(1.0 + _TH.delta**2))),
         ("highmid", 0.5),
     ):
-        vals = [quadrature.norm_value(d, "u", n, t, spec, zone=zone)[0] for t in ts]
+        vals = quadrature.norm_series(d, "u", n, ts, spec, zone=zone).values
         c_fit = max(0.0, (vals[0] * math.exp(rate * ts[0]) / norms - 1.0) / ts[0] ** 2)
         zone_ok = all(
             v <= (1.0 + c_fit * t * t) * math.exp(-rate * t) * norms * (1.0 + 1e-9)

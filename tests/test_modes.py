@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logplate import modes, oracle, symbols
+from logplate import modes, oracle, profiles, symbols
 
 TH = symbols.compute_thresholds()
 
@@ -243,6 +243,37 @@ def test_propagator_all_oscillatory_call_matches_mixed_call():
         assert part.tobytes() == whole[:-1].tobytes()
     # the quadrature's call, without the velocity, gives the same values
     assert modes.propagator_coeffs(lam, t, v0, v1).tobytes() == fast[0].tobytes()
+
+
+@pytest.mark.parametrize("zone", ["all", "high"])
+def test_kernel_with_a_time_per_node_is_each_time_alone(zone):
+    # a series integrates all its times in one call, each node at its own t:
+    # every node gets the bytes of a call at its own time alone.  "all" mixes
+    # the four branches of the mode and the series of phi2's sinc, with
+    # t = 0 on some nodes (the masked path); "high" has t > 0 on the
+    # all-oscillating high zone (the fast path)
+    rng = np.random.default_rng(23)
+    if zone == "all":
+        radii = np.concatenate((R_SAMPLES, 10.0 ** rng.uniform(-6.0, 1.0, 200)))
+        lam = np.array([symbols.log_weight(r) for r in radii])
+        times = (0.0, 1e-5, 2.0, 40.0, 300.0)
+    else:
+        lam = rng.uniform(1.0, 40.0, 200)
+        times = (0.5, 10.0, 1810.0, 1e4)
+    t = rng.choice(times, lam.size)
+    v0 = rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
+    v1 = rng.standard_normal(lam.size)
+    together = (*modes.propagator_coeffs(lam, t, v0, v1, velocity=True),
+                modes.propagator_coeffs(lam, t, v0, v1), *profiles.phi2_coeffs(lam, t),
+                profiles.phi2_envelope(lam, t))
+    for time in times:
+        at = t == time
+        alone = (*modes.propagator_coeffs(lam[at], time, v0[at], v1[at], velocity=True),
+                 modes.propagator_coeffs(lam[at], time, v0[at], v1[at]),
+                 *profiles.phi2_coeffs(lam[at], time), profiles.phi2_envelope(lam[at], time))
+        assert at.any()
+        for whole, part in zip(together, alone):
+            assert whole[at].tobytes() == part.tobytes(), time
 
 
 @settings(max_examples=25, deadline=None)

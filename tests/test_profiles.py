@@ -187,10 +187,10 @@ def test_y_integrand_is_the_r_space_integrand_times_dr_dy(kind):
         area = quadrature.surface_area(n)
         for pair in pairs:
             d = data_mod.parse_pair(*pair, n)
+            f = quadrature._squared_value(d, kind, n)
             for t in (10.0, 1e3):
-                f = quadrature._squared_value(d, kind, t, n)
                 for zone, (lo, hi) in quadrature._Y_ZONES.items():
                     y = lo + (hi - lo) * np.array([0.1, 0.5, 0.9])
                     r = np.sqrt(np.expm1(y * y))
                     ref = _values(kind, d, r, t) ** 2 * r ** (n - 1) * area * y * np.exp(y * y) / r
-                    assert np.all(np.abs(f(y) - ref) <= 1e-10 * ref), (pair, n, t, zone)
+                    assert np.all(np.abs(f(y, t) - ref) <= 1e-10 * ref), (pair, n, t, zone)

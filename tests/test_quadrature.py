@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logplate import data as data_mod
 from logplate import modes, rates, symbols, verify
@@ -67,12 +67,19 @@ _bounds = st.lists(
     c=st.floats(-3.0, 3.0),
     intervals=st.lists(_bounds, min_size=1, max_size=5),
     tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
+    short=st.integers(0, 4),
 )
-def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol):
-    # every interval of one `_adaptive` call refines as it would alone, bit
-    # for bit, and a round evaluates all open intervals in one GK15 call;
-    # the intervals share the panel budget, checked before each evaluation
-    f = INTEGRANDS[shape](c)
+def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol, short):
+    # every interval of one `_adaptive` call refines as it would alone at its
+    # own t, bit for bit, and a round evaluates all open intervals in one
+    # GK15 call; the intervals of an owner share its panel budget, checked
+    # before each evaluation, and an owner that exhausts it is dropped with
+    # every later owner, while the earlier ones keep their results
+    g = INTEGRANDS[shape](c)
+
+    def f(x, t):
+        return g(x) + t * x
+
     gk_eval = quad._gk_eval
     calls = []
 
@@ -84,18 +91,29 @@ def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol):
         mp.setattr(quad, "_gk_eval", counting)
         alone = []
         rounds = []
-        for bounds in intervals:
+        for t, bounds in enumerate(intervals):
             calls.clear()
-            alone.append(quad._adaptive(f, [bounds], tol, quad.MAX_PANELS)[0])
+            alone.append(quad._adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], {})[0])
             rounds.append(len(calls))
-        panels = sum(used for _, _, used in alone)
+        panels = [used for _, _, used in alone]
         calls.clear()
-        assert quad._adaptive(f, intervals, tol, panels) == alone
+        shared = [(bounds, t, 0) for t, bounds in enumerate(intervals)]
+        assert quad._adaptive(f, shared, tol, [sum(panels)], {}) == alone
         assert len(calls) == max(rounds)
         calls.clear()
-        with pytest.raises(quad.PanelBudgetError):
-            quad._adaptive(f, intervals, tol, panels - 1)
+        failed = {}
+        dropped = [(0.0, 0.0, 0)] * len(alone)
+        assert quad._adaptive(f, shared, tol, [sum(panels) - 1], failed) == dropped
+        assert list(failed) == [0] and isinstance(failed[0], quad.PanelBudgetError)
         assert len(calls) == max(rounds) - 1
+        # one owner per interval; the owner `short` has one panel too few
+        short %= len(intervals)
+        budget = [used - (j == short) for j, used in enumerate(panels)]
+        failed = {}
+        owned = [(bounds, t, t) for t, bounds in enumerate(intervals)]
+        out = quad._adaptive(f, owned, tol, budget, failed)
+        assert out == alone[:short] + dropped[short:]
+        assert list(failed) == [short] and isinstance(failed[short], quad.PanelBudgetError)
 
 
 def test_head_integral_closed_forms():
@@ -125,10 +143,11 @@ def test_tail_integral_closed_form_and_band():
 def test_tail_error_covers_slowly_shrinking_remainder():
     # exact pieces of int_1^inf x^{-1.2} dx shrink by 2^{-0.2} ~ 0.87 per
     # doubling, so |last piece| alone misses most of what is left
-    def segments(ends):
-        return [(5.0 * (a**-0.2 - b**-0.2), 0.0) for a, b in zip(ends, ends[1:])]
+    def segments(runs):
+        return {k: [(5.0 * (a**-0.2 - b**-0.2), 0.0) for a, b in zip(ends, ends[1:])]
+                for k, ends in runs.items()}
 
-    total, err, converged = quad.tail_integral(segments, 1.0, 2.0, 1e-3)
+    ((total, err, converged),) = quad.tail_integral(segments, 1.0, 2.0, 1e-3)
     assert converged
     remainder = 5.0 - total  # 5 = the whole integral
     assert err >= remainder * (1.0 - 1e-12)
@@ -397,14 +416,20 @@ def _boundary_terms(d, kind, n, t, y):
     return sum(row * g for row, g in zip(h, trig))
 
 
+def _tail(d, kind, t, spec, baseline):
+    """The high-zone (value, err) of one time, tail_integral's baseline
+    standing for the rest of the norm."""
+    return quad._tail_values(d, kind, (t,), spec, (baseline,), {})[0]
+
+
 def _high_calls(monkeypatch):
     """Record (bounds, value) of every high-zone interval `_adaptive` integrates."""
     adaptive = quad._adaptive
     calls = []
 
-    def spy(f, intervals, tol, max_panels):
-        out = adaptive(f, intervals, tol, max_panels)
-        calls.extend((b, v) for b, (v, _, _) in zip(intervals, out) if b[0] >= 1.0)
+    def spy(f, intervals, tol, budget, failed):
+        out = adaptive(f, intervals, tol, budget, failed)
+        calls.extend((b, res[0]) for (b, _, _), res in zip(intervals, out) if b[0] >= 1.0)
         return out
 
     monkeypatch.setattr(quad, "_adaptive", spy)
@@ -465,7 +490,6 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
     spec = quad.QuadSpec(n=2, tol=1e-4)
     phase_terms = quad._phase_terms
     for t in (905.0, 1810.0):
-        f = quad._squared_value(GAUSS2, kind, t, 2)
         samples = []
         calls = _high_calls(monkeypatch)  # the pieces, each integrated once
 
@@ -474,10 +498,10 @@ def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
             return phase_terms(kind, y, t, *scaled)
 
         monkeypatch.setattr(quad, "_phase_terms", spy)
-        _, e = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        _, e = _tail(GAUSS2, kind, t, spec, 1.0)
         monkeypatch.undo()
         monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-        _, smooth_err = quad._tail_value(GAUSS2, kind, t, spec, 1.0, f)
+        _, smooth_err = _tail(GAUSS2, kind, t, spec, 1.0)
         monkeypatch.undo()
         assert not _split_and_stepped(calls)[1]
         # the variation of each piece, on 4,097 more points of it
@@ -563,13 +587,12 @@ def test_split_tail_adds_the_boundary_terms_of_every_row(monkeypatch, kind):
     # baseline splits every piece, and the value differs from the smooth one
     # by the terms at the tail's ends
     t = 2.0
-    f = quad._squared_value(GAUSS2, kind, t, 2)
     spec = quad.QuadSpec(n=2, tol=1e-4)
     calls = _high_calls(monkeypatch)
-    v, _ = quad._tail_value(GAUSS2, kind, t, spec, math.inf, f)
+    v, _ = _tail(GAUSS2, kind, t, spec, math.inf)
     monkeypatch.undo()
     monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-    smooth, _ = quad._tail_value(GAUSS2, kind, t, spec, math.inf, f)
+    smooth, _ = _tail(GAUSS2, kind, t, spec, math.inf)
     monkeypatch.undo()
     ends = np.array([1.0, max(b[-1] for b, _ in calls)])
     first, last = _boundary_terms(GAUSS2, kind, 2, t, ends)
@@ -590,23 +613,23 @@ def test_unstepped_piece_within_its_variation_of_the_stepped_piece(monkeypatch, 
         calls = _high_calls(monkeypatch)
         quad.norm_value(d, kind, n, t, spec)
         monkeypatch.undo()
-        f = quad._squared_value(d, kind, t, n)
+        f = quad._squared_value(d, kind, n)
         for lo, hi in sorted({(b[0], b[-1]) for b, _ in calls}):
             s_lo = round(1.0 + lo * lo)
 
             def one_piece(segments, *args, **kwargs):
-                ((value, err),) = segments([s_lo, 2 * s_lo])
-                return value, err, True
+                ((value, err),) = segments({0: [s_lo, 2 * s_lo]})[0]
+                return [(value, err, True)]
 
             # the tail is this piece alone, left unstepped by an infinite baseline
             monkeypatch.setattr(quad, "tail_integral", one_piece)
-            v, e = quad._tail_value(d, kind, t, spec, math.inf, f)
+            v, e = _tail(d, kind, t, spec, math.inf)
             monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-            smooth, _ = quad._tail_value(d, kind, t, spec, math.inf, f)
+            smooth, _ = _tail(d, kind, t, spec, math.inf)
             monkeypatch.undo()
             steps = quad._phase_steps(kind, t, spec.osc_guard, [lo], [hi], quad.MAX_PANELS)[0]
-            bounds = [quad._build_bounds(lo, hi, steps)]
-            ((ref, ref_err, _),) = quad._adaptive(f, bounds, spec.tol / 100.0, quad.MAX_PANELS)
+            bounds = [(quad._build_bounds(lo, hi, steps), t, 0)]
+            ((ref, ref_err, _),) = quad._adaptive(f, bounds, spec.tol / 100.0, [quad.MAX_PANELS], {})
             assert abs(v - ref) <= e + ref_err, (kind, t, lo)
             missed.append(abs(smooth - ref) > e + ref_err)
     assert any(missed), kind
@@ -635,8 +658,8 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
     # phase, and a panel between two phase steps spans exactly that
     calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
-    def record(f, intervals, tol, max_panels):
-        for bounds in intervals:
+    def record(f, intervals, tol, budget, failed):
+        for bounds, _, _ in intervals:
             calls[bounds[0], bounds[-1]] = bounds
         return [(0.0, 0.0, 0)] * len(intervals)
 
@@ -758,14 +781,14 @@ def _gk15_rows(monkeypatch):
 
 
 def test_check10_series_gk15_calls(monkeypatch):
-    # each round of refinement evaluates the open panels of all pieces of a
-    # run in one call: check 10's window series takes 143 calls (146 and
-    # 15,195 panels when the fast terms were only bounded), and its 3,376
+    # each round of refinement evaluates the open panels of all pieces of
+    # every time's run in one call: check 10's window series takes 14 calls
+    # (143 when its times were integrated one after another), and its 3,376
     # GK15 panels show that no piece is integrated beyond the one that stops
     # the tail
     rows = _gk15_rows(monkeypatch)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, quad.QuadSpec(n=8, tol=1e-4))
-    assert (len(rows), sum(rows)) == (143, 3_376)
+    assert (len(rows), sum(rows)) == (14, 3_376)
 
 
 def test_check07_series_gk15_panel_count(monkeypatch):
@@ -785,12 +808,97 @@ def test_check09_late_series_panel_count(monkeypatch):
     assert panels == 651 < 1_000
 
 
-def test_series_is_the_per_time_norm_value_bit_for_bit():
-    # the benchmark's tracer counts a series' panels inside its norm_value
-    # calls
-    grid = (10.0, 40.0, 160.0, 640.0)
-    for d, kind, n in ((GAUSS2, "u-phi1", 2), (LOG_TAIL8, "u-phi", 8)):
-        spec = quad.QuadSpec(n=n, tol=1e-4)
-        series = quad.norm_series(d, kind, n, grid, spec)
-        pairs = [quad.norm_value(d, kind, n, t, spec) for t in grid]
-        assert list(zip(series.values, series.errs)) == pairs
+_PAIRS = {
+    "gaussian": ("gaussian:alpha=1", "gaussian:alpha=1"),
+    "zero_mass": ("zero_mass:alpha=1", "zero_mass:alpha=1"),
+    "log_tail": ("gaussian:alpha=1", "log_tail:m=1,beta=0.2"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(sorted(_PAIRS)),
+    kind=st.sampled_from(quad.NORM_KINDS),
+    zone=st.sampled_from(("all",) + quad.ZONES),
+    n=st.sampled_from([2, 4, 8]),
+    tol=st.sampled_from([1e-4, 1e-6]),
+    grid=st.lists(st.sampled_from(quad.default_time_grid()), min_size=1, max_size=5, unique=True),
+    from_zero=st.booleans(),
+)
+@example("gaussian", "u-phi1", "all", 2, 1e-4, [10.0, 40.0, 160.0, 640.0], False)
+@example("log_tail", "u-phi", "all", 8, 1e-4, [10.0, 40.0, 160.0, 640.0], False)
+@example("log_tail", "u", "all", 8, 1e-4, [20.0, 160.0, 1280.0, 10240.0], True)
+def test_series_is_each_time_alone(pair, kind, zone, n, tol, grid, from_zero):
+    # a series integrates all its times in shared rounds; each time refines
+    # on its own panels with its own budgets, so the series is its times
+    # integrated one at a time, bit for bit in values and errs.  A grid may
+    # start at t = 0 where the kind's norm is finite there.  Log-tail data at
+    # tol 1e-6 keep to t <= 640: later times take about a second each.
+    d = data_mod.parse_pair(*_PAIRS[pair], n)
+    ts = sorted(t for t in grid if tol > 1e-6 or pair != "log_tail" or t <= 640.0) or [10.0]
+    if from_zero and (kind not in ("phi1", "u-phi1", "u-phi") or d.mass_sum == 0.0):
+        ts = [0.0] + ts
+    spec = quad.QuadSpec(n=n, tol=tol)
+    series = quad.norm_series(d, kind, n, ts, spec, zone)
+    alone = [quad.norm_value(d, kind, n, t, spec, zone) for t in ts]
+    assert list(zip(series.values, series.errs)) == alone
+
+
+def _poison(monkeypatch, bad_t):
+    """The mode kernel returns NaN at every node of time bad_t."""
+    kernel = quad.propagator_coeffs
+
+    def poisoned(lam, t, *args, **kwargs):
+        out = kernel(lam, t, *args, **kwargs)
+        return np.where(np.broadcast_to(t, lam.shape) == bad_t, np.nan, out)
+
+    monkeypatch.setattr(quad, "propagator_coeffs", poisoned)
+
+
+@pytest.mark.parametrize("failure", ["panels", "segments", "non-finite", "panels, later head"])
+def test_series_raises_the_error_of_its_earliest_failing_time(monkeypatch, failure):
+    # check 10's data: t = 160 is the earliest time that fails alone, by
+    # phase steps beyond its panels left, a tail that does not converge or a
+    # non-finite sample; with a later time whose head fails first, the
+    # series still raises t = 160's error, with norm_value's message
+    if failure.startswith("panels"):
+        monkeypatch.setattr(quad, "MAX_PANELS", 200)
+    if failure == "segments":
+        monkeypatch.setattr(quad, "MAX_SEGMENTS", 8)
+    if failure != "panels":
+        _poison(monkeypatch, 160.0 if failure == "non-finite" else 2560.0)
+    spec = quad.QuadSpec(n=8, tol=1e-4)
+    grid = (10.0, 160.0, 640.0, 2560.0)
+    errors = []
+    for t in grid:
+        try:
+            quad.norm_value(LOG_TAIL8, "u", 8, t, spec)
+        except quad.QuadratureError as exc:
+            errors.append(exc)
+    first = errors[0]
+    assert "(t=160, tol=0.0001)" in str(first)
+    with pytest.raises(type(first)) as raised:
+        quad.norm_series(LOG_TAIL8, "u", 8, grid, spec)
+    assert type(raised.value) is type(first) and str(raised.value) == str(first)
+
+
+def test_norm_series_rejects_a_bad_request_before_any_integration(monkeypatch):
+    # every time, the grid's order, the kind, the zone and the dimensions
+    # are checked before the first GK15 panel is evaluated
+    _no_quadrature(monkeypatch)
+    grid = (10.0, 160.0)
+    bad = [
+        (LOG_TAIL8, "u", 8, (10240.0, 5120.0, 10.0), None, "all", "strictly increasing"),
+        (LOG_TAIL8, "u", 8, (10.0, 20.0, 20.0), None, "all", "strictly increasing"),
+        (LOG_TAIL8, "u", 8, (10.0, 20.0, math.nan), None, "all", "nonnegative"),
+        (LOG_TAIL8, "u", 8, (10.0, math.inf), None, "all", "nonnegative"),
+        (LOG_TAIL8, "u", 8, (-1.0, 10.0), None, "high", "nonnegative"),
+        (GAUSS2, "u-phi", 2, (0.0, 10.0), None, "all", "t=0"),
+        (LOG_TAIL8, "nope", 8, grid, None, "all", "kind"),
+        (LOG_TAIL8, "u", 8, grid, None, "nowhere", "zone"),
+        (LOG_TAIL8, "u", 8, grid, quad.QuadSpec(n=2), "all", "spec dimension"),
+        (LOG_TAIL8, "u", 2, grid, None, "all", "profile dimension"),
+    ]
+    for d, kind, n, ts, spec, zone, match in bad:
+        with pytest.raises(ValueError, match=match):
+            quad.norm_series(d, kind, n, ts, spec, zone)

@@ -141,14 +141,15 @@ def test_norm_series_input_validation():
 
 
 def test_consumers_integrate_only_window_times(monkeypatch, capsys):
+    # the times at which any interval is integrated, in order
     seen = []
-    norm_value = quadrature.norm_value
+    adaptive = quadrature._adaptive
 
-    def record(d, kind, n, t, *args, **kwargs):
-        seen.append(t)
-        return norm_value(d, kind, n, t, *args, **kwargs)
+    def record(f, intervals, *args):
+        seen.extend(sorted({float(t) for _, t, _ in intervals} - set(seen)))
+        return adaptive(f, intervals, *args)
 
-    monkeypatch.setattr(quadrature, "norm_value", record)
+    monkeypatch.setattr(quadrature, "_adaptive", record)
     assert verify.run_check("07-diffusion-profile-rate").passed
     lo, hi = verify.FIT_WINDOW
     assert seen == [t for t in quadrature.default_time_grid() if lo <= t <= hi]
