@@ -19,8 +19,9 @@ and every y_norm (family, n) one line says
 
 followed by `err'/err <= Z`, the largest ratio of the new error estimate to
 the old (a change that only loosens err_est would otherwise read `within
-err`; 0/0 counts as 1), and `diverged flag changed` where a y_norm
-divergence flag differs.
+err`; 0/0 counts as 1), `diverged flag changed` where a y_norm
+divergence flag differs, and `panels differ: C/P → C'/P'` where the row's
+GK15 calls C and panels P (counted at `quadrature._gk_eval`) differ.
 
 A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
 (u, v) and `modes.pointwise_bound_check`'s verdict and margins at 3,000
@@ -29,7 +30,8 @@ unified real, eigen), a quarter of them with the nearly fast-aligned data
 u1 = -u0.  It reads `identical` or `differs at K of 3000 points`.
 
 The script exits 1 when any value, of a zone or of y_norm, lies outside
-err + err', a divergence flag changed, or a scalar mode point differs.
+err + err', a divergence flag changed, or a scalar mode point differs; a
+panel count that differs is reported, not failed.
 """
 
 from __future__ import annotations
@@ -111,7 +113,19 @@ def emit() -> None:
     import logplate
     from logplate import data, modes, quadrature, symbols
 
-    out = {"package": logplate.__file__, "values": {}, "diverged": {}, "scalar": []}
+    out = {"package": logplate.__file__, "values": {}, "diverged": {}, "scalar": [], "gk15": {}}
+    gk_eval = quadrature._gk_eval
+    counts = [0, 0]  # GK15 calls and panels so far
+
+    def counting(f, lo, hi):
+        counts[0] += 1
+        counts[1] += lo.size
+        return gk_eval(f, lo, hi)
+
+    def count(key, start):
+        out["gk15"][key] = [counts[0] - start[0], counts[1] - start[1]]
+
+    quadrature._gk_eval = counting
     th = symbols.compute_thresholds()
     for r, u0, u1, t in scalar_points(th.delta, th.eta):
         p = symbols.FreqPoint.from_radius(r)
@@ -123,6 +137,7 @@ def emit() -> None:
         d = data.parse_pair(u0, u1, n)
         spec = quadrature.QuadSpec(n=n, tol=tol)
         for zone in ZONES:
+            start = list(counts)
             row = []
             for t in quadrature.default_time_grid():
                 try:
@@ -130,18 +145,23 @@ def emit() -> None:
                 except quadrature.QuadratureError as exc:
                     row.append(f"{type(exc).__name__}: {exc}")
             out["values"][_key(case, zone)] = row
+            count(_key(case, zone), start)
+            start = list(counts)
             try:
                 s = quadrature.norm_series(d, kind, n, quadrature.default_time_grid(), spec, zone)
                 row = [list(pair) for pair in zip(s.values, s.errs)]
             except quadrature.QuadratureError as exc:
                 row = [f"{type(exc).__name__}: {exc}"] * len(row)
             out["values"][_key(case, zone) + " series"] = row
+            count(_key(case, zone) + " series", start)
     for sel in Y_NORM_DATA:
         for n in Y_NORM_DIMS:
             key = f"y_norm n={n} {sel} s={','.join(f'{s:g}' for s in Y_NORM_ORDERS)}"
+            start = list(counts)
             res = [data.y_norm(data.parse_profile(sel, n), s) for s in Y_NORM_ORDERS]
             out["values"][key] = [[r.value, r.err_est] for r in res]
             out["diverged"][key] = [r.diverged for r in res]
+            count(key, start)
     print(json.dumps(out))
 
 
@@ -180,6 +200,13 @@ def verdict(old: list, new: list) -> tuple[str, bool]:
     return f"outside err: max rel dv={rel:.3g}", False
 
 
+def panels_note(old, new) -> str:
+    """`; panels differ: C/P → C'/P'` when the GK15 (calls, panels) of a row differ."""
+    if old == new:
+        return ""
+    return f"; panels differ: {old[0]}/{old[1]} → {new[0]}/{new[1]}"
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--emit"]:
         emit()
@@ -192,6 +219,7 @@ def main(argv: list[str]) -> int:
     for key in old["values"]:
         line, within = verdict(old["values"][key], new["values"][key])
         line += f"; err'/err <= {err_ratio(old['values'][key], new['values'][key]):.3g}"
+        line += panels_note(old["gk15"][key], new["gk15"][key])
         failed |= not within
         if old["diverged"].get(key) != new["diverged"].get(key):
             line += "; diverged flag changed"

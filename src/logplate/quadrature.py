@@ -5,16 +5,15 @@ Design notes
 * Panels are integrated with a Gauss-Kronrod 7-15 rule; |K15 - G7| is the
   panel error estimate.  Refinement splits every panel whose estimate
   exceeds its share of the global tolerance, so the process is independent
-  of evaluation order.  The final value accumulates panel results sorted by
-  position with math.fsum (exactly rounded), making output bit-reproducible
-  for a fixed spec.
-* One `_adaptive` call refines several intervals in shared rounds: a round
-  evaluates the panels every unconverged interval splits in one batch,
-  while each interval keeps its own panels, test, threshold, round limit,
-  sum and t, and each owner (a time) its own budget and errors, so no value
-  depends on the intervals it shares rounds with.  Per-call overhead, not
-  nodes, dominates small batches, so a series integrates all its times in
-  the same calls; node functions take t as a float or aligned with y.
+  of evaluation order.  The final value sums the panel results with
+  math.fsum, exactly rounded in any order, so output is bit-reproducible.
+* One `_adaptive` call refines several intervals in shared rounds over one
+  panel table, each round in whole-array steps and one batch of
+  evaluations, while each interval keeps its own panels, test, threshold,
+  round limit, sum and t, and each owner (a time) its own budget and
+  errors: no value depends on the intervals it shares rounds with.  A
+  series integrates all its times in the same calls; node functions take t
+  as a float or aligned with y.
 * Every zone is integrated in y = sqrt(L), L = log(1 + r^2): r overflows a
   double once L > 709 while the regularity-limited tails live out to
   log-weights of order t, so y is the only representable variable there,
@@ -47,16 +46,10 @@ Design notes
   variations fit within tol of the norm, smallest first, add their boundary
   terms; the rest are integrated again as v^2 on phase-stepped panels.
 * Every unbounded integral (the high zone, the reference tail, and the data
-  module's log-weighted norm) goes through one
-  tail-doubling loop, `tail_integral`: it doubles the extent until the
-  increment is negligible and, for the high zone, the envelope peak (at
-  log-weight ~ t) has been passed.  The pieces up to the first one past
-  the peak are integrated as one run, since none of them can stop the
-  loop; after that, one piece at a time.  Several loops, one per time of a
-  series, run in lockstep.
-* The integrand is evaluated in batches of at most CHUNK nodes, sized so
-  that every temporary array of one batch stays in the L2 cache.  Panel
-  sums are taken row by row, so values never depend on the batch size.
+  module's log-weighted norm) goes through one tail-doubling loop,
+  `tail_integral`: it doubles the extent until the increment is negligible
+  and, for the high zone, the envelope peak (at log-weight ~ t) has been
+  passed.  The loops of a series' times run in lockstep.
 """
 
 from __future__ import annotations
@@ -243,89 +236,93 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(f, intervals, tol: float, budget, failed: dict):
-    """Adaptive refinement of f(y, t) on intervals (bounds, t, owner), each
-    starting from its own array of panel boundaries, at its own t.
+def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
+    """Adaptive refinement of f(y, t) on intervals: interval i starts from
+    the next sizes[i] panels (lo, hi) and refines at t = ts[i] as it would
+    alone, with its own test, threshold and at most 200 rounds.
 
-    Every interval refines as it would alone: its own refinement test and
-    threshold over its own panels, at most 200 rounds, and its value summed
-    in position order.  A round evaluates the panels that every unconverged
-    interval splits in one `_gk_eval` call.  The intervals of an owner (an
-    index) share the panels budget[owner], checked before every evaluation
-    and reduced by the panels they end with.  An owner fails on an exhausted
-    budget, a non-finite sample or the round limit: `failed` maps it to its
-    error, and every owner at or after the earliest failed one is dropped.
-    Returns [(value, error estimate, panels used)], one per interval,
-    (0.0, 0.0, 0) for a dropped one.
+    The open intervals' panels form one table, each interval's in the order
+    its test sums read (kept, left halves, right halves); a round tests,
+    splits and regroups it in whole-array steps and evaluates the new panels
+    in one `_gk_eval` call.  The intervals of owners[i] (an index) share the
+    panels budget[owner], checked before every evaluation and reduced by
+    the panels they end with.  An owner fails on an exhausted budget, a
+    non-finite sample or the round limit: `failed` maps it to its error, and
+    every owner at or after the earliest failed one is dropped.  Returns
+    [(value, error estimate, panels)] per interval, (0.0, 0.0, 0) if dropped.
     """
     cut = min(failed, default=math.inf)
 
-    def fail(owners, error):
+    def fail(who, error):
         nonlocal cut
-        if owners and min(owners) < cut:
-            cut = min(owners)
+        if who.size and who.min() < cut:
+            cut = int(who.min())
             failed[cut] = error(cut)
 
-    owner = [o for _, _, o in intervals]
-    lo, hi = [b[:-1] for b, _, _ in intervals], [b[1:] for b, _, _ in intervals]
-    vals, errs = list(lo), list(hi)  # placeholders until evaluated
-    used = dict.fromkeys(owner, 0)
-    # (interval, mask of its panels that split, ends of its new panels); round 0 has no mask
-    split = [(i, None, lo[i], hi[i]) for i in range(len(intervals))]
+    # counts and sort keys are exact floats: integer ufunc loops would add code pages to RSS
+    owner, t_of = np.asarray(owners, dtype=np.intp), np.asarray(ts, dtype=float)
+    idx = np.repeat(np.arange(owner.size), sizes)  # the interval of each panel in the table
+    limit, used = np.asarray(budget), np.zeros(len(budget))
+    val, err, mask = np.empty(idx.size), np.empty(idx.size), np.ones(idx.size, dtype=bool)
+    done = [(idx[:0], lo[:0], lo[:0])]  # (interval, value, error) of the stopped intervals' panels
     for rnd in range(201):
+        ids = (count := np.bincount(idx, minlength=owner.size)).nonzero()[0]  # in the table
+        n, starts = count[ids], idx.searchsorted(ids)  # each interval's panels and first one
         if rnd:
-            refining, split, bad = [i for i, _, _, _ in split], [], []
-            for i in refining:
-                total = float(np.sum(vals[i]))
-                if owner[i] >= cut or float(np.sum(errs[i])) <= tol * abs(total) + 1e-300:
-                    continue
-                if not math.isfinite(total):
-                    bad.append(owner[i])
-                    continue
-                mask = errs[i] > tol * abs(total) / (2.0 * lo[i].size)
-                if not mask.any():
-                    mask = errs[i] >= errs[i].max()
-                mlo, mhi = lo[i][mask], hi[i][mask]
-                mid = 0.5 * (mlo + mhi)
-                split.append((i, mask, np.concatenate([mlo, mid]), np.concatenate([mid, mhi])))
-            fail(bad, lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
-        for i, mask, a, _ in split:
-            used[owner[i]] += a.size if mask is None else np.count_nonzero(mask)
-        fail([owner[s[0]] for s in split if used[owner[s[0]]] > budget[owner[s[0]]]],
-             lambda o: PanelBudgetError(
-                 f"initial subdivision needs {used[o]} panels, budget is {budget[o]}" if not rnd
-                 else "panel budget exhausted; t is too large for the requested tolerance"))
-        split = [s for s in split if owner[s[0]] < cut and s[2].size]
-        if not split:
+            runs = list(zip(starts.tolist(), [*starts[1:].tolist(), idx.size]))
+            total = np.array([np.add.reduce(val[a:b]) for a, b in runs])
+            size = tol * np.abs(total)
+            esum = np.array([np.add.reduce(err[a:b]) for a, b in runs])
+            go = ~(esum <= size + 1e-300)  # a NaN sum goes on, to the non-finite check
+            bad = go & ~np.isfinite(total)
+            fail(owner[ids[bad]],
+                 lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
+            go &= ~bad
+            mask = err > (size / (2.0 * n)).repeat(n)  # the panels that split; round 0 takes all
+            none = go & ~np.logical_or.reduceat(mask, starts)
+            if none.any():  # split the largest
+                mask |= none.repeat(n) & (err >= np.maximum.reduceat(err, starts).repeat(n))
+            mask &= go.repeat(n)
+            if not mask.any():  # every interval stops
+                done.append((idx, val, err))
+                break
+        used += np.bincount(owner[idx[mask]], minlength=used.size)
+        fail((used > limit).nonzero()[0], lambda o: PanelBudgetError(
+            f"initial subdivision needs {used[o]:.0f} panels, budget is {budget[o]}" if not rnd
+            else "panel budget exhausted; t is too large for the requested tolerance"))
+        # the intervals that split a panel and whose owner is left go on; the others stop
+        stay = ((owner[ids] < cut) & np.logical_or.reduceat(mask, starts)).repeat(n)
+        if rnd:  # regroup each interval's panels: kept, left halves, right halves
+            done.append((idx[~stay], val[~stay], err[~stay]))
+            keep, mask = stay & ~mask, stay & mask
+            a, b, new = lo[mask], hi[mask], idx[mask] + 0.5
+            mid = 0.5 * (a + b)
+            key = np.concatenate([idx[keep], new, new])
+            order = key.argsort(kind="stable")
+            lo, hi, val, err = (np.concatenate(x)[order] for x in (
+                [lo[keep], a, mid], [hi[keep], mid, b], [val[keep], a, b], [err[keep], a, b]))
+            idx = key[order].astype(np.intp)
+            mask = key[order] > idx
+        elif not stay.all():  # round 0: drop the failed owners' panels
+            lo, hi, idx, mask, val, err = (x[stay] for x in (lo, hi, idx, mask, val, err))
+        if not idx.size:
             break
-        idx, _, clo, chi = zip(*split)
-        sizes = [a.size for a in clo]
-        # one float t when they share it, which the kernels take faster, else one per panel
-        t = [intervals[i][1] for i in idx]
-        t = t[0] if len(set(t)) == 1 else np.repeat(t, sizes)
-        v, e = _gk_eval(lambda x, rows: f(x, np.repeat(t[rows], 15)
-                                          if isinstance(t, np.ndarray) else t),
-                        np.concatenate(clo), np.concatenate(chi))
-        runs = list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
-        for (i, mask, a, b), (start, stop) in zip(split, runs):
-            new = a, b, v[start:stop], e[start:stop]
-            if mask is not None:  # keep the panels that did not split
-                keep = ~mask
-                new = [np.concatenate([old[keep], x])
-                       for old, x in zip((lo[i], hi[i], vals[i], errs[i]), new)]
-            lo[i], hi[i], vals[i], errs[i] = new
+        t = t_of[idx[mask]]  # one float t if the new panels share it: the kernels take it faster
+        t = ts[idx[mask][0]] if (t == t[0]).all() else t
+        val[mask], err[mask] = _gk_eval(lambda x, rows: f(x, np.repeat(t[rows], 15)
+                                                          if isinstance(t, np.ndarray) else t),
+                                        lo[mask], hi[mask])
     else:
-        fail([owner[i] for i, _, _, _ in split], lambda o: PanelBudgetError(
-            "adaptive refinement did not reach the tolerance"))
+        fail(owner[idx],
+             lambda o: PanelBudgetError("adaptive refinement did not reach the tolerance"))
+    idx, val, err = (np.concatenate(x) for x in zip(*done))
+    order = idx.argsort(kind="stable")
+    v, e = val[order].tolist(), (err + _ROUNDING * np.abs(val))[order].tolist()
+    ends = list(itertools.accumulate(np.bincount(idx, minlength=owner.size).tolist(), initial=0))
     out = []
-    for o, x, v, e in zip(owner, lo, vals, errs):
-        if o >= cut:
-            x = v = e = np.empty(0)
-        order = np.argsort(x, kind="stable")
-        value = math.fsum(v[order].tolist())
-        err = math.fsum((e + _ROUNDING * np.abs(v))[order].tolist())
-        out.append((value, err, int(x.size)))
-        budget[o] -= x.size
+    for o, a, b in zip(owner.tolist(), ends, ends[1:]):
+        out.append((math.fsum(v[a:b]), math.fsum(e[a:b]), b - a) if o < cut else (0.0, 0.0, 0))
+        budget[o] -= out[-1][2]
     return out
 
 
@@ -348,9 +345,9 @@ def radial_integral(f, lo: float, hi: float, tol: float, ladder: int = 0):
     """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
     if hi < lo:
         raise ValueError("empty integration range")
-    failed = {}
-    bounds = [(_build_bounds(lo, hi, ladder=ladder), 0.0, 0)]
-    ((value, err, _),) = _adaptive(lambda y, t: f(y), bounds, tol, [MAX_PANELS], failed)
+    failed, b = {}, _build_bounds(lo, hi, ladder=ladder)
+    ((value, err, _),) = _adaptive(lambda y, t: f(y), b[:-1], b[1:], [b.size - 1], [0.0], [0], tol,
+                                   [MAX_PANELS], failed)
     if failed:
         raise failed[0]
     return value, err
@@ -638,9 +635,9 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
     pieces = [[] for _ in ts]
 
     def segments(runs):
-        owner = [k for k, ends in runs.items() for _ in ends[1:]]  # of each piece
-        lo = [math.sqrt(s - 1.0) for ends in runs.values() for s in ends[:-1]]
-        hi = [math.sqrt(s - 1.0) for ends in runs.values() for s in ends[1:]]
+        owner = np.array([k for k, ends in runs.items() for _ in ends[1:]])  # of each piece
+        lo = np.sqrt(np.array([s for ends in runs.values() for s in ends[:-1]]) - 1.0)
+        hi = np.sqrt(np.array([s for ends in runs.values() for s in ends[1:]]) - 1.0)
         t = np.asarray(ts)[owner]
         probe = np.linspace(lo, hi, _PROBE, axis=1)  # one row per piece
         scaled = _scaled_data_y(d, kind, np.repeat(t, _PROBE), n, probe.ravel())
@@ -651,9 +648,8 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
         split = live & (t > 0.0) & phased
         found = np.zeros((4, len(owner)))  # value, err, variation, boundary terms
         plain = np.flatnonzero(live & ~split)
-        intervals = [(np.array([lo[i], hi[i]]), t[i], owner[i]) for i in plain]
-        results = _adaptive(f, intervals, spec.tol, panels_left, failed) if intervals else []
-        for i, res in zip(plain, results):
+        for i, res in zip(plain, _adaptive(f, lo[plain], hi[plain], np.ones_like(plain), t[plain],
+                                           owner[plain], spec.tol, panels_left, failed)):
             found[:2, i] = res[:2]
         idx = np.flatnonzero(split)
         if idx.size:
@@ -668,9 +664,9 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
             keep = np.repeat(split, _PROBE)
             smooth(probe.ravel()[keep], np.repeat(t[idx], _PROBE),
                    [None if w is None else w[keep] for w in scaled])
-            intervals = [(np.array([lo[i], hi[i]]), t[i], owner[i]) for i in idx]
             results = _adaptive(lambda y, t: smooth(y, t, _scaled_data_y(d, kind, t, n, y)),
-                                intervals, spec.tol, panels_left, failed)
+                                lo[idx], hi[idx], np.ones_like(idx), t[idx], owner[idx],
+                                spec.tol, panels_left, failed)
             h_ends = samples[0][2].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
             at_y, at_t, h_all = (np.concatenate(x, axis=-1) for x in zip(*samples))
             order = np.lexsort((at_y, at_t))
@@ -689,7 +685,7 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
                 h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
                 found[:3, i] = res[0], res[1], np.abs(np.diff(h, axis=1)).sum()
         out = {k: [] for k in runs}  # a failed time's pieces read 0 and are never used
-        for i, (k, row) in enumerate(zip(owner, found.T.tolist())):
+        for i, (k, row) in enumerate(zip(owner.tolist(), found.T.tolist())):
             out[k].append((row[0], row[1]))
             if live[i]:
                 pieces[k].append([lo[i], hi[i], *row])
@@ -697,7 +693,7 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
 
     stops = [max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START for t in ts]
     loops = tail_integral(segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baselines, stops)
-    stepped, intervals, errs = [], [], {}  # errs: time -> [err, phase estimate]
+    stepped, bounds, errs = [], [], {}  # errs: time -> [err, phase estimate]
     for k, loop in enumerate(loops):
         if k >= min(failed, default=math.inf):
             break
@@ -720,12 +716,15 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
             except PanelBudgetError as exc:
                 failed[k] = exc
                 break
-            intervals += [(_build_bounds(*ends), ts[k], k) for ends in zip(y_lo, y_hi, steps)]
+            bounds += [_build_bounds(*ends) for ends in zip(y_lo, y_hi, steps)]
             stepped += [(k, piece) for piece in mine]
-    results = _adaptive(f, intervals, spec.tol, panels_left, failed) if intervals else []
-    for (k, piece), res in zip(stepped, results):
-        piece[2] = res[0]
-        errs[k][0] += res[1] - piece[3]
+    if stepped:
+        lo, hi = (np.concatenate(x) for x in zip(*((b[:-1], b[1:]) for b in bounds)))
+        results = _adaptive(f, lo, hi, [b.size - 1 for b in bounds], [ts[k] for k, _ in stepped],
+                            [k for k, _ in stepped], spec.tol, panels_left, failed)
+        for (k, piece), res in zip(stepped, results):
+            piece[2] = res[0]
+            errs[k][0] += res[1] - piece[3]
     out = []
     for k in range(min(failed, default=len(ts))):
         total = 0.0
@@ -787,8 +786,9 @@ def _norm_pairs(d, kind: str, n: int, ts, spec: QuadSpec, zone: str) -> list:
     if zone != "high":
         ends = _Y_ZONES.get(zone, (0.0, 1.0))
         bounds = _build_bounds(*ends, ladder=16 if zone in ("all", "low") else 0)
-        out = _adaptive(_squared_value(d, kind, n), [(bounds, t, k) for k, t in enumerate(ts)],
-                        spec.tol, [MAX_PANELS] * len(ts), failed)
+        k = len(ts)
+        out = _adaptive(_squared_value(d, kind, n), np.tile(bounds[:-1], k), np.tile(bounds[1:], k),
+                        [bounds.size - 1] * k, ts, range(k), spec.tol, [MAX_PANELS] * k, failed)
     if zone in ("all", "high"):
         tails = _tail_values(d, kind, ts, spec, [h[0] for h in out], failed)
         out = [(h[0] + tail[0], h[1] + tail[1]) for h, tail in zip(out, tails)]

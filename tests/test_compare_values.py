@@ -40,3 +40,9 @@ def test_compare_values_cases_cover_checks_06_to_11(monkeypatch):
     for check_id in verify.CHECK_IDS[5:11]:
         verify.run_check(check_id)
     assert seen and seen <= cases
+
+
+def test_panels_note_names_both_sides_only_where_they_differ():
+    note = _load_script().panels_note
+    assert note([14, 3376], [14, 3376]) == ""
+    assert note([14, 3376], [15, 3390]) == "; panels differ: 14/3376 → 15/3390"

@@ -165,8 +165,9 @@ def test_pointwise_bound_check():
     # the amplitude form does not exist at r = 0
     at_zero = modes.pointwise_bound_check(symbols.FreqPoint.from_radius(0.0), 1.0, 1.0, 1.0, TH)
     assert at_zero.amplitude_margin is None
-    with pytest.raises(ValueError):
-        modes.pointwise_bound_check(symbols.FreqPoint.from_radius(0.5), 1.0, 1.0, 0.0, TH)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            modes.pointwise_bound_check(symbols.FreqPoint.from_radius(0.5), 1.0, 1.0, t, TH)
 
 
 _finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

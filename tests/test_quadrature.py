@@ -49,6 +49,20 @@ def test_basic_integrals():
     assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
+def _adaptive(f, intervals, tol, budget, failed):
+    """`quad._adaptive` on [(boundary array, t, owner)], one per interval."""
+    bounds, ts, owners = zip(*intervals)
+    return quad._adaptive(f, np.concatenate([b[:-1] for b in bounds]),
+                          np.concatenate([b[1:] for b in bounds]), [b.size - 1 for b in bounds],
+                          ts, owners, tol, budget, failed)
+
+
+def _boundaries(lo, hi, sizes):
+    """The boundary array of each interval of an `_adaptive` call."""
+    ends = np.cumsum([0, *sizes]).tolist()
+    return [np.append(lo[a:b], hi[b - 1:b]) for a, b in zip(ends, ends[1:])]
+
+
 # integrands of the batched refinement: smooth, peaked at x = 0 (the left
 # end of the intervals that start there) and oscillating
 INTEGRANDS = {
@@ -59,26 +73,45 @@ INTEGRANDS = {
 _bounds = st.lists(
     st.floats(0.0, 4.0), min_size=2, max_size=5, unique=True
 ).map(sorted).filter(lambda b: b[-1] - b[0] > 1e-3).map(np.array)
+# an interval of no panels, as `_build_bounds(a, a)` gives it
+_point = st.floats(0.0, 4.0).map(lambda a: quad._build_bounds(a, a))
+# [1, 2, 3] with a pole at 1.25, the centre node of the left half of its
+# first panel: a round-0 sample is finite, the first split's is not
+_POISONED = np.array([1.0, 2.0, 3.0])
+# x^-0.99 on [0, 1]: the panel at 0 holds a quarter of the value after 200 halvings
+_STUCK = np.array([0.0, 1.0])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     shape=st.sampled_from(sorted(INTEGRANDS)),
     c=st.floats(-3.0, 3.0),
-    intervals=st.lists(_bounds, min_size=1, max_size=5),
+    intervals=st.lists(_bounds | _point, min_size=1, max_size=40),
     tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
-    short=st.integers(0, 4),
+    short=st.integers(0, 41),
+    poisoned=st.none() | st.integers(0, 40),
+    stuck=st.none() | st.integers(0, 41),
 )
-def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol, short):
+@example("smooth", 1.0, [np.array([0.0, 1.0])] * 3, 1e-6, 4, 1, 3)
+def test_batched_refinement_is_each_interval_alone(
+    shape, c, intervals, tol, short, poisoned, stuck
+):
     # every interval of one `_adaptive` call refines as it would alone at its
     # own t, bit for bit, and a round evaluates all open intervals in one
     # GK15 call; the intervals of an owner share its panel budget, checked
     # before each evaluation, and an owner that exhausts it is dropped with
     # every later owner, while the earlier ones keep their results
     g = INTEGRANDS[shape](c)
+    t_poisoned = t_stuck = -1.0
 
     def f(x, t):
-        return g(x) + t * x
+        out = g(x) + t * x
+        with np.errstate(divide="ignore"):
+            if np.any(t == t_poisoned):
+                out = np.where(t == t_poisoned, out + 1e6 / (x - 1.25), out)
+            if np.any(t == t_stuck):
+                out = np.where(t == t_stuck, x ** -0.99, out)
+        return out
 
     gk_eval = quad._gk_eval
     calls = []
@@ -87,33 +120,85 @@ def test_batched_refinement_is_each_interval_alone(shape, c, intervals, tol, sho
         calls.append(lo.size)
         return gk_eval(f, lo, hi)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quad, "_gk_eval", counting)
-        alone = []
-        rounds = []
+    def alone(intervals):
+        """(result, error, GK15 calls) of each interval integrated alone."""
+        out = []
         for t, bounds in enumerate(intervals):
             calls.clear()
-            alone.append(quad._adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], {})[0])
-            rounds.append(len(calls))
-        panels = [used for _, _, used in alone]
+            failed = {}
+            res = _adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], failed)[0]
+            out.append((res, failed.get(0), len(calls)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_gk_eval", counting)
+        each = alone(intervals)
+        panels = [res[2] for res, _, _ in each]
+        rounds = max(n for _, _, n in each)
         calls.clear()
         shared = [(bounds, t, 0) for t, bounds in enumerate(intervals)]
-        assert quad._adaptive(f, shared, tol, [sum(panels)], {}) == alone
-        assert len(calls) == max(rounds)
+        assert _adaptive(f, shared, tol, [sum(panels)], {}) == [res for res, _, _ in each]
+        assert len(calls) == rounds
         calls.clear()
         failed = {}
-        dropped = [(0.0, 0.0, 0)] * len(alone)
-        assert quad._adaptive(f, shared, tol, [sum(panels) - 1], failed) == dropped
+        dropped = [(0.0, 0.0, 0)] * len(intervals)
+        assert _adaptive(f, shared, tol, [sum(panels) - 1], failed) == dropped
         assert list(failed) == [0] and isinstance(failed[0], quad.PanelBudgetError)
-        assert len(calls) == max(rounds) - 1
-        # one owner per interval; the owner `short` has one panel too few
+        assert len(calls) == max(rounds - 1, 0)
+
+        # one owner per interval, with the poisoned and the stuck interval
+        # among them: the owner `short` has one panel too few, and the first
+        # owner that fails alone or runs short drops every later owner
+        for at, extra in sorted([(at, b) for at, b in ((poisoned, _POISONED), (stuck, _STUCK))
+                                 if at is not None], key=lambda p: p[0]):
+            intervals = intervals[:at] + [extra] + intervals[at:]
+        t_poisoned = next((t for t, b in enumerate(intervals) if b is _POISONED), -1.0)
+        t_stuck = next((t for t, b in enumerate(intervals) if b is _STUCK), -1.0)
+        each = alone(intervals)
         short %= len(intervals)
-        budget = [used - (j == short) for j, used in enumerate(panels)]
+        fails = [j for j, (_, error, _) in enumerate(each) if error is not None or j == short]
+        cut = fails[0]
+        budget = [quad.MAX_PANELS if error else res[2] - (j == short)
+                  for j, (res, error, _) in enumerate(each)]
         failed = {}
         owned = [(bounds, t, t) for t, bounds in enumerate(intervals)]
-        out = quad._adaptive(f, owned, tol, budget, failed)
-        assert out == alone[:short] + dropped[short:]
-        assert list(failed) == [short] and isinstance(failed[short], quad.PanelBudgetError)
+        out = _adaptive(f, owned, tol, budget, failed)
+        assert out == [res for res, _, _ in each[:cut]] + [(0.0, 0.0, 0)] * (len(intervals) - cut)
+        assert min(failed) == cut
+        error = each[cut][1] or quad.PanelBudgetError("")
+        assert type(failed[cut]) is type(error) and str(error) in str(failed[cut])
+        assert budget[:cut] == [0] * cut
+    if poisoned is not None:
+        assert isinstance(each[t_poisoned][1], quad.NonFiniteIntegrandError)
+    if stuck is not None:
+        assert "did not reach" in str(each[t_stuck][1])
+
+
+# Integrands of only correctly rounded operations, refined on [0, 1, 2.5, 4]
+# at a tolerance one ulp from where the panel count changes, and the
+# (value, err, panels) `_adaptive` gave them when each interval summed its
+# panels kept, left halves, right halves (recorded as float.hex).  The test
+# sums then decide at the last bit: regrouping the panels moves them.
+GOLDEN = (
+    ("runge", "0x1.e26ed23357239p-34", "0x1.2d49756780043p-1", "0x1.4cf5b92eacf00p-40", 14),
+    ("bump", "0x1.6a35d8d917affp-37", "0x1.894ab6057cdcdp+6", "0x1.e4fd2ab6057cep-36", 25),
+    ("kink", "0x1.718e8e0ac0757p-27", "0x1.f243c8759eff9p+2", "0x1.95b131aaff90fp-25", 18),
+    ("kink", "0x1.5884a4341d20bp-30", "0x1.f243c8867d241p+2", "0x1.967af49ea4887p-28", 22),
+)
+GOLDEN_INTEGRANDS = {
+    "runge": lambda x: 1.0 / (1.0 + 25.0 * (x - 2.0) * (x - 2.0)),
+    "bump": lambda x: 1.0 / (1e-3 + (x - 1.7) * (x - 1.7)),
+    "kink": lambda x: np.sqrt(np.abs(x - 2.2)) + 1.0,
+}
+
+
+@pytest.mark.parametrize("name,tol,value,err,panels", GOLDEN)
+def test_refinement_matches_its_recorded_triples(name, tol, value, err, panels):
+    g = GOLDEN_INTEGRANDS[name]
+    bounds = np.array([0.0, 1.0, 2.5, 4.0])
+    ((v, e, used),) = _adaptive(lambda x, t: g(x), [(bounds, 0.0, 0)], float.fromhex(tol),
+                                [quad.MAX_PANELS], {})
+    assert (v.hex(), e.hex(), used) == (value, err, panels)
 
 
 def test_head_integral_closed_forms():
@@ -427,9 +512,9 @@ def _high_calls(monkeypatch):
     adaptive = quad._adaptive
     calls = []
 
-    def spy(f, intervals, tol, budget, failed):
-        out = adaptive(f, intervals, tol, budget, failed)
-        calls.extend((b, res[0]) for (b, _, _), res in zip(intervals, out) if b[0] >= 1.0)
+    def spy(f, lo, hi, sizes, *args):
+        out = adaptive(f, lo, hi, sizes, *args)
+        calls.extend((b, res[0]) for b, res in zip(_boundaries(lo, hi, sizes), out) if b[0] >= 1.0)
         return out
 
     monkeypatch.setattr(quad, "_adaptive", spy)
@@ -629,7 +714,7 @@ def test_unstepped_piece_within_its_variation_of_the_stepped_piece(monkeypatch, 
             monkeypatch.undo()
             steps = quad._phase_steps(kind, t, spec.osc_guard, [lo], [hi], quad.MAX_PANELS)[0]
             bounds = [(quad._build_bounds(lo, hi, steps), t, 0)]
-            ((ref, ref_err, _),) = quad._adaptive(f, bounds, spec.tol / 100.0, [quad.MAX_PANELS], {})
+            ((ref, ref_err, _),) = _adaptive(f, bounds, spec.tol / 100.0, [quad.MAX_PANELS], {})
             assert abs(v - ref) <= e + ref_err, (kind, t, lo)
             missed.append(abs(smooth - ref) > e + ref_err)
     assert any(missed), kind
@@ -658,10 +743,10 @@ def test_initial_panels_end_at_steps_of_the_fastest_phase(monkeypatch, kind):
     # phase, and a panel between two phase steps spans exactly that
     calls = {}  # the last integration of every piece: a stepped one replaces the smooth
 
-    def record(f, intervals, tol, budget, failed):
-        for bounds, _, _ in intervals:
+    def record(f, lo, hi, sizes, *args):
+        for bounds in _boundaries(lo, hi, sizes):
             calls[bounds[0], bounds[-1]] = bounds
-        return [(0.0, 0.0, 0)] * len(intervals)
+        return [(0.0, 0.0, 0)] * len(sizes)
 
     monkeypatch.setattr(quad, "_adaptive", record)
     _guarded_only(monkeypatch)
@@ -798,6 +883,25 @@ def test_check07_series_gk15_panel_count(monkeypatch):
     kind = f"u-{rates.classify(2, verify._L_DATA).profile}"
     verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, kind, 1e-6)
     assert sum(rows) == 586
+
+
+def test_check11_series_gk15_calls(monkeypatch):
+    # check 11's three window series (Gaussian n = 2 and 3, zero-mass n = 2):
+    # the tail carries no mass, so bookkeeping, not panels, dominates them
+    rows = _gk15_rows(monkeypatch)
+    counts = []
+    for sel, n in (("gaussian:alpha=1", 2), ("gaussian:alpha=1", 3), ("zero_mass:alpha=1", 2)):
+        start = len(rows)
+        verify._series(sel, sel, n, "u", 1e-6)
+        counts.append((len(rows) - start, sum(rows[start:])))
+    assert counts == [(11, 544), (11, 548), (11, 552)]
+    assert (len(rows), sum(rows)) == (33, 1_644)
+
+
+def test_check06_phi2_series_gk15_calls(monkeypatch):
+    rows = _gk15_rows(monkeypatch)
+    verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
+    assert (len(rows), sum(rows)) == (20, 2_467)
 
 
 def test_check09_late_series_panel_count(monkeypatch):

@@ -145,9 +145,9 @@ def test_consumers_integrate_only_window_times(monkeypatch, capsys):
     seen = []
     adaptive = quadrature._adaptive
 
-    def record(f, intervals, *args):
-        seen.extend(sorted({float(t) for _, t, _ in intervals} - set(seen)))
-        return adaptive(f, intervals, *args)
+    def record(f, lo, hi, sizes, ts, *args):
+        seen.extend(sorted({float(t) for t in ts} - set(seen)))
+        return adaptive(f, lo, hi, sizes, ts, *args)
 
     monkeypatch.setattr(quadrature, "_adaptive", record)
     assert verify.run_check("07-diffusion-profile-rate").passed
