@@ -13,7 +13,8 @@ runs them, once a time with `norm_value` and once as one `norm_series`
 families at n = 1, 2, 3, 4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
 and every y_norm (family, n) one line says
 
-    identical                       every value is the same double
+    identical                       every value and err_est is the same double
+    values identical                every value is the same double, some err_est is not
     within err: X                   X = max |v - v'| / (err + err') <= 1
     outside err: max rel dv=Y       some |v - v'| exceeds err + err'
 
@@ -188,7 +189,8 @@ def verdict(old: list, new: list) -> tuple[str, bool]:
         same = all(isinstance(a, str) and isinstance(b, str) for a, b in zip(old, new))
         return ("both raise" if same else "outside err: one side raises"), same
     if all(a[0] == b[0] for a, b in zip(old, new)):
-        return "identical", True
+        return ("identical" if all(a[1] == b[1] for a, b in zip(old, new))
+                else "values identical"), True
     ratio = rel = 0.0
     for (v, e), (w, f) in zip(old, new):
         dv = abs(v - w)

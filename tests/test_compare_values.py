@@ -46,3 +46,11 @@ def test_panels_note_names_both_sides_only_where_they_differ():
     note = _load_script().panels_note
     assert note([14, 3376], [14, 3376]) == ""
     assert note([14, 3376], [15, 3390]) == "; panels differ: 14/3376 → 15/3390"
+
+
+def test_identical_means_every_value_and_error_estimate():
+    verdict = _load_script().verdict
+    old = [[1.0, 1e-7], [2.0, 2e-7]]
+    assert verdict(old, [[1.0, 1e-7], [2.0, 2e-7]]) == ("identical", True)
+    assert verdict(old, [[1.0, 1e-7], [2.0, 3e-7]]) == ("values identical", True)
+    assert verdict(old, [[1.0, 1e-7], [2.0 + 1e-7, 2e-7]]) == ("within err: 0.25", True)
