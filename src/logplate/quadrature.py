@@ -268,6 +268,7 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
     for rnd in range(201):
         ids = (count := np.bincount(idx, minlength=owner.size)).nonzero()[0]  # in the table
         n, starts = count[ids], idx.searchsorted(ids)  # each interval's panels and first one
+        go = np.ones(ids.size, dtype=bool)
         if rnd:
             runs = list(zip(starts.tolist(), [*starts[1:].tolist(), idx.size]))
             total = np.array([np.add.reduce(val[a:b]) for a, b in runs])
@@ -278,11 +279,9 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
             fail(owner[ids[bad]],
                  lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
             go &= ~bad
-            mask = err > (size / (2.0 * n)).repeat(n)  # the panels that split; round 0 takes all
-            none = go & ~np.logical_or.reduceat(mask, starts)
-            if none.any():  # split the largest
-                mask |= none.repeat(n) & (err >= np.maximum.reduceat(err, starts).repeat(n))
-            mask &= go.repeat(n)
+            # the panels that split (round 0 takes all): an interval that goes on has a
+            # finite error sum above tol * |sum|, so its largest panel error exceeds this
+            mask = (err > (size / (2.0 * n)).repeat(n)) & go.repeat(n)
             if not mask.any():  # every interval stops
                 done.append((idx, val, err))
                 break
@@ -290,8 +289,7 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
         fail((used > limit).nonzero()[0], lambda o: PanelBudgetError(
             f"initial subdivision needs {used[o]:.0f} panels, budget is {budget[o]}" if not rnd
             else "panel budget exhausted; t is too large for the requested tolerance"))
-        # the intervals that split a panel and whose owner is left go on; the others stop
-        stay = ((owner[ids] < cut) & np.logical_or.reduceat(mask, starts)).repeat(n)
+        stay = ((owner[ids] < cut) & go).repeat(n)  # the others stop
         if rnd:  # regroup each interval's panels: kept, left halves, right halves
             done.append((idx[~stay], val[~stay], err[~stay]))
             keep, mask = stay & ~mask, stay & mask
