@@ -34,7 +34,7 @@ Design notes
   highmid, turning at most 0.15 t periods while its square decays like
   e^{-t/2}: refinement resolves the few periods that are not negligible.
   Only the high-zone pieces whose variation misses the budget start
-  from panels of exactly osc_guard half-periods of the fastest phase
+  from equal panels of at most osc_guard half-periods of the fastest phase
   (`_phase_steps`); 15 Kronrod nodes per period resolve the phase to ~1e-8
   relative, so refinement rounds are rare.
 * In the high zone every oscillating kind is written as
@@ -183,11 +183,12 @@ assert _NODES.size == 15 and _WG.size == 7
 class QuadSpec:
     """Quadrature configuration of a norm integral.
 
-    osc_guard is the number of half-periods of the fastest phase per
-    initial panel of a phase-stepped high-zone piece: its panels end where
-    that phase crosses a multiple of osc_guard * pi (one period of a squared
-    factor per pi).  The CLI and the checks use the default; the field is
-    kept because the benchmark's workloads construct QuadSpec(osc_guard=2.0).
+    osc_guard bounds the half-periods of the fastest phase per initial
+    panel of a phase-stepped high-zone piece: the piece starts from equal
+    panels in y that span at most osc_guard * pi of that phase each (one
+    period of a squared factor per pi).  The CLI and the checks use the
+    default; the field is kept because the benchmark's workloads construct
+    QuadSpec(osc_guard=2.0).
     """
 
     n: int
@@ -324,18 +325,12 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
     return out
 
 
-def _build_bounds(lo: float, hi: float, breakpoints=(), ladder: int = 0) -> np.ndarray:
-    """Panel boundaries on [lo, hi]: its ends and the breakpoints inside it.
-
-    `ladder` > 0 adds a geometric 2^-k ladder anchored at `lo`, used to
-    pre-resolve integrands that concentrate at the left endpoint.
+def _build_bounds(lo: float, hi: float, ladder: int = 0) -> np.ndarray:
+    """Panel boundaries on [lo, hi]: its ends and, for `ladder` > 0, a
+    geometric 2^-k ladder anchored at `lo`, used to pre-resolve integrands
+    that concentrate at the left endpoint.
     """
-    inner = np.asarray(breakpoints, dtype=float)
-    pts = np.sort(np.concatenate((
-        [lo, hi],
-        inner[(inner > lo) & (inner < hi)],
-        lo + (hi - lo) * 2.0 ** -np.arange(1, ladder + 1),
-    )))
+    pts = np.sort(np.concatenate(([lo, hi], lo + (hi - lo) * 2.0 ** -np.arange(1, ladder + 1))))
     return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
@@ -455,37 +450,22 @@ def middle_zone_integral(p_exp: float, t: float, lo: float) -> float:
 # Norm-series machinery
 
 
-def _mode_rate_inverse(b: np.ndarray) -> np.ndarray:
-    """L with b(L) = sqrt(L - a^2) = b >= 0: Newton steps on the increasing,
-    concave L - 1/(4(1+L)^2) - b^2 from L = b^2, where it is negative, so
-    every step rises towards the root; five reach it to a few ulps."""
-    lam = b * b
-    for _ in range(5):
-        a = 0.5 / (1.0 + lam)
-        lam = lam - (lam - a * a - b * b) / (1.0 + 4.0 * a**3)
-    return lam
-
-
-def _phase_steps(kind: str, t: float, osc_guard: float, lo, hi, budget: int):
-    """For each high-zone interval (lo[i], hi[i]): the points y = sqrt(L)
-    inside it where the fastest phase of the kind's integrand (t > 0, a kind
-    with a phase) crosses a multiple of osc_guard * pi: the mode's bt for
-    the kinds containing the mode, as db/dL = (1 + 4a^3)/(2b) > 1/(2 sqrt(L)),
-    else the oscillatory profile's sqrt(L) t.  Both phases are inverted
-    exactly.  Steps of all intervals beyond `budget` panels together raise
-    PanelBudgetError before any is built.
+def _phase_steps(t: float, osc_guard: float, lo, hi, budget: int) -> np.ndarray:
+    """Initial panels of each phase-stepped high-zone piece (lo[i], hi[i]) at
+    t > 0: the count of equal panels in y that span at most osc_guard * pi
+    of the fastest phase each.  That phase is the mode's bt, whose rate
+    db/dy = y (1 + 4a^3)/b falls towards 1 as y grows, so it is largest at
+    lo[i] and never below the rate 1 of the oscillatory profile's phase yt.
+    Panels of all pieces beyond `budget` together raise PanelBudgetError
+    before any is built.
     """
-    ends = np.array([lo, hi]) ** 2
-    if kind in _MODE_KINDS:
-        rates, inverse = np.sqrt(-collision_gap(ends)[1]), _mode_rate_inverse
-    else:
-        rates, inverse = np.sqrt(ends), np.square
-    step = osc_guard * math.pi / t
-    k_lo, k_hi = np.floor(rates[0] / step) + 1.0, np.ceil(rates[1] / step)
-    steps = float(np.sum(np.maximum(k_hi - k_lo, 0.0)))
-    if steps > budget:
-        raise PanelBudgetError(f"{steps:.0f} phase steps exceed the {budget} panels left")
-    return [np.sqrt(inverse(np.arange(int(a), int(b)) * step)) for a, b in zip(k_lo, k_hi)]
+    lo = np.asarray(lo)
+    a, csq = collision_gap(lo * lo)
+    rate = lo * (1.0 + 4.0 * a**3) / np.sqrt(-csq)
+    counts = np.ceil(t * rate * (hi - lo) / (osc_guard * math.pi))
+    if counts.sum() > budget:
+        raise PanelBudgetError(f"{counts.sum():.0f} phase-stepped panels exceed the {budget} left")
+    return counts.astype(int)
 
 
 def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
@@ -620,10 +600,10 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
     pieces by (t, y).  Once a tail has converged, the variations join its
     error, smallest first, while their sum stays within tol * (|baseline| +
     |total|), and those pieces add their boundary terms.  Every other piece
-    is integrated again in place of its smooth value, on panels of osc_guard
-    half-periods (`_phase_steps`, checked against the panels its time has
-    left before any is built), the pieces of all times in one `_adaptive`
-    call.
+    is integrated again in place of its smooth value, from equal panels of
+    at most osc_guard half-periods (`_phase_steps`, checked against the
+    panels its time has left before any is built), the pieces of all times
+    in one `_adaptive` call.
     """
     n = spec.n
     f = _squared_value(d, kind, n)
@@ -710,11 +690,11 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
         if mine:
             y_lo, y_hi = [p[0] for p in mine], [p[1] for p in mine]
             try:
-                steps = _phase_steps(kind, ts[k], spec.osc_guard, y_lo, y_hi, panels_left[k])
+                counts = _phase_steps(ts[k], spec.osc_guard, y_lo, y_hi, panels_left[k])
             except PanelBudgetError as exc:
                 failed[k] = exc
                 break
-            bounds += [_build_bounds(*ends) for ends in zip(y_lo, y_hi, steps)]
+            bounds += [np.linspace(*ends) for ends in zip(y_lo, y_hi, counts + 1)]
             stepped += [(k, piece) for piece in mine]
     if stepped:
         lo, hi = (np.concatenate(x) for x in zip(*((b[:-1], b[1:]) for b in bounds)))
