@@ -17,8 +17,9 @@ The `seconds` field of `verify` lines is wall time and is the one field
 excluded from the determinism guarantee; `--out` files omit it.
 
 Exit codes: 0 success, 1 a rates or verify check failed, 2 usage or input
-error, 3 a quadrature or integrator budget ran out (one `error:` line that
-names the settings to change).
+error (an --out path that cannot be written is found before any work), 3 a
+quadrature or integrator budget ran out (one `error:` line that names the
+settings to change).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 from . import data as data_mod
@@ -39,11 +41,29 @@ def _fmt(x: float) -> str:
     return _F.format(float(x))
 
 
+def _check_out(out_path: str | None) -> None:
+    """Reject an --out path that cannot be written, before any work."""
+    if not out_path:
+        return
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        raise ValueError(f"--out {out_path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK) or (
+        os.path.exists(out_path) and not os.access(out_path, os.W_OK)
+    ):
+        raise ValueError(f"--out {out_path!r} is not writable")
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -231,9 +251,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(verify.render_line(res) + "\n")
         sys.stdout.flush()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for res in results:
-                fh.write(verify.canonical_line(res) + "\n")
+        _emit([verify.canonical_line(res) for res in results], args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -322,6 +340,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -193,8 +193,8 @@ _FAMILIES = {
 def parse_profile(selector: str, n: int) -> RadialProfile:
     """Build a profile from a selector like "gaussian:alpha=1".
 
-    Grammar: family:key=value[,key=value...].  Unknown families, unknown or
-    missing keys and non-finite values are rejected.
+    Grammar: family:key=value[,key=value...].  Unknown families, unknown,
+    repeated or missing keys and non-finite values are rejected.
     """
     family, _, args = selector.partition(":")
     family = family.strip()
@@ -203,11 +203,15 @@ def parse_profile(selector: str, n: int) -> RadialProfile:
     ctor, defaults = _FAMILIES[family]
     kwargs = dict(defaults)
     if args.strip():
+        given = set()
         for item in args.split(","):
             key, sep, val = item.partition("=")
             key = key.strip()
             if not sep or key not in defaults:
                 raise ValueError(f"unknown key {key!r} for data family {family!r}")
+            if key in given:
+                raise ValueError(f"key {key!r} repeated in data selector {selector!r}")
+            given.add(key)
             try:
                 kwargs[key] = float(val)
             except ValueError as exc:

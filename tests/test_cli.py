@@ -229,6 +229,38 @@ def test_bad_data_selector(capsys):
     assert code == 2
 
 
+def test_repeated_selector_key_is_an_input_error(capsys):
+    # it was read as alpha = 5 and solve exited 0
+    code = cli.main(["solve", "--n", "2", "--data-u0", "gaussian:alpha=1,alpha=5",
+                     "--data-u1", "gaussian:alpha=1", "--t-count", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "key 'alpha' repeated" in captured.err
+
+
+@pytest.mark.parametrize("command", ["thresholds", "verify"])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_unwritable_out_is_an_input_error_before_any_work(monkeypatch, tmp_path, capsys,
+                                                         command, where):
+    # a missing directory printed a traceback and exited 1, and verify ran
+    # every check first
+    from logplate import verify
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the checks ran before --out was rejected")
+
+    monkeypatch.setattr(verify, "run_all", fail)
+    code = cli.main([command, "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --out")
+
+
+def test_out_write_error_is_an_input_error(tmp_path):
+    with pytest.raises(ValueError, match="cannot write --out"):
+        cli._emit(["x"], str(tmp_path / "missing" / "x.csv"))
+
+
 def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "series.csv"
     code, _ = _run(

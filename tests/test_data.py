@@ -148,6 +148,8 @@ def test_parse_profile_grammar():
         data_mod.parse_profile("gaussian", 2)  # missing alpha
     with pytest.raises(ValueError):
         data_mod.parse_profile("log_tail:m=1,beta=nope", 8)
+    with pytest.raises(ValueError, match="key 'alpha' repeated"):
+        data_mod.parse_profile("gaussian:alpha=1,alpha=5", 2)  # not read as alpha = 5
 
 
 @pytest.mark.parametrize(
