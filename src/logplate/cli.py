@@ -45,15 +45,11 @@ def _check_out(out_path: str | None) -> None:
     """Reject an --out path that cannot be written, before any work."""
     if not out_path:
         return
-    folder = os.path.dirname(out_path) or "."
     if os.path.isdir(out_path):
         raise ValueError(f"--out {out_path!r} is a directory")
-    if not os.path.isdir(folder):
-        raise ValueError(f"--out directory {folder!r} does not exist")
-    if not os.access(folder, os.W_OK) or (
-        os.path.exists(out_path) and not os.access(out_path, os.W_OK)
-    ):
-        raise ValueError(f"--out {out_path!r} is not writable")
+    folder = os.path.dirname(out_path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"--out directory {folder!r} does not exist or is not writable")
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
