@@ -118,10 +118,10 @@ def emit() -> None:
     gk_eval = quadrature._gk_eval
     counts = [0, 0]  # GK15 calls and panels so far
 
-    def counting(f, lo, hi):
+    def counting(f, lo, hi, *t):  # the time argument is newer than some trees compared
         counts[0] += 1
         counts[1] += lo.size
-        return gk_eval(f, lo, hi)
+        return gk_eval(f, lo, hi, *t)
 
     def count(key, start):
         out["gk15"][key] = [counts[0] - start[0], counts[1] - start[1]]

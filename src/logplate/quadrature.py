@@ -33,18 +33,19 @@ Design notes
   e^{-t/(2L)} (e^{-3.49t} on the low zone), and the mode oscillates only on
   highmid, turning at most 0.15 t periods while its square decays like
   e^{-t/2}: refinement resolves the few periods that are not negligible.
-  Only the high-zone pieces whose variation misses the budget start
-  from equal panels of at most osc_guard half-periods of the fastest phase
-  (`_phase_steps`); 15 Kronrod nodes per period resolve the phase to ~1e-8
-  relative, so refinement rounds are rare.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
-  is the smooth m^2 + (P^2 + Q^2)/2 plus four terms in cos/sin of bt and
-  2bt.  One piece loop (`_tail_values`) integrates the smooth part of a run
-  of tail pieces in one `_adaptive` call.  By parts, each fast term is exact
-  boundary terms plus a remainder within a sampled variation.  Pieces whose
-  variations fit within tol of the norm, smallest first, add their boundary
-  terms; the rest are integrated again as v^2 on phase-stepped panels.
+  is the smooth m^2 + (P^2 + Q^2)/2 plus four fast terms in cos/sin of bt
+  and 2bt, the real parts of F2 e^{2ibt} and F1 e^{ibt}.  One piece loop
+  (`_tail_values`) integrates the smooth part of a run of tail pieces in one
+  `_adaptive` call and the fast terms in another, by Levin collocation in y
+  (`_levin`, Levin 1982): p' + i phi' p = F on 17 Chebyshev-Lobatto points
+  of a panel gives the integral as [p e^{i phi}] between its ends, at a cost
+  that does not depend on t (b' >= 1: no stationary point).  A panel's
+  estimate is the larger of the change from the nested 9-point collocation
+  and the unresolved Chebyshev tail of F times its width; panels that miss
+  their piece's share of the tolerance are halved, at most 8 times.  A
+  piece over which bt turns by less than pi integrates v^2 itself.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted norm) goes through one tail-doubling loop,
   `tail_integral`: it doubles the extent until the increment is negligible
@@ -122,6 +123,11 @@ TAIL_START = 2.0
 CHUNK = 1 << 14
 #: Points of the probe of each high-zone tail piece.
 _PROBE = 33
+#: Chebyshev-Lobatto points of the Levin collocation of a high-zone tail
+#: piece; every other one gives its nested estimate.
+_LEVIN = 17
+#: Halvings a Levin piece may take before its time fails.
+_HALVINGS = 8
 #: Tolerance of the fixed-accuracy reference integrals.
 REF_TOL = 1e-12
 # Four ulps of every panel's value join its |K15 - G7| in the reported error
@@ -179,16 +185,32 @@ _WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1
 assert _NODES.size == 15 and _WG.size == 7
 
 
+def _lobatto(k: int):
+    """Chebyshev-Lobatto points x_j = cos(pi j/(k-1)), from 1 down to -1, the
+    differentiation matrix of their interpolant (Trefethen, Spectral Methods
+    in MATLAB, 2000, `cheb`) and the rows that take its last two Chebyshev
+    coefficients from its values: c_m = 2/(k-1) sum_j'' f_j cos(pi j m/(k-1)),
+    the end terms halved and c_{k-1} halved once more, where
+    cos(pi j (k-1)/(k-1)) = (-1)^j and cos(pi j (k-2)/(k-1)) = (-1)^j x_j."""
+    j = np.arange(k)
+    x = np.sin(0.5 * math.pi * (k - 1 - 2.0 * j) / (k - 1))  # the middle point is 0
+    c = np.where((j == 0) | (j == k - 1), 2.0, 1.0) * (-1.0) ** j
+    dmat = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(k))
+    return x, dmat - np.diag(dmat.sum(axis=1)), np.array([2.0 * x, np.ones(k)]) / (c * (k - 1))
+
+
+_CHEB_X, _CHEB_D, _CHEB_TAIL = _lobatto(_LEVIN)
+_NESTED_D = _lobatto(_LEVIN // 2 + 1)[1]  # on the points _CHEB_X[::2]
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Quadrature configuration of a norm integral.
 
-    osc_guard bounds the half-periods of the fastest phase per initial
-    panel of a phase-stepped high-zone piece: the piece starts from equal
-    panels in y that span at most osc_guard * pi of that phase each (one
-    period of a squared factor per pi).  The CLI and the checks use the
-    default; the field is kept because the benchmark's workloads construct
-    QuadSpec(osc_guard=2.0).
+    osc_guard is accepted and validated, but the quadrature no longer reads
+    it: it sized the phase-stepped panels of the high-zone tail, which Levin
+    collocation replaced.  It stays only because the benchmark's workloads
+    construct QuadSpec(osc_guard=2.0); ROADMAP item 1 deletes it.
     """
 
     n: int
@@ -213,10 +235,11 @@ def surface_area(n: int) -> float:
         raise ValueError(f"dimension {n} is too large: Gamma(n/2) overflows a double") from None
 
 
-def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
+def _gk_eval(f, lo: np.ndarray, hi: np.ndarray, t):
     """Vectorised GK15 on a batch of panels -> (values, error estimates);
-    f(x, rows) evaluates the nodes x, 15 per panel, of the panels `rows` (a
-    slice), and a non-finite sample makes its panel's value non-finite."""
+    f(x, t) evaluates the nodes x, 15 per panel, at t (a float or one time
+    per panel, repeated to the nodes), and a non-finite sample makes its
+    panel's value non-finite."""
     m = lo.size
     vals = np.empty(m)
     errs = np.empty(m)
@@ -227,7 +250,8 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
         b = hi[sl]
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
-        y = f(x.reshape(-1), sl).reshape(x.shape)
+        y = f(x.reshape(-1), np.repeat(t[sl], 15) if isinstance(t, np.ndarray) else t)
+        y = y.reshape(x.shape)
         if not np.isfinite(y).all():
             y = np.where(np.isfinite(y), y, np.nan)  # NaN, unlike inf, sums without warnings
         k = (y * _WK).sum(axis=1) * half
@@ -237,15 +261,20 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
+def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict, rule=None,
+              goal=0.0, rounds: int = 200):
     """Adaptive refinement of f(y, t) on intervals: interval i starts from
     the next sizes[i] panels (lo, hi) and refines at t = ts[i] as it would
-    alone, with its own test, threshold and at most 200 rounds.
+    alone, with its own test, threshold and at most `rounds` rounds of
+    splitting.  Panels are integrated by `rule(f, lo, hi, t)` -> (values,
+    error estimates), GK15 unless given; an interval stops once its errors
+    sum to at most tol * |its value| + goal[i] (goal a float or one per
+    interval).
 
     The open intervals' panels form one table, each interval's in the order
     its test sums read (kept, left halves, right halves); a round tests,
     splits and regroups it in whole-array steps and evaluates the new panels
-    in one `_gk_eval` call.  The intervals of owners[i] (an index) share the
+    in one `rule` call.  The intervals of owners[i] (an index) share the
     panels budget[owner], checked before every evaluation and reduced by
     the panels they end with.  An owner fails on an exhausted budget, a
     non-finite sample or the round limit: `failed` maps it to its error, and
@@ -262,18 +291,19 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
 
     # counts and sort keys are exact floats: integer ufunc loops would add code pages to RSS
     owner, t_of = np.asarray(owners, dtype=np.intp), np.asarray(ts, dtype=float)
+    goal = np.zeros(owner.size) + goal
     idx = np.repeat(np.arange(owner.size), sizes)  # the interval of each panel in the table
     limit, used = np.asarray(budget), np.zeros(len(budget))
     val, err, mask = np.empty(idx.size), np.empty(idx.size), np.ones(idx.size, dtype=bool)
     done = [(idx[:0], lo[:0], lo[:0])]  # (interval, value, error) of the stopped intervals' panels
-    for rnd in range(201):
+    for rnd in range(rounds + 2):  # the last round only tests
         ids = (count := np.bincount(idx, minlength=owner.size)).nonzero()[0]  # in the table
         n, starts = count[ids], idx.searchsorted(ids)  # each interval's panels and first one
         go = np.ones(ids.size, dtype=bool)
         if rnd:
             runs = list(zip(starts.tolist(), [*starts[1:].tolist(), idx.size]))
             total = np.array([np.add.reduce(val[a:b]) for a, b in runs])
-            size = tol * np.abs(total)
+            size = tol * np.abs(total) + goal[ids]
             esum = np.array([np.add.reduce(err[a:b]) for a, b in runs])
             go = ~(esum <= size + 1e-300)  # a NaN sum goes on, to the non-finite check
             bad = go & ~np.isfinite(total)
@@ -281,9 +311,12 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
                  lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
             go &= ~bad
             # the panels that split (round 0 takes all): an interval that goes on has a
-            # finite error sum above tol * |sum|, so its largest panel error exceeds this
+            # finite error sum above `size`, so its largest panel error exceeds this
             mask = (err > (size / (2.0 * n)).repeat(n)) & go.repeat(n)
-            if not mask.any():  # every interval stops
+            if rnd > rounds:  # the round limit: every interval that goes on fails
+                fail(owner[ids[go]],
+                     lambda o: PanelBudgetError("adaptive refinement did not reach the tolerance"))
+            if rnd > rounds or not mask.any():  # every interval stops
                 done.append((idx, val, err))
                 break
         used += np.bincount(owner[idx[mask]], minlength=used.size)
@@ -308,12 +341,7 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict):
             break
         t = t_of[idx[mask]]  # one float t if the new panels share it: the kernels take it faster
         t = ts[idx[mask][0]] if (t == t[0]).all() else t
-        val[mask], err[mask] = _gk_eval(lambda x, rows: f(x, np.repeat(t[rows], 15)
-                                                          if isinstance(t, np.ndarray) else t),
-                                        lo[mask], hi[mask])
-    else:
-        fail(owner[idx],
-             lambda o: PanelBudgetError("adaptive refinement did not reach the tolerance"))
+        val[mask], err[mask] = (rule or _gk_eval)(f, lo[mask], hi[mask], t)
     idx, val, err = (np.concatenate(x) for x in zip(*done))
     order = idx.argsort(kind="stable")
     v, e = val[order].tolist(), (err + _ROUNDING * np.abs(val))[order].tolist()
@@ -450,24 +478,6 @@ def middle_zone_integral(p_exp: float, t: float, lo: float) -> float:
 # Norm-series machinery
 
 
-def _phase_steps(t: float, osc_guard: float, lo, hi, budget: int) -> np.ndarray:
-    """Initial panels of each phase-stepped high-zone piece (lo[i], hi[i]) at
-    t > 0: the count of equal panels in y that span at most osc_guard * pi
-    of the fastest phase each.  That phase is the mode's bt, whose rate
-    db/dy = y (1 + 4a^3)/b falls towards 1 as y grows, so it is largest at
-    lo[i] and never below the rate 1 of the oscillatory profile's phase yt.
-    Panels of all pieces beyond `budget` together raise PanelBudgetError
-    before any is built.
-    """
-    lo = np.asarray(lo)
-    a, csq = collision_gap(lo * lo)
-    rate = lo * (1.0 + 4.0 * a**3) / np.sqrt(-csq)
-    counts = np.ceil(t * rate * (hi - lo) / (osc_guard * math.pi))
-    if counts.sum() > budget:
-        raise PanelBudgetError(f"{counts.sum():.0f} phase-stepped panels exceed the {budget} left")
-    return counts.astype(int)
-
-
 def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
     """log of w_n (1 - e^{-L})^{(n-2)/2} y: the radial measure in y = sqrt(L)
     after its exponential growth e^{L n / 2} has been moved into the data
@@ -569,15 +579,38 @@ def _phase_terms(kind: str, y: np.ndarray, t, w0, w1, wial):
     return m, p, q, y * (1.0 + 4.0 * a**3) / b
 
 
-def _fast_over_rate(m, p, q, db, t) -> np.ndarray:
-    """Rows g / phi' of the fast terms of v^2 = m^2 + (P^2 + Q^2)/2
-    + (P^2 - Q^2)/2 cos 2bt + PQ sin 2bt + 2mP cos bt + 2mQ sin bt:
-    each amplitude g over the rate phi' of its phase."""
-    rate = t * db
-    rows = [(p * p - q * q) / (4.0 * rate), p * q / (2.0 * rate)]
-    if m is not None:
-        rows += [2.0 * m * p / rate, 2.0 * m * q / rate]
-    return np.array(rows)
+def _levin(f, lo: np.ndarray, hi: np.ndarray, t):
+    """Levin collocation (Levin, Math. Comp. 1982) on a batch of panels ->
+    (values, error estimates) of int Re sum_k F_k e^{i phi_k}.  f(y, t) gives
+    rows F_k, phi_k' and phi_k at the nodes y, _LEVIN Chebyshev-Lobatto points
+    per panel from its right end to its left, at t as in `_gk_eval`.
+
+    p' + i phi' p = F collocated on the nodes makes (p e^{i phi})' = F e^{i phi},
+    so the integral is [p e^{i phi}] between the panel's ends, at a cost that
+    does not depend on how far phi turns (phi' > 0: no stationary point).  A
+    panel's estimate is the larger of the change from the collocation on
+    every other node and the width times the unresolved Chebyshev tail of F,
+    its last two coefficients.  The systems of a batch are solved in one
+    `np.linalg.solve` per point set, each on its own, so no row depends on
+    the others.
+    """
+    half = 0.5 * (hi - lo)
+    y = (lo + half)[:, None] + half[:, None] * _CHEB_X
+    y[:, 0], y[:, -1] = hi, lo
+    rows = f(y.ravel(), np.repeat(t, _LEVIN) if isinstance(t, np.ndarray) else t)
+    amp, rate, phase = (x.reshape(-1, _LEVIN) for x in rows)  # row (k, panel)
+    width = np.tile(2.0 * half, rows[0].size // y.size)
+    values = []
+    for step, dmat in ((1, _CHEB_D), (2, _NESTED_D)):
+        system = dmat * (2.0 / width)[:, None, None] + 0j
+        diag = np.arange(dmat.shape[0])
+        system[:, diag, diag] += 1j * rate[:, ::step]
+        p = np.linalg.solve(system, amp[:, ::step, None])[:, :, 0]
+        ends = p[:, [0, -1]] * np.exp(1j * phase[:, [0, -1]])  # p e^{i phi} at hi and lo
+        values.append((ends[:, 0] - ends[:, 1]).real)
+    tail = width * np.abs((amp[:, None, :] * _CHEB_TAIL).sum(axis=2)).sum(axis=1)
+    err = np.maximum(np.abs(values[0] - values[1]), tail)
+    return values[0].reshape(-1, lo.size).sum(axis=0), err.reshape(-1, lo.size).sum(axis=0)
 
 
 def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
@@ -588,127 +621,79 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
 
     The pieces of a round, a run of every open loop, are probed in one call,
     on 33 points y each; pieces where every folded term underflows there are
-    skipped, and the others are integrated in one `_adaptive` call.  Kinds
-    without a phase, and t = 0, integrate v^2 itself.  Oscillating kinds
-    integrate each piece's smooth part m^2 + (P^2 + Q^2)/2 of v^2 with no
-    phase steps.  A fast term g cos(phi) = h phi' cos(phi), h = g/phi',
-    integrates by parts to [h sin(phi)] - int h' sin(phi), and g sin(phi)
-    likewise (Iserles & Norsett 2005).  The boundary terms take h at the
-    probe's ends; the remainder is at most the variation of h, sampled on
-    the probe and on the Kronrod nodes of the smooth integral (which follow
-    the peak of the damped data), the samples of a round assigned to its
-    pieces by (t, y).  Once a tail has converged, the variations join its
-    error, smallest first, while their sum stays within tol * (|baseline| +
-    |total|), and those pieces add their boundary terms.  Every other piece
-    is integrated again in place of its smooth value, from equal panels of
-    at most osc_guard half-periods (`_phase_steps`, checked against the
-    panels its time has left before any is built), the pieces of all times
-    in one `_adaptive` call.
+    skipped.  Kinds without a phase, t = 0 and pieces over which the mode's
+    phase bt turns by less than pi integrate v^2 itself, in one `_adaptive`
+    call.  The other pieces integrate the smooth part m^2 + (P^2 + Q^2)/2 of
+    v^2 in a second call, and its four fast terms, Re[F e^{2ibt}] with
+    F = (P^2 - Q^2)/2 - iPQ and Re[2m(P - iQ) e^{ibt}], by Levin collocation
+    (`_levin`) in a third, on panels halved at most _HALVINGS times.  The
+    piece that starts at s takes its fast terms to within
+    tol * (|smooth part| + (|baseline| + M) TAIL_START / (2s)), with M the
+    sum of |value| (of the smooth part, for these pieces) over its time's
+    pieces up to this run's last: the second shares halve from piece to
+    piece, so all of them sum to about tol * (|baseline| + 2 |total|), and a
+    piece that carries no mass is not held to its own relative tol.
     """
     n = spec.n
     f = _squared_value(d, kind, n)
     phased = kind in _WAVE_KINDS or kind in _MODE_KINDS
     panels_left = [MAX_PANELS] * len(ts)
-    # of each time: [y_lo, y_hi, value, err, variation, boundary terms] of every non-empty piece
-    pieces = [[] for _ in ts]
+    mass = np.abs(np.asarray(baselines, dtype=float))  # |baseline| + M of each time
+
+    def smooth(y, t):
+        m, p, q, _ = _phase_terms(kind, y, t, *_scaled_data_y(d, kind, t, n, y))
+        part = 0.5 * (p * p + q * q)
+        return part if m is None else part + m * m
+
+    def fast(y, t):  # rows F, phi' and phi of the fast terms, as `_levin` takes them
+        m, p, q, db = _phase_terms(kind, y, t, *_scaled_data_y(d, kind, t, n, y))
+        bt = t * np.sqrt(-collision_gap(y * y)[1])
+        amps = [(2.0, 0.5 * (p * p - q * q) - 1j * (p * q))]
+        if m is not None:
+            amps.append((1.0, 2.0 * m * (p - 1j * q)))
+        return tuple(np.concatenate(x) for x in zip(*((g, k * t * db, k * bt) for k, g in amps)))
 
     def segments(runs):
         owner = np.array([k for k, ends in runs.items() for _ in ends[1:]])  # of each piece
-        lo = np.sqrt(np.array([s for ends in runs.values() for s in ends[:-1]]) - 1.0)
+        s_lo = np.array([s for ends in runs.values() for s in ends[:-1]])
+        lo = np.sqrt(s_lo - 1.0)
         hi = np.sqrt(np.array([s for ends in runs.values() for s in ends[1:]]) - 1.0)
         t = np.asarray(ts)[owner]
         probe = np.linspace(lo, hi, _PROBE, axis=1)  # one row per piece
-        scaled = _scaled_data_y(d, kind, np.repeat(t, _PROBE), n, probe.ravel())
         live = np.zeros(len(owner), dtype=bool)
-        for w in scaled:
+        for w in _scaled_data_y(d, kind, np.repeat(t, _PROBE), n, probe.ravel()):
             if w is not None:
                 live |= w.reshape(probe.shape).any(axis=1)
-        split = live & (t > 0.0) & phased
-        found = np.zeros((4, len(owner)))  # value, err, variation, boundary terms
-        plain = np.flatnonzero(live & ~split)
-        for i, res in zip(plain, _adaptive(f, lo[plain], hi[plain], np.ones_like(plain), t[plain],
-                                           owner[plain], spec.tol, panels_left, failed)):
-            found[:2, i] = res[:2]
-        idx = np.flatnonzero(split)
-        if idx.size:
-            samples = []  # (points, times, rows of g/phi') of every evaluation, the probe first
+        turn = t * (np.sqrt(-collision_gap(hi * hi)[1]) - np.sqrt(-collision_gap(lo * lo)[1]))
+        levin = live & phased & (turn >= math.pi)
+        found = np.zeros((2, len(owner)))  # value, err
 
-            def smooth(y, t, scaled):
-                m, p, q, db = _phase_terms(kind, y, t, *scaled)
-                samples.append((y, np.full(y.shape, t), _fast_over_rate(m, p, q, db, t)))
-                part = 0.5 * (p * p + q * q)
-                return part if m is None else part + m * m
+        def integrate(g, ids, tol, **kw):  # adds (value, err) of the pieces ids
+            if ids.size:
+                res = _adaptive(g, lo[ids], hi[ids], np.ones_like(ids), t[ids], owner[ids], tol,
+                                panels_left, failed, **kw)
+                found[:, ids] += np.array(res)[:, :2].T
 
-            keep = np.repeat(split, _PROBE)
-            smooth(probe.ravel()[keep], np.repeat(t[idx], _PROBE),
-                   [None if w is None else w[keep] for w in scaled])
-            results = _adaptive(lambda y, t: smooth(y, t, _scaled_data_y(d, kind, t, n, y)),
-                                lo[idx], hi[idx], np.ones_like(idx), t[idx], owner[idx],
-                                spec.tol, panels_left, failed)
-            h_ends = samples[0][2].reshape(-1, idx.size, _PROBE)[:, :, [0, -1]]  # of each probe
-            at_y, at_t, h_all = (np.concatenate(x, axis=-1) for x in zip(*samples))
-            order = np.lexsort((at_y, at_t))
-            at_y, at_t, h_all = at_y[order], at_t[order], h_all[:, order]
-            # boundary terms [h sin(phi)], [-h cos(phi)] of the rows, phi = 2bt, 2bt, bt, bt
-            bt = t[idx][:, None] * np.sqrt(-collision_gap(probe[idx][:, [0, -1]] ** 2)[1])
-            rows = np.arange(len(h_ends))[:, None, None]
-            phi = np.where(rows < 2, 2.0 * bt, bt)
-            terms = h_ends * np.where(rows % 2, -np.cos(phi), np.sin(phi))
-            found[3, idx] = (terms[:, :, 1] - terms[:, :, 0]).sum(axis=0)
-            for j, (i, res) in enumerate(zip(idx, results)):
-                # the piece's probe ends and, by (t, y), every sample between them
-                a, b = at_t.searchsorted(t[i]), at_t.searchsorted(t[i], "right")
-                near = at_y[a:b]
-                inner = h_all[:, a + near.searchsorted(lo[i], "right"):a + near.searchsorted(hi[i])]
-                h = np.concatenate([h_ends[:, j, :1], inner, h_ends[:, j, 1:]], axis=1)
-                found[:3, i] = res[0], res[1], np.abs(np.diff(h, axis=1)).sum()
-        out = {k: [] for k in runs}  # a failed time's pieces read 0 and are never used
-        for i, (k, row) in enumerate(zip(owner.tolist(), found.T.tolist())):
+        integrate(f, np.flatnonzero(live & ~levin), spec.tol)
+        integrate(smooth, ids := np.flatnonzero(levin), spec.tol)
+        np.add.at(mass, owner, np.abs(found[0]))
+        integrate(fast, ids, 0.0, rule=_levin, rounds=_HALVINGS, goal=spec.tol * (
+            np.abs(found[0, ids]) + mass[owner[ids]] * TAIL_START / (2.0 * s_lo[ids])))
+        out = {k: [] for k in runs}  # a failed time's pieces are never used
+        for k, row in zip(owner.tolist(), found.T.tolist()):
             out[k].append((row[0], row[1]))
-            if live[i]:
-                pieces[k].append([lo[i], hi[i], *row])
         return out
 
     stops = [max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START for t in ts]
-    loops = tail_integral(segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baselines, stops)
-    stepped, bounds, errs = [], [], {}  # errs: time -> [err, phase estimate]
-    for k, loop in enumerate(loops):
+    out = []
+    for k, (total, err, converged) in enumerate(
+            tail_integral(segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baselines, stops)):
         if k >= min(failed, default=math.inf):
             break
-        if not loop[2]:
+        if not converged:
             failed[k] = QuadratureError("high-frequency tail did not converge")
             break
-        budget = spec.tol * (abs(baselines[k]) + abs(loop[0]))
-        errs[k] = [loop[1], 0.0]
-        mine = []  # the pieces stepped
-        for piece in sorted(pieces[k], key=lambda p: p[4]):
-            if errs[k][1] + piece[4] <= budget:
-                errs[k][1] += piece[4]
-                piece[2] += piece[5]
-            else:
-                mine.append(piece)
-        if mine:
-            y_lo, y_hi = [p[0] for p in mine], [p[1] for p in mine]
-            try:
-                counts = _phase_steps(ts[k], spec.osc_guard, y_lo, y_hi, panels_left[k])
-            except PanelBudgetError as exc:
-                failed[k] = exc
-                break
-            bounds += [np.linspace(*ends) for ends in zip(y_lo, y_hi, counts + 1)]
-            stepped += [(k, piece) for piece in mine]
-    if stepped:
-        lo, hi = (np.concatenate(x) for x in zip(*((b[:-1], b[1:]) for b in bounds)))
-        results = _adaptive(f, lo, hi, [b.size - 1 for b in bounds], [ts[k] for k, _ in stepped],
-                            [k for k, _ in stepped], spec.tol, panels_left, failed)
-        for (k, piece), res in zip(stepped, results):
-            piece[2] = res[0]
-            errs[k][0] += res[1] - piece[3]
-    out = []
-    for k in range(min(failed, default=len(ts))):
-        total = 0.0
-        for piece in pieces[k]:  # in position order, as tail_integral summed them
-            total += piece[2]
-        out.append((total, errs[k][0] + errs[k][1]))
+        out.append((total, err))
     return out
 
 

@@ -265,8 +265,8 @@ def test_out_file_writing(tmp_path, capsys):
 def test_panel_budget_exit_code(monkeypatch, capsys):
     from logplate import quadrature
 
-    # check 10's data at t = 160 steps tail pieces on more panels than 50
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
+    # check 10's data at t = 160: its tail takes 27 panels, GK15 and Levin
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 26)
     code = cli.main(
         ["solve", "--n", "8", "--data-u0", "gaussian:alpha=1",
          "--data-u1", "log_tail:m=1,beta=0.2", "--t0", "160", "--t-count", "1"]
@@ -277,6 +277,23 @@ def test_panel_budget_exit_code(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert all(key in lines[0] for key in ("t=160", "--tol"))
+
+
+def test_levin_halving_cap_exit_code(monkeypatch, capsys):
+    from logplate import quadrature
+
+    # check 10's data at t = 10 needs halvings of its Levin panels; with
+    # none allowed the time fails as an input too expensive, without a
+    # traceback
+    monkeypatch.setattr(quadrature, "_HALVINGS", 0)
+    code = cli.main(
+        ["solve", "--n", "8", "--data-u0", "gaussian:alpha=1",
+         "--data-u1", "log_tail:m=1,beta=0.2", "--t0", "10", "--t-count", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "t=10" in lines[0]
 
 
 def test_step_budget_exit_code(monkeypatch, capsys):

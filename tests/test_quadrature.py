@@ -116,9 +116,9 @@ def test_batched_refinement_is_each_interval_alone(
     gk_eval = quad._gk_eval
     calls = []
 
-    def counting(f, lo, hi):
+    def counting(f, lo, hi, t):
         calls.append(lo.size)
-        return gk_eval(f, lo, hi)
+        return gk_eval(f, lo, hi, t)
 
     def alone(intervals):
         """(result, error, GK15 calls) of each interval integrated alone."""
@@ -363,12 +363,33 @@ def test_guarded_series_bit_identical_across_runs_and_batch_sizes(monkeypatch):
 
 
 def test_panel_budget_guard(monkeypatch):
-    # check 10's data at t = 160: the tail pieces whose phase estimate misses
-    # the budget are stepped on more panels than 50
-    monkeypatch.setattr(quad, "MAX_PANELS", 50)
+    # check 10's data at t = 160: its tail ends with 14 GK15 and 13 Levin
+    # panels, each Levin panel one panel of the time's budget, so a budget
+    # of 26 panels, enough for the GK15 panels alone, raises
     spec = quad.QuadSpec(n=8, tol=1e-4)
+    assert _tail_panels(monkeypatch, LOG_TAIL8, "u", 160.0, spec) == (14, 13)
+    monkeypatch.setattr(quad, "MAX_PANELS", 27)
+    quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
+    monkeypatch.setattr(quad, "MAX_PANELS", 26)
     with pytest.raises(quad.PanelBudgetError):
         quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
+
+
+def _tail_panels(monkeypatch, d, kind, t, spec):
+    """(GK15, Levin) panels that the high-zone intervals of one time end with."""
+    adaptive = quad._adaptive
+    panels = [0, 0]
+
+    def counting(f, lo, hi, *args, **kwargs):
+        out = adaptive(f, lo, hi, *args, **kwargs)
+        if lo.size and lo[0] >= 1.0:
+            panels["rule" in kwargs] += sum(used for _, _, used in out)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(quad, "_adaptive", counting)
+        quad.norm_value(d, kind, spec.n, t, spec)
+    return tuple(panels)
 
 
 @pytest.mark.parametrize("t", (6.4e5, 1e4 * 2.0**6.5))
@@ -440,11 +461,17 @@ def test_series_csv_convention_fields():
     assert all(e >= 0.0 for e in series.errs)
 
 
-# the inputs of checks 08, 09 and 10: (kind, n, times where every tail
-# piece's phase estimate fits the budget, so every piece is split)
-SPLIT_CASES = [("u-phi", 4, (3620.0,)), ("u-phi2", 8, (3620.0,)), ("u", 8, (2560.0,))]
-# a sample of g/phi' far beyond any budget, finite so that no inf - inf arises
-HUGE = 1e300
+# the data of checks 06 to 11: (u0, u1, n, kind, tol)
+CHECK_CASES = [
+    *(("gaussian:alpha=1", "gaussian:alpha=1", n, "phi1", 1e-6) for n in (1, 2, 3)),
+    ("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6),
+    ("gaussian:alpha=1", "gaussian:alpha=1", 2, "u-phi1", 1e-6),
+    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 4, "u-phi", 1e-4),
+    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u-phi2", 1e-4),
+    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4),
+    *(("gaussian:alpha=1", "gaussian:alpha=1", n, "u", 1e-6) for n in (2, 3)),
+    ("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6),
+]
 
 
 @pytest.mark.parametrize("kind", ["u", "u-phi1", "phi2", "u-phi2", "u-phi"])
@@ -469,36 +496,144 @@ def test_phase_form_reassembles_the_high_zone_value(kind):
         assert np.all(db >= 1.0)
 
 
-def _rows(value):
-    """Stand-in for `_fast_over_rate`: the samples of g/phi' of each call read
-    `value` and `-value` in turn, so every piece's sampled variation is at
-    least 2 |value| unless value is 0."""
-    return lambda m, p, q, db, t: np.where(np.arange(db.size) % 2, -value, value)[None, :]
+def _mode_phase(y, t):
+    """The mode's phase bt, the fastest phase of every oscillating kind in
+    the high zone (the oscillatory profile's yt turns no faster)."""
+    return t * np.sqrt(-symbols.collision_gap(y * y)[1])
 
 
-def _guarded_only(monkeypatch):
-    # every piece's variation misses the budget, so every piece is stepped
-    monkeypatch.setattr(quad, "_fast_over_rate", _rows(HUGE))
+def _stepped_piece(f, lo, hi, t, tol, phased=True):
+    """(value, err) of v^2 on [lo, hi] from equal panels that span at most
+    2 pi of the fastest phase each, with no phase form and no Levin
+    collocation: a reference independent of the tail's fast-term path."""
+    y = np.linspace(lo, hi, 4097)
+    if not f(y, t).any():  # underflowed data
+        return 0.0, 0.0
+    count = 1
+    if phased:
+        rate = (np.diff(_mode_phase(y, t)) / np.diff(y)).max()
+        count = math.ceil(rate * (hi - lo) / (2.0 * math.pi))
+    ((value, err, _),) = _adaptive(f, [(np.linspace(lo, hi, count + 1), t, 0)], tol,
+                                   [quad.MAX_PANELS], {})
+    return value, err
 
 
-def _norm(d, kind, n, t, spec, rows):
-    """norm_value with the samples of g/phi' reading `rows` and `-rows` in
-    turn: 0.0 splits every piece and adds no boundary terms, HUGE steps
-    every piece."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quad, "_fast_over_rate", _rows(rows))
-        return quad.norm_value(d, kind, n, t, spec)
+def _stepped_reference(d, kind, n, t, tol, zone="all"):
+    """The norm at t (zone "all" or "high") with [0, 1] refined from its
+    ends and ladder and every high-zone piece stepped, all at tol, the tail
+    doubling as `tail_integral` doubles it -> (value, err)."""
+    f = quad._squared_value(d, kind, n)
+    head = (0.0, 0.0)
+    if zone == "all":
+        bounds = quad._build_bounds(0.0, 1.0, ladder=16)
+        head = _adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], {})[0][:2]
+
+    def segments(runs):
+        ends = np.sqrt(np.array(runs[0]) - 1.0).tolist()
+        return {0: [_stepped_piece(f, a, b, t, tol, kind != "phi1") for a, b in zip(ends, ends[1:])]}
+
+    start = quad.TAIL_START
+    ((tail, err, converged),) = quad.tail_integral(segments, start, 2.0 * start, tol, (head[0],),
+                                                   (max(t, 2.0 * start),))
+    assert converged
+    return head[0] + tail, head[1] + err
 
 
-def _boundary_terms(d, kind, n, t, y):
-    """Sum over the fast terms g cos(phi) + ... of v^2 of the boundary terms
-    [h sin(phi)] or [-h cos(phi)], h = g/phi', that one integration by parts
-    leaves at the points y."""
-    scaled = quad._scaled_data_y(d, kind, t, n, y)
-    h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
-    _, b = modes.oscillating_coeffs(*symbols.collision_gap(y * y), t)
-    trig = (np.sin(2.0 * b * t), -np.cos(2.0 * b * t), np.sin(b * t), -np.cos(b * t))
-    return sum(row * g for row, g in zip(h, trig))
+@pytest.mark.parametrize("sel0,sel1,n,kind,tol", CHECK_CASES)
+def test_error_estimate_bounds_a_stepped_reference(sel0, sel1, n, kind, tol):
+    # the data and kinds of checks 06 to 11: err_est covers the distance to
+    # the value with every tail piece stepped, at tol / 100
+    d = data_mod.parse_pair(sel0, sel1, n)
+    for t in (10.0, 40.0, 160.0, 640.0, 2560.0):
+        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=tol))
+        ref, _ = _stepped_reference(d, kind, n, t, tol / 100.0)
+        assert abs(v - ref) <= e, (kind, n, t)
+
+
+def _gaussian_high_zone_misses():
+    """Times of the default grid where the explicit high zone of Gaussian
+    n = 2 data, `u` at tol 1e-6, lies farther than its err_est from the
+    stepped reference at tol 1e-9 (log-tail data would run the references
+    out of panels past t = 2,560; Gaussian data underflow before that)."""
+    series = quad.norm_series(GAUSS2, "u", 2, quad.default_time_grid(), quad.QuadSpec(n=2),
+                              zone="high")
+    misses = []
+    for t, v, e in zip(series.ts, series.values, series.errs):
+        ref, _ = _stepped_reference(GAUSS2, "u", 2, t, 1e-9, zone="high")
+        if abs(v - ref) > e:
+            misses.append(t)
+    return misses
+
+
+def test_gaussian_high_zone_error_estimate_bounds_a_tighter_reference():
+    assert _gaussian_high_zone_misses() == []
+
+
+def test_error_estimate_needs_the_coefficient_tail(monkeypatch):
+    # the nested 9-point collocation alone agrees with the 17-point one on
+    # pieces where neither resolves F (Gaussian data fall off
+    # super-exponentially): without the Chebyshev tail of F the estimate
+    # under-reads, by 11 times at t = 1,810
+    monkeypatch.setattr(quad, "_CHEB_TAIL", np.zeros_like(quad._CHEB_TAIL))
+    assert _gaussian_high_zone_misses()
+
+
+def test_lobatto_rules_are_exact_on_polynomials():
+    # the differentiation matrices of the 17 and the nested 9 points
+    # differentiate polynomials they interpolate exactly, and the fixed
+    # transform reads the last two Chebyshev coefficients of a series
+    x = quad._CHEB_X
+    for points, dmat in ((x, quad._CHEB_D), (x[::2], quad._NESTED_D)):
+        coef = np.linspace(1.0, -1.0, points.size)
+        p = np.polynomial.Chebyshev(coef)
+        assert np.allclose(dmat @ p(points), p.deriv()(points), rtol=0.0, atol=1e-11)
+    for coef in ([0.0] * 15 + [1.0, 2.0], [3.0, -1.0, 0.5] + [0.0] * 14, np.arange(17.0)):
+        values = np.polynomial.chebyshev.chebval(x, coef)
+        assert np.allclose(quad._CHEB_TAIL @ values, coef[15:], rtol=0.0, atol=1e-12)
+
+
+def test_levin_integrates_a_closed_form_at_any_frequency():
+    # Re int_1^2 c e^{(1 + iw) y} dy on one panel each, w from 3 to 3e4: the
+    # cost and the accuracy do not depend on how far the phase turns
+    w = np.array([3.0, 30.0, 300.0, 3e3, 3e4])
+    c = 0.7 - 0.4j
+
+    def rows(y, t):
+        k = np.repeat(w, quad._LEVIN)
+        return c * np.exp(y), k + 0.0 * y, k * y
+
+    value, err = quad._levin(rows, np.ones(w.size), np.full(w.size, 2.0), 0.0)
+    exact = (c * (np.exp((1 + 1j * w) * 2.0) - np.exp(1 + 1j * w)) / (1 + 1j * w)).real
+    assert np.all(np.abs(value - exact) <= err)
+    assert np.all(err <= 1e-10 * np.abs(c) * math.e ** 2)
+
+
+def _one_piece(monkeypatch, s_lo):
+    """Make the tail the one piece [s_lo, 2 s_lo] in s."""
+
+    def one_piece(segments, *args, **kwargs):
+        ((value, err),) = segments({0: [s_lo, 2.0 * s_lo]})[0]
+        return [(value, err, True)]
+
+    monkeypatch.setattr(quad, "tail_integral", one_piece)
+
+
+@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u-phi2", 8), ("u", 8)])
+def test_levin_piece_agrees_with_the_stepped_piece(monkeypatch, kind, n):
+    # piece by piece, the smooth part plus the Levin fast terms lies within
+    # err_est and the reference's error of the piece stepped at tol / 100,
+    # on the data of checks 08, 09 and 10 (u-phi has the mass rows F1)
+    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
+    spec = quad.QuadSpec(n=n, tol=1e-4)
+    f = quad._squared_value(d, kind, n)
+    for t in (10.0, 160.0, 2560.0):
+        for s_lo in (2.0, 16.0, 256.0, 4096.0):
+            _one_piece(monkeypatch, s_lo)
+            v, e = _tail(d, kind, t, spec, 0.0)
+            monkeypatch.undo()
+            ref, ref_err = _stepped_piece(f, math.sqrt(s_lo - 1.0), math.sqrt(2.0 * s_lo - 1.0), t,
+                                          spec.tol / 100.0)
+            assert abs(v - ref) <= e + ref_err, (kind, t, s_lo)
 
 
 def _tail(d, kind, t, spec, baseline):
@@ -507,308 +642,165 @@ def _tail(d, kind, t, spec, baseline):
     return quad._tail_values(d, kind, (t,), spec, (baseline,), {})[0]
 
 
-def _high_calls(monkeypatch):
-    """Record (bounds, value) of every high-zone interval `_adaptive` integrates."""
+def _tail_calls(monkeypatch):
+    """Record (rule, bounds) of every high-zone interval `_adaptive` integrates."""
     adaptive = quad._adaptive
     calls = []
 
-    def spy(f, lo, hi, sizes, *args):
-        out = adaptive(f, lo, hi, sizes, *args)
-        calls.extend((b, res[0]) for b, res in zip(_boundaries(lo, hi, sizes), out) if b[0] >= 1.0)
-        return out
+    def spy(f, lo, hi, sizes, *args, **kwargs):
+        calls.extend((kwargs.get("rule"), (b[0], b[-1])) for b in _boundaries(lo, hi, sizes)
+                     if b[0] >= 1.0)
+        return adaptive(f, lo, hi, sizes, *args, **kwargs)
 
     monkeypatch.setattr(quad, "_adaptive", spy)
     return calls
 
 
-def _split_and_stepped(calls):
-    """Ends of the pieces integrated once (split) and twice (stepped)."""
-    ends = [(b[0], b[-1]) for b, _ in calls]
-    stepped = {e for e in ends if ends.count(e) > 1}
-    return set(ends) - stepped, stepped
-
-
-@pytest.mark.parametrize("kind,n,times", SPLIT_CASES)
-def test_split_tail_within_its_phase_bound_of_the_guarded_value(monkeypatch, kind, n, times):
-    # where every piece is split the value is the smooth integral plus the
-    # boundary terms of the fast terms, which cancel between adjacent pieces
-    # up to rounding and leave those at the tail's two ends; the sampled
-    # variations are what err_est adds to it, and they bound the distance to
-    # the stepped value
-    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4)
-    for t in times:
-        calls = _high_calls(monkeypatch)
-        v, e = quad.norm_value(d, kind, n, t, spec)
+@pytest.mark.parametrize("kind", ["u-phi1", "phi2"])
+def test_piece_with_less_than_pi_of_phase_takes_the_plain_path(monkeypatch, kind):
+    # a piece over which bt turns by less than pi is integrated once, as
+    # v^2; every other live piece once for its smooth part and once by Levin
+    # collocation.  At t = 1 every piece is plain, at t = 4 the first turns
+    # by 3.0 and at t = 5 by 3.8 radians.
+    spec = quad.QuadSpec(n=2, tol=1e-6)
+    paths = set()
+    for t in (1.0, 4.0, 5.0, 40.0):
+        calls = _tail_calls(monkeypatch)
+        quad.norm_value(GAUSS2, kind, 2, t, spec)
         monkeypatch.undo()
-        assert not _split_and_stepped(calls)[1], (kind, t)
-        smooth, smooth_err = _norm(d, kind, n, t, spec, rows=0.0)
-        guarded, _ = _norm(d, kind, n, t, spec, rows=HUGE)
-        ends = np.array([1.0, max(b[-1] for b, _ in calls)])
-        first, last = _boundary_terms(d, kind, n, t, ends)
-        assert v != smooth and abs(v - smooth - (last - first)) <= 1e-14 * v, (kind, t)
-        assert abs(v - guarded) <= e - smooth_err <= e, (kind, t)
-
-
-@pytest.mark.parametrize("kind,n", [case[:2] for case in SPLIT_CASES])
-def test_early_time_keeps_the_guarded_value_bit_for_bit(monkeypatch, kind, n):
-    # at t = 160 the phase estimates of some pieces miss the budget; each of
-    # them takes the value the stepped-only tail gives it, bit for bit
-    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4)
-    calls = _high_calls(monkeypatch)
-    quad.norm_value(d, kind, n, 160.0, spec)
-    stepped = {(b[0], b[-1]): v for b, v in calls if b.size > 2}
-    calls.clear()
-    _guarded_only(monkeypatch)
-    quad.norm_value(d, kind, n, 160.0, spec)
-    guarded = {(b[0], b[-1]): v for b, v in calls if b.size > 2}
-    assert stepped and len(stepped) < len(guarded)
-    assert all(guarded[ends] == v for ends, v in stepped.items())
-
-
-@pytest.mark.parametrize("kind", ["u", "phi2"])
-def test_split_tail_variation_matches_a_dense_sampling(monkeypatch, kind):
-    # on Gaussian data g/phi' peaks between the 33 probe points of a piece
-    # (33 points alone read 11% low at t = 1810); the Kronrod nodes of the
-    # smooth integral resolve the peak.  A baseline of 1 admits every piece.
-    spec = quad.QuadSpec(n=2, tol=1e-4)
-    phase_terms = quad._phase_terms
-    for t in (905.0, 1810.0):
-        samples = []
-        calls = _high_calls(monkeypatch)  # the pieces, each integrated once
-
-        def spy(kind, y, t, *scaled):
-            samples.append(y)
-            return phase_terms(kind, y, t, *scaled)
-
-        monkeypatch.setattr(quad, "_phase_terms", spy)
-        _, e = _tail(GAUSS2, kind, t, spec, 1.0)
-        monkeypatch.undo()
-        monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-        _, smooth_err = _tail(GAUSS2, kind, t, spec, 1.0)
-        monkeypatch.undo()
-        assert not _split_and_stepped(calls)[1]
-        # the variation of each piece, on 4,097 more points of it
-        ref = 0.0
-        sampled = np.concatenate(samples)
-        for lo, hi in ((b[0], b[-1]) for b, _ in calls):
-            ys = sampled[(lo <= sampled) & (sampled <= hi)]
-            y = np.sort(np.concatenate([np.linspace(lo, hi, 4097), ys]))
-            scaled = quad._scaled_data_y(GAUSS2, kind, t, 2, y)
-            h = quad._fast_over_rate(*quad._phase_terms(kind, y, t, *scaled), t)
-            ref += np.abs(np.diff(h)).sum()
-        assert 0.99 * ref <= e - smooth_err <= ref * (1.0 + 1e-12), (kind, t)
-
-
-def test_check10_pieces_split_and_stepped_at_t160(monkeypatch):
-    # at t = 160 the budget admits the phase estimates of some pieces and
-    # not of others; the value lies within err_est of the stepped value
-    spec = quad.QuadSpec(n=8, tol=1e-4)
-    calls = _high_calls(monkeypatch)
-    v, e = quad.norm_value(LOG_TAIL8, "u", 8, 160.0, spec)
-    split, stepped = _split_and_stepped(calls)
-    assert split and stepped
-    monkeypatch.undo()
-    guarded, _ = _norm(LOG_TAIL8, "u", 8, 160.0, spec, rows=HUGE)
-    assert abs(v - guarded) <= e
+        pieces = {ends for _, ends in calls}
+        assert pieces, t
+        for lo, hi in pieces:
+            levin = sorted(rule is quad._levin for rule, ends in calls if ends == (lo, hi))
+            turn = float(np.diff(_mode_phase(np.array([lo, hi]), t))[0])
+            assert levin == ([False] if turn < math.pi else [False, True]), (t, lo)
+            paths.add(turn < math.pi)
+    assert paths == {True, False}
 
 
 @pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u", 8)])
-def test_each_tail_piece_is_probed_once_and_integrated_at_most_twice(monkeypatch, kind, n):
-    # a piece is probed once (33 points, in the one call per run of pieces
-    # made outside `_gk_eval`); it is integrated once, or, when its phase
-    # estimate misses the budget, once smooth and once stepped
+def test_each_tail_piece_is_probed_once(monkeypatch, kind, n):
+    # a piece is probed once, 33 points in the one call per run of pieces
+    # made outside the GK15 and Levin rules, and every piece integrated was
+    # probed
     d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
     spec = quad.QuadSpec(n=n, tol=1e-4)
     scaled_data = quad._scaled_data_y
-    gk_eval = quad._gk_eval
     probes = []
     evaluating = []
 
     def spy(d, kind, t, n, y):
         if not evaluating:
-            probes.extend(zip(y[::33], y[32::33]))
+            probes.extend(zip(y[::33].tolist(), y[32::33].tolist()))
         return scaled_data(d, kind, t, n, y)
 
-    def gk_spy(f, lo, hi):
-        evaluating.append(True)
-        try:
-            return gk_eval(f, lo, hi)
-        finally:
-            evaluating.pop()
+    def inside(rule):
+        def wrapped(*args):
+            evaluating.append(True)
+            try:
+                return rule(*args)
+            finally:
+                evaluating.pop()
+
+        return wrapped
 
     monkeypatch.setattr(quad, "_scaled_data_y", spy)
-    monkeypatch.setattr(quad, "_gk_eval", gk_spy)
-    calls = _high_calls(monkeypatch)
+    monkeypatch.setattr(quad, "_gk_eval", inside(quad._gk_eval))
+    monkeypatch.setattr(quad, "_levin", inside(quad._levin))
+    calls = _tail_calls(monkeypatch)
     for t in (10.0, 160.0, 2560.0):
         probes.clear()
         calls.clear()
         quad.norm_value(d, kind, n, t, spec)
         assert len(probes) == len(set(probes)), t
-        split, stepped = _split_and_stepped(calls)
-        assert split | stepped <= set(probes), t
-        assert len(calls) == len(split) + 2 * len(stepped), t
-        for b, _ in calls:
-            if (b[0], b[-1]) in split:
-                assert b.size == 2, t
+        assert {ends for _, ends in calls} <= set(probes), t
+        assert any(rule is not None for rule, _ in calls), t
 
 
-@pytest.mark.parametrize("kind,n", [("u-phi", 4), ("u-phi2", 8), ("u", 8)])
-def test_error_estimate_bounds_a_stepped_reference(kind, n):
-    # the data of checks 08, 09 and 10: err_est covers the distance to the
-    # stepped-only value at tol / 100
-    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    for t in (40.0, 160.0, 640.0, 2560.0):
-        v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-4))
-        ref, _ = _norm(d, kind, n, t, quad.QuadSpec(n=n, tol=1e-6), rows=HUGE)
-        assert abs(v - ref) <= e, (kind, t)
+def _levin_rows(y, t):
+    """Rows F, phi' and phi of a test integrand: a peak of width 1/t at
+    y = 1.5 that needs halvings, under the phase t y^2."""
+    amp = (1.0 + 0.5j) * np.exp(-(t * (y - 1.5)) ** 2) + np.exp(-y)
+    return amp, 2.0 * t * y, t * y * y
 
 
-@pytest.mark.parametrize("kind", ["u-phi1", "u-phi"])
-def test_split_tail_adds_the_boundary_terms_of_every_row(monkeypatch, kind):
-    # at t = 2 the mass term is not yet damped in the high zone, so all four
-    # fast terms leave boundary terms of order 1 at y = 1; an infinite
-    # baseline splits every piece, and the value differs from the smooth one
-    # by the terms at the tail's ends
-    t = 2.0
-    spec = quad.QuadSpec(n=2, tol=1e-4)
-    calls = _high_calls(monkeypatch)
-    v, _ = _tail(GAUSS2, kind, t, spec, math.inf)
-    monkeypatch.undo()
-    monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-    smooth, _ = _tail(GAUSS2, kind, t, spec, math.inf)
-    monkeypatch.undo()
-    ends = np.array([1.0, max(b[-1] for b, _ in calls)])
-    first, last = _boundary_terms(GAUSS2, kind, 2, t, ends)
-    assert abs(v - smooth - (last - first)) <= 1e-14 * v < abs(last - first)
+def test_levin_values_do_not_depend_on_their_batch():
+    # pieces at several times, some halved, refined in one `_adaptive` call
+    # give each piece's result alone, bit for bit
+    lo = np.array([1.0, 1.0, 2.0, 1.2, 1.0, 3.0])
+    hi = np.array([2.0, 2.0, 3.0, 1.9, 4.0, 3.5])
+    ts = [20.0, 200.0, 20.0, 5.0, 50.0, 2.0]
+    goal = np.array([1e-6, 1e-9, 1e-12, 1e-8, 1e-10, 1e-12])
+
+    def levin(sl):
+        count, failed = lo[sl].size, {}
+        out = quad._adaptive(_levin_rows, lo[sl], hi[sl], [1] * count, ts[sl], range(count), 0.0,
+                             [quad.MAX_PANELS] * count, failed, rule=quad._levin, goal=goal[sl],
+                             rounds=quad._HALVINGS)
+        assert not failed
+        return out
+
+    batched = levin(slice(None))
+    assert batched == [levin(slice(i, i + 1))[0] for i in range(lo.size)]
+    assert max(used for _, _, used in batched) > 1
 
 
-@pytest.mark.parametrize("kind,n", [case[:2] for case in SPLIT_CASES])
-def test_unstepped_piece_within_its_variation_of_the_stepped_piece(monkeypatch, kind, n):
-    # a piece left unstepped adds the boundary terms of its fast terms to its
-    # smooth part, and err_est adds the sampled variation of g/phi'; piece by
-    # piece, that value lies within the variation and both integrals' errors
-    # of the piece integrated on phase steps at tol / 100.  The smooth part
-    # alone does not, on some piece of each kind: the boundary terms count.
-    d = data_mod.parse_pair("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n)
-    spec = quad.QuadSpec(n=n, tol=1e-4)
-    missed = []
-    for t in (160.0, 640.0):
-        calls = _high_calls(monkeypatch)
-        quad.norm_value(d, kind, n, t, spec)
-        monkeypatch.undo()
-        f = quad._squared_value(d, kind, n)
-        for lo, hi in sorted({(b[0], b[-1]) for b, _ in calls}):
-            s_lo = round(1.0 + lo * lo)
-
-            def one_piece(segments, *args, **kwargs):
-                ((value, err),) = segments({0: [s_lo, 2 * s_lo]})[0]
-                return [(value, err, True)]
-
-            # the tail is this piece alone, left unstepped by an infinite baseline
-            monkeypatch.setattr(quad, "tail_integral", one_piece)
-            v, e = _tail(d, kind, t, spec, math.inf)
-            monkeypatch.setattr(quad, "_fast_over_rate", _rows(0.0))
-            smooth, _ = _tail(d, kind, t, spec, math.inf)
-            monkeypatch.undo()
-            count = quad._phase_steps(t, spec.osc_guard, [lo], [hi], quad.MAX_PANELS)[0]
-            bounds = [(np.linspace(lo, hi, count + 1), t, 0)]
-            ((ref, ref_err, _),) = _adaptive(f, bounds, spec.tol / 100.0, [quad.MAX_PANELS], {})
-            assert abs(v - ref) <= e + ref_err, (kind, t, lo)
-            missed.append(abs(smooth - ref) > e + ref_err)
-    assert any(missed), kind
+def test_levin_halving_cap_raises_a_typed_error(monkeypatch):
+    # check 10's data at t = 10 needs halvings; without any the time fails
+    # with a QuadratureError naming t and tol, as the CLI reports it
+    monkeypatch.setattr(quad, "_HALVINGS", 0)
+    with pytest.raises(quad.QuadratureError, match=r"did not reach .*\(t=10, tol=0.0001\)"):
+        quad.norm_value(LOG_TAIL8, "u", 8, 10.0, quad.QuadSpec(n=8, tol=1e-4))
 
 
-# the kinds whose integrand carries the mode's phase bt above delta, and
-# those that carry the oscillatory profile's phase sqrt(L) t
-MODE_KINDS = ("u", "u-phi1", "u-phi2", "u-phi")
-WAVE_KINDS = ("phi2", "u-phi2", "u-phi")
+def test_tail_cost_does_not_grow_with_t(monkeypatch):
+    # check 10's data at tol 1e-6 on the 21-time default grid: 1,082 GK15
+    # panels, far below the 100,000 that phase steps, whose count grows like
+    # t, could not reach; the Levin panels per Levin piece do not grow from
+    # t = 160 to 2,560
+    rows = _gk15_rows(monkeypatch)
+    spec = quad.QuadSpec(n=8, tol=1e-6)
+    quad.norm_series(LOG_TAIL8, "u", 8, quad.default_time_grid(), spec)
+    assert sum(rows) == 1_082 < 100_000
+    calls = _tail_calls(monkeypatch)
+    levin = quad._levin
+    solved = []
+
+    def counting(f, lo, hi, t):
+        solved.append(lo.size)
+        return levin(f, lo, hi, t)
+
+    monkeypatch.setattr(quad, "_levin", counting)
+    per_piece = []
+    for t in (160.0, 2560.0):
+        calls.clear()
+        solved.clear()
+        quad.norm_value(LOG_TAIL8, "u", 8, t, spec)
+        pieces = sum(rule is counting for rule, _ in calls)
+        per_piece.append(sum(solved) / pieces)
+    assert per_piece[1] <= per_piece[0]
 
 
-def _fastest_phase(kind, lam, t):
-    """The fastest phase of the kind's integrand in the high zone."""
-    if kind in MODE_KINDS:
-        return t * np.sqrt(-symbols.collision_gap(lam)[1])
-    if kind in WAVE_KINDS:
-        return t * np.sqrt(lam)
-    return None
-
-
-@pytest.mark.parametrize("kind", quad.NORM_KINDS)
-def test_initial_panels_are_equal_and_span_at_most_osc_guard_half_periods(monkeypatch, kind):
+def test_initial_panels_are_the_ends_the_ladder_and_whole_pieces(monkeypatch):
     # the only bounded integral of a whole-space value is [0, 1], started
-    # from its ends and the 2^-k ladder alone; a stepped high-zone piece
-    # starts from equal panels in y, each spanning at most osc_guard * pi of
-    # the fastest phase
-    calls = {}  # the last integration of every piece: a stepped one replaces the smooth
+    # from its ends and the 2^-k ladder alone; every high-zone piece starts
+    # as one panel, its own ends, for each of its integrals
+    bounds = []
 
-    def record(f, lo, hi, sizes, *args):
-        for bounds in _boundaries(lo, hi, sizes):
-            calls[bounds[0], bounds[-1]] = bounds
+    def record(f, lo, hi, sizes, *args, **kwargs):
+        bounds.extend(_boundaries(lo, hi, sizes))
         return [(0.0, 0.0, 0)] * len(sizes)
 
     monkeypatch.setattr(quad, "_adaptive", record)
-    _guarded_only(monkeypatch)
     head = np.sort(np.concatenate(([0.0, 1.0], 2.0 ** -np.arange(1, 17))))
     spec = quad.QuadSpec(n=8, tol=1e-4)
-    step = spec.osc_guard * math.pi
-    for t in (10.0, 160.0, 7240.8):
-        calls.clear()
-        quad.norm_value(LOG_TAIL8, kind, 8, t, spec)
-        bounded = [x for x in calls.values() if x[0] < 1.0]
-        assert len(bounded) == 1 and np.array_equal(bounded[0], head), (kind, t)
-        assert len(calls) > 1, (kind, t)
-        for x in calls.values():
-            if x[0] < 1.0:
-                continue
-            phase = _fastest_phase(kind, x * x, t)
-            if phase is None:
-                assert x.size == 2, (kind, t)
-                continue
-            assert x.size > 2, (kind, t)
-            assert np.all(np.diff(phase) <= step * (1.0 + 1e-9)), (kind, t)
-            widths = np.diff(x)
-            assert np.ptp(widths) <= 1e-9 * widths.mean(), (kind, t)
-
-
-def test_phase_steps_beyond_the_budget_raise_before_any_allocation():
-    # a tiny osc_guard or a huge t asks for more panels than memory holds;
-    # the panels of several pieces count together
-    assert quad._phase_steps(300.0, 1.0, [1.0], [2.0], 105).tolist() == [105]
-    with pytest.raises(quad.PanelBudgetError):
-        quad._phase_steps(1000.0, 1.0, [1.0], [2.0], 105)
-    with pytest.raises(quad.PanelBudgetError):
-        quad._phase_steps(300.0, 1.0, [1.0, 1.0], [2.0, 2.0], 105)
-
-
-def test_stepped_pieces_share_the_panels_left(monkeypatch):
-    # check 10's data at t = 160: the smooth tail takes 14 of 200 panels and
-    # the four stepped pieces need 44 to 120 panels, each within the 186
-    # panels left, 310 together; the budget error comes before any stepped
-    # panel is evaluated
-    monkeypatch.setattr(quad, "MAX_PANELS", 200)
-    gk_eval = quad._gk_eval
-    phase_steps = quad._phase_steps
-    evaluated = []
-    asked = []
-
-    def counting(f, lo, hi):
-        evaluated.append(lo.size)
-        return gk_eval(f, lo, hi)
-
-    def steps(t, osc_guard, lo, hi, budget):
-        asked.append(len(evaluated))
-        assert budget == 186 and len(lo) == 4
-        for a, b in zip(lo, hi):
-            assert phase_steps(t, osc_guard, [a], [b], budget)[0] < budget
-        return phase_steps(t, osc_guard, lo, hi, budget)
-
-    monkeypatch.setattr(quad, "_gk_eval", counting)
-    monkeypatch.setattr(quad, "_phase_steps", steps)
-    with pytest.raises(quad.PanelBudgetError, match="phase-stepped panels"):
-        quad.norm_value(LOG_TAIL8, "u", 8, 160.0, quad.QuadSpec(n=8, tol=1e-4))
-    assert asked == [len(evaluated)]
+    for kind in quad.NORM_KINDS:
+        for t in (10.0, 160.0, 7240.8):
+            bounds.clear()
+            quad.norm_value(LOG_TAIL8, kind, 8, t, spec)
+            bounded = [b for b in bounds if b[0] < 1.0]
+            assert len(bounded) == 1 and np.array_equal(bounded[0], head), (kind, t)
+            assert len(bounds) > 1 and all(b.size == 2 for b in bounds if b[0] >= 1.0), (kind, t)
 
 
 def test_error_estimate_has_a_rounding_floor():
@@ -821,27 +813,26 @@ def test_error_estimate_has_a_rounding_floor():
 
 
 def _series_panels(monkeypatch, kind, grid):
-    """Panels of the series of checks 09 and 10's data and the kind on the grid."""
+    """(GK15, Levin) panels that the intervals of the series of checks 09 and
+    10's data and the kind on the grid end with."""
     adaptive = quad._adaptive
-    panels = []
+    panels = [0, 0]
 
-    def counting(*args):
-        out = adaptive(*args)
-        panels.extend(used for _, _, used in out)
+    def counting(*args, **kwargs):
+        out = adaptive(*args, **kwargs)
+        panels["rule" in kwargs] += sum(used for _, _, used in out)
         return out
 
     monkeypatch.setattr(quad, "_adaptive", counting)
     quad.norm_series(LOG_TAIL8, kind, 8, grid, quad.QuadSpec(n=8, tol=1e-4))
-    return sum(panels)
+    return tuple(panels)
 
 
 def test_check10_series_panel_count(monkeypatch):
-    # the tail adds the boundary terms of the fast terms and steps only the
-    # pieces whose sampled variation misses the budget, which start from
-    # equal panels of at most osc_guard half-periods: check 10's series takes
-    # 3,278 panels (15,104 when each piece's fast terms were only bounded,
-    # 3,285 when the initial panels ended at exact steps of the mode's phase)
-    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == 3_278
+    # the tail integrates each piece's smooth part by GK15 and its fast terms
+    # by Levin collocation: check 10's series ends with 517 GK15 and 205
+    # Levin panels
+    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == (517, 205)
 
 
 def _gk15_rows(monkeypatch):
@@ -849,9 +840,9 @@ def _gk15_rows(monkeypatch):
     gk_eval = quad._gk_eval
     rows = []
 
-    def counting(f, lo, hi):
+    def counting(f, lo, hi, t):
         rows.append(lo.size)
-        return gk_eval(f, lo, hi)
+        return gk_eval(f, lo, hi, t)
 
     monkeypatch.setattr(quad, "_gk_eval", counting)
     return rows
@@ -859,13 +850,13 @@ def _gk15_rows(monkeypatch):
 
 def test_check10_series_gk15_calls(monkeypatch):
     # each round of refinement evaluates the open panels of all pieces of
-    # every time's run in one call: check 10's window series takes 14 calls
-    # (143 when its times were integrated one after another), and its 3,369
+    # every time's run in one call: check 10's window series takes 13 calls
+    # (143 when its times were integrated one after another), and its 608
     # GK15 panels show that no piece is integrated beyond the one that stops
     # the tail
     rows = _gk15_rows(monkeypatch)
     quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, quad.QuadSpec(n=8, tol=1e-4))
-    assert (len(rows), sum(rows)) == (14, 3_369)
+    assert (len(rows), sum(rows)) == (13, 608)
 
 
 def test_check07_series_gk15_panel_count(monkeypatch):
@@ -891,20 +882,20 @@ def test_check11_series_gk15_calls(monkeypatch):
 
 
 def test_check06_phi2_series_gk15_calls(monkeypatch):
-    # its stepped tail pieces start from panels sized by the mode's phase
-    # rate, never below the profile's rate 1: 2,467 panels when they ended
-    # at exact steps of the profile's own phase
+    # the tail integrates only smooth parts and plain pieces by GK15: 18
+    # calls and 624 panels
     rows = _gk15_rows(monkeypatch)
     verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
-    assert (len(rows), sum(rows)) == (20, 2_487)
+    assert (len(rows), sum(rows)) == (18, 624)
 
 
 def test_check09_late_series_panel_count(monkeypatch):
     # check 09's kind on 14 times from 1e4 to 9.05e5: the low zone adapts to
     # a wave profile damped by e^{-t/(2L)} instead of stepping through its
-    # phase sqrt(L) t, and the series takes 651 panels
-    panels = _series_panels(monkeypatch, "u-phi2", quad.default_time_grid(13, 1e4))
-    assert panels == 651 < 1_000
+    # phase sqrt(L) t, and the series ends with 651 GK15 panels, and 245
+    # Levin panels of the tail's fast terms
+    gk15, levin = _series_panels(monkeypatch, "u-phi2", quad.default_time_grid(13, 1e4))
+    assert (gk15, levin) == (651, 245) and gk15 < 1_000
 
 
 _PAIRS = {
@@ -957,11 +948,12 @@ def _poison(monkeypatch, bad_t):
 @pytest.mark.parametrize("failure", ["panels", "segments", "non-finite", "panels, later head"])
 def test_series_raises_the_error_of_its_earliest_failing_time(monkeypatch, failure):
     # check 10's data: t = 160 is the earliest time that fails alone, by
-    # phase steps beyond its panels left, a tail that does not converge or a
-    # non-finite sample; with a later time whose head fails first, the
-    # series still raises t = 160's error, with norm_value's message
+    # tail panels beyond its budget (it needs 27, t = 10 needs 19), a tail
+    # that does not converge or a non-finite sample; with a later time whose
+    # head fails first, the series still raises t = 160's error, with
+    # norm_value's message
     if failure.startswith("panels"):
-        monkeypatch.setattr(quad, "MAX_PANELS", 200)
+        monkeypatch.setattr(quad, "MAX_PANELS", 24)
     if failure == "segments":
         monkeypatch.setattr(quad, "MAX_SEGMENTS", 8)
     if failure != "panels":
