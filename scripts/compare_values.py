@@ -21,8 +21,10 @@ and every y_norm (family, n) one line says
 followed by `err'/err <= Z`, the largest ratio of the new error estimate to
 the old (a change that only loosens err_est would otherwise read `within
 err`; 0/0 counts as 1), `diverged flag changed` where a y_norm
-divergence flag differs, and `panels differ: C/P → C'/P'` where the row's
-GK15 calls C and panels P (counted at `quadrature._gk_eval`) differ.
+divergence flag differs, and `panels differ: C/P + L Levin → C'/P' + L' Levin`
+where the row's GK15 calls C and panels P (counted at `quadrature._gk_eval`)
+or its Levin panels L (counted at `quadrature._levin`, 0 in a tree without
+it) differ.
 
 A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
 (u, v) and `modes.pointwise_bound_check`'s verdict and margins at 3,000
@@ -30,9 +32,15 @@ seeded points, 750 in each branch of the kernel (series, oscillating,
 unified real, eigen), a quarter of them with the nearly fast-aligned data
 u1 = -u0.  It reads `identical` or `differs at K of 3000 points`.
 
+An oracle line compares `oracle.integrate_mode_at` as check 03 runs it: data
+(1, i), rel_tol 1e-10, over check 03's radii and times.  It reads `identical`
+when every output is the same double, else `max scaled diff X`, the largest
+distance of two outputs scaled as `oracle.scaled_error` scales it.
+
 The script exits 1 when any value, of a zone or of y_norm, lies outside
-err + err', a divergence flag changed, or a scalar mode point differs; a
-panel count that differs is reported, not failed.
+err + err', a divergence flag changed, a scalar mode point differs, or the
+oracle's scaled difference exceeds 1e-10; a panel count that differs is
+reported, not failed.
 """
 
 from __future__ import annotations
@@ -66,6 +74,16 @@ Y_NORM_DATA = (GAUSS, ZERO, LOG_TAIL)
 Y_NORM_DIMS = (1, 2, 3, 4, 8)
 Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
 SCALAR_POINTS = 3000
+ORACLE_TIMES = (0.1, 1.0, 10.0, 50.0, 100.0)
+ORACLE_LIMIT = 1e-10
+
+
+def oracle_radii(th) -> tuple[float, ...]:
+    """Check 03's radii: every regime, both sides of the root collision."""
+    return (
+        0.0, 1e-4, th.eta / 2.0, th.eta, 0.5 * (th.eta + th.delta), th.delta * (1.0 - 1e-8),
+        th.delta * (1.0 + 1e-8), 0.7, 1.0, th.r_unit, 3.0, 10.0, 1e3,
+    )
 
 
 def scalar_points(delta: float, eta: float) -> list[tuple[float, complex, complex, float]]:
@@ -112,27 +130,42 @@ def _key(case, zone: str) -> str:
 def emit() -> None:
     """Integrate the comparison set with the importable logplate; print JSON."""
     import logplate
-    from logplate import data, modes, quadrature, symbols
+    from logplate import data, modes, oracle, quadrature, symbols
 
-    out = {"package": logplate.__file__, "values": {}, "diverged": {}, "scalar": [], "gk15": {}}
+    out = {
+        "package": logplate.__file__, "values": {}, "diverged": {}, "scalar": [], "oracle": [],
+        "panels": {},
+    }
     gk_eval = quadrature._gk_eval
-    counts = [0, 0]  # GK15 calls and panels so far
+    levin = getattr(quadrature, "_levin", None)  # newer than some trees compared
+    counts = [0, 0, 0]  # GK15 calls, GK15 panels and Levin panels so far
 
     def counting(f, lo, hi, *t):  # the time argument is newer than some trees compared
         counts[0] += 1
         counts[1] += lo.size
         return gk_eval(f, lo, hi, *t)
 
+    def counting_levin(f, lo, hi, t):
+        counts[2] += lo.size
+        return levin(f, lo, hi, t)
+
     def count(key, start):
-        out["gk15"][key] = [counts[0] - start[0], counts[1] - start[1]]
+        out["panels"][key] = [now - then for now, then in zip(counts, start)]
 
     quadrature._gk_eval = counting
+    if levin is not None:
+        quadrature._levin = counting_levin
     th = symbols.compute_thresholds()
     for r, u0, u1, t in scalar_points(th.delta, th.eta):
         p = symbols.FreqPoint.from_radius(r)
         s = modes.mode_solve(p, u0, u1, t)
         b = modes.pointwise_bound_check(p, u0, u1, t, th)
         out["scalar"].append([*_bits(s.u, s.v, b.energy_margin, b.amplitude_margin), b.passed])
+    cfg = oracle.IntegratorConfig(rel_tol=1e-10)
+    for r in oracle_radii(th):
+        p = symbols.FreqPoint.from_radius(r)
+        for s in oracle.integrate_mode_at(p, 1.0, 1j, ORACLE_TIMES, cfg):
+            out["oracle"].append(_bits(s.u, s.v))
     for case in CASES:
         u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)
@@ -203,10 +236,24 @@ def verdict(old: list, new: list) -> tuple[str, bool]:
 
 
 def panels_note(old, new) -> str:
-    """`; panels differ: C/P → C'/P'` when the GK15 (calls, panels) of a row differ."""
+    """`; panels differ: C/P + L Levin → C'/P' + L' Levin` when the GK15 calls
+    and panels or the Levin panels of a row differ."""
     if old == new:
         return ""
-    return f"; panels differ: {old[0]}/{old[1]} → {new[0]}/{new[1]}"
+    return "; panels differ: {}/{} + {} Levin → {}/{} + {} Levin".format(*old, *new)
+
+
+def oracle_line(old: list, new: list) -> tuple[str, bool]:
+    """(line, within): the oracle outputs of two trees, each (u, v) in `_bits`."""
+    if old == new:
+        return "identical", True
+    worst = 0.0
+    for a, b in zip(old, new):
+        a, b = [float.fromhex(x) for x in a], [float.fromhex(x) for x in b]
+        diff = math.hypot(*(x - y for x, y in zip(a, b)))
+        # the scale of oracle.scaled_error: the larger of |(u, v)| and |(1, i)|
+        worst = max(worst, diff / max(math.hypot(*a), math.sqrt(2.0)))
+    return f"max scaled diff {worst:.3g}", worst <= ORACLE_LIMIT
 
 
 def main(argv: list[str]) -> int:
@@ -221,7 +268,7 @@ def main(argv: list[str]) -> int:
     for key in old["values"]:
         line, within = verdict(old["values"][key], new["values"][key])
         line += f"; err'/err <= {err_ratio(old['values'][key], new['values'][key]):.3g}"
-        line += panels_note(old["gk15"][key], new["gk15"][key])
+        line += panels_note(old["panels"][key], new["panels"][key])
         failed |= not within
         if old["diverged"].get(key) != new["diverged"].get(key):
             line += "; diverged flag changed"
@@ -230,7 +277,9 @@ def main(argv: list[str]) -> int:
     differ = sum(a != b for a, b in zip(old["scalar"], new["scalar"]))
     print(f"scalar modes, {SCALAR_POINTS} points: ", end="")
     print(f"differs at {differ} of {SCALAR_POINTS} points" if differ else "identical")
-    return 1 if failed or differ else 0
+    line, within = oracle_line(old["oracle"], new["oracle"])
+    print(f"oracle, {len(old['oracle'])} outputs of check 03's runs: {line}")
+    return 1 if failed or differ or not within else 0
 
 
 if __name__ == "__main__":

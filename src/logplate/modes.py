@@ -28,7 +28,7 @@ e^{(c-a)t}: at small L it runs only for t <= 17, where the noise is < 1e-14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     return out
 
 
-@dataclass(frozen=True)
-class ModeState:
+class ModeState(NamedTuple):
     """Value and velocity of one Fourier mode at time t."""
 
     u: complex
@@ -185,8 +184,7 @@ def mode_solve(p: FreqPoint, u0: complex, u1: complex, t: float) -> ModeState:
     return ModeState(complex(u), complex(v), float(t))
 
 
-@dataclass(frozen=True)
-class EnergyDensity:
+class EnergyDensity(NamedTuple):
     """Per-mode energy functionals.
 
     e0     : base energy ((1+L)|v|^2 + L(1+L)|u|^2)/2, nonincreasing in t
@@ -214,13 +212,13 @@ def energy_density(p: FreqPoint, s: ModeState, w: float) -> EnergyDensity:
     return EnergyDensity(e0, e_mod, f_mod, r_mult)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Result of the factor-6 pointwise decay bound at one (r, t).
 
-    Margins are (rhs - lhs) for the energy form and, when the frequency is
-    nonzero, for the amplitude form; the amplitude margin is None at r = 0
-    where that form is not defined.
+    Margins are (rhs - lhs) for the energy form and, when L > 0, for the
+    amplitude form; the amplitude margin is None where L = 0 (at r = 0, and
+    where r^2 underflows, r below about 1.5e-162), since that form divides
+    by L.
     """
 
     passed: bool
@@ -252,7 +250,7 @@ def pointwise_bound_check(
     passed = lhs_e <= rhs_e
 
     amplitude_margin = None
-    if p.r > 0.0:
+    if lam > 0.0:
         rhs_a = 6.0 * decay * (abs(u1) ** 2 / lam + abs(u0) ** 2)
         amplitude_margin = float(rhs_a - u2)
         passed = passed and u2 <= rhs_a

@@ -14,10 +14,13 @@ orders of magnitude.
 One integration serves any number of output times: `integrate_mode_at`
 clips each step so it lands on every requested time, and a single
 MAX_STEPS budget covers the whole run; `integrate_mode` is its one-time
-case.  The step is written out stage by stage with the tableau as named
-constants.  Each product h*a_ij is formed once per step and applied as
-(h*a_ij)*k_j, summed left to right, so the values are those of the
-generic stage loop bit for bit.
+case.  The mode ODE y' = Ay is linear and autonomous, so the pair's step is
+exactly y <- R(hA) y with R its stability polynomial, and its error
+estimate is a polynomial in hA too.  A step forms the powers (hA)^k y,
+k = 1..7, each one application of the right-hand side (seven a step, one
+for each of the pair's stages), and combines them; the oracle uses only
+that right-hand side, not the roots or branches of the closed form it
+checks.
 """
 
 from __future__ import annotations
@@ -59,27 +62,14 @@ class IntegratorConfig:
             raise ValueError("rel_tol must lie in (0, 1e-6]")
 
 
-# Dormand-Prince 5(4) tableau as named constants, so each step is written
-# out stage by stage; c_i is implicit, the system being autonomous.  The
-# fifth-order solution is propagated (its last stage is evaluated at the new
-# state: first same as last) and the embedded fourth-order difference, with
-# weights _E*, provides the local error estimate.
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-)
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
-)
-_A71, _A73, _A74, _A75, _A76 = (  # a72 = 0
-    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-)
-_E1, _E3, _E4, _E5, _E6, _E7 = (  # e2 = 0
-    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
-    22.0 / 525.0, -1.0 / 40.0,
-)
+# For the linear autonomous system y' = Ay every stage of an explicit
+# Runge-Kutta method is a polynomial in hA applied to y (Hairer, Norsett &
+# Wanner, Solving ODEs I, sec. IV.2), so Dormand-Prince 5(4)'s step is
+# y <- R(hA) y with R(z) = sum _STEP[k] z^k, and its embedded error estimate
+# (fifth- minus fourth-order weights, the last stage taken at the new state)
+# is sum _ERR[j] (hA)^(5+j) y.  Both are exact in rationals from the tableau.
+_STEP = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0, 1.0 / 600.0)
+_ERR = (-97.0 / 120000.0, 13.0 / 40000.0, -1.0 / 24000.0)
 
 
 def integrate_mode(
@@ -123,9 +113,9 @@ def integrate_mode_at(
     rel_tol = cfg.rel_tol
     sqrt = math.sqrt
 
-    # The first stage's slopes are (v, kv1): reused from the last stage of
-    # the previous accepted step, as is the norm of the current state.
-    kv1 = -(v + stiff * u) * inv
+    _, _, r2, r3, r4, r5, r6 = _STEP
+    e5, e6, e7 = _ERR
+    # the norm of the current state is reused from the last accepted step
     norm = sqrt(u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag)
     t = 0.0
     # Conservative first step; the controller adapts within a few steps.
@@ -144,58 +134,27 @@ def integrate_mode_at(
             attempts += 1
             if h > t_out - t:
                 h = t_out - t
-            # Stage i's state is u + sum_j (h a_ij) k_j, summed left to right;
-            # its u-slope is its own v, and its v-slope is -(v + L(1+L) u)/(1+L).
-            a = h * _A21
-            u2 = u + a * v
-            v2 = v + a * kv1
-            kv2 = -(v2 + stiff * u2) * inv
-            a1 = h * _A31
-            a2 = h * _A32
-            u3 = u + a1 * v + a2 * v2
-            v3 = v + a1 * kv1 + a2 * kv2
-            kv3 = -(v3 + stiff * u3) * inv
-            a1 = h * _A41
-            a2 = h * _A42
-            a3 = h * _A43
-            u4 = u + a1 * v + a2 * v2 + a3 * v3
-            v4 = v + a1 * kv1 + a2 * kv2 + a3 * kv3
-            kv4 = -(v4 + stiff * u4) * inv
-            a1 = h * _A51
-            a2 = h * _A52
-            a3 = h * _A53
-            a4 = h * _A54
-            u5 = u + a1 * v + a2 * v2 + a3 * v3 + a4 * v4
-            v5 = v + a1 * kv1 + a2 * kv2 + a3 * kv3 + a4 * kv4
-            kv5 = -(v5 + stiff * u5) * inv
-            a1 = h * _A61
-            a2 = h * _A62
-            a3 = h * _A63
-            a4 = h * _A64
-            a5 = h * _A65
-            u6 = u + a1 * v + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5
-            v6 = v + a1 * kv1 + a2 * kv2 + a3 * kv3 + a4 * kv4 + a5 * kv5
-            kv6 = -(v6 + stiff * u6) * inv
-            a1 = h * _A71
-            a3 = h * _A73
-            a4 = h * _A74
-            a5 = h * _A75
-            a6 = h * _A76
-            # the last stage's state is the fifth-order solution
-            u7 = u + a1 * v + a3 * v3 + a4 * v4 + a5 * v5 + a6 * v6
-            v7 = v + a1 * kv1 + a3 * kv3 + a4 * kv4 + a5 * kv5 + a6 * kv6
-            kv7 = -(v7 + stiff * u7) * inv
-            err_u = (
-                _E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7
-            ) * h
-            err_v = (
-                _E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7
-            ) * h
-            norm7 = sqrt(
-                u7.real * u7.real + u7.imag * u7.imag
-                + v7.real * v7.real + v7.imag * v7.imag
+            # (hA)^k y = (h w_{k-1}, w_k) with w_0 = v: each w_k is one
+            # application of the right-hand side, -(v + L(1+L) u)/(1+L), to
+            # the previous power, with the factor -h/(1+L) folded in.
+            c = -h * inv
+            g = h * stiff
+            w1 = (v + stiff * u) * c
+            w2 = (w1 + g * v) * c
+            w3 = (w2 + g * w1) * c
+            w4 = (w3 + g * w2) * c
+            w5 = (w4 + g * w3) * c
+            w6 = (w5 + g * w4) * c
+            w7 = (w6 + g * w5) * c
+            u_new = u + h * (v + r2 * w1 + r3 * w2 + r4 * w3 + r5 * w4 + r6 * w5)
+            v_new = v + w1 + r2 * w2 + r3 * w3 + r4 * w4 + r5 * w5 + r6 * w6
+            err_u = h * (e5 * w4 + e6 * w5 + e7 * w6)
+            err_v = e5 * w5 + e6 * w6 + e7 * w7
+            norm_new = sqrt(
+                u_new.real * u_new.real + u_new.imag * u_new.imag
+                + v_new.real * v_new.real + v_new.imag * v_new.imag
             )
-            scale = rel_tol * (norm if norm >= norm7 else norm7)
+            scale = rel_tol * (norm if norm >= norm_new else norm_new)
             if scale == 0.0:
                 err_norm = 0.0
             else:
@@ -205,7 +164,7 @@ def integrate_mode_at(
                 ) / scale
             if err_norm <= 1.0:
                 t += h
-                u, v, kv1, norm = u7, v7, kv7, norm7
+                u, v, norm = u_new, v_new, norm_new
                 # PI controller (proportional-integral): damps step-size
                 # oscillation and cuts the accumulated phase error of long
                 # oscillatory integrations by a small constant factor.

@@ -1,10 +1,12 @@
 """scripts/compare_values.py restates the series inputs of checks 06-11 in
-CASES; every series those checks integrate must be one of its cases."""
+CASES, and check 03's oracle runs in oracle_radii and ORACLE_TIMES; every
+series those checks integrate must be one of its cases, and its oracle runs
+must be check 03's."""
 
 import importlib.util
 from pathlib import Path
 
-from logplate import data, quadrature, verify
+from logplate import data, oracle, quadrature, verify
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_values.py"
 
@@ -44,8 +46,40 @@ def test_compare_values_cases_cover_checks_06_to_11(monkeypatch):
 
 def test_panels_note_names_both_sides_only_where_they_differ():
     note = _load_script().panels_note
-    assert note([14, 3376], [14, 3376]) == ""
-    assert note([14, 3376], [15, 3390]) == "; panels differ: 14/3376 → 15/3390"
+    assert note([14, 3376, 0], [14, 3376, 0]) == ""
+    assert note([14, 3376, 0], [15, 3390, 0]) == (
+        "; panels differ: 14/3376 + 0 Levin → 15/3390 + 0 Levin"
+    )
+    # Levin panels alone differing still show
+    assert note([13, 608, 205], [13, 608, 207]) == (
+        "; panels differ: 13/608 + 205 Levin → 13/608 + 207 Levin"
+    )
+
+
+def test_oracle_radii_and_times_are_those_of_check_03(monkeypatch):
+    script = _load_script()
+    seen = []
+    run = oracle.integrate_mode_at
+
+    def record(p, u0, u1, times, cfg):
+        seen.append((p.r, u0, u1, times, cfg.rel_tol))
+        return run(p, u0, u1, times, cfg)
+
+    monkeypatch.setattr(oracle, "integrate_mode_at", record)
+    verify.run_check("03-oracle-equivalence")
+    radii = script.oracle_radii(quadrature.THRESHOLDS)
+    assert seen == [(r, 1.0, 1j, script.ORACLE_TIMES, 1e-10) for r in radii]
+
+
+def test_oracle_line_reads_identical_and_fails_above_its_limit():
+    line = _load_script().oracle_line
+    state = [(1.0).hex(), (0.0).hex(), (-0.5).hex(), (2.0).hex()]
+    assert line([state], [state]) == ("identical", True)
+    # scaled by max(|(u, v)|, |(1, i)|) = sqrt(1 + 0.25 + 4) = 2.291...
+    moved = [(1.0 + 2.0**-40).hex(), *state[1:]]
+    assert line([state], [moved]) == (f"max scaled diff {2.0**-40 / 5.25**0.5:.3g}", True)
+    far = [(1.0 + 1e-9).hex(), *state[1:]]
+    assert line([state], [far])[1] is False
 
 
 def test_identical_means_every_value_and_error_estimate():

@@ -170,6 +170,32 @@ def test_pointwise_bound_check():
             modes.pointwise_bound_check(symbols.FreqPoint.from_radius(0.5), 1.0, 1.0, t, TH)
 
 
+def test_amplitude_form_needs_a_positive_log_weight():
+    # below r ~ 1.5e-162, r^2 underflows and L = 0 as at r = 0; just above,
+    # L is subnormal and 1/L overflows, so the margin reads inf
+    tiny = symbols.FreqPoint.from_radius(1e-170)
+    assert tiny.lam == 0.0
+    res = modes.pointwise_bound_check(tiny, 1.0, 1.0j, 1.0, TH)
+    assert res.passed and res.amplitude_margin is None
+    sub = symbols.FreqPoint.from_radius(1e-160)
+    assert 0.0 < sub.lam < 2.2250738585072014e-308
+    res = modes.pointwise_bound_check(sub, 1.0, 1.0j, 1.0, TH)
+    assert res.passed and res.amplitude_margin == math.inf
+
+
+def test_pointwise_results_are_frozen_tuples_with_their_fields():
+    p = symbols.FreqPoint.from_radius(0.5)
+    state = modes.mode_solve(p, 1.0, 1.0j, 2.0)
+    dens = modes.energy_density(p, state, 0.1)
+    bound = modes.pointwise_bound_check(p, 1.0, 1.0j, 2.0, TH)
+    assert state._fields == ("u", "v", "t")
+    assert dens._fields == ("e0", "e_mod", "f_mod", "r_mult")
+    assert bound._fields == ("passed", "energy_margin", "amplitude_margin")
+    for obj, name in ((state, "u"), (dens, "e0"), (bound, "passed")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+
+
 _finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
