@@ -145,6 +145,10 @@ def _cmd_mode(args) -> int:
     dens = modes.energy_density(p, state, w)
     header = ["r", "t", "u_re", "u_im", "ut_re", "ut_im", "e0", "e_mod", "ode_residual"]
     lam = p.lam
+    # nan where nothing can be read: t too small for the stencil, or terms
+    # so small (subnormal, r below about 1.5e-154) that they carry only a
+    # few significant bits
+    residual = float("nan")
     if args.t >= 2e-4:
         # u'' as the central difference of the closed-form velocity: a second
         # difference of u would divide u's rounding, which grows with the
@@ -155,9 +159,10 @@ def _cmd_mode(args) -> int:
         terms = ((1.0 + lam) * (vp - vm) / (2.0 * h), state.v, lam * (1.0 + lam) * state.u)
         # relative to the sizes of the three terms, which grow with lam
         scale = sum(abs(x) for x in terms)
-        residual = abs(sum(terms)) / scale if scale > 0.0 else 0.0
-    else:
-        residual = float("nan")
+        if scale == 0.0:
+            residual = 0.0
+        elif scale >= sys.float_info.min:
+            residual = abs(sum(terms)) / scale
     row = [
         _fmt(p.r),
         _fmt(state.t),

@@ -16,11 +16,15 @@ clips each step so it lands on every requested time, and a single
 MAX_STEPS budget covers the whole run; `integrate_mode` is its one-time
 case.  The mode ODE y' = Ay is linear and autonomous, so the pair's step is
 exactly y <- R(hA) y with R its stability polynomial, and its error
-estimate is a polynomial in hA too.  A step forms the powers (hA)^k y,
-k = 1..7, each one application of the right-hand side (seven a step, one
-for each of the pair's stages), and combines them; the oracle uses only
-that right-hand side, not the roots or branches of the closed form it
-checks.
+estimate is a polynomial in hA too.  A is a real 2x2 matrix, so by
+Cayley-Hamilton A^k = alpha_k I + beta_k A, with alpha_0 = 1, beta_0 = 0,
+alpha_{k+1} = -det(A) beta_k and beta_{k+1} = alpha_k + tr(A) beta_k, where
+tr A = -1/(1+L) and det A = L.  The step is therefore
+y <- P(h) y + Q(h) Ay and the estimate E_P(h) y + E_Q(h) Ay, with four
+real polynomials in h formed once a run: a step applies the right-hand
+side once and evaluates them by Horner, on the state as four real lanes.
+The oracle uses only the ODE's coefficients, not the roots or branches of
+the closed form it checks.
 """
 
 from __future__ import annotations
@@ -105,18 +109,26 @@ def integrate_mode_at(
                 "output times must be finite, nonnegative and nondecreasing"
             )
         prev = t_out
-    u = complex(u0)
-    v = complex(u1)
     lam = p.lam
     inv = 1.0 / (1.0 + lam)
     stiff = lam * (1.0 + lam)
+    # (alpha_k, beta_k) of A^k = alpha_k I + beta_k A, k = 0..7; the
+    # coefficients of P and Q weight them by _STEP, those of E_P and E_Q
+    # by _ERR
+    ab = [(1.0, 0.0)]
+    for _ in range(7):
+        ab.append((-lam * ab[-1][1], ab[-1][0] - ab[-1][1] * inv))
+    _, _, p2, p3, p4, p5, p6 = (r * alpha for r, (alpha, _) in zip(_STEP, ab))
+    _, _, q2, q3, q4, q5, q6 = (r * beta for r, (_, beta) in zip(_STEP, ab))
+    ep5, ep6, ep7 = (e * alpha for e, (alpha, _) in zip(_ERR, ab[5:]))
+    eq5, eq6, eq7 = (e * beta for e, (_, beta) in zip(_ERR, ab[5:]))
     rel_tol = cfg.rel_tol
     sqrt = math.sqrt
 
-    _, _, r2, r3, r4, r5, r6 = _STEP
-    e5, e6, e7 = _ERR
+    # the state as four real lanes (Re u, Im u, Re v, Im v)
+    ur, ui, vr, vi = complex(u0).real, complex(u0).imag, complex(u1).real, complex(u1).imag
     # the norm of the current state is reused from the last accepted step
-    norm = sqrt(u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag)
+    norm = sqrt(ur * ur + ui * ui + vr * vr + vi * vi)
     t = 0.0
     # Conservative first step; the controller adapts within a few steps.
     first = next((t_out for t_out in times if t_out > 0.0), 0.0)
@@ -134,52 +146,50 @@ def integrate_mode_at(
             attempts += 1
             if h > t_out - t:
                 h = t_out - t
-            # (hA)^k y = (h w_{k-1}, w_k) with w_0 = v: each w_k is one
-            # application of the right-hand side, -(v + L(1+L) u)/(1+L), to
-            # the previous power, with the factor -h/(1+L) folded in.
-            c = -h * inv
-            g = h * stiff
-            w1 = (v + stiff * u) * c
-            w2 = (w1 + g * v) * c
-            w3 = (w2 + g * w1) * c
-            w4 = (w3 + g * w2) * c
-            w5 = (w4 + g * w3) * c
-            w6 = (w5 + g * w4) * c
-            w7 = (w6 + g * w5) * c
-            u_new = u + h * (v + r2 * w1 + r3 * w2 + r4 * w3 + r5 * w4 + r6 * w5)
-            v_new = v + w1 + r2 * w2 + r3 * w3 + r4 * w4 + r5 * w5 + r6 * w6
-            err_u = h * (e5 * w4 + e6 * w5 + e7 * w6)
-            err_v = e5 * w5 + e6 * w6 + e7 * w7
-            norm_new = sqrt(
-                u_new.real * u_new.real + u_new.imag * u_new.imag
-                + v_new.real * v_new.real + v_new.imag * v_new.imag
-            )
+            # Ay = (v, w), one application of the right-hand side; P(0) = 1,
+            # Q(h) = h + O(h^2)
+            wr = -(vr + stiff * ur) * inv
+            wi = -(vi + stiff * ui) * inv
+            hh = h * h
+            pp = 1.0 + hh * (p2 + h * (p3 + h * (p4 + h * (p5 + h * p6))))
+            qq = h * (1.0 + h * (q2 + h * (q3 + h * (q4 + h * (q5 + h * q6)))))
+            ur_new = pp * ur + qq * vr
+            ui_new = pp * ui + qq * vi
+            vr_new = pp * vr + qq * wr
+            vi_new = pp * vi + qq * wi
+            norm_new = sqrt(ur_new * ur_new + ui_new * ui_new + vr_new * vr_new + vi_new * vi_new)
             scale = rel_tol * (norm if norm >= norm_new else norm_new)
             if scale == 0.0:
                 err_norm = 0.0
             else:
-                err_norm = sqrt(
-                    err_u.real * err_u.real + err_u.imag * err_u.imag
-                    + err_v.real * err_v.real + err_v.imag * err_v.imag
-                ) / scale
+                h5 = hh * hh * h
+                ep = h5 * (ep5 + h * (ep6 + h * ep7))
+                eq = h5 * (eq5 + h * (eq6 + h * eq7))
+                eur = ep * ur + eq * vr
+                eui = ep * ui + eq * vi
+                evr = ep * vr + eq * wr
+                evi = ep * vi + eq * wi
+                err_norm = sqrt(eur * eur + eui * eui + evr * evr + evi * evi) / scale
             if err_norm <= 1.0:
                 t += h
-                u, v, norm = u_new, v_new, norm_new
+                ur, ui, vr, vi, norm = ur_new, ui_new, vr_new, vi_new, norm_new
                 # PI controller (proportional-integral): damps step-size
                 # oscillation and cuts the accumulated phase error of long
                 # oscillatory integrations by a small constant factor.
+                # Clamped to [0.2, 5] by comparisons, cheaper than calls to
+                # min and max.
                 if err_norm == 0.0:
                     factor = 5.0
                 else:
-                    factor = min(
-                        5.0,
-                        max(0.2, 0.85 * err_norm**-0.14 * err_prev**0.08),
-                    )
-                err_prev = max(err_norm, 1e-10)
+                    factor = 0.85 * err_norm**-0.14 * err_prev**0.08
+                    factor = (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
+                err_prev = err_norm if err_norm > 1e-10 else 1e-10
             else:
-                factor = max(0.2, 0.85 * err_norm**-0.2)
+                # a NaN err_norm lands here too and takes the factor 0.2
+                factor = 0.85 * err_norm**-0.2
+                factor = factor if factor > 0.2 else 0.2
             h *= factor
-        out.append(ModeState(u, v, t_out))
+        out.append(ModeState(complex(ur, ui), complex(vr, vi), t_out))
     return tuple(out)
 
 

@@ -60,6 +60,18 @@ def test_mode_ode_residual_stays_at_rounding_level_at_late_times(capsys):
     assert float(dict(zip(header.split(","), row.split(",")))["ode_residual"]) < 1e-7
 
 
+@pytest.mark.parametrize("r,readable", [("1e-160", False), ("1e-150", True)])
+def test_mode_ode_residual_is_nan_where_the_terms_are_subnormal(capsys, r, readable):
+    # at r = 1e-160 the three terms are about 1e-320 and carry a few bits;
+    # their relative residual read 3.5e-3 there, a figure that looks like a
+    # failure of a correct solution
+    code, out = _run(capsys, "mode", "--r", r, "--t", "5", "--u0", "1", "--u1", "0")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    residual = float(dict(zip(header.split(","), row.split(",")))["ode_residual"])
+    assert residual < 1e-5 if readable else math.isnan(residual)
+
+
 def test_solve_csv_schema(capsys):
     code, out = _run(
         capsys,
