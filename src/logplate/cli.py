@@ -91,9 +91,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-4,
         help="quadrature tolerance (default 1e-4: slope fits tolerate far "
-        "coarser values than pointwise checks, and a tighter tolerance moves "
-        "more high-zone pieces of regularity-limited data from the phase-split "
-        "tail to phase-stepped panels, whose cost grows like t^1.5)",
+        "coarser values than pointwise checks; a tighter tolerance costs more "
+        "panels, but the Levin panels of the high-zone tail do not grow with t)",
     )
     sub.add_argument(
         "--zone",
@@ -146,8 +145,8 @@ def _cmd_mode(args) -> int:
     header = ["r", "t", "u_re", "u_im", "ut_re", "ut_im", "e0", "e_mod", "ode_residual"]
     lam = p.lam
     # nan where nothing can be read: t too small for the stencil, or terms
-    # so small (subnormal, r below about 1.5e-154) that they carry only a
-    # few significant bits
+    # so small (r below about 1e-156) that the stencil's own subnormal
+    # rounding exceeds 1e-6 of them
     residual = float("nan")
     if args.t >= 2e-4:
         # u'' as the central difference of the closed-form velocity: a second
@@ -161,7 +160,7 @@ def _cmd_mode(args) -> int:
         scale = sum(abs(x) for x in terms)
         if scale == 0.0:
             residual = 0.0
-        elif scale >= sys.float_info.min:
+        elif math.ulp(0.0) / (2.0 * h) <= 1e-6 * scale:
             residual = abs(sum(terms)) / scale
     row = [
         _fmt(p.r),

@@ -56,8 +56,6 @@ def phi2_coeffs(lam, t):
     st = sq * t
     z = lam_arr * t * t
     small = z < _SINC_CUT
-    if not small.any():
-        return env, np.sin(st) / sq, np.cos(st)
     with np.errstate(invalid="ignore", divide="ignore"):
         s2 = np.where(small, t * (1.0 - z / 6.0 + z * z / 120.0),
                       np.sin(st) / np.where(small, 1.0, sq))

@@ -45,7 +45,10 @@ Design notes
   estimate is the larger of the change from the nested 9-point collocation
   and the unresolved Chebyshev tail of F times its width; panels that miss
   their piece's share of the tolerance are halved, at most 8 times.  A
-  piece over which bt turns by less than pi integrates v^2 itself.
+  piece over which bt turns by less than pi integrates v^2 itself.  Every
+  piece goes to GK15, empty or not: an empty one settles in one panel with
+  error 0, and only pieces with a nonzero smooth part go on to Levin, as
+  the fast terms vanish wherever the smooth part does.
 * Every unbounded integral (the high zone, the reference tail, and the data
   module's log-weighted norm) goes through one tail-doubling loop,
   `tail_integral`: it doubles the extent until the increment is negligible
@@ -112,7 +115,7 @@ _MODE_KINDS = frozenset({"u", "u-phi1", "u-phi2", "u-phi"})
 _PHI1_KINDS = frozenset({"phi1", "u-phi1", "u-phi"})
 
 #: Panel budget of one adaptive integral; the high-zone tail segments share one.
-MAX_PANELS = 6_000_000
+MAX_PANELS = 100_000
 #: Segments a tail-doubling loop may take before it gives up.
 MAX_SEGMENTS = 200
 #: Starting value of s = 1 + log-weight for the tails integrated in y.
@@ -121,8 +124,6 @@ TAIL_START = 2.0
 #: float64 temporary of one call (128 KB) stays in the L2 cache.  Panel
 #: sums are taken row by row, so no value depends on the batch size.
 CHUNK = 1 << 14
-#: Points of the probe of each high-zone tail piece.
-_PROBE = 33
 #: Chebyshev-Lobatto points of the Levin collocation of a high-zone tail
 #: piece; every other one gives its nested estimate.
 _LEVIN = 17
@@ -619,15 +620,17 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
     `_adaptive`): one `tail_integral` loop per time, the loops in lockstep,
     over pieces in y, s = 1 + y^2 doubling from TAIL_START.
 
-    The pieces of a round, a run of every open loop, are probed in one call,
-    on 33 points y each; pieces where every folded term underflows there are
-    skipped.  Kinds without a phase, t = 0 and pieces over which the mode's
-    phase bt turns by less than pi integrate v^2 itself, in one `_adaptive`
-    call.  The other pieces integrate the smooth part m^2 + (P^2 + Q^2)/2 of
-    v^2 in a second call, and its four fast terms, Re[F e^{2ibt}] with
-    F = (P^2 - Q^2)/2 - iPQ and Re[2m(P - iQ) e^{ibt}], by Levin collocation
-    (`_levin`) in a third, on panels halved at most _HALVINGS times.  The
-    piece that starts at s takes its fast terms to within
+    Every piece of a round, a run of every open loop, is integrated by GK15:
+    kinds without a phase, t = 0 and pieces over which the mode's phase bt
+    turns by less than pi integrate v^2 itself, in one `_adaptive` call, and
+    the other pieces the smooth part m^2 + (P^2 + Q^2)/2 of v^2, in a second.
+    A piece whose data underflow settles there in one panel, value and error
+    0.  The pieces of the second call whose smooth part is nonzero integrate
+    its four fast terms, Re[F e^{2ibt}] with F = (P^2 - Q^2)/2 - iPQ and
+    Re[2m(P - iQ) e^{ibt}], by Levin collocation (`_levin`) in a third, on
+    panels halved at most _HALVINGS times; |F| = (P^2 + Q^2)/2 and
+    |2m(P - iQ)| vanish wherever the smooth part does, so the others have
+    none.  The piece that starts at s takes its fast terms to within
     tol * (|smooth part| + (|baseline| + M) TAIL_START / (2s)), with M the
     sum of |value| (of the smooth part, for these pieces) over its time's
     pieces up to this run's last: the second shares halve from piece to
@@ -659,13 +662,8 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
         lo = np.sqrt(s_lo - 1.0)
         hi = np.sqrt(np.array([s for ends in runs.values() for s in ends[1:]]) - 1.0)
         t = np.asarray(ts)[owner]
-        probe = np.linspace(lo, hi, _PROBE, axis=1)  # one row per piece
-        live = np.zeros(len(owner), dtype=bool)
-        for w in _scaled_data_y(d, kind, np.repeat(t, _PROBE), n, probe.ravel()):
-            if w is not None:
-                live |= w.reshape(probe.shape).any(axis=1)
         turn = t * (np.sqrt(-collision_gap(hi * hi)[1]) - np.sqrt(-collision_gap(lo * lo)[1]))
-        levin = live & phased & (turn >= math.pi)
+        split = phased & (turn >= math.pi)
         found = np.zeros((2, len(owner)))  # value, err
 
         def integrate(g, ids, tol, **kw):  # adds (value, err) of the pieces ids
@@ -674,9 +672,10 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
                                 panels_left, failed, **kw)
                 found[:, ids] += np.array(res)[:, :2].T
 
-        integrate(f, np.flatnonzero(live & ~levin), spec.tol)
-        integrate(smooth, ids := np.flatnonzero(levin), spec.tol)
+        integrate(f, np.flatnonzero(~split), spec.tol)
+        integrate(smooth, np.flatnonzero(split), spec.tol)
         np.add.at(mass, owner, np.abs(found[0]))
+        ids = np.flatnonzero(split & (found[0] != 0.0))  # fast terms vanish with the smooth part
         integrate(fast, ids, 0.0, rule=_levin, rounds=_HALVINGS, goal=spec.tol * (
             np.abs(found[0, ids]) + mass[owner[ids]] * TAIL_START / (2.0 * s_lo[ids])))
         out = {k: [] for k in runs}  # a failed time's pieces are never used

@@ -60,11 +60,14 @@ def test_mode_ode_residual_stays_at_rounding_level_at_late_times(capsys):
     assert float(dict(zip(header.split(","), row.split(",")))["ode_residual"]) < 1e-7
 
 
-@pytest.mark.parametrize("r,readable", [("1e-160", False), ("1e-150", True)])
+@pytest.mark.parametrize("r,readable", [("1e-160", False), ("1e-158", False), ("1e-155", True),
+                                        ("1e-154", True), ("1e-150", True)])
 def test_mode_ode_residual_is_nan_where_the_terms_are_subnormal(capsys, r, readable):
     # at r = 1e-160 the three terms are about 1e-320 and carry a few bits;
-    # their relative residual read 3.5e-3 there, a figure that looks like a
-    # failure of a correct solution
+    # their relative residual read 3.5e-3 there, and 3.4e-4 at r = 1e-158,
+    # figures that look like a failure of a correct solution.  At r = 1e-155
+    # the terms are subnormal too (about 1e-310), but the stencil's rounding,
+    # 2^-1074 / (2h), is below 1e-6 of them, and the residual reads 3.8e-10
     code, out = _run(capsys, "mode", "--r", r, "--t", "5", "--u0", "1", "--u1", "0")
     assert code == 0
     header, row = out.strip().splitlines()
@@ -289,6 +292,20 @@ def test_panel_budget_exit_code(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert all(key in lines[0] for key in ("t=160", "--tol"))
+
+
+def test_unreachable_tolerance_fails_fast(capsys):
+    # check 08's kind at tol 1e-10, t = 1e4: the smooth part of the far tail
+    # pieces cannot reach it, and the default panel budget ends the request
+    # in well under a second (it took 15 s under a budget of 6,000,000)
+    code = cli.main(
+        ["profile-diff", "--profile", "phi", "--n", "4", "--data-u0", "gaussian:alpha=1",
+         "--data-u1", "log_tail:m=1,beta=0.2", "--tol", "1e-10", "--t0", "1e4", "--t-count", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: panel budget exhausted") and "t=10000" in captured.err
 
 
 def test_levin_halving_cap_exit_code(monkeypatch, capsys):
