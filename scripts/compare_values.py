@@ -37,10 +37,16 @@ An oracle line compares `oracle.integrate_mode_at` as check 03 runs it: data
 when every output is the same double, else `max scaled diff X`, the largest
 distance of two outputs scaled as `oracle.scaled_error` scales it.
 
+A reference-integral line compares `quadrature.ref_integral_Ip`,
+`ref_integral_Jp` and `middle_zone_integral` at every (p, t) check 05 takes
+them.  It reads `identical` when every value is the same double, else
+`max rel diff X`, the largest |v - v'| / |v|.
+
 The script exits 1 when any value, of a zone or of y_norm, lies outside
-err + err', a divergence flag changed, a scalar mode point differs, or the
-oracle's scaled difference exceeds 1e-10; a panel count that differs is
-reported, not failed.
+err + err', a divergence flag changed, a scalar mode point differs, the
+oracle's scaled difference exceeds 1e-10, or a reference integral's
+relative difference exceeds the new tree's `quadrature.REF_TOL`; a panel
+count that differs is reported, not failed.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
 SCALAR_POINTS = 3000
 ORACLE_TIMES = (0.1, 1.0, 10.0, 50.0, 100.0)
 ORACLE_LIMIT = 1e-10
+# the times of check 05's middle band: its fit at t = 10, then its zone times
+MIDDLE_TIMES = (10.0, *(10.0 * 2.0 ** (k / 2.0) for k in range(7)), 100.0)
 
 
 def oracle_radii(th) -> tuple[float, ...]:
@@ -83,6 +91,19 @@ def oracle_radii(th) -> tuple[float, ...]:
     return (
         0.0, 1e-4, th.eta / 2.0, th.eta, 0.5 * (th.eta + th.delta), th.delta * (1.0 - 1e-8),
         th.delta * (1.0 + 1e-8), 0.7, 1.0, th.r_unit, 3.0, 10.0, 1e3,
+    )
+
+
+def ref_calls(eta: float) -> tuple[tuple, ...]:
+    """(name, p, t, *lo) of every reference integral check 05 takes: the
+    closed forms, the Laplace limit, the tail band and the middle band."""
+    return (
+        *(("ref_integral_Ip", 1.0, t) for t in (2.0, 5.0, 10.0, 30.0)),
+        *(("ref_integral_Jp", 1.0, t) for t in (2.0, 5.0, 10.0, 30.0)),
+        *(("ref_integral_Ip", p, 1e4) for p in (0.0, 1.0, 2.0, 3.0)),
+        *(("ref_integral_Jp", p, t) for p in (0.0, 1.0, 2.0)
+          for t in (20.0, 30.0, 40.0, 50.0, 60.0)),
+        *(("middle_zone_integral", p, t, eta) for p in (0.0, 1.0, 2.0) for t in MIDDLE_TIMES),
     )
 
 
@@ -134,7 +155,7 @@ def emit() -> None:
 
     out = {
         "package": logplate.__file__, "values": {}, "diverged": {}, "scalar": [], "oracle": [],
-        "panels": {},
+        "panels": {}, "ref": [], "ref_tol": quadrature.REF_TOL,
     }
     gk_eval = quadrature._gk_eval
     levin = getattr(quadrature, "_levin", None)  # newer than some trees compared
@@ -166,6 +187,8 @@ def emit() -> None:
         p = symbols.FreqPoint.from_radius(r)
         for s in oracle.integrate_mode_at(p, 1.0, 1j, ORACLE_TIMES, cfg):
             out["oracle"].append(_bits(s.u, s.v))
+    for name, *args in ref_calls(th.eta):
+        out["ref"].append(getattr(quadrature, name)(*args))
     for case in CASES:
         u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)
@@ -256,6 +279,14 @@ def oracle_line(old: list, new: list) -> tuple[str, bool]:
     return f"max scaled diff {worst:.3g}", worst <= ORACLE_LIMIT
 
 
+def ref_line(old: list, new: list, limit: float) -> tuple[str, bool]:
+    """(line, within): the reference integrals of two trees."""
+    if old == new:
+        return "identical", True
+    worst = max(abs(v - w) / abs(v) if v else math.inf for v, w in zip(old, new) if v != w)
+    return f"max rel diff {worst:.3g}", worst <= limit
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--emit"]:
         emit()
@@ -279,6 +310,9 @@ def main(argv: list[str]) -> int:
     print(f"differs at {differ} of {SCALAR_POINTS} points" if differ else "identical")
     line, within = oracle_line(old["oracle"], new["oracle"])
     print(f"oracle, {len(old['oracle'])} outputs of check 03's runs: {line}")
+    failed |= not within
+    line, within = ref_line(old["ref"], new["ref"], new["ref_tol"])
+    print(f"reference integrals, {len(old['ref'])} of check 05's inputs: {line}")
     return 1 if failed or differ or not within else 0
 
 

@@ -246,6 +246,9 @@ def _cmd_rates(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = verify.CHECK_IDS if not args.checks else tuple(args.checks)
+    unknown = [c for c in ids if c not in verify.CHECK_IDS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]}; known: {', '.join(verify.CHECK_IDS)}")
     results = verify.run_all(ids)
     for res in results:
         sys.stdout.write(verify.render_line(res) + "\n")

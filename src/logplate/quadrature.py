@@ -8,12 +8,12 @@ Design notes
   of evaluation order.  The final value sums the panel results with
   math.fsum, exactly rounded in any order, so output is bit-reproducible.
 * One `_adaptive` call refines several intervals in shared rounds over one
-  panel table, each round in whole-array steps and one batch of
-  evaluations, while each interval keeps its own panels, test, threshold,
-  round limit, sum and t, and each owner (a time) its own budget and
-  errors: no value depends on the intervals it shares rounds with.  A
-  series integrates all its times in the same calls; node functions take t
-  as a float or aligned with y.
+  panel table in position order, each round in whole-array steps and one
+  batch of evaluations of the new halves, while each interval keeps its own
+  panels, test, threshold, round limit, sum and t, and each owner (a time)
+  its own budget and errors: no value depends on the intervals it shares
+  rounds with.  A series integrates all its times in the same calls; node
+  functions take t as a float or aligned with y.
 * Every zone is integrated in y = sqrt(L), L = log(1 + r^2): r overflows a
   double once L > 709 while the regularity-limited tails live out to
   log-weights of order t, so y is the only representable variable there,
@@ -272,10 +272,12 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict, ru
     sum to at most tol * |its value| + goal[i] (goal a float or one per
     interval).
 
-    The open intervals' panels form one table, each interval's in the order
-    its test sums read (kept, left halves, right halves); a round tests,
-    splits and regroups it in whole-array steps and evaluates the new panels
-    in one `rule` call.  The intervals of owners[i] (an index) share the
+    All panels form one table in position order, each interval's in a row.
+    A round sums each interval's values and errors with one `reduceat`,
+    tests, halves the panels that split in place and evaluates the halves
+    in one `rule` call.  An interval that stops keeps its panels, which no
+    longer change, so it tests as stopped in every later round and is never
+    evaluated again.  The intervals of owners[i] (an index) share the
     panels budget[owner], checked before every evaluation and reduced by
     the panels they end with.  An owner fails on an exhausted budget, a
     non-finite sample or the round limit: `failed` maps it to its error, and
@@ -290,62 +292,50 @@ def _adaptive(f, lo, hi, sizes, ts, owners, tol: float, budget, failed: dict, ru
             cut = int(who.min())
             failed[cut] = error(cut)
 
-    # counts and sort keys are exact floats: integer ufunc loops would add code pages to RSS
+    # `used` counts panels in exact floats: integer ufunc loops would add code pages to RSS
     owner, t_of = np.asarray(owners, dtype=np.intp), np.asarray(ts, dtype=float)
     goal = np.zeros(owner.size) + goal
     idx = np.repeat(np.arange(owner.size), sizes)  # the interval of each panel in the table
+    ids = np.flatnonzero(sizes)  # the intervals with panels: reduceat takes no empty run
     limit, used = np.asarray(budget), np.zeros(len(budget))
-    val, err, mask = np.empty(idx.size), np.empty(idx.size), np.ones(idx.size, dtype=bool)
-    done = [(idx[:0], lo[:0], lo[:0])]  # (interval, value, error) of the stopped intervals' panels
+    # zeros, as the panels of an owner dropped in round 0 are summed but never evaluated
+    val, err, new = np.zeros(idx.size), np.zeros(idx.size), np.ones(idx.size, dtype=bool)
     for rnd in range(rounds + 2):  # the last round only tests
-        ids = (count := np.bincount(idx, minlength=owner.size)).nonzero()[0]  # in the table
-        n, starts = count[ids], idx.searchsorted(ids)  # each interval's panels and first one
-        go = np.ones(ids.size, dtype=bool)
+        n = np.bincount(idx)[ids]  # each interval's panels
+        go = owner[ids] < cut
         if rnd:
-            runs = list(zip(starts.tolist(), [*starts[1:].tolist(), idx.size]))
-            total = np.array([np.add.reduce(val[a:b]) for a, b in runs])
+            starts = idx.searchsorted(ids)
+            total = np.add.reduceat(val, starts)
             size = tol * np.abs(total) + goal[ids]
-            esum = np.array([np.add.reduce(err[a:b]) for a, b in runs])
-            go = ~(esum <= size + 1e-300)  # a NaN sum goes on, to the non-finite check
+            go &= ~(np.add.reduceat(err, starts) <= size + 1e-300)  # a NaN sum goes on
             bad = go & ~np.isfinite(total)
             fail(owner[ids[bad]],
                  lambda o: NonFiniteIntegrandError("integrand returned a non-finite sample"))
             go &= ~bad
-            # the panels that split (round 0 takes all): an interval that goes on has a
-            # finite error sum above `size`, so its largest panel error exceeds this
-            mask = (err > (size / (2.0 * n)).repeat(n)) & go.repeat(n)
+            # the panels that split: an interval that goes on has a finite error sum
+            # above `size`, so its largest panel error exceeds this
+            new = (err > (size / (2.0 * n)).repeat(n)) & go.repeat(n)
             if rnd > rounds:  # the round limit: every interval that goes on fails
                 fail(owner[ids[go]],
                      lambda o: PanelBudgetError("adaptive refinement did not reach the tolerance"))
-            if rnd > rounds or not mask.any():  # every interval stops
-                done.append((idx, val, err))
+            if rnd > rounds or not new.any():  # every interval stops
                 break
-        used += np.bincount(owner[idx[mask]], minlength=used.size)
+        used += np.bincount(owner[idx[new]], minlength=used.size)
         fail((used > limit).nonzero()[0], lambda o: PanelBudgetError(
             f"initial subdivision needs {used[o]:.0f} panels, budget is {budget[o]}" if not rnd
             else "panel budget exhausted; t is too large for the requested tolerance"))
-        stay = ((owner[ids] < cut) & go).repeat(n)  # the others stop
-        if rnd:  # regroup each interval's panels: kept, left halves, right halves
-            done.append((idx[~stay], val[~stay], err[~stay]))
-            keep, mask = stay & ~mask, stay & mask
-            a, b, new = lo[mask], hi[mask], idx[mask] + 0.5
-            mid = 0.5 * (a + b)
-            key = np.concatenate([idx[keep], new, new])
-            order = key.argsort(kind="stable")
-            lo, hi, val, err = (np.concatenate(x)[order] for x in (
-                [lo[keep], a, mid], [hi[keep], mid, b], [val[keep], a, b], [err[keep], a, b]))
-            idx = key[order].astype(np.intp)
-            mask = key[order] > idx
-        elif not stay.all():  # round 0: drop the failed owners' panels
-            lo, hi, idx, mask, val, err = (x[stay] for x in (lo, hi, idx, mask, val, err))
-        if not idx.size:
+        new &= (owner[ids] < cut).repeat(n)  # a failed owner's panels are not evaluated
+        if not new.any():
             break
-        t = t_of[idx[mask]]  # one float t if the new panels share it: the kernels take it faster
-        t = ts[idx[mask][0]] if (t == t[0]).all() else t
-        val[mask], err[mask] = (rule or _gk_eval)(f, lo[mask], hi[mask], t)
-    idx, val, err = (np.concatenate(x) for x in zip(*done))
-    order = idx.argsort(kind="stable")
-    v, e = val[order].tolist(), (err + _ROUNDING * np.abs(val))[order].tolist()
+        if rnd:  # each split panel becomes its two halves, in place
+            mid, rep = 0.5 * (lo[new] + hi[new]), np.where(new, 2, 1)
+            lo, hi, idx, val, err, new = (x.repeat(rep) for x in (lo, hi, idx, val, err, new))
+            halves = new.nonzero()[0]  # each split panel's left and right half, in a row
+            hi[halves[::2]] = lo[halves[1::2]] = mid
+        t = t_of[idx[new]]  # one float t if the new panels share it: the kernels take it faster
+        t = ts[idx[new][0]] if (t == t[0]).all() else t
+        val[new], err[new] = (rule or _gk_eval)(f, lo[new], hi[new], t)
+    v, e = val.tolist(), (err + _ROUNDING * np.abs(val)).tolist()
     ends = list(itertools.accumulate(np.bincount(idx, minlength=owner.size).tolist(), initial=0))
     out = []
     for o, a, b in zip(owner.tolist(), ends, ends[1:]):

@@ -261,6 +261,21 @@ def test_unwritable_out_is_an_input_error_before_any_work(monkeypatch, tmp_path,
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: --out")
 
 
+def test_unknown_check_is_an_input_error_before_any_work(monkeypatch, capsys):
+    from logplate import verify
+
+    def fail(check_id):
+        raise AssertionError(f"check {check_id} ran before the unknown id was rejected")
+
+    monkeypatch.setattr(verify, "run_check", fail)
+    code = cli.main(["verify", "--checks", "03-oracle-equivalence", "99"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: unknown check 99; known: 01-thresholds, ")
+    assert all(check_id in captured.err for check_id in verify.CHECK_IDS)
+
+
 def test_out_write_error_is_an_input_error(tmp_path):
     with pytest.raises(ValueError, match="cannot write --out"):
         cli._emit(["x"], str(tmp_path / "missing" / "x.csv"))

@@ -1,7 +1,8 @@
 """scripts/compare_values.py restates the series inputs of checks 06-11 in
-CASES, and check 03's oracle runs in oracle_radii and ORACLE_TIMES; every
-series those checks integrate must be one of its cases, and its oracle runs
-must be check 03's."""
+CASES, check 03's oracle runs in oracle_radii and ORACLE_TIMES, and check
+05's reference integrals in ref_calls; every series those checks integrate
+must be one of its cases, and its oracle runs and reference integrals must
+be those of checks 03 and 05."""
 
 import importlib.util
 from pathlib import Path
@@ -69,6 +70,27 @@ def test_oracle_radii_and_times_are_those_of_check_03(monkeypatch):
     verify.run_check("03-oracle-equivalence")
     radii = script.oracle_radii(quadrature.THRESHOLDS)
     assert seen == [(r, 1.0, 1j, script.ORACLE_TIMES, 1e-10) for r in radii]
+
+
+def test_ref_calls_are_those_of_check_05(monkeypatch):
+    calls = _load_script().ref_calls(quadrature.THRESHOLDS.eta)
+    seen = set()
+    for name in ("ref_integral_Ip", "ref_integral_Jp", "middle_zone_integral"):
+
+        def record(*args, name=name, run=getattr(quadrature, name)):
+            seen.add((name, *args))
+            return run(*args)
+
+        monkeypatch.setattr(quadrature, name, record)
+    verify.run_check("05-integral-asymptotics")
+    assert seen == set(calls)
+
+
+def test_ref_line_reads_identical_and_fails_above_ref_tol():
+    line = _load_script().ref_line
+    assert line([1.0, 2.0], [1.0, 2.0], 1e-12) == ("identical", True)
+    assert line([1.0, 2.0], [1.0, 2.0 + 2.0**-51], 1e-12) == (f"max rel diff {2.0**-52:.3g}", True)
+    assert line([1.0, 2.0], [1.0, 2.0 + 1e-11], 1e-12)[1] is False
 
 
 def test_oracle_line_reads_identical_and_fails_above_its_limit():

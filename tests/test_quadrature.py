@@ -124,24 +124,26 @@ def test_batched_refinement_is_each_interval_alone(
         return gk_eval(f, lo, hi, t)
 
     def alone(intervals):
-        """(result, error, GK15 calls) of each interval integrated alone."""
+        """(result, error, panels of each GK15 call) of each interval integrated alone."""
         out = []
         for t, bounds in enumerate(intervals):
             calls.clear()
             failed = {}
             res = _adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], failed)[0]
-            out.append((res, failed.get(0), len(calls)))
+            out.append((res, failed.get(0), list(calls)))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk_eval", counting)
         each = alone(intervals)
         panels = [res[2] for res, _, _ in each]
-        rounds = max(n for _, _, n in each)
+        rounds = max(len(c) for _, _, c in each)
         calls.clear()
         shared = [(bounds, t, 0) for t, bounds in enumerate(intervals)]
         assert _adaptive(f, shared, tol, [sum(panels)], {}) == [res for res, _, _ in each]
         assert len(calls) == rounds
+        # a stopped interval's panels are never evaluated again
+        assert sum(calls) == sum(sum(c) for _, _, c in each)
         calls.clear()
         failed = {}
         dropped = [(0.0, 0.0, 0)] * len(intervals)
@@ -178,15 +180,16 @@ def test_batched_refinement_is_each_interval_alone(
 
 
 # Integrands of only correctly rounded operations, refined on [0, 1, 2.5, 4]
-# at a tolerance one ulp from where the panel count changes, and the
+# at the largest tolerance before the panel count falls, and the
 # (value, err, panels) `_adaptive` gave them when each interval summed its
-# panels kept, left halves, right halves (recorded as float.hex).  The test
-# sums then decide at the last bit: regrouping the panels moves them.
+# panels in position order with `np.add.reduceat` (recorded as float.hex).
+# The test sums then decide at the last bit: summing the panels in another
+# order, or with another reduction, moves them.
 GOLDEN = (
-    ("runge", "0x1.e26ed23357239p-34", "0x1.2d49756780043p-1", "0x1.4cf5b92eacf00p-40", 14),
-    ("bump", "0x1.6a35d8d917affp-37", "0x1.894ab6057cdcdp+6", "0x1.e4fd2ab6057cep-36", 25),
-    ("kink", "0x1.718e8e0ac0757p-27", "0x1.f243c8759eff9p+2", "0x1.95b131aaff90fp-25", 18),
-    ("kink", "0x1.5884a4341d20bp-30", "0x1.f243c8867d241p+2", "0x1.967af49ea4887p-28", 22),
+    ("runge", "0x1.5c1b4f940f9a6p-45", "0x1.2d49756780043p-1", "0x1.36cc975678004p-47", 21),
+    ("bump", "0x1.945749229d0a2p-39", "0x1.894ab6057cdcdp+6", "0x1.f20d956c0af9cp-37", 27),
+    ("kink", "0x1.9122d8c113afap-37", "0x1.f243c888e4740p+2", "0x1.7b194cc4388e5p-36", 34),
+    ("kink", "0x1.7a900b8ae9757p-30", "0x1.f243c8867d242p+2", "0x1.a738959ea4887p-28", 21),
 )
 GOLDEN_INTEGRANDS = {
     "runge": lambda x: 1.0 / (1.0 + 25.0 * (x - 2.0) * (x - 2.0)),
