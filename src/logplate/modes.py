@@ -2,9 +2,9 @@
 
 The mode ODE (1+L) u'' + u' + L(1+L) u = 0 has roots -a +/- c, a = 1/(2(1+L))
 and c^2 = a^2 - L of either sign, both from `symbols.collision_gap`.  One
-kernel, `propagator_coeffs`, serves `mode_solve` (a float L) and the
-quadrature (arrays); with z = c^2 t^2 each node takes one of four branches,
-each written once:
+kernel, `propagator_coeffs`, serves `mode_solve` and `pointwise_bound_check`
+(a float L) and the quadrature (arrays); with z = c^2 t^2 each node takes one
+of four branches, each written once:
 
 * series, |z| < 1e-6 (the root collision r ~ delta, or t ~ 0), and
   oscillating, z < 0 (r > delta): u(t) = e^{-at} [C u0 + S (u1 + a u0)]
@@ -28,6 +28,7 @@ e^{(c-a)t}: at small L it runs only for t <= 17, where the noise is < 1e-14.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,21 +53,43 @@ _SERIES_CUT = 1e-6
 _EIGEN_CUT = 8.5**2
 
 
-def oscillating_coeffs(a, csq, t):
+def oscillating_coeffs(a, csq, t, xp=np):
     """(e^{-at}, b) of oscillating modes, roots -a +/- i b with
-    b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0."""
-    return np.exp(a * -t), np.sqrt(-csq)
+    b = sqrt(L - a^2), from `collision_gap`'s (a, csq) with csq < 0; `xp`
+    supplies exp and sqrt (`np` for arrays, `_FLOAT` for a float)."""
+    return xp.exp(a * -t), xp.sqrt(-csq)
 
 
-# The branches take floats or arrays alike and use numpy's elementwise
-# functions on both, so a float evaluates bit-for-bit as an array entry does
-# (math.exp differs from np.exp in the last bit on some arguments); complex
-# data are divided by a real reciprocal, rounded alike by both.  A float's
-# damped pieces are converted to Python floats before they meet the data:
-# numpy-scalar times complex costs about 0.7 us an operation, Python float
-# and complex arithmetic round as float64 and complex128 do, and `_eigen`
-# puts the complex amplitude first, so its products stay Python complex.
-# Up to the sign of a zero: see `_zero_parts_settled`.
+# The branches take floats or arrays alike, with the elementwise functions as
+# an argument: arrays get `np`, a float gets `_FLOAT`, which calls the same
+# numpy function (bound as a default argument, one lookup fewer a call) and
+# returns a Python float at once; sqrt is math.sqrt, which rounds correctly
+# as np.sqrt does.  So a float evaluates bit-for-bit as an array entry does
+# (math.exp differs from np.exp in the last bit on some arguments), and its
+# arithmetic stays in Python floats and complexes: numpy-scalar times complex
+# costs about 0.7 us an operation, and Python float and complex arithmetic
+# round as float64 and complex128 do.  Complex data are divided by a real
+# reciprocal, rounded alike by both.  Up to the sign of a zero: see
+# `_zero_parts_settled`.
+#
+# The float path, `_point`, serves `mode_solve`, `pointwise_bound_check` and
+# a float `propagator_coeffs`, and remembers its last point: `_last` holds
+# (lam, t, u0, u1, (u, v)), and a call whose four arguments are those very
+# objects (`is`) returns (u, v) without evaluating, as `pointwise_bound_check`
+# right after `mode_solve` on the same point does.  The entry keeps its
+# arguments alive, so an identity match means identical bits; data equal in
+# value but not in the sign of a zero are other objects and are evaluated
+# anew.  The float path takes scalars, which are immutable.  The entry is
+# replaced by one assignment, so a thread reads either the old entry or the
+# new one whole.
+_FLOAT = SimpleNamespace(
+    exp=lambda x, f=np.exp: float(f(x)),
+    cos=lambda x, f=np.cos: float(f(x)),
+    sin=lambda x, f=np.sin: float(f(x)),
+    expm1=lambda x, f=np.expm1: float(f(x)),
+    sqrt=math.sqrt,
+)
+_last = (None, None, None, None, None)
 
 
 def _zero_parts_settled(u, v, u0, u1) -> bool:
@@ -84,31 +107,31 @@ def _zero_parts_settled(u, v, u0, u1) -> bool:
     return bool((u.real and v.real or not real) and (u.imag and v.imag or not imag))
 
 
-def _series(a, z, t):
-    damp = np.exp(a * -t)
+def _series(a, z, t, xp):
+    damp = xp.exp(a * -t)
     cosh = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
     return damp * cosh, damp * (t * (1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))))
 
 
-def _oscillating(a, csq, t):
-    damp, b = oscillating_coeffs(a, csq, t)
+def _oscillating(a, csq, t, xp):
+    damp, b = oscillating_coeffs(a, csq, t, xp)
     bt = b * t
-    return damp * np.cos(bt), damp * np.sin(bt) / b
+    return damp * xp.cos(bt), damp * xp.sin(bt) / b
 
 
-def _real(a, c, t):
-    slow = np.exp((c - a) * t)
+def _real(a, c, t, xp):
+    slow = xp.exp((c - a) * t)
     fast = -2.0 * c * t
-    return 0.5 * slow * (1.0 + np.exp(fast)), slow * (-np.expm1(fast)) / (2.0 * c)
+    return 0.5 * slow * (1.0 + xp.exp(fast)), slow * (-xp.expm1(fast)) / (2.0 * c)
 
 
-def _eigen(lam, a, c, t, u0, u1, velocity):
+def _eigen(lam, a, c, t, u0, u1, velocity, xp):
     # lambda_minus + 1 = 2aL - lambda_plus keeps amp_p on fast-aligned data
     lp, lm = real_roots(lam, a, c)
     amp_p = ((2.0 * a * lam - lp) * u0 - (u0 + u1)) * (-0.5 / c)
     amp_m = u0 - amp_p
-    ep = np.exp(lp * t)
-    em = np.exp(lm * t)
+    ep = xp.exp(lp * t)
+    em = xp.exp(lm * t)
     u = amp_p * ep + amp_m * em
     return (u, amp_p * lp * ep + amp_m * lm * em) if velocity else u
 
@@ -119,33 +142,46 @@ def _assemble(lam, a, ec, es, u0, u1, velocity):
     return (u, -lam * es * u0 + (ec - a * es) * u1) if velocity else u
 
 
+def _point(lam, t, u0, u1):
+    """(u(t), u'(t)) at one float log-weight, from `_last` when its key holds
+    these very objects."""
+    global _last
+    last = _last
+    if last[0] is lam and last[1] is t and last[2] is u0 and last[3] is u1:
+        return last[4]
+    a, csq = collision_gap(lam)
+    z = csq * (t * t)
+    if z > _EIGEN_CUT:
+        out = _eigen(lam, a, math.sqrt(csq), t, u0, u1, True, _FLOAT)
+    else:
+        if abs(z) < _SERIES_CUT:
+            ec, es = _series(a, z, t, _FLOAT)
+        elif z < 0.0:
+            ec, es = _oscillating(a, csq, t, _FLOAT)
+        else:
+            ec, es = _real(a, math.sqrt(csq), t, _FLOAT)
+        out = _assemble(lam, a, ec, es, u0, u1, True)
+    u, v = out
+    if not (u.real and u.imag and v.real and v.imag or _zero_parts_settled(u, v, u0, u1)):
+        u, v = propagator_coeffs(np.array([lam]), t, np.array([u0]), np.array([u1]), True)
+        out = u.item(), v.item()
+    _last = (lam, t, u0, u1, out)
+    return out
+
+
 def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     """Mode value u(t) with data (u0, u1), or with `velocity` (u(t), u'(t)),
     at log-weights `lam`: a float, or an ndarray with u0, u1 of its shape
     and t >= 0 a float or one more such array; z = c^2 t^2 picks the branch.
     """
-    a, csq = collision_gap(lam)
     if not isinstance(lam, np.ndarray):
-        z = csq * (t * t)
-        if z > _EIGEN_CUT:
-            out = _eigen(lam, a, math.sqrt(csq), t, u0, u1, velocity)
-        else:
-            if abs(z) < _SERIES_CUT:
-                ec, es = _series(a, z, t)
-            elif z < 0.0:
-                ec, es = _oscillating(a, csq, t)
-            else:
-                ec, es = _real(a, math.sqrt(csq), t)
-            out = _assemble(lam, a, float(ec), float(es), u0, u1, velocity)
-        u, v = out if velocity else (out, out)
-        if u.real and u.imag and v.real and v.imag or _zero_parts_settled(u, v, u0, u1):
-            return out
-        out = propagator_coeffs(np.array([lam]), t, np.array([u0]), np.array([u1]), velocity)
-        return tuple(w.item() for w in out) if velocity else out.item()
+        out = _point(lam, t, u0, u1)
+        return out if velocity else out[0]
 
+    a, csq = collision_gap(lam)
     if (csq.max() * t * t).max() <= -_SERIES_CUT:
         # every node oscillates (the whole high zone at t > 0): no masks
-        return _assemble(lam, a, *_oscillating(a, csq, t), u0, u1, velocity)
+        return _assemble(lam, a, *_oscillating(a, csq, t, np), u0, u1, velocity)
     t = np.broadcast_to(t, lam.shape)
     z = csq * (t * t)
     osc = z <= -_SERIES_CUT
@@ -154,15 +190,15 @@ def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     real = (z >= _SERIES_CUT) & ~eig
     ec, es = np.zeros_like(lam), np.zeros_like(lam)
     if small.any():
-        ec[small], es[small] = _series(a[small], z[small], t[small])
+        ec[small], es[small] = _series(a[small], z[small], t[small], np)
     if real.any():
-        ec[real], es[real] = _real(a[real], np.sqrt(csq[real]), t[real])
+        ec[real], es[real] = _real(a[real], np.sqrt(csq[real]), t[real], np)
     if osc.any():
-        ec[osc], es[osc] = _oscillating(a[osc], csq[osc], t[osc])
+        ec[osc], es[osc] = _oscillating(a[osc], csq[osc], t[osc], np)
     out = _assemble(lam, a, ec, es, u0, u1, velocity)
     if eig.any():
         # the data are gathered for the eigen nodes alone
-        part = _eigen(lam[eig], a[eig], np.sqrt(csq[eig]), t[eig], u0[eig], u1[eig], velocity)
+        part = _eigen(lam[eig], a[eig], np.sqrt(csq[eig]), t[eig], u0[eig], u1[eig], velocity, np)
         for whole, piece in zip(out, part) if velocity else ((out, part),):
             whole[eig] = piece
     return out
@@ -180,7 +216,7 @@ def mode_solve(p: FreqPoint, u0: complex, u1: complex, t: float) -> ModeState:
     """Exact mode solution with data (u0, u1) at a finite time t >= 0."""
     if not (0.0 <= t < math.inf):
         raise ValueError("time must be finite and nonnegative")
-    u, v = propagator_coeffs(p.lam, t, u0, u1, velocity=True)
+    u, v = _point(p.lam, t, u0, u1)
     return ModeState(complex(u), complex(v), float(t))
 
 
@@ -240,9 +276,9 @@ def pointwise_bound_check(
     lam = p.lam
     one = 1.0 + lam
     w = mult_weight(p, th)
-    u, v = propagator_coeffs(lam, t, u0, u1, velocity=True)
+    u, v = _point(lam, t, u0, u1)
     u2 = abs(complex(u)) ** 2
-    decay = float(np.exp(-0.5 * w * t))
+    decay = _FLOAT.exp(-0.5 * w * t)
 
     lhs_e = one * abs(complex(v)) ** 2 + lam * one * u2
     rhs_e = 6.0 * decay * (one * abs(u1) ** 2 + lam * one * abs(u0) ** 2)

@@ -14,7 +14,10 @@ pointwise energy decay estimate.  The roots are written once:
 mode kernel (`modes`), the quadrature and check 02 all take them from here.
 
 Everything here is pure scalar/array arithmetic in double precision; values
-are freely shareable across threads.
+are freely shareable across threads.  The package's one piece of mutable
+state, the mode kernel's last-point entry in `modes`, is read once a call
+and replaced whole by one assignment, so threads may share it too: each
+reads an old or a new entry, never a half-written one.
 """
 
 from __future__ import annotations

@@ -216,8 +216,8 @@ def _check_energy() -> tuple[bool, str, str, str]:
             for t in fd_t:
                 lo = dens(p, w, u0, u1, t - h)
                 hi = dens(p, w, u0, u1, t + h)
-                mid = dens(p, w, u0, u1, t)
                 st = modes.mode_solve(p, u0, u1, t)
+                mid = modes.energy_density(p, st, w)
                 de0 = (hi.e0 - lo.e0) / (2.0 * h)
                 worst_diss = max(worst_diss, abs(de0 + abs(st.v) ** 2))
                 de = (hi.e_mod - lo.e_mod) / (2.0 * h)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -246,14 +247,65 @@ def test_propagator_coeffs_vectorized_matches_scalar():
 @example(0.3, 2.0, 1.0 + 2.0j, -0.5j)  # unified real
 @example(1e-3, 250.0, 1.0 + 2.0j, -1.0 - 2.0j)  # eigen
 @example(1.0, 263.0, 2.2250738585e-313j, 0j)  # a product underflows to a signed zero
+@example(TH.delta * (1.0 + 1e-10), 2.0, 2.0, 3.0)  # real data: series
+@example(2.0, 150.0, 2.0, 3.0)  # real data: oscillating
+@example(0.3, 2.0, 2.0, -1.0)  # real data: unified real
+@example(0.0, 40.0, 2.0, 3.0)  # real data: eigen
 def test_mode_solve_is_the_array_kernel_entry_bit_for_bit(r, t, u0, u1):
     # mode_solve's float dispatch runs in Python float and complex arithmetic,
     # which must round as numpy's float64 and complex128 do on an array entry,
     # down to the sign of a zero part
-    s = modes.mode_solve(symbols.FreqPoint.from_radius(r), u0, u1, t)
+    p = symbols.FreqPoint.from_radius(r)
+    s = modes.mode_solve(p, u0, u1, t)
     lam = np.array([symbols.log_weight(r)])
     u, v = modes.propagator_coeffs(lam, t, np.array([u0]), np.array([u1]), velocity=True)
-    assert np.array([s.u, s.v]).tobytes() == np.array([u[0], v[0]]).tobytes()
+    assert (np.array([s.u, s.v], dtype=complex).tobytes()
+            == np.array([u[0], v[0]], dtype=complex).tobytes())
+    if t > 0.0:
+        # the bound's margins alike whether the kernel's last point is this
+        # one (right after mode_solve on the same objects) or another
+        held = modes.pointwise_bound_check(p, u0, u1, t, TH)
+        modes.mode_solve(symbols.FreqPoint.from_radius(r + 1.0), u0, u1, t)
+        assert repr(held) == repr(modes.pointwise_bound_check(p, u0, u1, t, TH))
+
+
+def _fresh(x):
+    # an equal object with the same bits that is not `x` itself
+    y = pickle.loads(pickle.dumps(x))
+    assert y is not x
+    return y
+
+
+def test_the_kernel_remembers_one_point_by_the_identity_of_its_arguments(monkeypatch):
+    calls = []
+    gap = modes.collision_gap
+    monkeypatch.setattr(modes, "collision_gap", lambda lam: calls.append(lam) or gap(lam))
+    p = symbols.FreqPoint.from_radius(0.5)
+    u0, u1, t = _fresh(1.0 + 0.5j), _fresh(-0.25 + 1.0j), _fresh(3.0)
+    state = modes.mode_solve(p, u0, u1, t)
+    modes.energy_density(p, state, symbols.mult_weight(p, TH))
+    bound = modes.pointwise_bound_check(p, u0, u1, t, TH)
+    assert len(calls) == 1
+    # the same values as other objects, one argument at a time: evaluated anew
+    for k in range(4):
+        lam_k, t_k, u0_k, u1_k = (
+            _fresh(x) if i == k else x for i, x in enumerate((p.lam, t, u0, u1))
+        )
+        modes.mode_solve(p, u0, u1, t)
+        calls.clear()
+        again = modes.pointwise_bound_check(symbols.FreqPoint(p.r, lam_k), u0_k, u1_k, t_k, TH)
+        assert len(calls) == 1 and repr(again) == repr(bound)
+    # zero data, then zero data with negative zero parts, at a point where
+    # they give different bits: equal in value, so only identity tells them apart
+    p, t = symbols.FreqPoint.from_radius(2.0), 150.0
+    lam = np.array([p.lam])
+    results = []
+    for z in (0j, complex(-0.0, -0.0)):
+        s = modes.mode_solve(p, z, z, t)
+        u, v = modes.propagator_coeffs(lam, t, np.array([z]), np.array([z]), velocity=True)
+        assert np.array([s.u, s.v]).tobytes() == np.array([u[0], v[0]]).tobytes()
+        results.append(np.array([s.u, s.v]).tobytes())
+    assert results[0] != results[1]
 
 
 def test_propagator_all_oscillatory_call_matches_mixed_call():
