@@ -4,14 +4,14 @@
 
 OLD_SRC and NEW_SRC are directories holding a `logplate` package (the `src/`
 of two checkouts).  Each is imported in a subprocess of its own, which
-integrates the comparison set: the data and kinds of checks 06-11 and the
-n = 6 `log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low,
-lowmid, highmid and high, at the 21 times of the default grid, each at its
-check's tolerance and the other `QuadSpec` defaults, as `logplate verify`
-runs them, once a time with `norm_value` and once as one `norm_series`
-(the rows ending in "series"); and the log-weighted norm `data.y_norm` of the three data
-families at n = 1, 2, 3, 4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  For every (data, kind, zone)
-and every y_norm (family, n) one line says
+integrates the comparison set: each norm that NEW_SRC's `verify.requests`
+names for a check, once per (data, n, kind, tol), and the n = 6
+`log_tail:m=2,beta=0.5` `u-phi2` point, in the zones all, low, lowmid,
+highmid and high at the 21 times of the default grid, as `logplate verify`
+runs them, once a time with `norm_value` and once as one `norm_series` (the
+rows ending in "series"); and `data.y_norm` of the three data families at
+n = 1, 2, 3, 4, 8 and orders s = 0, 0.5, 1, 1.1, 2, 2.4.  OLD_SRC's
+subprocess reads the set on stdin.  For every (data, kind, zone) and every y_norm (family, n) one line says
 
     identical                       every value and err_est is the same double
     values identical                every value is the same double, some err_est is not
@@ -33,7 +33,8 @@ unified real, eigen), a quarter of them with the nearly fast-aligned data
 u1 = -u0.  It reads `identical` or `differs at K of 3000 points`.
 
 An oracle line compares `oracle.integrate_mode_at` as check 03 runs it: data
-(1, i), rel_tol 1e-10, over check 03's radii and times.  It reads `identical`
+(1, i), rel_tol 1e-10, over check 03's radii and times, NEW_SRC's
+`verify.R_GRID` and `verify.ORACLE_TIMES`.  It reads `identical`
 when every output is the same double, else `max scaled diff X`, the largest
 distance of two outputs scaled as `oracle.scaled_error` scales it.
 
@@ -62,36 +63,16 @@ from pathlib import Path
 GAUSS = "gaussian:alpha=1"
 LOG_TAIL = "log_tail:m=1,beta=0.2"
 ZERO = "zero_mass:alpha=1"
-# (u0, u1, n, kind, tol) of every series the comparison integrates
-CASES = (
-    *((GAUSS, GAUSS, n, "phi1", 1e-6) for n in (1, 2, 3)),  # check 06
-    (GAUSS, GAUSS, 2, "phi2", 1e-6),  # check 06
-    (GAUSS, GAUSS, 2, "u-phi1", 1e-6),  # check 07
-    (GAUSS, LOG_TAIL, 4, "u-phi", 1e-4),  # check 08
-    (GAUSS, LOG_TAIL, 8, "u-phi2", 1e-4),  # check 09
-    (GAUSS, LOG_TAIL, 8, "u", 1e-4),  # check 10
-    (GAUSS, GAUSS, 2, "u", 1e-6),  # check 11
-    (GAUSS, GAUSS, 3, "u", 1e-6),  # check 11
-    (ZERO, ZERO, 2, "u", 1e-6),  # check 11
-    (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4),
-)
+# (u0, u1, n, kind, tol) of the one norm compared that no check reads
+EXTRA = (GAUSS, "log_tail:m=2,beta=0.5", 6, "u-phi2", 1e-4)
 ZONES = ("all", "low", "lowmid", "highmid", "high")
 Y_NORM_DATA = (GAUSS, ZERO, LOG_TAIL)
 Y_NORM_DIMS = (1, 2, 3, 4, 8)
 Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
 SCALAR_POINTS = 3000
-ORACLE_TIMES = (0.1, 1.0, 10.0, 50.0, 100.0)
 ORACLE_LIMIT = 1e-10
 # the times of check 05's middle band: its fit at t = 10, then its zone times
 MIDDLE_TIMES = (10.0, *(10.0 * 2.0 ** (k / 2.0) for k in range(7)), 100.0)
-
-
-def oracle_radii(th) -> tuple[float, ...]:
-    """Check 03's radii: every regime, both sides of the root collision."""
-    return (
-        0.0, 1e-4, th.eta / 2.0, th.eta, 0.5 * (th.eta + th.delta), th.delta * (1.0 - 1e-8),
-        th.delta * (1.0 + 1e-8), 0.7, 1.0, th.r_unit, 3.0, 10.0, 1e3,
-    )
 
 
 def ref_calls(eta: float) -> tuple[tuple, ...]:
@@ -148,14 +129,23 @@ def _key(case, zone: str) -> str:
     return f"n={n} {u0} {u1} {kind} tol={tol:g} zone={zone}"
 
 
-def emit() -> None:
-    """Integrate the comparison set with the importable logplate; print JSON."""
+def emit(given: str) -> None:
+    """Integrate the comparison set `given` as JSON, or else the one this
+    tree's checks name, with the importable logplate; print both as JSON."""
     import logplate
     from logplate import data, modes, oracle, quadrature, symbols
 
+    if given.strip():
+        todo = json.loads(given)
+    else:  # this tree's checks name the set
+        from logplate import verify
+
+        norms = [r[:5] for cid in verify.CHECK_IDS for r in verify.requests(cid)]
+        todo = {"cases": [*dict.fromkeys([*norms, EXTRA])], "radii": verify.R_GRID,
+                "oracle_times": verify.ORACLE_TIMES}
     out = {
-        "package": logplate.__file__, "values": {}, "diverged": {}, "scalar": [], "oracle": [],
-        "panels": {}, "ref": [], "ref_tol": quadrature.REF_TOL,
+        "package": logplate.__file__, "set": todo, "values": {}, "diverged": {}, "scalar": [],
+        "oracle": [], "panels": {}, "ref": [], "ref_tol": quadrature.REF_TOL,
     }
     gk_eval = quadrature._gk_eval
     levin = getattr(quadrature, "_levin", None)  # newer than some trees compared
@@ -183,13 +173,13 @@ def emit() -> None:
         b = modes.pointwise_bound_check(p, u0, u1, t, th)
         out["scalar"].append([*_bits(s.u, s.v, b.energy_margin, b.amplitude_margin), b.passed])
     cfg = oracle.IntegratorConfig(rel_tol=1e-10)
-    for r in oracle_radii(th):
+    for r in todo["radii"]:
         p = symbols.FreqPoint.from_radius(r)
-        for s in oracle.integrate_mode_at(p, 1.0, 1j, ORACLE_TIMES, cfg):
+        for s in oracle.integrate_mode_at(p, 1.0, 1j, tuple(todo["oracle_times"]), cfg):
             out["oracle"].append(_bits(s.u, s.v))
     for name, *args in ref_calls(th.eta):
         out["ref"].append(getattr(quadrature, name)(*args))
-    for case in CASES:
+    for case in todo["cases"]:
         u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)
         spec = quadrature.QuadSpec(n=n, tol=tol)
@@ -222,11 +212,10 @@ def emit() -> None:
     print(json.dumps(out))
 
 
-def _values(src: str) -> dict:
+def _values(src: str, given: str) -> dict:
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True
-    )
+    proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, input=given,
+                          capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
     if not Path(out["package"]).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: {src} did not provide logplate ({out['package']} was imported)")
@@ -289,12 +278,13 @@ def ref_line(old: list, new: list, limit: float) -> tuple[str, bool]:
 
 def main(argv: list[str]) -> int:
     if argv == ["--emit"]:
-        emit()
+        emit(sys.stdin.read())
         return 0
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    old, new = (_values(src) for src in argv)
+    new = _values(argv[1], "")
+    old = _values(argv[0], json.dumps(new["set"]))
     failed = False
     for key in old["values"]:
         line, within = verdict(old["values"][key], new["values"][key])

@@ -16,32 +16,4 @@ both) at desk scale (`rates`).  Everything is deterministic: identical
 inputs give bit-identical output.
 """
 
-from .symbols import (
-    R_UNIT,
-    FreqPoint,
-    Thresholds,
-    CharRoots,
-    char_roots,
-    compute_thresholds,
-    log_weight,
-    mult_weight,
-)
-from .modes import ModeState, EnergyDensity, energy_density, mode_solve, pointwise_bound_check
-from .oracle import IntegratorConfig, StepBudgetError, integrate_mode
-from .quadrature import (
-    NORM_KINDS,
-    ZONES,
-    NormSeries,
-    QuadSpec,
-    default_time_grid,
-    norm_series,
-    norm_value,
-    radial_integral,
-    ref_integral_Ip,
-    ref_integral_Jp,
-    surface_area,
-)
-from .data import RadialSpectrum, parse_pair, parse_profile, y_norm
-from .rates import BandReport, DecayRegime, RateFit, RegimeReport, classify, fit_rate, two_sided_band
-
 __version__ = "0.1.0"

@@ -141,7 +141,12 @@ def _cmd_mode(args) -> int:
         raise ValueError("--u0 and --u1 must be finite")
     state = modes.mode_solve(p, u0, u1, args.t)
     w = symbols.mult_weight(p, th)
-    dens = modes.energy_density(p, state, w)
+    try:
+        dens = modes.energy_density(p, state, w)
+        if not (math.isfinite(dens.e0) and math.isfinite(dens.e_mod)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("--u0 and --u1 must be small enough that the mode's energy is finite") from None
     header = ["r", "t", "u_re", "u_im", "ut_re", "ut_im", "e0", "e_mod", "ode_residual"]
     lam = p.lam
     # nan where nothing can be read: t too small for the stencil, or terms
@@ -249,7 +254,7 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in ids if c not in verify.CHECK_IDS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]}; known: {', '.join(verify.CHECK_IDS)}")
-    results = verify.run_all(ids)
+    results = [verify.run_check(cid) for cid in ids]
     for res in results:
         sys.stdout.write(verify.render_line(res) + "\n")
         sys.stdout.flush()

@@ -32,6 +32,7 @@ import numpy as np
 from .quadrature import TAIL_START, log_flat_measure, radial_integral, tail_integral
 
 __all__ = [
+    "ALPHA_MIN",
     "RadialProfile",
     "GaussianProfile",
     "ZeroMassProfile",
@@ -74,10 +75,16 @@ class RadialProfile:
         return f"<{type(self).__name__} {self.name} n={self.n}>"
 
 
+# alpha >= y0^2: y0 ~ 6.5e-8 is the first GK15 node of [0, 2^-16], the first
+# panel of the ladder every norm takes on y in [0, 1]; narrower data lie left
+# of all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
+ALPHA_MIN = (2.0**-17 * (1.0 - 0.991455371120812639206854697526329)) ** 2
+
+
 class GaussianProfile(RadialProfile):
     def __init__(self, alpha: float, amplitude: float, n: int):
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not alpha >= ALPHA_MIN:
+            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.alpha = float(alpha)
@@ -106,8 +113,8 @@ class GaussianProfile(RadialProfile):
 
 class ZeroMassProfile(RadialProfile):
     def __init__(self, alpha: float, n: int):
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not alpha >= ALPHA_MIN:
+            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.alpha = float(alpha)

@@ -2,9 +2,9 @@
 
 The mode ODE (1+L) u'' + u' + L(1+L) u = 0 has roots -a +/- c, a = 1/(2(1+L))
 and c^2 = a^2 - L of either sign, both from `symbols.collision_gap`.  One
-kernel, `propagator_coeffs`, serves `mode_solve` and `pointwise_bound_check`
-(a float L) and the quadrature (arrays); with z = c^2 t^2 each node takes one
-of four branches, each written once:
+kernel serves `mode_solve` and `pointwise_bound_check` (a float L, `_point`)
+and the quadrature (arrays, `propagator_coeffs`); with z = c^2 t^2 each node
+takes one of four branches, each written once:
 
 * series, |z| < 1e-6 (the root collision r ~ delta, or t ~ 0), and
   oscillating, z < 0 (r > delta): u(t) = e^{-at} [C u0 + S (u1 + a u0)]
@@ -72,16 +72,15 @@ def oscillating_coeffs(a, csq, t, xp=np):
 # reciprocal, rounded alike by both.  Up to the sign of a zero: see
 # `_zero_parts_settled`.
 #
-# The float path, `_point`, serves `mode_solve`, `pointwise_bound_check` and
-# a float `propagator_coeffs`, and remembers its last point: `_last` holds
-# (lam, t, u0, u1, (u, v)), and a call whose four arguments are those very
-# objects (`is`) returns (u, v) without evaluating, as `pointwise_bound_check`
-# right after `mode_solve` on the same point does.  The entry keeps its
-# arguments alive, so an identity match means identical bits; data equal in
-# value but not in the sign of a zero are other objects and are evaluated
-# anew.  The float path takes scalars, which are immutable.  The entry is
-# replaced by one assignment, so a thread reads either the old entry or the
-# new one whole.
+# The float path, `_point`, serves `mode_solve` and `pointwise_bound_check`
+# and remembers its last point: `_last` holds (lam, t, u0, u1, (u, v)), and a
+# call whose four arguments are those very objects (`is`) returns (u, v)
+# without evaluating, as `pointwise_bound_check` right after `mode_solve` on
+# the same point does.  The entry keeps its arguments alive, so an identity
+# match means identical bits; data equal in value but not in the sign of a
+# zero are other objects and are evaluated anew.  The float path takes
+# scalars, which are immutable.  The entry is replaced by one assignment, so
+# a thread reads either the old entry or the new one whole.
 _FLOAT = SimpleNamespace(
     exp=lambda x, f=np.exp: float(f(x)),
     cos=lambda x, f=np.cos: float(f(x)),
@@ -171,13 +170,9 @@ def _point(lam, t, u0, u1):
 
 def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     """Mode value u(t) with data (u0, u1), or with `velocity` (u(t), u'(t)),
-    at log-weights `lam`: a float, or an ndarray with u0, u1 of its shape
-    and t >= 0 a float or one more such array; z = c^2 t^2 picks the branch.
+    at log-weights `lam`, an ndarray with u0, u1 of its shape and t >= 0 a
+    float or one more such array; z = c^2 t^2 picks the branch.
     """
-    if not isinstance(lam, np.ndarray):
-        out = _point(lam, t, u0, u1)
-        return out if velocity else out[0]
-
     a, csq = collision_gap(lam)
     if (csq.max() * t * t).max() <= -_SERIES_CUT:
         # every node oscillates (the whole high zone at t > 0): no masks

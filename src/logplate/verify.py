@@ -1,9 +1,9 @@
 """The acceptance suite: thirteen numbered checks gating the whole build.
 
-Each check is pure given its inputs and produces one result record; a
-check that needs a norm series computes it, as no two checks share one, and
-integrates only the times its judge reads: the grid times inside the fit
-window, as `rates.window_times` picks them.
+Each check is pure given its inputs and produces one result record.  It is
+a judge and the norms it reads (`requests`); `run_check` integrates them,
+as no two checks share one, at only the times the judge reads, such as the
+fit-window grid times that `rates.window_times` picks.
 Check 13 re-executes checks 01, 02 and 10 and compares their canonical
 serialisation (all fields except the wall-time) byte for byte.
 """
@@ -22,8 +22,10 @@ __all__ = [
     "CheckResult",
     "CHECK_IDS",
     "FIT_WINDOW",
+    "R_GRID",
+    "ORACLE_TIMES",
+    "requests",
     "run_check",
-    "run_all",
     "canonical_line",
     "render_line",
 ]
@@ -63,8 +65,8 @@ def render_line(res: CheckResult) -> str:
 _TH = quadrature.THRESHOLDS
 
 # Radial sample grid exercising every regime, including both sides of the
-# root collision.
-_R_GRID = (
+# root collision, and the output times of check 03's integrator runs.
+R_GRID = (
     0.0,
     1e-4,
     _TH.eta / 2.0,
@@ -79,16 +81,18 @@ _R_GRID = (
     10.0,
     1e3,
 )
+ORACLE_TIMES = (0.1, 1.0, 10.0, 50.0, 100.0)
 
 _DATA_PAIRS = ((1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j), (1.0 + 0j, -1.0 + 0j))
 
 # Times of the exponentially small middle-zone bounds (checks 05 and 12).
 _ZONE_TIMES = quadrature.default_time_grid(6) + (100.0,)
 
-# Regularity index of the checks' data (log_tail m = 1; Gaussian data has
-# every l).  Checks 07-11 take the paper's exponents, and checks 07-09 the
-# profile they subtract, from rates.classify(n, _L_DATA), so a wrong
-# classifier fails them.
+# The series checks' data and its regularity index (log_tail m = 1; Gaussian
+# data has every l).  Checks 07-11 take the paper's exponents, and checks
+# 07-09 the profile they subtract, from rates.classify(n, _L_DATA), so a
+# wrong classifier fails them.
+_GAUSS, _LOG_TAIL, _ZERO = "gaussian:alpha=1", "log_tail:m=1,beta=0.2", "zero_mass:alpha=1"
 _L_DATA = 1.0
 
 
@@ -96,10 +100,14 @@ _L_DATA = 1.0
 _FIT_TIMES = rates.window_times(quadrature.default_time_grid(), FIT_WINDOW, "fit")
 
 
-def _series(sel0: str, sel1: str, n: int, kind: str, tol: float):
-    """Norm series of the data pair (sel0, sel1) on the fit-window times."""
+def _integrate(sel0: str, sel1: str, n: int, kind: str, tol: float, times, zone: str = "all"):
+    """The norm of one request as a series: a float time is one `norm_value`."""
+    d = data_mod.parse_pair(sel0, sel1, n)
     spec = quadrature.QuadSpec(n=n, tol=tol)
-    return quadrature.norm_series(data_mod.parse_pair(sel0, sel1, n), kind, n, _FIT_TIMES, spec)
+    if isinstance(times, float):
+        value, err = quadrature.norm_value(d, kind, n, times, spec, zone)
+        return quadrature.NormSeries(kind, zone, n, (times,), (value,), (err,))
+    return quadrature.norm_series(d, kind, n, times, spec, zone)
 
 
 def _positive_window(series: quadrature.NormSeries):
@@ -138,7 +146,7 @@ def _check_root_algebra() -> tuple[bool, str, str, str]:
     kd = 1.0 + math.log(1.0 + _TH.delta**2)
     worst = 0.0
     bounds_ok = True
-    for r in _R_GRID:
+    for r in R_GRID:
         p = symbols.FreqPoint.from_radius(r)
         roots = symbols.char_roots(p)
         lam = p.lam
@@ -177,9 +185,9 @@ def _check_oracle() -> tuple[bool, str, str, str]:
     # u0 X1 + u1 X2.  One integration per radius serves every data pair.
     cfg = oracle.IntegratorConfig(rel_tol=1e-10)
     worst = 0.0
-    for r in _R_GRID:
+    for r in R_GRID:
         p = symbols.FreqPoint.from_radius(r)
-        basis = oracle.integrate_mode_at(p, 1.0, 1j, (0.1, 1.0, 10.0, 50.0, 100.0), cfg)
+        basis = oracle.integrate_mode_at(p, 1.0, 1j, ORACLE_TIMES, cfg)
         for u0, u1 in _DATA_PAIRS:
             for b in basis:
                 num = modes.ModeState(
@@ -198,7 +206,7 @@ def _check_oracle() -> tuple[bool, str, str, str]:
 
 def _check_energy() -> tuple[bool, str, str, str]:
     h = 1e-4
-    fd_r = [r for r in _R_GRID if r <= 3.0]  # keeps the stencil error below tolerance
+    fd_r = [r for r in R_GRID if r <= 3.0]  # keeps the stencil error below tolerance
     fd_t = (0.5, 2.0, 10.0, 100.0)
     worst_diss = 0.0
     worst_mod = 0.0
@@ -223,7 +231,7 @@ def _check_energy() -> tuple[bool, str, str, str]:
                 de = (hi.e_mod - lo.e_mod) / (2.0 * h)
                 worst_mod = max(worst_mod, abs(de + mid.f_mod - mid.r_mult))
                 worst_decay = max(worst_decay, de + 0.5 * w * mid.e_mod)
-    for r in _R_GRID:
+    for r in R_GRID:
         p = symbols.FreqPoint.from_radius(r)
         w = symbols.mult_weight(p, _TH)
         for u0, u1 in _DATA_PAIRS:
@@ -292,22 +300,19 @@ def _check_integrals() -> tuple[bool, str, str, str]:
     )
 
 
-def _check_profile_anchors() -> tuple[bool, str, str, str]:
+def _check_profile_anchors(*norms) -> tuple[bool, str, str, str]:
+    *heat, s_phi2 = norms
     ok = True
     notes = []
     worst = 0.0
-    for n in (1, 2, 3):
-        d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
-        spec = quadrature.QuadSpec(n=n, tol=1e-6)
-        val, _ = quadrature.norm_value(d, "phi1", n, 1e4, spec)
-        anchor = d.mass_sum**2 * (math.pi / 2.0) ** (n / 2.0)
-        rel = abs(val * 1e4 ** (n / 2.0) / anchor - 1.0)
-        worst = max(worst, rel)
+    for s in heat:
+        n, t = s.n, s.ts[0]
+        anchor = data_mod.parse_pair(_GAUSS, _GAUSS, n).mass_sum**2 * (math.pi / 2.0) ** (n / 2.0)
+        worst = max(worst, abs(s.values[0] * t ** (n / 2.0) / anchor - 1.0))
     ok &= worst < 0.05
     notes.append(f"heat_anchor_rel={worst:.2e}")
     # oscillatory-profile norm for smooth data: superpolynomial decay, so the
     # fit runs on the positive sub-window (values underflow beyond t ~ 3e3)
-    s_phi2 = _series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
     fit = rates.fit_rate(s_phi2, _positive_window(s_phi2))
     ok &= fit.slope <= -2.9
     notes.append(f"wave_norm_sq_slope={fit.slope:.2f}")
@@ -339,16 +344,14 @@ def _gaussian_diffusion_constant(d: data_mod.RadialSpectrum, n: int) -> float:
     )
 
 
-def _check_diffusion_rate() -> tuple[bool, str, str, str]:
-    n = 2
-    sel = "gaussian:alpha=1"
+def _check_diffusion_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
+    n = s.n
     report = rates.classify(n, _L_DATA)
-    s = _series(sel, sel, n, f"u-{report.profile}", 1e-6)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     theory = -(n + 4) / 4.0
     bound = report.diff_exponent
-    limit = _gaussian_diffusion_constant(data_mod.parse_pair(sel, sel, n), n)
+    limit = _gaussian_diffusion_constant(data_mod.parse_pair(_GAUSS, _GAUSS, n), n)
     t_last, v_last = s.ts[-1], s.values[-1]
     ratio = t_last ** ((n + 4) / 2.0) * v_last / limit
     ok = abs(slope - theory) <= 0.1 and slope <= bound + 0.1 and abs(ratio - 1.0) <= 1e-2
@@ -374,11 +377,10 @@ _PROFILE_TEXT = {
 }
 
 
-def _profile_rate(n: int) -> tuple[bool, str, str, str]:
+def _profile_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     """Checks 08 (n = 4, both) and 09 (n = 8, wave-like): ||u - profile||
     of the classifier's profile decays no slower than its exponent + 0.1."""
-    report = rates.classify(n, _L_DATA)
-    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", n, f"u-{report.profile}", 1e-4)
+    report = rates.classify(s.n, _L_DATA)
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
     theory = report.diff_exponent
     name, formula = _PROFILE_TEXT[report.profile]
@@ -386,15 +388,14 @@ def _profile_rate(n: int) -> tuple[bool, str, str, str]:
         slope <= theory + 0.1,
         f"norm_slope={slope:.4f}",
         f"||u - {name}|| slope <= {theory + 0.1:g} (theory {formula} = {theory:g})"
-        f" for n={n}, l={_L_DATA:g}",
+        f" for n={s.n}, l={_L_DATA:g}",
         "+0.1",
     )
 
 
-def _check_solution_sharpness() -> tuple[bool, str, str, str]:
-    s = _series("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4)
+def _check_solution_sharpness(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
-    upper = rates.classify(8, _L_DATA).sol_exponent_upper
+    upper = rates.classify(s.n, _L_DATA).sol_exponent_upper
     return (
         (-1.2 <= slope <= -1.0) and slope <= upper + 0.1,
         f"norm_slope={slope:.4f}",
@@ -404,20 +405,19 @@ def _check_solution_sharpness() -> tuple[bool, str, str, str]:
     )
 
 
-def _check_two_sided() -> tuple[bool, str, str, str]:
+def _check_two_sided(*norms) -> tuple[bool, str, str, str]:
+    *gaussian, s0 = norms
     ok = True
     notes = []
-    for n in (2, 3):
-        theory = rates.classify(n, _L_DATA)
-        s = _series("gaussian:alpha=1", "gaussian:alpha=1", n, "u", 1e-6)
+    for s in gaussian:
+        theory = rates.classify(s.n, _L_DATA)
         # squared series: twice the norm exponent, compared in the band's
         # squared-series defaults (ratio cap 9 = 3^2)
         band = rates.two_sided_band(s, 2.0 * theory.sol_exponent_upper, FIT_WINDOW)
         ok &= theory.two_sided and band.passed
-        notes.append(f"n{n}_norm_ratio={math.sqrt(band.ratio):.3f},drift={band.drift}")
+        notes.append(f"n{s.n}_norm_ratio={math.sqrt(band.ratio):.3f},drift={band.drift}")
     # without mass phi1 vanishes, so u itself decays like u - phi1
-    cap = rates.classify(2, _L_DATA).diff_exponent + 0.1
-    s0 = _series("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6)
+    cap = rates.classify(s0.n, _L_DATA).diff_exponent + 0.1
     slope = rates.fit_rate(s0, FIT_WINDOW).slope / 2.0
     ok &= slope <= cap
     notes.append(f"zero_mass_slope={slope:.4f}")
@@ -429,28 +429,20 @@ def _check_two_sided() -> tuple[bool, str, str, str]:
     )
 
 
-def _check_zone_exponential() -> tuple[bool, str, str, str]:
-    n = 2
-    d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
-    spec = quadrature.QuadSpec(n=n, tol=1e-8)
-    norms = (
-        data_mod.y_norm(d.u0, 0.0, n).value + data_mod.y_norm(d.u1, 0.0, n).value
-    )
-    ts = _ZONE_TIMES
+def _check_zone_exponential(*zones) -> tuple[bool, str, str, str]:
+    d = data_mod.parse_pair(_GAUSS, _GAUSS, zones[0].n)
+    norms = data_mod.y_norm(d.u0, 0.0).value + data_mod.y_norm(d.u1, 0.0).value
     ok = True
     notes = []
-    for zone, rate in (
-        ("lowmid", 0.5 / (1.0 + math.log(1.0 + _TH.delta**2))),
-        ("highmid", 0.5),
-    ):
-        vals = quadrature.norm_series(d, "u", n, ts, spec, zone=zone).values
+    for s, rate in zip(zones, (0.5 / (1.0 + math.log(1.0 + _TH.delta**2)), 0.5)):
+        ts, vals = s.ts, s.values
         c_fit = max(0.0, (vals[0] * math.exp(rate * ts[0]) / norms - 1.0) / ts[0] ** 2)
         zone_ok = all(
             v <= (1.0 + c_fit * t * t) * math.exp(-rate * t) * norms * (1.0 + 1e-9)
             for t, v in zip(ts, vals)
         )
         ok &= zone_ok
-        notes.append(f"{zone}_ok={zone_ok},C={c_fit:.3e}")
+        notes.append(f"{s.zone}_ok={zone_ok},C={c_fit:.3e}")
     return (
         bool(ok),
         ",".join(notes),
@@ -477,34 +469,57 @@ def _check_determinism() -> tuple[bool, str, str, str]:
     )
 
 
+# Each check's judge, then the norms it takes as NormSeries; `requests` names
+# kind None when the check runs.
 _CHECKS = {
-    "01-thresholds": _check_thresholds,
-    "02-root-algebra": _check_root_algebra,
-    "03-oracle-equivalence": _check_oracle,
-    "04-energy-identities": _check_energy,
-    "05-integral-asymptotics": _check_integrals,
-    "06-profile-norm-anchors": _check_profile_anchors,
-    "07-diffusion-profile-rate": _check_diffusion_rate,
-    "08-combined-profile-rate": lambda: _profile_rate(4),
-    "09-wave-profile-rate": lambda: _profile_rate(8),
-    "10-solution-norm-sharpness": _check_solution_sharpness,
-    "11-optimal-two-sided": _check_two_sided,
-    "12-zone-exponential": _check_zone_exponential,
-    "13-determinism": _check_determinism,
+    "01-thresholds": (_check_thresholds,),
+    "02-root-algebra": (_check_root_algebra,),
+    "03-oracle-equivalence": (_check_oracle,),
+    "04-energy-identities": (_check_energy,),
+    "05-integral-asymptotics": (_check_integrals,),
+    "06-profile-norm-anchors": (
+        _check_profile_anchors,
+        *((_GAUSS, _GAUSS, n, "phi1", 1e-6, 1e4) for n in (1, 2, 3)),
+        (_GAUSS, _GAUSS, 2, "phi2", 1e-6, _FIT_TIMES),
+    ),
+    "07-diffusion-profile-rate":
+        (_check_diffusion_rate, (_GAUSS, _GAUSS, 2, None, 1e-6, _FIT_TIMES)),
+    "08-combined-profile-rate": (_profile_rate, (_GAUSS, _LOG_TAIL, 4, None, 1e-4, _FIT_TIMES)),
+    "09-wave-profile-rate": (_profile_rate, (_GAUSS, _LOG_TAIL, 8, None, 1e-4, _FIT_TIMES)),
+    "10-solution-norm-sharpness":
+        (_check_solution_sharpness, (_GAUSS, _LOG_TAIL, 8, "u", 1e-4, _FIT_TIMES)),
+    "11-optimal-two-sided": (
+        _check_two_sided,
+        *((_GAUSS, _GAUSS, n, "u", 1e-6, _FIT_TIMES) for n in (2, 3)),
+        (_ZERO, _ZERO, 2, "u", 1e-6, _FIT_TIMES),
+    ),
+    "12-zone-exponential": (
+        _check_zone_exponential,
+        *((_GAUSS, _GAUSS, 2, "u", 1e-8, _ZONE_TIMES, zone) for zone in ("lowmid", "highmid")),
+    ),
+    "13-determinism": (_check_determinism,),
 }
 
 
 CHECK_IDS = tuple(_CHECKS)
 
 
+def requests(check_id: str) -> tuple[tuple, ...]:
+    """The norms check `check_id` reads, in the order its judge takes them:
+    (sel0, sel1, n, kind, tol, times[, zone]); a float `times` is one
+    `norm_value` call, and a kind the table leaves None is u-{profile} of
+    rates.classify(n, _L_DATA), looked up at each call."""
+    return tuple(
+        (sel0, sel1, n, kind or f"u-{rates.classify(n, _L_DATA).profile}", *rest)
+        for sel0, sel1, n, kind, *rest in _CHECKS[check_id][1:]
+    )
+
+
 def run_check(check_id: str) -> CheckResult:
     if check_id not in _CHECKS:
         raise KeyError(f"unknown check {check_id!r}")
     start = time.perf_counter()
-    ok, observed, expected, tolerance = _CHECKS[check_id]()
+    norms = [_integrate(*request) for request in requests(check_id)]
+    ok, observed, expected, tolerance = _CHECKS[check_id][0](*norms)
     elapsed = time.perf_counter() - start
     return CheckResult(check_id, "pass" if ok else "fail", observed, expected, tolerance, elapsed)
-
-
-def run_all(check_ids=CHECK_IDS) -> list[CheckResult]:
-    return [run_check(cid) for cid in check_ids]

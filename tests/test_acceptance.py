@@ -16,7 +16,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from logplate import modes, oracle, rates, symbols, verify
+from logplate import data, modes, oracle, quadrature, rates, symbols, verify
 
 CANONICAL = {
     json.loads(line)["check_id"]: line
@@ -56,7 +56,33 @@ def test_check_03_integrates_each_radius_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "integrate_mode_at", counted)
     assert verify.run_check("03-oracle-equivalence").passed
-    assert runs == [(1.0, 1j, (0.1, 1.0, 10.0, 50.0, 100.0))] * 13
+    assert runs == [(1.0, 1j, verify.ORACLE_TIMES)] * 13
+
+
+def test_every_check_integrates_the_norms_it_requests_in_order(monkeypatch):
+    # stand-ins record every norm_value and norm_series call, so a judge that
+    # integrates around verify.requests fails; check 13 runs check 10 twice
+    calls = []
+
+    def norm_value(d, kind, n, t, spec, zone):
+        calls.append((d.u0.name, d.u1.name, n, spec.n, kind, spec.tol, t, zone))
+        return 1.0, 0.0
+
+    def norm_series(d, kind, n, ts, spec, zone):
+        norm_value(d, kind, n, ts, spec, zone)
+        return quadrature.NormSeries(kind, zone, n, ts, (1.0,) * len(ts), (0.0,) * len(ts))
+
+    monkeypatch.setattr(quadrature, "norm_value", norm_value)
+    monkeypatch.setattr(quadrature, "norm_series", norm_series)
+    for check_id in verify.CHECK_IDS:
+        calls.clear()
+        verify.run_check(check_id)
+        ids = ("10-solution-norm-sharpness",) * 2 if check_id == "13-determinism" else (check_id,)
+        assert calls == [
+            (data.parse_profile(s0, n).name, data.parse_profile(s1, n).name, n, n, kind, tol, times,
+             *(zone or ["all"]))
+            for cid in ids for s0, s1, n, kind, tol, times, *zone in verify.requests(cid)
+        ], check_id
 
 
 def test_render_line_is_canonical_line_plus_seconds():

@@ -202,6 +202,8 @@ def test_bad_time_grid(capsys):
         "solve --n 2 --data-u0 gaussian:alpha=1,amplitude=-inf",
         "solve --n 2 --data-u0 log_tail:m=nan,beta=0.2",
         "solve --n 2 --data-u0 gaussian:alpha=1,alpha=5",  # a repeated key
+        "solve --n 2 --data-u0 gaussian:alpha=1e-18",  # narrower than ALPHA_MIN
+        "solve --n 2 --data-u0 zero_mass:alpha=4.2e-15",
     ],
 )
 def test_overflowing_or_non_finite_input_is_rejected_before_any_work(monkeypatch, capsys, argv):
@@ -221,9 +223,11 @@ def test_overflowing_or_non_finite_input_is_rejected_before_any_work(monkeypatch
 @pytest.mark.parametrize(
     "flags",
     ["--t=nan", "--t=inf", "--t=inf --oracle", "--t=-1 --oracle", "--u0=nan",
-     "--u1=inf --oracle", "--u0=1+nanj", "--r=nan"],
+     "--u1=inf --oracle", "--u0=1+nanj", "--r=nan",
+     # |u|^2 overflows (OverflowError), or the energy reads inf
+     "--r=0.5 --t=1 --u1=1e200", "--u0=1e200j --oracle", "--r=1e200 --u0=1e152"],
 )
-def test_mode_rejects_non_finite_input(monkeypatch, capsys, flags):
+def test_mode_rejects_non_finite_or_overflowing_input(monkeypatch, capsys, flags):
     from logplate import oracle
 
     monkeypatch.setattr(oracle, "MAX_STEPS", 0)  # a single step would exit 3
@@ -254,7 +258,7 @@ def test_unwritable_out_is_an_input_error_before_any_work(monkeypatch, tmp_path,
     def fail(*args, **kwargs):
         raise AssertionError("the checks ran before --out was rejected")
 
-    monkeypatch.setattr(verify, "run_all", fail)
+    monkeypatch.setattr(verify, "run_check", fail)
     code = cli.main([command, "--out", str(tmp_path / where)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

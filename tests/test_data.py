@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logplate import data as data_mod
+from logplate import quadrature as quad
 from logplate import symbols
 
 
@@ -189,3 +190,22 @@ def test_family_parameter_validation():
         data_mod.LogTailProfile(-1.0, 0.5, 2)
     with pytest.raises(ValueError):
         data_mod.y_norm(data_mod.GaussianProfile(1.0, 1.0, 2), -1.0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "zero_mass"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_data_at_the_alpha_floor_read_their_closed_form_norm(family, n):
+    # the floor is y0^2, y0 the first GK15 node of the 2^-16 ladder's first
+    # panel, where y_norm and the solution at t = 0 are within err_est of the
+    # closed form (at alpha = 1e-18 every node underflowed: 0, err_est 0)
+    lo, hi = quad._build_bounds(0.0, 1.0, ladder=16)[:2]
+    y0 = 0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._NODES[0]
+    alpha = data_mod.ALPHA_MIN
+    assert alpha == pytest.approx(y0 * y0, rel=1e-12)
+    d = data_mod.parse_pair(f"{family}:alpha={alpha!r}", f"{family}:alpha={alpha!r}", n)
+    k = n / 2.0 if family == "gaussian" else (n + 4) / 2.0
+    peak = d.u0.peak if family == "gaussian" else 1.0
+    exact = peak**2 * quad.surface_area(n) * math.gamma(k) * (2.0 * alpha) ** k / 2.0
+    res = data_mod.y_norm(d.u0, 0.0)
+    value, err = quad.norm_value(d, "u", n, 0.0, quad.QuadSpec(n=n, tol=1e-6))
+    assert abs(res.value - exact) <= res.err_est and abs(value - exact) <= err

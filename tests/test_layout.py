@@ -1,8 +1,10 @@
 """Module layout: no module of the package imports another one's private
 names, every public top-level name of a module with __all__ is listed in
-it, and every public function has a caller in the package."""
+it, every public function has a caller in the package, and the package and
+its tests import only declared dependencies."""
 
 import ast
+import sys
 from pathlib import Path
 
 import logplate
@@ -93,12 +95,7 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_every_public_function_has_a_package_caller():
-    # the __init__ re-exports are not callers
-    trees = {
-        path.stem: _tree(path)
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "__init__"
-    }
+    trees = {path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
     referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
     unreached = [
         f"{name}.{func}"
@@ -107,3 +104,18 @@ def test_every_public_function_has_a_package_caller():
         if func not in referenced
     ]
     assert unreached == []
+
+
+def test_package_and_tests_import_only_declared_dependencies():
+    # the standard library and the dependencies that pyproject.toml declares
+    allowed = sys.stdlib_module_names | {"numpy", "pytest", "hypothesis", "logplate"}
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/*.py")]):
+        for node in ast.walk(_tree(path)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno} imports {name}"
+                      for name in names if name.split(".")[0] not in allowed]
+    assert found == []

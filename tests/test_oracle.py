@@ -282,14 +282,14 @@ def _stage_loop(p, u0, u1, times, rel_tol):
     return out, attempts
 
 
-@pytest.mark.parametrize("r", verify._R_GRID)
+@pytest.mark.parametrize("r", verify.R_GRID)
 def test_step_is_the_stage_loop_of_the_tableau(monkeypatch, r):
     # same states within rounding, and the same accepted and rejected steps:
     # the run fits a budget of the reference's count and not one step less;
     # over check 03's radii, data and times, so the whole check takes the
     # stage loop's steps
     p = symbols.FreqPoint.from_radius(r)
-    times = (0.1, 1.0, 10.0, 50.0, 100.0)
+    times = verify.ORACLE_TIMES
     ref, attempts = _stage_loop(p, 1.0, 1j, times, 1e-10)
     monkeypatch.setattr(oracle, "MAX_STEPS", attempts)
     nums = oracle.integrate_mode_at(p, 1.0, 1j, times)

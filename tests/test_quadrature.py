@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logplate import data as data_mod
-from logplate import modes, rates, symbols, verify
+from logplate import modes, symbols, verify
 from logplate import quadrature as quad
 
 GAUSS2 = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", 2)
@@ -467,19 +467,6 @@ def test_series_csv_convention_fields():
     assert all(e >= 0.0 for e in series.errs)
 
 
-# the data of checks 06 to 11: (u0, u1, n, kind, tol)
-CHECK_CASES = [
-    *(("gaussian:alpha=1", "gaussian:alpha=1", n, "phi1", 1e-6) for n in (1, 2, 3)),
-    ("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6),
-    ("gaussian:alpha=1", "gaussian:alpha=1", 2, "u-phi1", 1e-6),
-    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 4, "u-phi", 1e-4),
-    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u-phi2", 1e-4),
-    ("gaussian:alpha=1", "log_tail:m=1,beta=0.2", 8, "u", 1e-4),
-    *(("gaussian:alpha=1", "gaussian:alpha=1", n, "u", 1e-6) for n in (2, 3)),
-    ("zero_mass:alpha=1", "zero_mass:alpha=1", 2, "u", 1e-6),
-]
-
-
 @pytest.mark.parametrize("kind", ["u", "u-phi1", "phi2", "u-phi2", "u-phi"])
 def test_phase_form_reassembles_the_high_zone_value(kind):
     # m + P cos(bt) + Q sin(bt) is v up to its sign, also near y = 1 where
@@ -545,10 +532,13 @@ def _stepped_reference(d, kind, n, t, tol, zone="all"):
     return head[0] + tail, head[1] + err
 
 
-@pytest.mark.parametrize("sel0,sel1,n,kind,tol", CHECK_CASES)
+@pytest.mark.parametrize(
+    "sel0,sel1,n,kind,tol",
+    dict.fromkeys(r[:5] for cid in verify.CHECK_IDS for r in verify.requests(cid)),
+)
 def test_error_estimate_bounds_a_stepped_reference(sel0, sel1, n, kind, tol):
-    # the data and kinds of checks 06 to 11: err_est covers the distance to
-    # the value with every tail piece stepped, at tol / 100
+    # the data and kinds of the series checks: err_est covers the distance
+    # to the value with every tail piece stepped, at tol / 100
     d = data_mod.parse_pair(sel0, sel1, n)
     for t in (10.0, 40.0, 160.0, 640.0, 2560.0):
         v, e = quad.norm_value(d, kind, n, t, quad.QuadSpec(n=n, tol=tol))
@@ -822,9 +812,9 @@ def test_error_estimate_has_a_rounding_floor():
     assert err >= 4.0 * np.finfo(float).eps * value > 0.0
 
 
-def _series_panels(monkeypatch, kind, grid):
-    """(GK15, Levin) panels that the intervals of the series of checks 09 and
-    10's data and the kind on the grid end with."""
+def _series_panels(monkeypatch, run, *args):
+    """(GK15, Levin) panels that the intervals integrated by `run(*args)` end
+    with."""
     adaptive = quad._adaptive
     panels = [0, 0]
 
@@ -834,7 +824,7 @@ def _series_panels(monkeypatch, kind, grid):
         return out
 
     monkeypatch.setattr(quad, "_adaptive", counting)
-    quad.norm_series(LOG_TAIL8, kind, 8, grid, quad.QuadSpec(n=8, tol=1e-4))
+    run(*args)
     return tuple(panels)
 
 
@@ -842,7 +832,7 @@ def test_check10_series_panel_count(monkeypatch):
     # the tail integrates each piece's smooth part by GK15 and, where that
     # part is nonzero, its fast terms by Levin collocation: check 10's series
     # ends with 517 GK15 and 201 Levin panels
-    assert _series_panels(monkeypatch, "u", verify._FIT_TIMES) == (517, 201)
+    assert _series_panels(monkeypatch, verify.run_check, "10-solution-norm-sharpness") == (517, 201)
 
 
 def _gk15_rows(monkeypatch):
@@ -858,46 +848,50 @@ def _gk15_rows(monkeypatch):
     return rows
 
 
+def _gk15_per_norm(monkeypatch, check_id):
+    """(GK15 calls, panels) of each norm the check integrates, in order."""
+    rows = _gk15_rows(monkeypatch)
+    counts = []
+    for name in ("norm_value", "norm_series"):
+
+        def counted(*args, run=getattr(quad, name)):
+            start = len(rows)
+            out = run(*args)
+            counts.append((len(rows) - start, sum(rows[start:])))
+            return out
+
+        monkeypatch.setattr(quad, name, counted)
+    verify.run_check(check_id)
+    return counts
+
+
 def test_check10_series_gk15_calls(monkeypatch):
     # each round of refinement evaluates the open panels of all pieces of
     # every time's run in one call: check 10's window series takes 13 calls
     # (143 when its times were integrated one after another), and its 608
     # GK15 panels show that no piece is integrated beyond the one that stops
     # the tail
-    rows = _gk15_rows(monkeypatch)
-    quad.norm_series(LOG_TAIL8, "u", 8, verify._FIT_TIMES, quad.QuadSpec(n=8, tol=1e-4))
-    assert (len(rows), sum(rows)) == (13, 608)
+    assert _gk15_per_norm(monkeypatch, "10-solution-norm-sharpness") == [(13, 608)]
 
 
 def test_check07_series_gk15_panel_count(monkeypatch):
     # every GK15 panel of check 07's window series, counted where panels are
     # evaluated: [0, 1] is one integral refined to tol of its own value, and
     # each empty tail piece takes one panel
-    rows = _gk15_rows(monkeypatch)
-    kind = f"u-{rates.classify(2, verify._L_DATA).profile}"
-    verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, kind, 1e-6)
-    assert sum(rows) == 680
+    ((_, panels),) = _gk15_per_norm(monkeypatch, "07-diffusion-profile-rate")
+    assert panels == 680
 
 
 def test_check11_series_gk15_calls(monkeypatch):
     # check 11's three window series (Gaussian n = 2 and 3, zero-mass n = 2):
     # the tail carries no mass, so bookkeeping, not panels, dominates them
-    rows = _gk15_rows(monkeypatch)
-    counts = []
-    for sel, n in (("gaussian:alpha=1", 2), ("gaussian:alpha=1", 3), ("zero_mass:alpha=1", 2)):
-        start = len(rows)
-        verify._series(sel, sel, n, "u", 1e-6)
-        counts.append((len(rows) - start, sum(rows[start:])))
-    assert counts == [(11, 638), (11, 642), (11, 646)]
-    assert (len(rows), sum(rows)) == (33, 1_926)
+    assert _gk15_per_norm(monkeypatch, "11-optimal-two-sided") == [(11, 638), (11, 642), (11, 646)]
 
 
 def test_check06_phi2_series_gk15_calls(monkeypatch):
     # the tail integrates only smooth parts and plain pieces by GK15: 18
     # calls and 718 panels
-    rows = _gk15_rows(monkeypatch)
-    verify._series("gaussian:alpha=1", "gaussian:alpha=1", 2, "phi2", 1e-6)
-    assert (len(rows), sum(rows)) == (18, 718)
+    assert _gk15_per_norm(monkeypatch, "06-profile-norm-anchors")[-1] == (18, 718)
 
 
 def test_check09_late_series_panel_count(monkeypatch):
@@ -905,7 +899,8 @@ def test_check09_late_series_panel_count(monkeypatch):
     # a wave profile damped by e^{-t/(2L)} instead of stepping through its
     # phase sqrt(L) t, and the series ends with 651 GK15 panels, and 168
     # Levin panels of the tail's fast terms
-    gk15, levin = _series_panels(monkeypatch, "u-phi2", quad.default_time_grid(13, 1e4))
+    grid, spec = quad.default_time_grid(13, 1e4), quad.QuadSpec(n=8, tol=1e-4)
+    gk15, levin = _series_panels(monkeypatch, quad.norm_series, LOG_TAIL8, "u-phi2", 8, grid, spec)
     assert (gk15, levin) == (651, 168) and gk15 < 1_000
 
 
