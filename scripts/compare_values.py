@@ -27,10 +27,11 @@ or its Levin panels L (counted at `quadrature._levin`, 0 in a tree without
 it) differ.
 
 A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
-(u, v) and `modes.pointwise_bound_check`'s verdict and margins at 3,000
-seeded points, 750 in each branch of the kernel (series, oscillating,
-unified real, eigen), a quarter of them with the nearly fast-aligned data
-u1 = -u0.  It reads `identical` or `differs at K of 3000 points`.
+(u, v), `modes.energy_density`'s four fields at the multiplier weight and
+`modes.pointwise_bound_check`'s verdict and margins at 3,000 seeded points,
+750 in each branch of the kernel (series, oscillating, unified real, eigen),
+a quarter of them with the nearly fast-aligned data u1 = -u0.  It reads
+`identical` or `differs at K of 3000 points`.
 
 An oracle line compares `oracle.integrate_mode_at` as check 03 runs it: data
 (1, i), rel_tol 1e-10, over check 03's radii and times, NEW_SRC's
@@ -40,8 +41,10 @@ distance of two outputs scaled as `oracle.scaled_error` scales it.
 
 A reference-integral line compares `quadrature.ref_integral_Ip`,
 `ref_integral_Jp` and `middle_zone_integral` at every (p, t) check 05 takes
-them.  It reads `identical` when every value is the same double, else
-`max rel diff X`, the largest |v - v'| / |v|.
+them, one time a call: as (p, t) in a tree whose functions take one time,
+as (p, (t,)) in one whose functions take a tuple of times `ts`.  It reads
+`identical` when every value is the same double, else `max rel diff X`,
+the largest |v - v'| / |v|.
 
 The script exits 1 when any value, of a zone or of y_norm, lies outside
 err + err', a divergence flag changed, a scalar mode point differs, the
@@ -52,6 +55,7 @@ count that differs is reported, not failed.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -170,15 +174,21 @@ def emit(given: str) -> None:
     for r, u0, u1, t in scalar_points(th.delta, th.eta):
         p = symbols.FreqPoint.from_radius(r)
         s = modes.mode_solve(p, u0, u1, t)
+        d = modes.energy_density(p, s, symbols.mult_weight(p, th))
         b = modes.pointwise_bound_check(p, u0, u1, t, th)
-        out["scalar"].append([*_bits(s.u, s.v, b.energy_margin, b.amplitude_margin), b.passed])
+        out["scalar"].append([*_bits(s.u, s.v, *d, b.energy_margin, b.amplitude_margin), b.passed])
     cfg = oracle.IntegratorConfig(rel_tol=1e-10)
     for r in todo["radii"]:
         p = symbols.FreqPoint.from_radius(r)
         for s in oracle.integrate_mode_at(p, 1.0, 1j, tuple(todo["oracle_times"]), cfg):
             out["oracle"].append(_bits(s.u, s.v))
-    for name, *args in ref_calls(th.eta):
-        out["ref"].append(getattr(quadrature, name)(*args))
+    for name, p, t, *lo in ref_calls(th.eta):
+        ref = getattr(quadrature, name)
+        if "ts" in inspect.signature(ref).parameters:
+            (value,) = ref(p, (t,), *lo)
+        else:
+            value = ref(p, t, *lo)
+        out["ref"].append(value)
     for case in todo["cases"]:
         u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)

@@ -199,6 +199,8 @@ def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     return out
 
 
+# The results are built by tuple.__new__: a NamedTuple's own __new__ is a
+# Python function, a fixed cost on every point.
 class ModeState(NamedTuple):
     """Value and velocity of one Fourier mode at time t."""
 
@@ -212,7 +214,7 @@ def mode_solve(p: FreqPoint, u0: complex, u1: complex, t: float) -> ModeState:
     if not (0.0 <= t < math.inf):
         raise ValueError("time must be finite and nonnegative")
     u, v = _point(p.lam, t, u0, u1)
-    return ModeState(complex(u), complex(v), float(t))
+    return tuple.__new__(ModeState, (complex(u), complex(v), float(t)))
 
 
 class EnergyDensity(NamedTuple):
@@ -240,7 +242,7 @@ def energy_density(p: FreqPoint, s: ModeState, w: float) -> EnergyDensity:
     e_mod = e0 + w * one * cross + 0.5 * w * u2
     f_mod = v2 + w * lam * one * u2
     r_mult = w * one * v2
-    return EnergyDensity(e0, e_mod, f_mod, r_mult)
+    return tuple.__new__(EnergyDensity, (e0, e_mod, f_mod, r_mult))
 
 
 class BoundCheck(NamedTuple):
@@ -272,17 +274,18 @@ def pointwise_bound_check(
     one = 1.0 + lam
     w = mult_weight(p, th)
     u, v = _point(lam, t, u0, u1)
-    u2 = abs(complex(u)) ** 2
+    u2 = abs(u) ** 2
+    d0, d1 = abs(u0) ** 2, abs(u1) ** 2
     decay = _FLOAT.exp(-0.5 * w * t)
 
-    lhs_e = one * abs(complex(v)) ** 2 + lam * one * u2
-    rhs_e = 6.0 * decay * (one * abs(u1) ** 2 + lam * one * abs(u0) ** 2)
+    lhs_e = one * abs(v) ** 2 + lam * one * u2
+    rhs_e = 6.0 * decay * (one * d1 + lam * one * d0)
     energy_margin = rhs_e - lhs_e
     passed = lhs_e <= rhs_e
 
     amplitude_margin = None
     if lam > 0.0:
-        rhs_a = 6.0 * decay * (abs(u1) ** 2 / lam + abs(u0) ** 2)
+        rhs_a = 6.0 * decay * (d1 / lam + d0)
         amplitude_margin = float(rhs_a - u2)
         passed = passed and u2 <= rhs_a
-    return BoundCheck(bool(passed), float(energy_margin), amplitude_margin)
+    return tuple.__new__(BoundCheck, (bool(passed), float(energy_margin), amplitude_margin))

@@ -53,7 +53,7 @@ Design notes
   module's log-weighted norm) goes through one tail-doubling loop,
   `tail_integral`: it doubles the extent until the increment is negligible
   and, for the high zone, the envelope peak (at log-weight ~ t) has been
-  passed.  The loops of a series' times run in lockstep.
+  passed.  The loops of a series' times, or of the reference tail's, run in lockstep.
 """
 
 from __future__ import annotations
@@ -425,44 +425,65 @@ def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), 
 # Reference integrals
 
 
-def _ref_integrand(p_exp: float, t: float):
-    """r -> (1+r^2)^{-t} r^p, the integrand of the reference integrals."""
+def _ref_integrand(p_exp: float):
+    """(r, t) -> (1+r^2)^{-t} r^p, the integrand of the reference integrals,
+    t a float or one per node; p stays one float, since numpy rounds
+    r ** 2.0 as a square and a power with an exponent per node as pow."""
 
-    def f(r):
+    def f(r, t):
         with np.errstate(divide="ignore"):
             return (1.0 + r * r) ** (-t) * r ** p_exp
 
     return f
 
 
-def ref_integral_Ip(p_exp: float, t: float) -> float:
-    """int_0^1 (1+r^2)^{-t} r^p dr for p > -1, t >= 0."""
-    if p_exp <= -1.0:
-        raise ValueError("exponent must exceed -1")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    value, _ = radial_integral(_ref_integrand(p_exp, t), 0.0, 1.0, REF_TOL, ladder=16)
-    return value
+def _ref_adaptive(p_exp: float, bounds: np.ndarray, ts) -> list:
+    """`_adaptive` of the reference integrand on the rows of `bounds`, the
+    panel ends of one interval each, row i at ts[i] and an owner of its own
+    with its own MAX_PANELS budget, as in a `radial_integral` call of its own."""
+    failed, (k, m) = {}, bounds.shape
+    found = _adaptive(_ref_integrand(p_exp), bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+                      [m - 1] * k, ts, range(k), REF_TOL, [MAX_PANELS] * k, failed)
+    if failed:
+        raise failed[min(failed)]
+    return found
 
 
-def ref_integral_Jp(p_exp: float, t: float) -> float:
-    """int_1^inf (1+r^2)^{-t} r^p dr for t > max(1, (p+1)/2)."""
-    if t <= max(1.0, 0.5 * (p_exp + 1.0)):
-        raise ValueError("t too small for a convergent tail")
-    f = _ref_integrand(p_exp, t)
-    ((total, _, converged),) = tail_integral(
-        lambda runs: {0: [radial_integral(f, *ab, REF_TOL) for ab in itertools.pairwise(runs[0])]},
-        1.0, 2.0, REF_TOL,
-    )
-    if not converged:
+def ref_integral_Ip(p_exp: float, ts) -> list[float]:
+    """int_0^1 (1+r^2)^{-t} r^p dr for p > -1 at each t >= 0 of `ts`."""
+    if not (all(map(math.isfinite, (p_exp, *ts))) and p_exp > -1.0 and min(ts, default=0.0) >= 0.0):
+        raise ValueError("p must be finite and exceed -1, and each t finite and nonnegative")
+    found = _ref_adaptive(p_exp, np.tile(_build_bounds(0.0, 1.0, ladder=16), (len(ts), 1)), ts)
+    return [value for value, _, _ in found]
+
+
+def ref_integral_Jp(p_exp: float, ts) -> list[float]:
+    """int_1^inf (1+r^2)^{-t} r^p dr at each t > max(1, (p+1)/2) of `ts`:
+    one `tail_integral` loop per time, the loops in lockstep, each round's
+    pieces in one `_adaptive` call, each piece an owner of its own."""
+    if not (all(map(math.isfinite, (p_exp, *ts)))
+            and min(ts, default=math.inf) > max(1.0, 0.5 * (p_exp + 1.0))):
+        raise ValueError("p and t must be finite, and t > max(1, (p+1)/2) for a convergent tail")
+
+    def segments(runs):
+        bounds = np.array([ab for ends in runs.values() for ab in itertools.pairwise(ends)])
+        at = [ts[k] for k, ends in runs.items() for _ in ends[1:]]
+        found = iter(_ref_adaptive(p_exp, bounds, at))
+        return {k: [next(found)[:2] for _ in ends[1:]] for k, ends in runs.items()}
+
+    loops = tail_integral(segments, 1.0, 2.0, REF_TOL, (0.0,) * len(ts), (-math.inf,) * len(ts))
+    if not all(converged for _, _, converged in loops):
         raise QuadratureError("tail did not converge")
-    return total
+    return [total for total, _, _ in loops]
 
 
-def middle_zone_integral(p_exp: float, t: float, lo: float) -> float:
-    """int_lo^1 (1+r^2)^{-t} r^p dr, the exponentially small middle band."""
-    value, _ = radial_integral(_ref_integrand(p_exp, t), lo, 1.0, REF_TOL)
-    return value
+def middle_zone_integral(p_exp: float, ts, lo: float) -> list[float]:
+    """int_lo^1 (1+r^2)^{-t} r^p dr at each t of `ts`, the exponentially
+    small middle band, for 0 <= lo < 1."""
+    if not (all(map(math.isfinite, (p_exp, *ts))) and 0.0 <= lo < 1.0):
+        raise ValueError("p and t must be finite, and lo in [0, 1)")
+    found = _ref_adaptive(p_exp, np.tile(_build_bounds(lo, 1.0), (len(ts), 1)), ts)
+    return [value for value, _, _ in found]
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ R_UNIT = math.sqrt(math.e - 1.0)
 
 def log_weight(r: float) -> float:
     """Log-weight L(r) = log(1 + r^2) of a radius, accurate for small r via
-    log1p; negative radii are rejected.
+    log1p; negative, infinite and NaN radii are rejected.
 
     np.log1p, not math.log1p, which differs from it in the last bit on some
     arguments: the pinned outputs are built on these bits.  Where r^2
@@ -54,14 +55,13 @@ def log_weight(r: float) -> float:
     an ulp of it there.
     """
     r = float(r)
-    if r < 0.0:
-        raise ValueError("radial frequency must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("radial frequency must be finite and nonnegative")
     rsq = r * r
     return float(np.log1p(rsq) if rsq < math.inf else 2.0 * np.log(r))
 
 
-@dataclass(frozen=True)
-class FreqPoint:
+class FreqPoint(NamedTuple):
     """A radial frequency r together with its log-weight lam = log(1+r^2).
 
     Construct through :meth:`from_radius` so the pair stays consistent.
@@ -72,7 +72,7 @@ class FreqPoint:
 
     @classmethod
     def from_radius(cls, r: float) -> "FreqPoint":
-        return cls(float(r), log_weight(float(r)))
+        return tuple.__new__(cls, (float(r), log_weight(r)))
 
 
 def _bisect(f, lo: float, hi: float, residual: float = 1e-12, max_iter: int = 200) -> float:
@@ -183,8 +183,7 @@ def real_roots(lam, a, c):
     return -lam / (a + c), -a - c
 
 
-@dataclass(frozen=True)
-class CharRoots:
+class CharRoots(NamedTuple):
     """Characteristic roots of (1+L) z^2 + z + L (1+L) = 0 at one frequency:
     `real_roots` where a^2 - L >= 0, else -a +/- i sqrt(L - a^2)."""
 

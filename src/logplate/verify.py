@@ -255,12 +255,12 @@ def _check_integrals() -> tuple[bool, str, str, str]:
     ok = True
     notes = []
     # closed forms for p = 1
+    closed = (2.0, 5.0, 10.0, 30.0)
     worst_closed = 0.0
-    for t in (2.0, 5.0, 10.0, 30.0):
-        i1 = quadrature.ref_integral_Ip(1.0, t)
+    heads = quadrature.ref_integral_Ip(1.0, closed)
+    for t, i1, j1 in zip(closed, heads, quadrature.ref_integral_Jp(1.0, closed)):
         i1_exact = (1.0 - 2.0 ** (1.0 - t)) / (2.0 * (t - 1.0))
         worst_closed = max(worst_closed, abs(i1 - i1_exact))
-        j1 = quadrature.ref_integral_Jp(1.0, t)
         j1_exact = 2.0 ** (1.0 - t) / (2.0 * (t - 1.0))
         worst_closed = max(worst_closed, abs(j1 - j1_exact))
     ok &= worst_closed < 1e-12
@@ -268,16 +268,17 @@ def _check_integrals() -> tuple[bool, str, str, str]:
     # Laplace limit of the head integral
     worst_lap = 0.0
     for p_exp in (0.0, 1.0, 2.0, 3.0):
-        val = quadrature.ref_integral_Ip(p_exp, 1e4) * 1e4 ** (0.5 * (p_exp + 1.0))
+        val = quadrature.ref_integral_Ip(p_exp, (1e4,))[0] * 1e4 ** (0.5 * (p_exp + 1.0))
         limit = math.gamma(0.5 * (p_exp + 1.0)) / 2.0
         worst_lap = max(worst_lap, abs(val / limit - 1.0))
     ok &= worst_lap < 0.02
     notes.append(f"laplace_rel={worst_lap:.2e}")
     # tail band
+    band = (20.0, 30.0, 40.0, 50.0, 60.0)
     band_lo, band_hi = math.inf, -math.inf
     for p_exp in (0.0, 1.0, 2.0):
-        for t in (20.0, 30.0, 40.0, 50.0, 60.0):
-            scaled = t * 2.0**t * quadrature.ref_integral_Jp(p_exp, t)
+        for t, tail in zip(band, quadrature.ref_integral_Jp(p_exp, band)):
+            scaled = t * 2.0**t * tail
             band_lo = min(band_lo, scaled)
             band_hi = max(band_hi, scaled)
     ok &= 0.3 <= band_lo and band_hi <= 3.0
@@ -286,9 +287,9 @@ def _check_integrals() -> tuple[bool, str, str, str]:
     mid_ok = True
     eta = _TH.eta
     for p_exp in (0.0, 1.0, 2.0):
-        c_fit = quadrature.middle_zone_integral(p_exp, 10.0, eta) * (1.0 + eta**2) ** 10.0
-        for t in _ZONE_TIMES:
-            val = quadrature.middle_zone_integral(p_exp, t, eta)
+        fit, *vals = quadrature.middle_zone_integral(p_exp, (10.0, *_ZONE_TIMES), eta)
+        c_fit = fit * (1.0 + eta**2) ** 10.0
+        for t, val in zip(_ZONE_TIMES, vals):
             mid_ok &= val <= c_fit * (1.0 + eta**2) ** (-t) * (1.0 + 1e-12)
     ok &= mid_ok
     notes.append(f"middle_band_ok={bool(mid_ok)}")

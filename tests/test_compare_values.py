@@ -34,9 +34,9 @@ def test_ref_calls_are_those_of_check_05(monkeypatch):
     seen = set()
     for name in ("ref_integral_Ip", "ref_integral_Jp", "middle_zone_integral"):
 
-        def record(*args, name=name, run=getattr(quadrature, name)):
-            seen.add((name, *args))
-            return run(*args)
+        def record(p, ts, *lo, name=name, run=getattr(quadrature, name)):
+            seen.update((name, p, t, *lo) for t in ts)
+            return run(p, ts, *lo)
 
         monkeypatch.setattr(quadrature, name, record)
     verify.run_check("05-integral-asymptotics")

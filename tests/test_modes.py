@@ -197,6 +197,27 @@ def test_pointwise_results_are_frozen_tuples_with_their_fields():
             setattr(obj, name, getattr(obj, name))
 
 
+def test_float_path_results_have_exact_python_types():
+    # the results are built from the kernel's values with no conversion
+    # beyond those that keep numpy scalars out: an np.float64 t makes the
+    # kernel compute in numpy scalars; real data give the margins of
+    # complex(x, 0) data, as |x| is hypot(x, 0)
+    for r in R_SAMPLES:
+        p = symbols.FreqPoint.from_radius(r)
+        w = symbols.mult_weight(p, TH)
+        for u0, u1 in DATA:
+            for t in (1e-9, 2.0, 50.0, np.float64(2.0), np.float64(50.0)):
+                state = modes.mode_solve(p, u0, u1, t)
+                dens = modes.energy_density(p, state, w)
+                bound = modes.pointwise_bound_check(p, u0, u1, t, TH)
+                assert [type(x) for x in state] == [complex, complex, float]
+                assert [type(x) for x in dens] == [float] * 4
+                assert [type(x) for x in bound[:2]] == [bool, float]
+                assert type(bound.amplitude_margin) is (float if r > 0.0 else type(None))
+                as_complex = modes.pointwise_bound_check(p, complex(u0), complex(u1), t, TH)
+                assert bound == as_complex
+
+
 _finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 

@@ -59,7 +59,15 @@ def test_log_weight_where_the_square_overflows():
     # finite r >= 1.34e154: r^2 is inf, and L = 2 log r
     for r in (1.3407807929942596e154, 1e200, 1.7e308):
         assert symbols.log_weight(r) == pytest.approx(2.0 * math.log(r), rel=1e-15)
-    assert symbols.log_weight(math.inf) == math.inf
+
+
+def test_log_weight_rejects_non_finite_radii():
+    # NaN passes an `r < 0` test, and mode_solve would return nan silently
+    for r in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            symbols.log_weight(r)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            symbols.FreqPoint.from_radius(r)
 
 
 def test_char_roots_at_zero():
