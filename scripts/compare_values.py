@@ -46,6 +46,9 @@ as (p, (t,)) in one whose functions take a tuple of times `ts`.  It reads
 `identical` when every value is the same double, else `max rel diff X`,
 the largest |v - v'| / |v|.
 
+A last line sums the GK15 calls, GK15 panels and Levin panels of every row
+above, `panels over N rows: C/P + L Levin → C'/P' + L' Levin`.
+
 The script exits 1 when any value, of a zone or of y_norm, lies outside
 err + err', a divergence flag changed, a scalar mode point differs, the
 oracle's scaled difference exceeds 1e-10, or a reference integral's
@@ -75,6 +78,8 @@ Y_NORM_DIMS = (1, 2, 3, 4, 8)
 Y_NORM_ORDERS = (0.0, 0.5, 1.0, 1.1, 2.0, 2.4)
 SCALAR_POINTS = 3000
 ORACLE_LIMIT = 1e-10
+# GK15 calls/panels + Levin panels, old → new
+PANELS = "{}/{} + {} Levin → {}/{} + {} Levin"
 # the times of check 05's middle band: its fit at t = 10, then its zone times
 MIDDLE_TIMES = (10.0, *(10.0 * 2.0 ** (k / 2.0) for k in range(7)), 100.0)
 
@@ -262,7 +267,13 @@ def panels_note(old, new) -> str:
     and panels or the Levin panels of a row differ."""
     if old == new:
         return ""
-    return "; panels differ: {}/{} + {} Levin → {}/{} + {} Levin".format(*old, *new)
+    return "; panels differ: " + PANELS.format(*old, *new)
+
+
+def totals_line(old: dict, new: dict) -> str:
+    """The GK15 calls and panels and the Levin panels of all rows, old → new."""
+    sums = [sum(row[i] for row in side.values()) for side in (old, new) for i in range(3)]
+    return f"panels over {len(old)} rows: " + PANELS.format(*sums)
 
 
 def oracle_line(old: list, new: list) -> tuple[str, bool]:
@@ -313,6 +324,7 @@ def main(argv: list[str]) -> int:
     failed |= not within
     line, within = ref_line(old["ref"], new["ref"], new["ref_tol"])
     print(f"reference integrals, {len(old['ref'])} of check 05's inputs: {line}")
+    print(totals_line(old["panels"], new["panels"]))
     return 1 if failed or differ or not within else 0
 
 

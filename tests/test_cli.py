@@ -299,8 +299,8 @@ def test_out_file_writing(tmp_path, capsys):
 def test_panel_budget_exit_code(monkeypatch, capsys):
     from logplate import quadrature
 
-    # check 10's data at t = 160: its tail takes 27 panels, GK15 and Levin
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 26)
+    # check 10's data at t = 160: its tail takes 26 panels, GK15 and Levin
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 25)
     code = cli.main(
         ["solve", "--n", "8", "--data-u0", "gaussian:alpha=1",
          "--data-u1", "log_tail:m=1,beta=0.2", "--t0", "160", "--t-count", "1"]
@@ -313,18 +313,33 @@ def test_panel_budget_exit_code(monkeypatch, capsys):
     assert all(key in lines[0] for key in ("t=160", "--tol"))
 
 
+def _check08_kind_at_1e4(tol: str) -> list[str]:
+    """`profile-diff` of check 08's kind (u - phi, n = 4) at t = 1e4 and `tol`."""
+    return ["profile-diff", "--profile", "phi", "--n", "4", "--data-u0", "gaussian:alpha=1",
+            "--data-u1", "log_tail:m=1,beta=0.2", "--tol", tol, "--t0", "1e4", "--t-count", "1"]
+
+
 def test_unreachable_tolerance_fails_fast(capsys):
-    # check 08's kind at tol 1e-10, t = 1e4: the smooth part of the far tail
+    # check 08's kind at tol 1e-12, t = 1e4: the smooth parts of the tail
     # pieces cannot reach it, and the default panel budget ends the request
-    # in well under a second (it took 15 s under a budget of 6,000,000)
-    code = cli.main(
-        ["profile-diff", "--profile", "phi", "--n", "4", "--data-u0", "gaussian:alpha=1",
-         "--data-u1", "log_tail:m=1,beta=0.2", "--tol", "1e-10", "--t0", "1e4", "--t-count", "1"]
-    )
+    # in well under a second (at tol 1e-10 it took 15 s under a budget of
+    # 6,000,000)
+    code = cli.main(_check08_kind_at_1e4("1e-12"))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: panel budget exhausted") and "t=10000" in captured.err
+
+
+def test_tight_tolerance_value_lies_within_err_of_a_looser_one(capsys):
+    # the same request at tol 1e-10 succeeds, as the far tail pieces stop at
+    # their share of the norm, and its value lies within err of tol 1e-8's
+    rows = []
+    for tol in ("1e-8", "1e-10"):
+        assert cli.main(_check08_kind_at_1e4(tol)) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1].split(","))
+    (v, e), (w, f) = ((float(row[1]), float(row[2])) for row in rows)
+    assert f < e and abs(v - w) <= e + f
 
 
 def test_levin_halving_cap_exit_code(monkeypatch, capsys):

@@ -29,6 +29,14 @@ def test_panels_note_names_both_sides_only_where_they_differ():
     )
 
 
+def test_totals_line_sums_every_row_of_both_sides():
+    totals = _load_script().totals_line
+    old = {"a": [13, 608, 201], "b": [2, 354, 0]}
+    new = {"a": [8, 426, 201], "b": [2, 354, 0]}
+    assert totals(old, new) == "panels over 2 rows: 15/962 + 201 Levin → 10/780 + 201 Levin"
+    assert totals({}, {}) == "panels over 0 rows: 0/0 + 0 Levin → 0/0 + 0 Levin"
+
+
 def test_ref_calls_are_those_of_check_05(monkeypatch):
     calls = _load_script().ref_calls(quadrature.THRESHOLDS.eta)
     seen = set()
