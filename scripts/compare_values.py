@@ -23,8 +23,7 @@ the old (a change that only loosens err_est would otherwise read `within
 err`; 0/0 counts as 1), `diverged flag changed` where a y_norm
 divergence flag differs, and `panels differ: C/P + L Levin → C'/P' + L' Levin`
 where the row's GK15 calls C and panels P (counted at `quadrature._gk_eval`)
-or its Levin panels L (counted at `quadrature._levin`, 0 in a tree without
-it) differ.
+or its Levin panels L (counted at `quadrature._levin`) differ.
 
 A last line compares the scalar mode kernel bit for bit: `modes.mode_solve`'s
 (u, v), `modes.energy_density`'s four fields at the multiplier weight and
@@ -34,31 +33,33 @@ a quarter of them with the nearly fast-aligned data u1 = -u0.  It reads
 `identical` or `differs at K of 3000 points`.
 
 An oracle line compares `oracle.integrate_mode_at` as check 03 runs it: data
-(1, i), rel_tol 1e-10, over check 03's radii and times, NEW_SRC's
-`verify.R_GRID` and `verify.ORACLE_TIMES`.  It reads `identical`
+(1, i) over check 03's radii, times and rel_tol, NEW_SRC's `verify.R_GRID`,
+`verify.ORACLE_TIMES` and `verify.ORACLE_REL_TOL`.  It reads `identical`
 when every output is the same double, else `max scaled diff X`, the largest
 distance of two outputs scaled as `oracle.scaled_error` scales it.
 
-A reference-integral line compares `quadrature.ref_integral_Ip`,
-`ref_integral_Jp` and `middle_zone_integral` at every (p, t) check 05 takes
-them, one time a call: as (p, t) in a tree whose functions take one time,
-as (p, (t,)) in one whose functions take a tuple of times `ts`.  It reads
-`identical` when every value is the same double, else `max rel diff X`,
-the largest |v - v'| / |v|.
+A reference-integral line compares check 05's calls of
+`quadrature.ref_integral_Ip`, `ref_integral_Jp` and `middle_zone_integral`,
+the records of NEW_SRC's `verify.REF_CALLS`, each one call with its whole
+tuple of times, as check 05 makes it (so OLD_SRC's functions must take a
+tuple of times).  It reads `identical` when every value is the same double,
+else `max rel diff X`, the largest |v - v'| / |v|.
 
 A last line sums the GK15 calls, GK15 panels and Levin panels of every row
 above, `panels over N rows: C/P + L Levin → C'/P' + L' Levin`.
 
-The script exits 1 when any value, of a zone or of y_norm, lies outside
-err + err', a divergence flag changed, a scalar mode point differs, the
-oracle's scaled difference exceeds 1e-10, or a reference integral's
-relative difference exceeds the new tree's `quadrature.REF_TOL`; a panel
-count that differs is reported, not failed.
+The script exits 0 when every comparison holds.  It exits 1 when any
+value, of a zone or of y_norm, lies outside err + err', a divergence flag
+changed, a scalar mode point differs, the oracle's scaled difference
+exceeds 1e-10, or a reference integral's relative difference exceeds the
+new tree's `quadrature.REF_TOL`; a panel count that differs is reported,
+not failed.  It exits 2 on a usage error, or with one `error:` line when a
+tree cannot integrate the set: it holds no `logplate`, or lacks a name the
+set uses.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
@@ -80,21 +81,6 @@ SCALAR_POINTS = 3000
 ORACLE_LIMIT = 1e-10
 # GK15 calls/panels + Levin panels, old → new
 PANELS = "{}/{} + {} Levin → {}/{} + {} Levin"
-# the times of check 05's middle band: its fit at t = 10, then its zone times
-MIDDLE_TIMES = (10.0, *(10.0 * 2.0 ** (k / 2.0) for k in range(7)), 100.0)
-
-
-def ref_calls(eta: float) -> tuple[tuple, ...]:
-    """(name, p, t, *lo) of every reference integral check 05 takes: the
-    closed forms, the Laplace limit, the tail band and the middle band."""
-    return (
-        *(("ref_integral_Ip", 1.0, t) for t in (2.0, 5.0, 10.0, 30.0)),
-        *(("ref_integral_Jp", 1.0, t) for t in (2.0, 5.0, 10.0, 30.0)),
-        *(("ref_integral_Ip", p, 1e4) for p in (0.0, 1.0, 2.0, 3.0)),
-        *(("ref_integral_Jp", p, t) for p in (0.0, 1.0, 2.0)
-          for t in (20.0, 30.0, 40.0, 50.0, 60.0)),
-        *(("middle_zone_integral", p, t, eta) for p in (0.0, 1.0, 2.0) for t in MIDDLE_TIMES),
-    )
 
 
 def scalar_points(delta: float, eta: float) -> list[tuple[float, complex, complex, float]]:
@@ -151,19 +137,19 @@ def emit(given: str) -> None:
 
         norms = [r[:5] for cid in verify.CHECK_IDS for r in verify.requests(cid)]
         todo = {"cases": [*dict.fromkeys([*norms, EXTRA])], "radii": verify.R_GRID,
-                "oracle_times": verify.ORACLE_TIMES}
+                "oracle_times": verify.ORACLE_TIMES, "oracle_rel_tol": verify.ORACLE_REL_TOL,
+                "ref_records": [rec for recs in verify.REF_CALLS.values() for rec in recs]}
     out = {
         "package": logplate.__file__, "set": todo, "values": {}, "diverged": {}, "scalar": [],
         "oracle": [], "panels": {}, "ref": [], "ref_tol": quadrature.REF_TOL,
     }
-    gk_eval = quadrature._gk_eval
-    levin = getattr(quadrature, "_levin", None)  # newer than some trees compared
+    gk_eval, levin = quadrature._gk_eval, quadrature._levin
     counts = [0, 0, 0]  # GK15 calls, GK15 panels and Levin panels so far
 
-    def counting(f, lo, hi, *t):  # the time argument is newer than some trees compared
+    def counting(f, lo, hi, t):
         counts[0] += 1
         counts[1] += lo.size
-        return gk_eval(f, lo, hi, *t)
+        return gk_eval(f, lo, hi, t)
 
     def counting_levin(f, lo, hi, t):
         counts[2] += lo.size
@@ -173,8 +159,7 @@ def emit(given: str) -> None:
         out["panels"][key] = [now - then for now, then in zip(counts, start)]
 
     quadrature._gk_eval = counting
-    if levin is not None:
-        quadrature._levin = counting_levin
+    quadrature._levin = counting_levin
     th = symbols.compute_thresholds()
     for r, u0, u1, t in scalar_points(th.delta, th.eta):
         p = symbols.FreqPoint.from_radius(r)
@@ -182,18 +167,13 @@ def emit(given: str) -> None:
         d = modes.energy_density(p, s, symbols.mult_weight(p, th))
         b = modes.pointwise_bound_check(p, u0, u1, t, th)
         out["scalar"].append([*_bits(s.u, s.v, *d, b.energy_margin, b.amplitude_margin), b.passed])
-    cfg = oracle.IntegratorConfig(rel_tol=1e-10)
+    cfg = oracle.IntegratorConfig(rel_tol=todo["oracle_rel_tol"])
     for r in todo["radii"]:
         p = symbols.FreqPoint.from_radius(r)
         for s in oracle.integrate_mode_at(p, 1.0, 1j, tuple(todo["oracle_times"]), cfg):
             out["oracle"].append(_bits(s.u, s.v))
-    for name, p, t, *lo in ref_calls(th.eta):
-        ref = getattr(quadrature, name)
-        if "ts" in inspect.signature(ref).parameters:
-            (value,) = ref(p, (t,), *lo)
-        else:
-            value = ref(p, t, *lo)
-        out["ref"].append(value)
+    for name, p, ts, *lo in todo["ref_records"]:
+        out["ref"] += getattr(quadrature, name)(p, tuple(ts), *lo)
     for case in todo["cases"]:
         u0, u1, n, kind, tol = case
         d = data.parse_pair(u0, u1, n)
@@ -230,10 +210,16 @@ def emit(given: str) -> None:
 def _values(src: str, given: str) -> dict:
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, input=given,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if proc.returncode:  # a broken tree is no failed comparison: exit 2, not 1
+        last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
+        print(f"error: {src} could not integrate the set: {last}", file=sys.stderr)
+        raise SystemExit(2)
     out = json.loads(proc.stdout)
     if not Path(out["package"]).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"error: {src} did not provide logplate ({out['package']} was imported)")
+        print(f"error: {src} did not provide logplate ({out['package']} was imported)",
+              file=sys.stderr)
+        raise SystemExit(2)
     return out
 
 

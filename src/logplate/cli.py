@@ -94,13 +94,12 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         "coarser values than pointwise checks; a tighter tolerance costs more "
         "panels, but the Levin panels of the high-zone tail do not grow with t)",
     )
-    sub.add_argument(
-        "--zone",
-        default="all",
-        choices=("all",) + quadrature.ZONES,
-        help="restrict the radial integral to one frequency zone",
-    )
     sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+
+def _add_zone_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--zone", default="all", choices=("all",) + quadrature.ZONES,
+                     help="restrict the radial integral to one frequency zone")
 
 
 def _grid(args) -> tuple[float, ...]:
@@ -292,6 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_data_flags(s)
     _add_grid_flags(s)
+    _add_zone_flag(s)
     s.set_defaults(fn=_cmd_solve)
 
     s = sub.add_parser(
@@ -308,6 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile to subtract: heat-like (phi1), oscillatory (phi2) or their sum (phi)",
     )
     _add_grid_flags(s)
+    _add_zone_flag(s)
     s.set_defaults(fn=_cmd_profile_diff)
 
     s = sub.add_parser(

@@ -24,6 +24,8 @@ __all__ = [
     "FIT_WINDOW",
     "R_GRID",
     "ORACLE_TIMES",
+    "ORACLE_REL_TOL",
+    "REF_CALLS",
     "requests",
     "run_check",
     "canonical_line",
@@ -65,7 +67,7 @@ def render_line(res: CheckResult) -> str:
 _TH = quadrature.THRESHOLDS
 
 # Radial sample grid exercising every regime, including both sides of the
-# root collision, and the output times of check 03's integrator runs.
+# root collision, and the output times and tolerance of check 03's integrator runs.
 R_GRID = (
     0.0,
     1e-4,
@@ -82,11 +84,25 @@ R_GRID = (
     1e3,
 )
 ORACLE_TIMES = (0.1, 1.0, 10.0, 50.0, 100.0)
+ORACLE_REL_TOL = 1e-10
 
 _DATA_PAIRS = ((1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j), (1.0 + 0j, -1.0 + 0j))
 
 # Times of the exponentially small middle-zone bounds (checks 05 and 12).
 _ZONE_TIMES = quadrature.default_time_grid(6) + (100.0,)
+
+# Check 05's reference-integral calls by section, each (function name, p,
+# times[, lo]); the judge looks each name up on `quadrature` as it runs, so
+# that a wrapper set there after import (a tracer's) sees the call.
+_IP, _JP, _MID = (f.__name__ for f in (quadrature.ref_integral_Ip, quadrature.ref_integral_Jp,
+                                       quadrature.middle_zone_integral))
+_CLOSED, _BAND = (2.0, 5.0, 10.0, 30.0), (20.0, 30.0, 40.0, 50.0, 60.0)
+REF_CALLS = {
+    "closed_form": ((_IP, 1.0, _CLOSED), (_JP, 1.0, _CLOSED)),
+    "laplace": tuple((_IP, p, (1e4,)) for p in (0.0, 1.0, 2.0, 3.0)),
+    "tail_band": tuple((_JP, p, _BAND) for p in (0.0, 1.0, 2.0)),
+    "middle_band": tuple((_MID, p, (10.0, *_ZONE_TIMES), _TH.eta) for p in (0.0, 1.0, 2.0)),
+}
 
 # The series checks' data and its regularity index (log_tail m = 1; Gaussian
 # data has every l).  Checks 07-11 take the paper's exponents, and checks
@@ -183,7 +199,7 @@ def _check_oracle() -> tuple[bool, str, str, str]:
     # (1, i) carries both real fundamental solutions, X1 = Re u (data (1, 0))
     # and X2 = Im u (data (0, 1)); the state of data (u0, u1) is
     # u0 X1 + u1 X2.  One integration per radius serves every data pair.
-    cfg = oracle.IntegratorConfig(rel_tol=1e-10)
+    cfg = oracle.IntegratorConfig(rel_tol=ORACLE_REL_TOL)
     worst = 0.0
     for r in R_GRID:
         p = symbols.FreqPoint.from_radius(r)
@@ -206,8 +222,6 @@ def _check_oracle() -> tuple[bool, str, str, str]:
 
 def _check_energy() -> tuple[bool, str, str, str]:
     h = 1e-4
-    fd_r = [r for r in R_GRID if r <= 3.0]  # keeps the stencil error below tolerance
-    fd_t = (0.5, 2.0, 10.0, 100.0)
     worst_diss = 0.0
     worst_mod = 0.0
     worst_decay = -math.inf
@@ -217,28 +231,24 @@ def _check_energy() -> tuple[bool, str, str, str]:
     def dens(p, w, u0, u1, t):
         return modes.energy_density(p, modes.mode_solve(p, u0, u1, t), w)
 
-    for r in fd_r:
-        p = symbols.FreqPoint.from_radius(r)
-        w = symbols.mult_weight(p, _TH)
-        for u0, u1 in _DATA_PAIRS:
-            for t in fd_t:
-                lo = dens(p, w, u0, u1, t - h)
-                hi = dens(p, w, u0, u1, t + h)
-                st = modes.mode_solve(p, u0, u1, t)
-                mid = modes.energy_density(p, st, w)
-                de0 = (hi.e0 - lo.e0) / (2.0 * h)
-                worst_diss = max(worst_diss, abs(de0 + abs(st.v) ** 2))
-                de = (hi.e_mod - lo.e_mod) / (2.0 * h)
-                worst_mod = max(worst_mod, abs(de + mid.f_mod - mid.r_mult))
-                worst_decay = max(worst_decay, de + 0.5 * w * mid.e_mod)
     for r in R_GRID:
         p = symbols.FreqPoint.from_radius(r)
         w = symbols.mult_weight(p, _TH)
         for u0, u1 in _DATA_PAIRS:
             for t in (0.5, 2.0, 10.0, 100.0):
-                mid = dens(p, w, u0, u1, t)
-                sandwich_ok &= 0.5 * mid.e0 - 1e-12 <= mid.e_mod <= 3.0 * mid.e0 + 1e-12
+                st = modes.mode_solve(p, u0, u1, t)
                 bound_ok &= modes.pointwise_bound_check(p, u0, u1, t, _TH).passed
+                mid = modes.energy_density(p, st, w)
+                sandwich_ok &= 0.5 * mid.e0 - 1e-12 <= mid.e_mod <= 3.0 * mid.e0 + 1e-12
+                if r > 3.0:  # the stencil error would exceed the tolerance
+                    continue
+                lo = dens(p, w, u0, u1, t - h)
+                hi = dens(p, w, u0, u1, t + h)
+                de0 = (hi.e0 - lo.e0) / (2.0 * h)
+                worst_diss = max(worst_diss, abs(de0 + abs(st.v) ** 2))
+                de = (hi.e_mod - lo.e_mod) / (2.0 * h)
+                worst_mod = max(worst_mod, abs(de + mid.f_mod - mid.r_mult))
+                worst_decay = max(worst_decay, de + 0.5 * w * mid.e_mod)
     ok = worst_diss < 1e-6 and worst_mod < 1e-6 and worst_decay <= 1e-8 and sandwich_ok and bound_ok
     return (
         ok,
@@ -252,13 +262,14 @@ def _check_energy() -> tuple[bool, str, str, str]:
 
 
 def _check_integrals() -> tuple[bool, str, str, str]:
+    got = {sec: [(rec, getattr(quadrature, rec[0])(*rec[1:])) for rec in recs]
+           for sec, recs in REF_CALLS.items()}
     ok = True
     notes = []
     # closed forms for p = 1
-    closed = (2.0, 5.0, 10.0, 30.0)
     worst_closed = 0.0
-    heads = quadrature.ref_integral_Ip(1.0, closed)
-    for t, i1, j1 in zip(closed, heads, quadrature.ref_integral_Jp(1.0, closed)):
+    ((_, _, closed), heads), (_, tails) = got["closed_form"]
+    for t, i1, j1 in zip(closed, heads, tails):
         i1_exact = (1.0 - 2.0 ** (1.0 - t)) / (2.0 * (t - 1.0))
         worst_closed = max(worst_closed, abs(i1 - i1_exact))
         j1_exact = 2.0 ** (1.0 - t) / (2.0 * (t - 1.0))
@@ -267,29 +278,26 @@ def _check_integrals() -> tuple[bool, str, str, str]:
     notes.append(f"closed_form={worst_closed:.2e}")
     # Laplace limit of the head integral
     worst_lap = 0.0
-    for p_exp in (0.0, 1.0, 2.0, 3.0):
-        val = quadrature.ref_integral_Ip(p_exp, (1e4,))[0] * 1e4 ** (0.5 * (p_exp + 1.0))
+    for (_, p_exp, (t,)), (head,) in got["laplace"]:
+        val = head * t ** (0.5 * (p_exp + 1.0))
         limit = math.gamma(0.5 * (p_exp + 1.0)) / 2.0
         worst_lap = max(worst_lap, abs(val / limit - 1.0))
     ok &= worst_lap < 0.02
     notes.append(f"laplace_rel={worst_lap:.2e}")
     # tail band
-    band = (20.0, 30.0, 40.0, 50.0, 60.0)
     band_lo, band_hi = math.inf, -math.inf
-    for p_exp in (0.0, 1.0, 2.0):
-        for t, tail in zip(band, quadrature.ref_integral_Jp(p_exp, band)):
+    for (_, _, band), tails in got["tail_band"]:
+        for t, tail in zip(band, tails):
             scaled = t * 2.0**t * tail
             band_lo = min(band_lo, scaled)
             band_hi = max(band_hi, scaled)
     ok &= 0.3 <= band_lo and band_hi <= 3.0
     notes.append(f"tail_band=[{band_lo:.3f},{band_hi:.3f}]")
-    # exponentially small middle band with a constant fitted at t=10
+    # exponentially small middle band with a constant fitted at its first time
     mid_ok = True
-    eta = _TH.eta
-    for p_exp in (0.0, 1.0, 2.0):
-        fit, *vals = quadrature.middle_zone_integral(p_exp, (10.0, *_ZONE_TIMES), eta)
-        c_fit = fit * (1.0 + eta**2) ** 10.0
-        for t, val in zip(_ZONE_TIMES, vals):
+    for (_, _, (t_fit, *ts), eta), (fit, *vals) in got["middle_band"]:
+        c_fit = fit * (1.0 + eta**2) ** t_fit
+        for t, val in zip(ts, vals):
             mid_ok &= val <= c_fit * (1.0 + eta**2) ** (-t) * (1.0 + 1e-12)
     ok &= mid_ok
     notes.append(f"middle_band_ok={bool(mid_ok)}")

@@ -14,6 +14,7 @@ closed-form limit K computed from the masses and alphas.
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 from logplate import data, modes, oracle, quadrature, rates, symbols, verify
@@ -57,6 +58,36 @@ def test_check_03_integrates_each_radius_once(monkeypatch):
     monkeypatch.setattr(oracle, "integrate_mode_at", counted)
     assert verify.run_check("03-oracle-equivalence").passed
     assert runs == [(1.0, 1j, verify.ORACLE_TIMES)] * 13
+
+
+def _record(monkeypatch, module, names) -> list:
+    """Each call of the functions `names` on `module`, as (name, *args)."""
+    calls = []
+    for name in names:
+
+        def record(*args, name=name, run=getattr(module, name)):
+            calls.append((name, *args))
+            return run(*args)
+
+        monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_check_04_evaluates_each_point_once(monkeypatch):
+    # one mode_solve and energy_density per (r, data, t), 13 radii x 3 data x
+    # 4 times, and two stencil points more at each of the 11 radii r <= 3
+    calls = _record(monkeypatch, modes, ("mode_solve", "energy_density", "pointwise_bound_check"))
+    assert verify.run_check("04-energy-identities").passed
+    assert Counter(name for name, *_ in calls) == {
+        "mode_solve": 420, "energy_density": 420, "pointwise_bound_check": 156}
+
+
+def test_check_05_looks_its_table_up_on_quadrature_as_it_runs(monkeypatch):
+    # so a wrapper set on quadrature after import, as a tracer sets one, sees each call
+    calls = _record(monkeypatch, quadrature,
+                    ("ref_integral_Ip", "ref_integral_Jp", "middle_zone_integral"))
+    assert verify.run_check("05-integral-asymptotics").passed
+    assert calls == [rec for recs in verify.REF_CALLS.values() for rec in recs]
 
 
 def test_every_check_integrates_the_norms_it_requests_in_order(monkeypatch):

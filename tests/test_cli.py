@@ -172,6 +172,9 @@ def test_verify_subset_and_canonical_out(tmp_path, capsys):
 def test_usage_errors():
     assert cli.main(["solve", "--n", "2"]) == 2  # missing required data flags
     assert cli.main(["nonsense"]) == 2
+    # rates integrates whole-space norms: it takes no --zone to ignore
+    assert cli.main(["rates", "--n", "2", "--l", "2", "--data-u0", "gaussian:alpha=1",
+                     "--data-u1", "gaussian:alpha=1", "--zone", "high"]) == 2
 
 
 def test_bad_time_grid(capsys):

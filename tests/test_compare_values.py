@@ -1,11 +1,10 @@
-"""scripts/compare_values.py takes the norms and oracle runs it compares from
-`verify`, but restates check 05's reference integrals in ref_calls: they
-must be those of check 05."""
+"""scripts/compare_values.py: its report lines, and its exit code for a tree
+it cannot compare.  The set it compares is NEW_SRC's `verify` tables."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
-
-from logplate import quadrature, verify
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_values.py"
 
@@ -37,20 +36,6 @@ def test_totals_line_sums_every_row_of_both_sides():
     assert totals({}, {}) == "panels over 0 rows: 0/0 + 0 Levin → 0/0 + 0 Levin"
 
 
-def test_ref_calls_are_those_of_check_05(monkeypatch):
-    calls = _load_script().ref_calls(quadrature.THRESHOLDS.eta)
-    seen = set()
-    for name in ("ref_integral_Ip", "ref_integral_Jp", "middle_zone_integral"):
-
-        def record(p, ts, *lo, name=name, run=getattr(quadrature, name)):
-            seen.update((name, p, t, *lo) for t in ts)
-            return run(p, ts, *lo)
-
-        monkeypatch.setattr(quadrature, name, record)
-    verify.run_check("05-integral-asymptotics")
-    assert seen == set(calls)
-
-
 def test_ref_line_reads_identical_and_fails_above_ref_tol():
     line = _load_script().ref_line
     assert line([1.0, 2.0], [1.0, 2.0], 1e-12) == ("identical", True)
@@ -75,3 +60,12 @@ def test_identical_means_every_value_and_error_estimate():
     assert verdict(old, [[1.0, 1e-7], [2.0, 2e-7]]) == ("identical", True)
     assert verdict(old, [[1.0, 1e-7], [2.0, 3e-7]]) == ("values identical", True)
     assert verdict(old, [[1.0, 1e-7], [2.0 + 1e-7, 2e-7]]) == ("within err: 0.25", True)
+
+
+def test_a_tree_without_logplate_is_an_error_not_a_failed_comparison(tmp_path):
+    # exit 1 means a value moved; a tree that cannot integrate the set exits
+    # 2 with one error line naming it, before the other tree is run
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {tmp_path} ") and proc.stderr.count("\n") == 1

@@ -144,6 +144,17 @@ def test_no_overflow_at_large_time():
     assert s.u.real == pytest.approx(amp * math.exp(lp * 1e4), rel=1e-9)
 
 
+@pytest.mark.parametrize("r", R_SAMPLES)
+def test_no_overflow_warning_where_the_time_squared_overflows(r):
+    # t^2 overflows beyond t ~ 1.3e154: every part underflows (but u0 + u1
+    # at r = 0), and the array kernel the float path falls back to reads
+    # c^2 t^2 as inf, with no numpy overflow warning
+    p = symbols.FreqPoint.from_radius(r)
+    s = modes.mode_solve(p, 1.0, 0.5, 1e200)
+    assert (abs(s.u), abs(s.v)) == (1.5 if r == 0.0 else 0.0, 0.0)
+    assert modes.pointwise_bound_check(p, 1.0, 0.5, 1e200, TH).passed
+
+
 def test_finite_at_the_log_weight_of_an_overflowing_square():
     # r = 1e200: r^2 overflows, L = 2 log r = 921.03 is finite, and so is the mode
     p = symbols.FreqPoint.from_radius(1e200)
