@@ -203,8 +203,8 @@ def _cmd_profile_diff(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    report = rates.classify(args.n, args.l)
     d = data_mod.parse_pair(args.data_u0, args.data_u1, args.n)
+    report = rates.classify(args.n, d.l)
     spec = quadrature.QuadSpec(n=args.n, tol=args.tol)
     grid = _grid(args)
     window = (10.0 * grid[0], grid[-1])  # drop the first decade
@@ -215,7 +215,7 @@ def _cmd_rates(args) -> int:
         times = rates.window_times(grid, window, "fit" if report.profile is not None else "band")
     out: dict = {
         "n": args.n,
-        "l": args.l,
+        "l": d.l if d.l < math.inf else None,  # JSON has no infinity
         "data": {"u0": d.u0.name, "u1": d.u1.name},
         "regime": report.regime.value,
         "profile": report.profile,
@@ -277,8 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("mode", help="single-mode state, energies and relative residual (CSV row)")
     s.add_argument("--r", type=float, required=True, help="radial frequency (>= 0)")
     s.add_argument("--t", type=float, required=True, help="time (>= 0)")
-    s.add_argument("--u0", default="1", help="initial value (complex literal, default 1)")
-    s.add_argument("--u1", default="0", help="initial velocity (complex literal, default 0)")
+    lit = "complex literal, default %(default)s; a negative one is written --%(dest)s=-1j)"
+    s.add_argument("--u0", default="1", help="initial value (" + lit)
+    s.add_argument("--u1", default="0", help="initial velocity (" + lit)
     s.add_argument("--oracle", action="store_true", help="cross-check with the adaptive integrator")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_mode)
@@ -314,13 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "rates",
         help="regime classification and fitted exponents (JSON)",
-        description="Fields: n, l, data, regime, profile, theory_exponent and "
-        "fitted_slope (both for the norm itself, i.e. half the squared-series "
-        "slope), residual (worst relative misfit), band {min,max,ratio} of the "
-        "compensated solution norm when a two-sided bound applies, pass.",
+        description="Fields: n, l (the data's regularity, which picks the regime; null for "
+        "every l), data, regime, profile, theory_exponent and fitted_slope (both for the norm "
+        "itself, i.e. half the squared-series slope), residual (worst relative misfit), band "
+        "{min,max,ratio} of the compensated solution norm when a two-sided bound applies, pass.",
     )
     _add_data_flags(s)
-    s.add_argument("--l", type=float, required=True, help="data regularity index (>= 1 covered)")
     _add_grid_flags(s)
     s.set_defaults(fn=_cmd_rates)
 

@@ -6,15 +6,15 @@ of the frequency r; the physical mass is the value at r = 0.
 Three families:
 
 * gaussian    - transform of a Gaussian bump; every log-weighted norm is
-                finite.
+                finite, so its regularity l is math.inf ("every l").
 * zero_mass   - transform of a Laplacian applied to a Gaussian: same decay,
                 but the mass vanishes (the degenerate case of the two-sided
-                decay results).
+                decay results); l = math.inf.
 * log_tail    - Gaussian core matched at r_unit to a tail
                 c (1+r^2)^{-n/4} (1+L)^{-(m+1+beta)/2}, built so that the
                 log-weighted squared norm of order s is finite exactly for
-                s < m + beta.  The (1+r^2)^{-n/4} factor makes the radial
-                measure cancel exactly, leaving a pure power of (1+L).
+                s < m + beta; l = m.  The (1+r^2)^{-n/4} factor makes the
+                radial measure cancel exactly, leaving a pure power of (1+L).
 
 Each profile also exposes log |u| as a function of the log-weight alone so
 that the quadrature and `y_norm`, which integrate in y = sqrt(L) on the
@@ -45,17 +45,38 @@ __all__ = [
 ]
 
 
-class RadialProfile:
-    """One radial Fourier-side profile.
+# alpha >= y0^2: y0 ~ 6.5e-8 is the first GK15 node of [0, 2^-16], the first
+# panel of the ladder every norm takes on y in [0, 1]; narrower data lie left
+# of all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
+ALPHA_MIN = (2.0**-17 * (1.0 - 0.991455371120812639206854697526329)) ** 2
 
-    Attributes set by every family: name, n, mass, sign (constant sign of
-    the profile).
+
+class RadialProfile:
+    """One radial Fourier-side profile around a Gaussian core amp e^{-r^2/(4 alpha)}.
+
+    Attributes of every family: name, n, alpha, l (the regularity, which
+    picks the decay regime), mass, sign (constant sign of the profile).
     """
 
     name: str
     n: int
+    l = math.inf  # every log-weighted norm finite, unless a family sets its l
     mass: float
     sign: float
+
+    def __init__(self, n: int, alpha: float):
+        if not alpha >= ALPHA_MIN:
+            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        self.n, self.alpha = int(n), float(alpha)
+
+    # the core at r^2 = rsq, and its log-flat form at rsq = e^L - 1
+    def _core(self, amp, rsq):
+        return amp * np.exp(-rsq / (4.0 * self.alpha))
+
+    def _log_flat_core(self, log_amp, lam, rsq):
+        return log_amp + 0.25 * self.n * lam - rsq / (4.0 * self.alpha)
 
     def value(self, r):
         raise NotImplementedError
@@ -71,25 +92,11 @@ class RadialProfile:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name} n={self.n}>"
-
-
-# alpha >= y0^2: y0 ~ 6.5e-8 is the first GK15 node of [0, 2^-16], the first
-# panel of the ladder every norm takes on y in [0, 1]; narrower data lie left
-# of all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
-ALPHA_MIN = (2.0**-17 * (1.0 - 0.991455371120812639206854697526329)) ** 2
-
 
 class GaussianProfile(RadialProfile):
     def __init__(self, alpha: float, amplitude: float, n: int):
-        if not alpha >= ALPHA_MIN:
-            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        self.alpha = float(alpha)
+        super().__init__(n, alpha)
         self.amplitude = float(amplitude)
-        self.n = int(n)
         self.peak = amplitude * (math.pi / alpha) ** (n / 2.0)
         self.mass = self.peak
         self.sign = math.copysign(1.0, amplitude) if amplitude != 0.0 else 0.0
@@ -98,7 +105,7 @@ class GaussianProfile(RadialProfile):
     def value(self, r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):  # r^2 = inf (r >= 1.34e154) gives the limit 0
-            out = self.peak * np.exp(-r * r / (4.0 * self.alpha))
+            out = self._core(self.peak, r * r)
         return float(out) if out.ndim == 0 else out
 
     def log_flat_from_lam(self, lam):
@@ -108,17 +115,12 @@ class GaussianProfile(RadialProfile):
         with np.errstate(over="ignore"):
             rsq = np.expm1(lam)
         # rsq grows like e^L, so the n L / 4 correction never wins
-        return math.log(abs(self.peak)) + 0.25 * self.n * lam - rsq / (4.0 * self.alpha)
+        return self._log_flat_core(math.log(abs(self.peak)), lam, rsq)
 
 
 class ZeroMassProfile(RadialProfile):
     def __init__(self, alpha: float, n: int):
-        if not alpha >= ALPHA_MIN:
-            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        self.alpha = float(alpha)
-        self.n = int(n)
+        super().__init__(n, alpha)
         self.mass = 0.0
         self.sign = 1.0
         self.name = f"zero_mass:alpha={alpha:g}"
@@ -128,7 +130,7 @@ class ZeroMassProfile(RadialProfile):
         with np.errstate(over="ignore", invalid="ignore"):
             rsq = r * r
             # where r^2 overflows, inf * 0 would read nan: the limit is 0
-            out = np.where(rsq < np.inf, rsq * np.exp(-rsq / (4.0 * self.alpha)), 0.0)
+            out = np.where(rsq < np.inf, self._core(rsq, rsq), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def log_flat_from_lam(self, lam):
@@ -136,9 +138,7 @@ class ZeroMassProfile(RadialProfile):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rsq = np.expm1(lam)
             out = np.where(
-                rsq <= 0.0,
-                -np.inf,
-                np.log(np.maximum(rsq, 1e-300)) + 0.25 * self.n * lam - rsq / (4.0 * self.alpha),
+                rsq <= 0.0, -np.inf, self._log_flat_core(np.log(np.maximum(rsq, 1e-300)), lam, rsq)
             )
             out = np.where(np.isinf(rsq), -np.inf, out)
         return out
@@ -150,12 +150,11 @@ class LogTailProfile(RadialProfile):
             raise ValueError("regularity index must be nonnegative")
         if not (0.0 < beta <= 1.0):
             raise ValueError("sharpness margin must lie in (0, 1]")
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        super().__init__(n, 1.0)
         self.m = float(m)
         self.beta = float(beta)
-        self.n = int(n)
         self.q = m + 1.0 + beta  # tail weight exponent: (1+L)^{-q/2}
+        self.l = self.m
         self.core_peak = math.pi ** (n / 2.0)
         self.mass = self.core_peak
         self.sign = 1.0
@@ -170,7 +169,7 @@ class LogTailProfile(RadialProfile):
             rsq = r * r
             # where r^2 overflows the log-weight is 2 log r (symbols.log_weight)
             lam = np.where(rsq < np.inf, np.log1p(rsq), 2.0 * np.log(r))
-            core = self.core_peak * np.exp(-rsq / 4.0)
+            core = self._core(self.core_peak, rsq)
         tail = np.exp(self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam))
         out = np.where(lam < 1.0, core, tail)
         return float(out) if out.ndim == 0 else out
@@ -185,7 +184,7 @@ class LogTailProfile(RadialProfile):
             # whose expm1 overflows there
             return tail
         with np.errstate(over="ignore"):
-            core = math.log(self.core_peak) + 0.25 * self.n * lam - np.expm1(lam) / 4.0
+            core = self._log_flat_core(math.log(self.core_peak), lam, np.expm1(lam))
         return np.where(lam < 1.0, core, tail)
 
 
@@ -248,6 +247,10 @@ class RadialSpectrum:
     @property
     def mass_sum(self) -> float:
         return self.u0.mass + self.u1.mass
+
+    @property
+    def l(self) -> float:  # the smaller of the two profiles' regularities
+        return min(self.u0.l, self.u1.l)
 
 
 def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:

@@ -148,21 +148,23 @@ def _point(lam, t, u0, u1):
     last = _last
     if last[0] is lam and last[1] is t and last[2] is u0 and last[3] is u1:
         return last[4]
+    tf = t if type(t) is float else float(t)  # a numpy t^2 warns where it overflows
     a, csq = collision_gap(lam)
-    z = csq * (t * t)
+    z = csq * (tf * tf)
     if z > _EIGEN_CUT:
-        out = _eigen(lam, a, math.sqrt(csq), t, u0, u1, True, _FLOAT)
+        out = _eigen(lam, a, math.sqrt(csq), tf, u0, u1, True, _FLOAT)
     else:
         if abs(z) < _SERIES_CUT:
-            ec, es = _series(a, z, t, _FLOAT)
+            ec, es = _series(a, z, tf, _FLOAT)
         elif z < 0.0:
-            ec, es = _oscillating(a, csq, t, _FLOAT)
+            ec, es = _oscillating(a, csq, tf, _FLOAT)
         else:
-            ec, es = _real(a, math.sqrt(csq), t, _FLOAT)
+            ec, es = _real(a, math.sqrt(csq), tf, _FLOAT)
         out = _assemble(lam, a, ec, es, u0, u1, True)
     u, v = out
     if not (u.real and u.imag and v.real and v.imag or _zero_parts_settled(u, v, u0, u1)):
-        u, v = propagator_coeffs(np.array([lam]), t, np.array([u0]), np.array([u1]), True)
+        with np.errstate(over="ignore"):  # c^2 t^2 reads -inf, as a float's does
+            u, v = propagator_coeffs(np.array([lam]), tf, np.array([u0]), np.array([u1]), True)
         out = u.item(), v.item()
     _last = (lam, t, u0, u1, out)
     return out

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -734,7 +734,7 @@ class NormSeries:
 
     Values are Fourier-side integrals int |.|^2 dxi (no 2 pi normalisation),
     i.e. squared L^2 norms; rate fits on them must be halved to speak about
-    the norm itself.
+    the norm itself.  `data`, the pair integrated (None if built by hand), is not compared.
     """
 
     kind: str
@@ -743,6 +743,7 @@ class NormSeries:
     ts: tuple[float, ...]
     values: tuple[float, ...]
     errs: tuple[float, ...]
+    data: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
@@ -806,7 +807,7 @@ def norm_series(
     time's (value, err) is the one `norm_value` gives it."""
     ts = tuple(float(t) for t in t_grid)
     pairs = _norm_pairs(d, kind, n, ts, spec or QuadSpec(n=n), zone)
-    return NormSeries(kind, zone, n, ts, tuple(v for v, _ in pairs), tuple(e for _, e in pairs))
+    return NormSeries(kind, zone, n, ts, tuple(v for v, _ in pairs), tuple(e for _, e in pairs), d)
 
 
 def default_time_grid(k_max: int = 20, t0: float = 10.0) -> tuple[float, ...]:

@@ -9,7 +9,6 @@ branches are labelled, never extrapolated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -158,12 +157,12 @@ def classify(n: int, l: float) -> RegimeReport:
     n >= 5 and 1 <= l < n/2 - 1 (oscillatory profile, exponent
     -min(n/4, (l+3)/2)); the boundary l = n/2 - 1 with n >= 4 uses the sum
     of both profiles at exponent -(n+2)/4.  Anything else is labelled
-    uncovered rather than extrapolated.
+    uncovered rather than extrapolated; l = math.inf stands for every l.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if not 0.0 <= l < math.inf:
-        raise ValueError("regularity must be finite and nonnegative")
+    if not l >= 0.0:
+        raise ValueError("regularity must be nonnegative")
     lstar = n / 2.0 - 1.0
 
     regime = DecayRegime.UNCOVERED

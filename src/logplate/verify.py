@@ -104,12 +104,10 @@ REF_CALLS = {
     "middle_band": tuple((_MID, p, (10.0, *_ZONE_TIMES), _TH.eta) for p in (0.0, 1.0, 2.0)),
 }
 
-# The series checks' data and its regularity index (log_tail m = 1; Gaussian
-# data has every l).  Checks 07-11 take the paper's exponents, and checks
-# 07-09 the profile they subtract, from rates.classify(n, _L_DATA), so a
-# wrong classifier fails them.
+# The series checks' data; judges read it from their series (`NormSeries.data`).
+# Checks 07-11 take the paper's exponents, and checks 07-09 the profile they
+# subtract, from rates.classify(n, l) at the data's l: a wrong classifier fails them.
 _GAUSS, _LOG_TAIL, _ZERO = "gaussian:alpha=1", "log_tail:m=1,beta=0.2", "zero_mass:alpha=1"
-_L_DATA = 1.0
 
 
 # The default-grid times inside FIT_WINDOW, the only ones a fit or band reads.
@@ -122,7 +120,7 @@ def _integrate(sel0: str, sel1: str, n: int, kind: str, tol: float, times, zone:
     spec = quadrature.QuadSpec(n=n, tol=tol)
     if isinstance(times, float):
         value, err = quadrature.norm_value(d, kind, n, times, spec, zone)
-        return quadrature.NormSeries(kind, zone, n, (times,), (value,), (err,))
+        return quadrature.NormSeries(kind, zone, n, (times,), (value,), (err,), d)
     return quadrature.norm_series(d, kind, n, times, spec, zone)
 
 
@@ -316,7 +314,7 @@ def _check_profile_anchors(*norms) -> tuple[bool, str, str, str]:
     worst = 0.0
     for s in heat:
         n, t = s.n, s.ts[0]
-        anchor = data_mod.parse_pair(_GAUSS, _GAUSS, n).mass_sum**2 * (math.pi / 2.0) ** (n / 2.0)
+        anchor = s.data.mass_sum**2 * (math.pi / 2.0) ** (n / 2.0)
         worst = max(worst, abs(s.values[0] * t ** (n / 2.0) / anchor - 1.0))
     ok &= worst < 0.05
     notes.append(f"heat_anchor_rel={worst:.2e}")
@@ -355,12 +353,12 @@ def _gaussian_diffusion_constant(d: data_mod.RadialSpectrum, n: int) -> float:
 
 def _check_diffusion_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     n = s.n
-    report = rates.classify(n, _L_DATA)
+    report = rates.classify(n, s.data.l)
     fit = rates.fit_rate(s, FIT_WINDOW)
     slope = fit.slope / 2.0
     theory = -(n + 4) / 4.0
     bound = report.diff_exponent
-    limit = _gaussian_diffusion_constant(data_mod.parse_pair(_GAUSS, _GAUSS, n), n)
+    limit = _gaussian_diffusion_constant(s.data, n)
     t_last, v_last = s.ts[-1], s.values[-1]
     ratio = t_last ** ((n + 4) / 2.0) * v_last / limit
     ok = abs(slope - theory) <= 0.1 and slope <= bound + 0.1 and abs(ratio - 1.0) <= 1e-2
@@ -389,7 +387,7 @@ _PROFILE_TEXT = {
 def _profile_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     """Checks 08 (n = 4, both) and 09 (n = 8, wave-like): ||u - profile||
     of the classifier's profile decays no slower than its exponent + 0.1."""
-    report = rates.classify(s.n, _L_DATA)
+    report = rates.classify(s.n, s.data.l)
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
     theory = report.diff_exponent
     name, formula = _PROFILE_TEXT[report.profile]
@@ -397,18 +395,19 @@ def _profile_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
         slope <= theory + 0.1,
         f"norm_slope={slope:.4f}",
         f"||u - {name}|| slope <= {theory + 0.1:g} (theory {formula} = {theory:g})"
-        f" for n={s.n}, l={_L_DATA:g}",
+        f" for n={s.n}, l={s.data.l:g}",
         "+0.1",
     )
 
 
 def _check_solution_sharpness(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
-    upper = rates.classify(s.n, _L_DATA).sol_exponent_upper
+    upper = rates.classify(s.n, s.data.l).sol_exponent_upper
+    sharp = -s.data.u1.q / 2.0  # -(l+1+beta)/2 of u1, the log-tail datum
     return (
-        (-1.2 <= slope <= -1.0) and slope <= upper + 0.1,
+        abs(slope - sharp) <= 0.1 and slope <= upper + 0.1,
         f"norm_slope={slope:.4f}",
-        "||u|| slope within 0.1 of -(l+1+beta)/2 = -1.1 and below the theory bound"
+        f"||u|| slope within 0.1 of -(l+1+beta)/2 = {sharp:g} and below the theory bound"
         f" {upper:g} + 0.1",
         "+-0.1",
     )
@@ -419,14 +418,14 @@ def _check_two_sided(*norms) -> tuple[bool, str, str, str]:
     ok = True
     notes = []
     for s in gaussian:
-        theory = rates.classify(s.n, _L_DATA)
+        theory = rates.classify(s.n, s.data.l)
         # squared series: twice the norm exponent, compared in the band's
         # squared-series defaults (ratio cap 9 = 3^2)
         band = rates.two_sided_band(s, 2.0 * theory.sol_exponent_upper, FIT_WINDOW)
         ok &= theory.two_sided and band.passed
         notes.append(f"n{s.n}_norm_ratio={math.sqrt(band.ratio):.3f},drift={band.drift}")
     # without mass phi1 vanishes, so u itself decays like u - phi1
-    cap = rates.classify(s0.n, _L_DATA).diff_exponent + 0.1
+    cap = rates.classify(s0.n, s0.data.l).diff_exponent + 0.1
     slope = rates.fit_rate(s0, FIT_WINDOW).slope / 2.0
     ok &= slope <= cap
     notes.append(f"zero_mass_slope={slope:.4f}")
@@ -439,7 +438,7 @@ def _check_two_sided(*norms) -> tuple[bool, str, str, str]:
 
 
 def _check_zone_exponential(*zones) -> tuple[bool, str, str, str]:
-    d = data_mod.parse_pair(_GAUSS, _GAUSS, zones[0].n)
+    d = zones[0].data
     norms = data_mod.y_norm(d.u0, 0.0).value + data_mod.y_norm(d.u1, 0.0).value
     ok = True
     notes = []
@@ -517,9 +516,10 @@ def requests(check_id: str) -> tuple[tuple, ...]:
     """The norms check `check_id` reads, in the order its judge takes them:
     (sel0, sel1, n, kind, tol, times[, zone]); a float `times` is one
     `norm_value` call, and a kind the table leaves None is u-{profile} of
-    rates.classify(n, _L_DATA), looked up at each call."""
+    rates.classify(n, l) at the data's l, looked up at each call."""
     return tuple(
-        (sel0, sel1, n, kind or f"u-{rates.classify(n, _L_DATA).profile}", *rest)
+        (sel0, sel1, n,
+         kind or f"u-{rates.classify(n, data_mod.parse_pair(sel0, sel1, n).l).profile}", *rest)
         for sel0, sel1, n, kind, *rest in _CHECKS[check_id][1:]
     )
 

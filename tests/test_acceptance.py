@@ -17,6 +17,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from logplate import data, modes, oracle, quadrature, rates, symbols, verify
 
 CANONICAL = {
@@ -101,7 +103,7 @@ def test_every_check_integrates_the_norms_it_requests_in_order(monkeypatch):
 
     def norm_series(d, kind, n, ts, spec, zone):
         norm_value(d, kind, n, ts, spec, zone)
-        return quadrature.NormSeries(kind, zone, n, ts, (1.0,) * len(ts), (0.0,) * len(ts))
+        return quadrature.NormSeries(kind, zone, n, ts, (1.0,) * len(ts), (0.0,) * len(ts), d)
 
     monkeypatch.setattr(quadrature, "norm_value", norm_value)
     monkeypatch.setattr(quadrature, "norm_series", norm_series)
@@ -114,6 +116,22 @@ def test_every_check_integrates_the_norms_it_requests_in_order(monkeypatch):
              *(zone or ["all"]))
             for cid in ids for s0, s1, n, kind, tol, times, *zone in verify.requests(cid)
         ], check_id
+
+
+@pytest.mark.parametrize("check_id,u0,u1,seen", [
+    ("06-profile-norm-anchors", "gaussian:alpha=2", "gaussian:alpha=2", "heat_anchor_rel=9.37e-05,"),
+    ("10-solution-norm-sharpness", "gaussian:alpha=1", "log_tail:m=1,beta=0.6", "= -1.3 and"),
+])
+def test_judges_read_the_data_their_rows_name(monkeypatch, check_id, u0, u1, seen):
+    # check 06's heat-profile anchor is the mass of the data integrated (here
+    # 2^{n/2} times that of its own gaussian:alpha=1), and check 10's band
+    # -q/2 +- 0.1 is the log-tail datum's (q = 2.6 here, slope -1.3023)
+    judge, *rows = verify._CHECKS[check_id]
+    rows = [(u0, u1, *rest) for _, _, *rest in rows]
+    monkeypatch.setitem(verify._CHECKS, check_id, (judge, *rows))
+    res = verify.run_check(check_id)
+    assert res.passed, res.observed
+    assert seen in res.observed + res.expected
 
 
 def test_render_line_is_canonical_line_plus_seconds():

@@ -106,7 +106,7 @@ def test_byte_identical_reruns(capsys):
     for args in (
         ("solve", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "zero_mass:alpha=1",
          "--t-count", "4"),
-        ("rates", "--n", "4", "--l", "1", "--data-u0", "gaussian:alpha=1",
+        ("rates", "--n", "4", "--data-u0", "gaussian:alpha=1",
          "--data-u1", "gaussian:alpha=1", "--t-count", "12"),
     ):
         _, out1 = _run(capsys, *args)
@@ -115,12 +115,15 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_rates_json_report(capsys):
+    # the regime is the data's own: log_tail m = 1 is l = 1, the boundary
+    # l = n/2 - 1 at n = 4
     code, out = _run(
         capsys,
-        "rates", "--n", "4", "--l", "1", "--data-u0", "gaussian:alpha=1",
-        "--data-u1", "gaussian:alpha=1", "--t-count", "13", "--tol", "1e-6",
+        "rates", "--n", "4", "--data-u0", "gaussian:alpha=1",
+        "--data-u1", "log_tail:m=1,beta=0.2", "--t-count", "13",
     )
     report = json.loads(out)
+    assert report["l"] == 1.0
     assert report["regime"] == "both"
     assert report["profile"] == "phi"
     assert report["theory_exponent"] == pytest.approx(-1.5)
@@ -129,13 +132,31 @@ def test_rates_json_report(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("n,slope", [(1, -1.25), (2, -1.51), (4, -2.01), (8, -3.01)])
+def test_rates_gaussian_data_have_every_l(capsys, n, slope):
+    # l = inf, printed as null: diffusion-like, u - phi1 within its bound
+    code, out = _run(
+        capsys,
+        "rates", "--n", str(n), "--data-u0", "gaussian:alpha=1",
+        "--data-u1", "gaussian:alpha=1",
+    )
+    report = json.loads(out)
+    assert report["l"] is None
+    assert (report["regime"], report["profile"]) == ("diffusion-like", "phi1")
+    assert report["theory_exponent"] == -(n + 2) / 4.0
+    assert report["fitted_slope"] == pytest.approx(slope, abs=0.01)
+    assert report["pass"] is True
+    assert code == 0
+
+
 def test_rates_uncovered_input(capsys):
     code, out = _run(
         capsys,
-        "rates", "--n", "4", "--l", "0.5", "--data-u0", "gaussian:alpha=1",
-        "--data-u1", "gaussian:alpha=1", "--t-count", "8",
+        "rates", "--n", "4", "--data-u0", "gaussian:alpha=1",
+        "--data-u1", "log_tail:m=0.5,beta=0.2", "--t-count", "8",
     )
     report = json.loads(out)
+    assert report["l"] == 0.5
     assert report["regime"] == "uncovered-by-theory"
     assert report["theory_exponent"] is None and report["pass"] is None
     assert code == 0
@@ -147,7 +168,7 @@ def test_rates_short_window_rejected_before_quadrature(monkeypatch, capsys):
 
     monkeypatch.setattr(quadrature, "_gk_eval", fail)
     code = cli.main([
-        "rates", "--n", "4", "--l", "1", "--data-u0", "gaussian:alpha=1",
+        "rates", "--n", "4", "--data-u0", "gaussian:alpha=1",
         "--data-u1", "gaussian:alpha=1", "--t-count", "2",
     ])
     captured = capsys.readouterr()
@@ -172,9 +193,11 @@ def test_verify_subset_and_canonical_out(tmp_path, capsys):
 def test_usage_errors():
     assert cli.main(["solve", "--n", "2"]) == 2  # missing required data flags
     assert cli.main(["nonsense"]) == 2
+    rates = ["rates", "--n", "2", "--data-u0", "gaussian:alpha=1", "--data-u1", "gaussian:alpha=1"]
     # rates integrates whole-space norms: it takes no --zone to ignore
-    assert cli.main(["rates", "--n", "2", "--l", "2", "--data-u0", "gaussian:alpha=1",
-                     "--data-u1", "gaussian:alpha=1", "--zone", "high"]) == 2
+    assert cli.main(rates + ["--zone", "high"]) == 2
+    # nor an l besides its data's own
+    assert cli.main(rates + ["--l", "1"]) == 2
 
 
 def test_bad_time_grid(capsys):
@@ -196,7 +219,7 @@ def test_bad_time_grid(capsys):
         "solve --n 2 --data-u0 gaussian:alpha=1 --t-count 3000",  # the grid's last time
         "solve --n 400 --data-u0 gaussian:alpha=1",  # Gamma(n/2) of the sphere's area
         "solve --n 200 --data-u0 gaussian:alpha=0.001",  # the peak (pi/alpha)^(n/2)
-        "rates --n 2 --data-u0 gaussian:alpha=1 --l nan",
+        "rates --n 2 --data-u0 log_tail:m=-1,beta=0.2",  # a negative regularity
         # a non-finite selector value
         "solve --n 2 --data-u0 gaussian:alpha=nan",
         "solve --n 2 --data-u0 gaussian:alpha=inf",
@@ -323,15 +346,17 @@ def _check08_kind_at_1e4(tol: str) -> list[str]:
 
 
 def test_unreachable_tolerance_fails_fast(capsys):
-    # check 08's kind at tol 1e-12, t = 1e4: the smooth parts of the tail
-    # pieces cannot reach it, and the default panel budget ends the request
-    # in well under a second (at tol 1e-10 it took 15 s under a budget of
-    # 6,000,000)
-    code = cli.main(_check08_kind_at_1e4("1e-12"))
+    # ||phi1||^2 of Gaussian data in n = 1 at tol 1e-12, t = 1e5: the panels
+    # cannot get below the rounding floor of the head, and the default panel
+    # budget ends the request in well under a second, whichever numpy code
+    # path (AVX-512, AVX2 or baseline) evaluates it
+    code = cli.main(["profile-diff", "--profile", "phi1", "--n", "1",
+                     "--data-u0", "gaussian:alpha=1", "--data-u1", "gaussian:alpha=1",
+                     "--tol", "1e-12", "--t0", "1e5", "--t-count", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("error: panel budget exhausted") and "t=10000" in captured.err
+    assert captured.err.startswith("error: panel budget exhausted") and "t=100000" in captured.err
 
 
 def test_tight_tolerance_value_lies_within_err_of_a_looser_one(capsys):

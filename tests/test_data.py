@@ -179,6 +179,17 @@ def test_pair_dimension_checked():
     assert d.mass_sum == pytest.approx(math.pi)
 
 
+def test_each_family_states_its_regularity():
+    # log_tail's l is its m; Gaussian and zero-mass data have every l; a
+    # pair has the smaller of its two
+    ls = {sel: data_mod.parse_profile(sel, 2).l
+          for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1.5,beta=0.2")}
+    assert list(ls.values()) == [math.inf, math.inf, 1.5]
+    for sel0 in ls:
+        for sel1 in ls:
+            assert data_mod.parse_pair(sel0, sel1, 2).l == min(ls[sel0], ls[sel1])
+
+
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
         data_mod.GaussianProfile(-1.0, 1.0, 2)

@@ -144,15 +144,20 @@ def test_no_overflow_at_large_time():
     assert s.u.real == pytest.approx(amp * math.exp(lp * 1e4), rel=1e-9)
 
 
-@pytest.mark.parametrize("r", R_SAMPLES)
-def test_no_overflow_warning_where_the_time_squared_overflows(r):
-    # t^2 overflows beyond t ~ 1.3e154: every part underflows (but u0 + u1
-    # at r = 0), and the array kernel the float path falls back to reads
-    # c^2 t^2 as inf, with no numpy overflow warning
+@pytest.mark.parametrize("t", [1e154, 1e200, np.float64(1e200)], ids=["1e154", "1e200", "np1e200"])
+@pytest.mark.parametrize("u0,u1", [(1.0, 0.5), (1.0 + 2.0j, 1e150)])
+@pytest.mark.parametrize("r", R_SAMPLES + (1e3,))
+def test_no_overflow_warning_where_the_time_squared_overflows(r, u0, u1, t):
+    # t^2 overflows beyond t ~ 1.3e154, and c^2 t^2 where c^2 < -1.8 at
+    # t = 1e154: every part underflows (but u0 + u1 at r = 0), and the array
+    # kernel the float path falls back to reads c^2 t^2 as -inf, with no
+    # numpy overflow warning; a numpy float t gives the Python float's results
     p = symbols.FreqPoint.from_radius(r)
-    s = modes.mode_solve(p, 1.0, 0.5, 1e200)
-    assert (abs(s.u), abs(s.v)) == (1.5 if r == 0.0 else 0.0, 0.0)
-    assert modes.pointwise_bound_check(p, 1.0, 0.5, 1e200, TH).passed
+    s = modes.mode_solve(p, u0, u1, t)
+    assert (abs(s.u), abs(s.v)) == (abs(u0 + u1) if r == 0.0 else 0.0, 0.0)
+    assert s == modes.mode_solve(p, u0, u1, float(t))
+    assert [type(x) for x in s] == [complex, complex, float]
+    assert modes.pointwise_bound_check(p, u0, u1, t, TH).passed
 
 
 def test_finite_at_the_log_weight_of_an_overflowing_square():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,22 @@ def test_classify_uncovered_inputs():
         rates.classify(3, math.nan)
 
 
+def test_classify_data_with_every_l():
+    # Gaussian and zero-mass data have l = inf: at n <= 2, and in all but
+    # diff_exponent at n = 3, what l = 1 gives (the checks' pairs sit at
+    # n = 2 and 3); beyond, the diffusion-like branch at -(n+2)/4
+    for n in (1, 2, 3):
+        every, one = rates.classify(n, math.inf), rates.classify(n, 1.0)
+        assert every.l == math.inf
+        assert dataclasses.replace(every, l=1.0, diff_exponent=one.diff_exponent) == one
+        assert every.diff_exponent == (one.diff_exponent if n < 3 else -1.25)
+    for n in (4, 8):
+        rep = rates.classify(n, math.inf)
+        assert (rep.regime, rep.profile) == (rates.DecayRegime.DIFFUSION_LIKE, "phi1")
+        assert rep.diff_exponent == -(n + 2) / 4.0
+        assert rep.sol_exponent_upper == -n / 4.0 and rep.two_sided
+
+
 def test_solution_norm_exponents():
     assert rates.classify(2, 1.0).sol_exponent_upper == pytest.approx(-0.5)
     assert rates.classify(2, 1.0).two_sided
@@ -157,7 +174,7 @@ def test_consumers_integrate_only_window_times(monkeypatch, capsys):
 
     seen.clear()
     assert cli.main([
-        "rates", "--n", "2", "--l", "1", "--data-u0", "gaussian:alpha=1",
+        "rates", "--n", "2", "--data-u0", "gaussian:alpha=1",
         "--data-u1", "gaussian:alpha=1", "--t-count", "12",
     ]) == 0
     assert seen and min(seen) >= 10.0 * 10.0  # the first decade of t0 = 10 is never read
