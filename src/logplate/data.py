@@ -3,18 +3,18 @@
 Profiles are defined directly on the Fourier side as real radial functions
 of the frequency r; the physical mass is the value at r = 0.
 
-Three families:
+Every family is one law, `RadialProfile`: amp r^{2k} e^{-r^2/(4 alpha)},
+k in {0, 1}, and for a finite tail exponent q the power tail
+c (1+r^2)^{-n/4} (1+L)^{-q/2} beyond the log-weight L = 1.
 
-* gaussian    - transform of a Gaussian bump; every log-weighted norm is
-                finite, so its regularity l is math.inf ("every l").
-* zero_mass   - transform of a Laplacian applied to a Gaussian: same decay,
-                but the mass vanishes (the degenerate case of the two-sided
-                decay results); l = math.inf.
-* log_tail    - Gaussian core matched at r_unit to a tail
-                c (1+r^2)^{-n/4} (1+L)^{-(m+1+beta)/2}, built so that the
-                log-weighted squared norm of order s is finite exactly for
-                s < m + beta; l = m.  The (1+r^2)^{-n/4} factor makes the
-                radial measure cancel exactly, leaving a pure power of (1+L).
+* gaussian    - transform of a Gaussian bump: k = 0, amp = its peak; every
+                log-weighted norm is finite, l = q = math.inf ("every l").
+* zero_mass   - transform of a Laplacian of a Gaussian: k = 1, amp = 1; no
+                mass (the degenerate two-sided case); l = q = math.inf.
+* log_tail    - k = 0, amp = pi^{n/2}, alpha = 1 to r_unit (L = 1), then the
+                tail with q = m + 1 + beta: the log-weighted squared norm of
+                order s is finite exactly for s < m + beta; l = m.  The tail's
+                (1+r^2)^{-n/4} cancels the radial measure exactly.
 
 Each profile also exposes log |u| as a function of the log-weight alone so
 that the quadrature and `y_norm`, which integrate in y = sqrt(L) on the
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TAIL_START, log_flat_measure, radial_integral, tail_integral
+from .quadrature import (FIRST_NODE, TAIL_START, QuadratureError, log_flat_measure,
+                         radial_integral, surface_area, tail_integral)
 
 __all__ = [
     "ALPHA_MIN",
@@ -45,24 +46,22 @@ __all__ = [
 ]
 
 
-# alpha >= y0^2: y0 ~ 6.5e-8 is the first GK15 node of [0, 2^-16], the first
-# panel of the ladder every norm takes on y in [0, 1]; narrower data lie left
-# of all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
-ALPHA_MIN = (2.0**-17 * (1.0 - 0.991455371120812639206854697526329)) ** 2
+# alpha >= y0^2, y0 the quadrature's first node: narrower data lie left of
+# all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
+ALPHA_MIN = FIRST_NODE**2
 
 
 class RadialProfile:
-    """One radial Fourier-side profile around a Gaussian core amp e^{-r^2/(4 alpha)}.
-
-    Attributes of every family: name, n, alpha, l (the regularity, which
-    picks the decay regime), mass, sign (constant sign of the profile).
+    """One radial Fourier-side profile: amp r^{2k} e^{-r^2/(4 alpha)}, and for
+    a finite q = l + 1 + beta the tail c (1+r^2)^{-n/4} (1+L)^{-q/2}, log c =
+    log_c, beyond L = 1.  l, the regularity, picks the decay regime.
     """
 
     name: str
     n: int
+    k = 0
     l = math.inf  # every log-weighted norm finite, unless a family sets its l
-    mass: float
-    sign: float
+    q = math.inf  # no power tail, unless a family sets its q (with beta and log_c)
 
     def __init__(self, n: int, alpha: float):
         if not alpha >= ALPHA_MIN:
@@ -71,15 +70,27 @@ class RadialProfile:
             raise ValueError("dimension must be at least 1")
         self.n, self.alpha = int(n), float(alpha)
 
-    # the core at r^2 = rsq, and its log-flat form at rsq = e^L - 1
-    def _core(self, amp, rsq):
-        return amp * np.exp(-rsq / (4.0 * self.alpha))
+    @property
+    def mass(self) -> float:  # the value at r = 0
+        return 0.0 if self.k else self.amp
 
-    def _log_flat_core(self, log_amp, lam, rsq):
-        return log_amp + 0.25 * self.n * lam - rsq / (4.0 * self.alpha)
+    @property
+    def sign(self) -> float:
+        return math.copysign(1.0, self.amp) if self.amp else 0.0
 
     def value(self, r):
-        raise NotImplementedError
+        r = np.asarray(r, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rsq = r * r
+            lead = self.amp * rsq if self.k else self.amp
+            # where r^2 overflows the core's limit is 0, which inf * 0 would read nan
+            out = np.where(rsq < np.inf, lead * np.exp(-rsq / (4.0 * self.alpha)), self.amp * 0.0)
+            if self.q < math.inf:
+                # where r^2 overflows the log-weight is 2 log r (symbols.log_weight)
+                lam = np.where(rsq < np.inf, np.log1p(rsq), 2.0 * np.log(r))
+                tail = np.exp(self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam))
+                out = np.where(lam < 1.0, out, tail)
+        return float(out) if out.ndim == 0 else out
 
     def log_flat_from_lam(self, lam):
         """log of |value| (1+r^2)^{n/4} as a function of the log-weight.
@@ -90,58 +101,35 @@ class RadialProfile:
         factors cancelled analytically, which keeps the integrand noise at
         eps * log(L) instead of eps * L for arbitrarily large log-weights.
         """
-        raise NotImplementedError
+        lam = np.asarray(lam, dtype=float)
+        if self.q < math.inf:
+            tail = self.log_c - 0.5 * self.q * np.log1p(lam)
+            if (lam >= 1.0).all():  # the whole high zone: the core's expm1 overflows there
+                return tail
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rsq = np.expm1(lam)
+            log_amp = math.log(abs(self.amp)) if self.amp else -math.inf
+            lead = log_amp + np.log(rsq) if self.k else log_amp
+            # rsq grows like e^L, so the n L / 4 correction never wins
+            core = lead + 0.25 * self.n * lam - rsq / (4.0 * self.alpha)
+            if self.k:  # where r^2 overflows, log r^2 - r^2 reads nan: the limit is -inf
+                core = np.where(rsq < np.inf, core, -np.inf)
+        return core if self.q == math.inf else np.where(lam < 1.0, core, tail)
 
 
 class GaussianProfile(RadialProfile):
     def __init__(self, alpha: float, amplitude: float, n: int):
         super().__init__(n, alpha)
         self.amplitude = float(amplitude)
-        self.peak = amplitude * (math.pi / alpha) ** (n / 2.0)
-        self.mass = self.peak
-        self.sign = math.copysign(1.0, amplitude) if amplitude != 0.0 else 0.0
+        self.amp = self.peak = amplitude * (math.pi / alpha) ** (n / 2.0)
         self.name = f"gaussian:alpha={alpha:g},amplitude={amplitude:g}"
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore"):  # r^2 = inf (r >= 1.34e154) gives the limit 0
-            out = self._core(self.peak, r * r)
-        return float(out) if out.ndim == 0 else out
-
-    def log_flat_from_lam(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if self.peak == 0.0:
-            return np.full_like(lam, -np.inf)
-        with np.errstate(over="ignore"):
-            rsq = np.expm1(lam)
-        # rsq grows like e^L, so the n L / 4 correction never wins
-        return self._log_flat_core(math.log(abs(self.peak)), lam, rsq)
 
 
 class ZeroMassProfile(RadialProfile):
     def __init__(self, alpha: float, n: int):
         super().__init__(n, alpha)
-        self.mass = 0.0
-        self.sign = 1.0
+        self.amp, self.k = 1.0, 1
         self.name = f"zero_mass:alpha={alpha:g}"
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rsq = r * r
-            # where r^2 overflows, inf * 0 would read nan: the limit is 0
-            out = np.where(rsq < np.inf, self._core(rsq, rsq), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def log_flat_from_lam(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rsq = np.expm1(lam)
-            out = np.where(
-                rsq <= 0.0, -np.inf, self._log_flat_core(np.log(np.maximum(rsq, 1e-300)), lam, rsq)
-            )
-            out = np.where(np.isinf(rsq), -np.inf, out)
-        return out
 
 
 class LogTailProfile(RadialProfile):
@@ -151,41 +139,14 @@ class LogTailProfile(RadialProfile):
         if not (0.0 < beta <= 1.0):
             raise ValueError("sharpness margin must lie in (0, 1]")
         super().__init__(n, 1.0)
-        self.m = float(m)
+        self.m = self.l = float(m)
         self.beta = float(beta)
         self.q = m + 1.0 + beta  # tail weight exponent: (1+L)^{-q/2}
-        self.l = self.m
-        self.core_peak = math.pi ** (n / 2.0)
-        self.mass = self.core_peak
-        self.sign = 1.0
+        self.amp = math.pi ** (n / 2.0)
         self.name = f"log_tail:m={m:g},beta={beta:g}"
         # continuity at r_unit (log-weight 1): core value = c e^{-n/4} 2^{-q/2}
-        core_at_unit = math.log(self.core_peak) - (math.e - 1.0) / 4.0
-        self.log_c = core_at_unit + n / 4.0 + 0.5 * self.q * math.log(2.0)
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            rsq = r * r
-            # where r^2 overflows the log-weight is 2 log r (symbols.log_weight)
-            lam = np.where(rsq < np.inf, np.log1p(rsq), 2.0 * np.log(r))
-            core = self._core(self.core_peak, rsq)
-        tail = np.exp(self.log_c - 0.25 * self.n * lam - 0.5 * self.q * np.log1p(lam))
-        out = np.where(lam < 1.0, core, tail)
-        return float(out) if out.ndim == 0 else out
-
-    def log_flat_from_lam(self, lam):
-        # the (1+r^2)^{-n/4} tail factor cancels the flattening exactly;
-        # this exactness is the whole reason the family carries that factor
-        lam = np.asarray(lam, dtype=float)
-        tail = self.log_c - 0.5 * self.q * np.log1p(lam)
-        if (lam >= 1.0).all():
-            # all nodes in the tail (the whole y-zone): skip the core branch,
-            # whose expm1 overflows there
-            return tail
-        with np.errstate(over="ignore"):
-            core = self._log_flat_core(math.log(self.core_peak), lam, np.expm1(lam))
-        return np.where(lam < 1.0, core, tail)
+        self.log_c = (math.log(self.amp) - (math.e - 1.0) / (4.0 * self.alpha) + n / 4.0
+                      + 0.5 * self.q * math.log(2.0))
 
 
 # selector family -> (profile class, keyword defaults; None = required)
@@ -252,6 +213,10 @@ class RadialSpectrum:
     def l(self) -> float:  # the smaller of the two profiles' regularities
         return min(self.u0.l, self.u1.l)
 
+    @property
+    def q(self) -> float:  # the smaller of the two profiles' tail exponents
+        return min(self.u0.q, self.u1.q)
+
 
 def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:
     return RadialSpectrum(parse_profile(sel0, n), parse_profile(sel1, n))
@@ -259,27 +224,35 @@ def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:
 
 @dataclass(frozen=True)
 class YNormResult:
-    """Log-weighted squared norm; `diverged` is a flag, not an error."""
+    """Log-weighted squared norm; `diverged` (value inf) is a flag, not an error."""
 
     value: float
     err_est: float
     diverged: bool
 
 
+# Doublings of 1 + L from TAIL_START over which y_norm integrates a power tail,
+# to 64, where (1 - e^{-L})^{(n-2)/2} rounds to 1 and the closed form takes over
+_DOUBLINGS = 5
+
+
 def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
     """w_n int_0^inf (1 + L)^s |u(r)|^2 r^{n-1} dr, with divergence flagged.
 
     The integral is taken in y = sqrt(L) with the measure folded into the
-    data in log space: the head over y in [0, 1], the tail doubling the
-    extent of 1 + L until the increment is negligible.  If the doubling
-    budget runs out while the increments still move the total, the norm is
-    flagged divergent.
+    data in log space: the head over y in [0, 1], then the tail.  The law
+    decides finiteness: with a power tail the norm is finite exactly for
+    s < l + beta and reads inf from there on; its tail is integrated to
+    1 + L = X = 64 and the rest added as (w_n c^2 / 2) X^{s-q+1} / (q-s-1).
+    Gaussian-core tails double 1 + L until the increment is negligible.
     """
     if s < 0.0:
         raise ValueError("regularity order must be nonnegative")
     n = n if n is not None else d.n
     if n != d.n:
         raise ValueError("profile dimension does not match the request")
+    if d.q < math.inf and s >= d.l + d.beta:
+        return YNormResult(math.inf, 0.0, True)
     tol = 1e-8
 
     def f(y):
@@ -287,13 +260,23 @@ def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
         logv = d.log_flat_from_lam(lam)
         return np.exp(s * np.log1p(lam) + 2.0 * logv + log_flat_measure(y, n))
 
+    def pieces(ends):  # (value, err) between consecutive ends of 1 + L
+        ys = [math.sqrt(s_end - 1.0) for s_end in ends]
+        return [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]
+
     head, head_err = radial_integral(f, 0.0, 1.0, tol, ladder=16)
-
-    def segments(runs):
-        ys = [math.sqrt(s_end - 1.0) for s_end in runs[0]]
-        return {0: [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]}
-
-    ((tail, tail_err, converged),) = tail_integral(
-        segments, TAIL_START, 2.0 * TAIL_START, tol, baselines=(head,)
-    )
-    return YNormResult(head + tail, head_err + tail_err, not converged)
+    if d.q == math.inf:
+        ((tail, err, converged),) = tail_integral(
+            lambda runs: {0: pieces(runs[0])}, TAIL_START, 2.0 * TAIL_START, tol, baselines=(head,)
+        )
+        if not converged:
+            raise QuadratureError("y_norm tail did not converge")
+    else:
+        found = pieces([TAIL_START * 2.0**k for k in range(_DOUBLINGS + 1)])
+        gap = d.l + d.beta - s  # q - s - 1, positive wherever the norm is finite
+        exponent = 2.0 * d.log_c - gap * math.log(TAIL_START * 2.0**_DOUBLINGS)
+        rest = 0.5 * surface_area(n) * math.exp(exponent) / gap
+        # its rounding: ulps of each factor, of exp's argument and of gap
+        rest_err = rest * np.finfo(float).eps * (4.0 + abs(exponent) + (d.q + s + 1.0) / gap)
+        tail, err = (math.fsum(x) for x in zip(*found, (rest, rest_err)))
+    return YNormResult(head + tail, head_err + err, False)

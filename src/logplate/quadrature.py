@@ -49,11 +49,11 @@ Design notes
   piece goes to GK15, empty or not: an empty one settles in one panel with
   error 0, and only pieces with a nonzero smooth part go on to Levin, as
   the fast terms vanish wherever the smooth part does.
-* Every unbounded integral (the high zone, the reference tail, and the data
-  module's log-weighted norm) goes through one tail-doubling loop,
-  `tail_integral`: it doubles the extent until the increment is negligible
-  and, for the high zone, the envelope peak (at log-weight ~ t) has been
-  passed.  The loops of a series' times, or of the reference tail's, run in lockstep.
+* Every unbounded integral (the high zone, the reference tail, and the
+  log-weighted norm of Gaussian-core data) goes through one tail-doubling
+  loop, `tail_integral`: it doubles the extent until the increment is
+  negligible and, for the high zone, the envelope peak (at log-weight ~ t)
+  has been passed.  The loops of a series' times, or of the reference tail's, run in lockstep.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ __all__ = [
     "MAX_PANELS",
     "MAX_SEGMENTS",
     "TAIL_START",
+    "FIRST_NODE",
+    "T_MAX",
     "CHUNK",
     "REF_TOL",
     "surface_area",
@@ -184,6 +186,12 @@ _WK = np.array(list(_WGK_HALF[:-1]) + [_WGK_HALF[-1]] + list(reversed(_WGK_HALF[
 _WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1])))
 # Gauss weights sit at the odd Kronrod node indices 1, 3, ..., 13.
 assert _NODES.size == 15 and _WG.size == 7
+
+#: y0 ~ 6.5e-8, the first GK15 node of [0, 2^-16], the ladder's first panel
+#: on y in [0, 1]; data.ALPHA_MIN = y0^2.  T_MAX = 1/y0^2, the largest t of a
+#: zone holding r = 0, keeps the mass e^{-2tL} at e^{-2} or more at y0.
+FIRST_NODE = 2.0**-17 * (1.0 - _XGK_HALF[0])
+T_MAX = 1.0 / FIRST_NODE**2
 
 
 def _lobatto(k: int):
@@ -585,18 +593,23 @@ def _phase_terms(kind: str, y: np.ndarray, t, w0, w1, wial):
     """
     a, csq = collision_gap(y * y)
     damp, b = oscillating_coeffs(a, csq, t)
-    p = q = 0.0
-    if kind in _MODE_KINDS:
-        p = damp * w0
-        q = damp * (w1 + a * w0) / b
-    if kind in _WAVE_KINDS:
-        env = phi2_envelope(y * y, t)
+    if kind not in _WAVE_KINDS:  # the mode alone
+        p, q = damp * w0, damp * (w1 + a * w0) / b
+    else:
         slow = a * a * t / (y + b)
-        cs = np.cos(slow)
-        sn = np.sin(slow)
-        w1y = w1 / y
-        p = p - env * (w1y * sn + w0 * cs)
-        q = q - env * (w1y * cs - w0 * sn)
+        sn, w1y = np.sin(slow), w1 / y
+        if kind not in _MODE_KINDS:  # phi2 alone
+            env, cs = phi2_envelope(y * y, t), np.cos(slow)
+            p, q = -env * (w1y * sn + w0 * cs), -env * (w1y * cs - w0 * sn)
+        else:
+            # u - phi2 without cancellation: env - damp = damp expm1(-ta/L), as
+            # 1/(2L) - a = a/L; 1 - cos(slow) = 2 sin^2(slow/2); 1/b - 1/y = a^2/((y+b) b y)
+            gap = damp * np.expm1(-t * a / (y * y))
+            env = damp + gap
+            e = 2.0 * env * np.sin(0.5 * slow) ** 2 - gap
+            da, esn = damp * a, env * sn
+            p = w0 * e - w1y * esn
+            q = w1 * (da * a / ((y + b) * b * y) + e / y) + w0 * (da / b + esn)
     m = None if wial is None else -wial
     # b^2 = L - a^2 with da/dy = -4 a^2 y, so db/dy = y (1 + 4 a^3) / b >= 1
     return m, p, q, y * (1.0 + 4.0 * a**3) / b
@@ -764,6 +777,8 @@ def _norm_pairs(d, kind: str, n: int, ts, spec: QuadSpec, zone: str) -> list:
     for t in ts:
         if not 0.0 <= t < math.inf:
             raise ValueError("t must be finite and nonnegative")
+        if t > T_MAX and zone in ("all", "low"):
+            raise ValueError(f"t={t:g} exceeds T_MAX = {T_MAX:.4g}: the mass is left of all nodes")
         if t == 0.0 and kind in _PHI1_KINDS and d.mass_sum != 0.0:
             raise ValueError(
                 f"{kind!r} at t=0 contains phi1 = the mass {d.mass_sum:g} at every "

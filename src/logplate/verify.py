@@ -339,16 +339,16 @@ def _gaussian_diffusion_constant(d: data_mod.RadialSpectrum, n: int) -> float:
     c1 = M_0 + 3 M_1 - M_0/(4 alpha_0) - M_1/(4 alpha_1).  Hence
     u - phi1 ~ e^{-t L(1+L)} (c1 L - M t L^2), and integrating its square
     with L ~ r^2 gives (|S^{n-1}|/2) sum_k a_k Gamma(n/2+k) / 2^{n/2+k} with
-    (a_2, a_3, a_4) = (c1^2, -2 c1 M, M^2).  Radial data has no first-moment
-    term, so nothing decays at the slower generic rate -(n+2)/4.
+    (a_2, a_3, a_4) = (c1^2, -2 c1 M, M^2), formed as sum_k a_k pi^{n/2}
+    (n/2)_k / 2^{n/2+k}, without the code under test.  Radial data has no
+    first-moment term, so nothing decays at the slower generic rate -(n+2)/4.
     """
     u0, u1 = d.u0, d.u1
     mass = u0.mass + u1.mass
     c1 = u0.mass + 3.0 * u1.mass - u0.mass / (4.0 * u0.alpha) - u1.mass / (4.0 * u1.alpha)
     coeffs = {2: c1 * c1, 3: -2.0 * c1 * mass, 4: mass * mass}
-    return 0.5 * quadrature.surface_area(n) * sum(
-        a * math.gamma(n / 2.0 + k) / 2.0 ** (n / 2.0 + k) for k, a in coeffs.items()
-    )
+    return math.pi ** (n / 2.0) * sum(a * math.prod(n / 2.0 + j for j in range(k))
+                                      / 2.0 ** (n / 2.0 + k) for k, a in coeffs.items())
 
 
 def _check_diffusion_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
@@ -403,7 +403,7 @@ def _profile_rate(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
 def _check_solution_sharpness(s: quadrature.NormSeries) -> tuple[bool, str, str, str]:
     slope = rates.fit_rate(s, FIT_WINDOW).slope / 2.0
     upper = rates.classify(s.n, s.data.l).sol_exponent_upper
-    sharp = -s.data.u1.q / 2.0  # -(l+1+beta)/2 of u1, the log-tail datum
+    sharp = -s.data.q / 2.0  # -(l+1+beta)/2 of the data's power tail
     return (
         abs(slope - sharp) <= 0.1 and slope <= upper + 0.1,
         f"norm_slope={slope:.4f}",

@@ -188,3 +188,13 @@ def test_check_02_reads_the_roots_the_mode_kernel_uses(monkeypatch):
 
     monkeypatch.setattr(symbols, "real_roots", skewed)
     assert verify.run_check("02-root-algebra").status == "fail"
+
+
+def test_check_07_forms_its_constant_without_the_code_under_test(monkeypatch):
+    # K is sum a_k pi^{n/2} (n/2)_k / 2^{n/2+k}: a quadrature whose sphere
+    # area is 1.5% too large reads ratio_to_K = 1.016 and fails, where a K
+    # formed with that same area passed it
+    area = quadrature.surface_area
+    monkeypatch.setattr(quadrature, "surface_area", lambda n: 1.015 * area(n))
+    res = verify.run_check("07-diffusion-profile-rate")
+    assert not res.passed and "ratio_to_K=1.01" in res.observed

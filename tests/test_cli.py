@@ -230,6 +230,10 @@ def test_bad_time_grid(capsys):
         "solve --n 2 --data-u0 gaussian:alpha=1,alpha=5",  # a repeated key
         "solve --n 2 --data-u0 gaussian:alpha=1e-18",  # narrower than ALPHA_MIN
         "solve --n 2 --data-u0 zero_mass:alpha=4.2e-15",
+        # a t beyond quadrature.T_MAX, where the norm read 0 or exited 3
+        "solve --n 2 --data-u0 gaussian:alpha=1 --t0 2.4e14 --t-count 1",
+        "profile-diff --profile phi1 --n 1 --zone low --data-u0 gaussian:alpha=1 --t0 1e80"
+        " --t-count 1",
     ],
 )
 def test_overflowing_or_non_finite_input_is_rejected_before_any_work(monkeypatch, capsys, argv):

@@ -96,6 +96,19 @@ def test_values_where_the_radius_squared_overflows():
     assert prof.value(1e200) > 0.0
 
 
+def test_one_law_serves_every_family():
+    # the families only set the law's parameters; its sign of zero holds where
+    # r^2 overflows (a negative Gaussian reads -0.0 there, as its core does)
+    for cls in (data_mod.GaussianProfile, data_mod.ZeroMassProfile, data_mod.LogTailProfile):
+        assert cls.value is data_mod.RadialProfile.value
+        assert cls.log_flat_from_lam is data_mod.RadialProfile.log_flat_from_lam
+    neg = data_mod.GaussianProfile(1.0, -2.0, 8)
+    assert math.copysign(1.0, neg.value(1e200)) == math.copysign(1.0, neg.value(1e3)) == -1.0
+    assert neg.sign == -1.0 and neg.mass == neg.peak < 0.0
+    assert data_mod.GaussianProfile(1.0, 0.0, 2).log_flat_from_lam(np.array([0.5, 800.0])).tolist() \
+        == [-math.inf, -math.inf]
+
+
 def test_log_tail_all_tail_call_matches_mixed_call():
     prof = data_mod.LogTailProfile(1.0, 0.2, 8)
     # every node in the tail (L >= 1), as in the whole high zone
@@ -131,7 +144,31 @@ def test_y_norm_divergence_flag_at_regularity_boundary():
     fine = data_mod.y_norm(lt, 1.0)
     assert not fine.diverged and fine.value > 0.0
     coarse = data_mod.y_norm(lt, 2.0)
-    assert coarse.diverged
+    assert coarse.diverged and coarse.value == math.inf
+    # one ulp below m + beta, where q - s - 1 rounds to 0 here, still finite
+    ulp = data_mod.y_norm(data_mod.LogTailProfile(1.0, 0.1876037480450734, 8),
+                          math.nextafter(1.1876037480450734, 0.0))
+    assert not ulp.diverged and 0.0 < ulp.value < math.inf
+
+
+@pytest.mark.parametrize("m,beta", [(1.0, 0.2), (0.0, 0.5), (2.0, 0.5)])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_y_norm_finite_exactly_below_m_plus_beta(monkeypatch, m, beta, n):
+    # the law decides: finite at s = m + beta - 0.01, where the pieces shrink
+    # by only 2^-0.01 a doubling (a doubling budget flagged 1.1 < 1.2 as
+    # diverged), and infinite at exactly m + beta, which q - 1 = 1.2000000000000002
+    # computed in floats would let through for (1, 0.2); the finite values
+    # agree within err with a run taking 2^20 times further before the
+    # closed form
+    prof = data_mod.LogTailProfile(m, beta, n)
+    s = m + beta - 0.01
+    res = data_mod.y_norm(prof, s)
+    assert not res.diverged and 0.0 < res.value < math.inf
+    edge = data_mod.y_norm(prof, m + beta)
+    assert edge.diverged and edge.value == math.inf
+    monkeypatch.setattr(data_mod, "_DOUBLINGS", 25)
+    far = data_mod.y_norm(prof, s)
+    assert abs(res.value - far.value) <= res.err_est + far.err_est
 
 
 def test_parse_profile_grammar():
@@ -179,6 +216,17 @@ def test_pair_dimension_checked():
     assert d.mass_sum == pytest.approx(math.pi)
 
 
+def test_each_family_states_its_tail_exponent():
+    # log_tail's q is m + 1 + beta; Gaussian and zero-mass data have no power
+    # tail (q = inf); a pair has the smaller of its two
+    qs = {sel: data_mod.parse_profile(sel, 2).q
+          for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1.5,beta=0.2")}
+    assert list(qs.values()) == [math.inf, math.inf, 1.5 + 1.0 + 0.2]
+    for sel0 in qs:
+        for sel1 in qs:
+            assert data_mod.parse_pair(sel0, sel1, 2).q == min(qs[sel0], qs[sel1])
+
+
 def test_each_family_states_its_regularity():
     # log_tail's l is its m; Gaussian and zero-mass data have every l; a
     # pair has the smaller of its two
@@ -212,7 +260,7 @@ def test_data_at_the_alpha_floor_read_their_closed_form_norm(family, n):
     lo, hi = quad._build_bounds(0.0, 1.0, ladder=16)[:2]
     y0 = 0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._NODES[0]
     alpha = data_mod.ALPHA_MIN
-    assert alpha == pytest.approx(y0 * y0, rel=1e-12)
+    assert alpha == quad.FIRST_NODE**2 == pytest.approx(y0 * y0, rel=1e-12)
     d = data_mod.parse_pair(f"{family}:alpha={alpha!r}", f"{family}:alpha={alpha!r}", n)
     k = n / 2.0 if family == "gaussian" else (n + 4) / 2.0
     peak = d.u0.peak if family == "gaussian" else 1.0

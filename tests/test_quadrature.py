@@ -221,13 +221,20 @@ def test_tail_error_covers_slowly_shrinking_remainder():
     assert err == pytest.approx(remainder, rel=1e-9)
 
 
-def test_y_norm_error_covers_tail_near_regularity_boundary():
+def test_y_norm_remainder_near_regularity_boundary_is_in_the_value(monkeypatch):
     # s = 1 with tail weight q = m + 1 + beta = 2.2: the pieces shrink by
-    # 0.87 per doubling and the closed-form remainder beyond the last
-    # extent is 4.25
-    res = data_mod.y_norm(data_mod.LogTailProfile(1.0, 0.2, 8), 1.0)
+    # only 0.87 per doubling, and the closed-form remainder beyond 1 + L = 64
+    # (about 4.25) is now part of the value, not of err_est: 67,241,048.555
+    # +- 4.247 became 67,241,052.802 +- 2.5e-4, which a run taking 2^20
+    # times further before the closed form confirms
+    prof = data_mod.LogTailProfile(1.0, 0.2, 8)
+    res = data_mod.y_norm(prof, 1.0)
     assert not res.diverged
-    assert res.err_est >= 4.0
+    assert res.err_est < 1e-3
+    monkeypatch.setattr(data_mod, "_DOUBLINGS", 25)
+    far = data_mod.y_norm(prof, 1.0)
+    assert abs(res.value - far.value) <= res.err_est + far.err_est
+    assert res.value - 67_241_048.555 == pytest.approx(4.247, abs=0.01)
 
 
 def test_zone_additivity():
@@ -1024,3 +1031,41 @@ def test_norm_series_rejects_a_bad_request_before_any_integration(monkeypatch):
     for d, kind, n, ts, spec, zone, match in bad:
         with pytest.raises(ValueError, match=match):
             quad.norm_series(d, kind, n, ts, spec, zone)
+
+
+@pytest.mark.parametrize("u1,n,kind", [
+    ("log_tail:m=1,beta=0.2", 4, "u-phi"),
+    ("log_tail:m=1,beta=0.2", 8, "u-phi"),
+    ("log_tail:m=0,beta=0.5", 2, "u-phi"),
+    ("log_tail:m=0,beta=0.5", 4, "u-phi"),
+    ("log_tail:m=0,beta=0.5", 8, "u-phi"),
+    ("log_tail:m=1,beta=0.2", 8, "u-phi2"),
+    ("log_tail:m=0,beta=0.5", 8, "u-phi2"),
+])
+def test_mode_minus_phi2_reaches_tol_1e12_in_the_tail(u1, n, kind):
+    # the high zone's P and Q of u - phi2 are formed without cancellation
+    # (`_phase_terms`); these requests exhausted the panel budget when they
+    # were differences of nearly equal terms, and now agree with tol 1e-10
+    d = data_mod.parse_pair("gaussian:alpha=1", u1, n)
+    v, e = quad.norm_value(d, kind, n, 1e4, quad.QuadSpec(n=n, tol=1e-12))
+    w, f = quad.norm_value(d, kind, n, 1e4, quad.QuadSpec(n=n, tol=1e-10))
+    assert abs(v - w) <= e + f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_largest_accepted_t_reads_the_laplace_anchor(monkeypatch, n):
+    # at t = T_MAX the mass at L ~ 1/t still reaches the first node: the
+    # norm is M^2 (pi/(2t))^{n/2} to 1e-3; beyond it the request is refused
+    # before any integration, where it used to read 0 with err_est 0
+    d = data_mod.parse_pair("gaussian:alpha=1", "gaussian:alpha=1", n)
+    v, _ = quad.norm_value(d, "u", n, quad.T_MAX, quad.QuadSpec(n=n))
+    anchor = d.mass_sum**2 * (math.pi / (2.0 * quad.T_MAX)) ** (n / 2.0)
+    assert abs(v / anchor - 1.0) <= 1e-3
+
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran before t was refused")
+
+    monkeypatch.setattr(quad, "_gk_eval", fail)
+    for zone in ("all", "low"):
+        with pytest.raises(ValueError, match="T_MAX"):
+            quad.norm_value(d, "u", n, quad.T_MAX * (1.0 + 1e-15), zone=zone)
