@@ -17,8 +17,8 @@ c (1+r^2)^{-n/4} (1+L)^{-q/2} beyond the log-weight L = 1.
                 (1+r^2)^{-n/4} cancels the radial measure exactly.
 
 Each profile also exposes log |u| as a function of the log-weight alone so
-that the quadrature and `y_norm`, which integrate in y = sqrt(L) on the
-whole line, can fold the radial measure into the data in log space (r
+that the quadrature, which integrates every norm and `y_norm` in y = sqrt(L)
+on the whole line, can fold the radial measure into the data in log space (r
 itself overflows once the log-weight exceeds ~709).
 """
 
@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (FIRST_NODE, TAIL_START, QuadratureError, log_flat_measure,
-                         radial_integral, surface_area, tail_integral)
+from .quadrature import FIRST_NODE, YNormResult, y_norm
 
 __all__ = [
     "ALPHA_MIN",
+    "ALPHA_MAX",
+    "PEAK_MAX",
     "RadialProfile",
     "GaussianProfile",
     "ZeroMassProfile",
@@ -49,26 +50,39 @@ __all__ = [
 # alpha >= y0^2, y0 the quadrature's first node: narrower data lie left of
 # all its nodes, and below alpha ~ 3e-18 they underflow to a norm of 0.
 ALPHA_MIN = FIRST_NODE**2
+# The largest decade at which y_norm and a t = 10 norm of Gaussian and
+# zero-mass data read their references within err_est (n = 1, 2, 3, five
+# alphas a decade): wider cores peak ever more narrowly in y (README).
+ALPHA_MAX = 1e25
+# Bound on |u| (1+r^2)^{n/4}: squared, with the measure and the mode's factors, it stays finite.
+PEAK_MAX = 1e150
 
 
 class RadialProfile:
     """One radial Fourier-side profile: amp r^{2k} e^{-r^2/(4 alpha)}, and for
     a finite q = l + 1 + beta the tail c (1+r^2)^{-n/4} (1+L)^{-q/2}, log c =
-    log_c, beyond L = 1.  l, the regularity, picks the decay regime.
+    log_c, beyond L = 1.  l, the regularity, picks the decay regime.  Its
+    ranges, refused before any integration: alpha in [ALPHA_MIN, ALPHA_MAX]
+    and |u| (1+r^2)^{n/4} below PEAK_MAX (a tail stays below the core at L = 1).
     """
 
     name: str
     n: int
-    k = 0
     l = math.inf  # every log-weighted norm finite, unless a family sets its l
     q = math.inf  # no power tail, unless a family sets its q (with beta and log_c)
 
-    def __init__(self, n: int, alpha: float):
-        if not alpha >= ALPHA_MIN:
-            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:.3g}")
+    def __init__(self, n: int, alpha: float, amp: float, k: int = 0):
+        if not ALPHA_MIN <= alpha <= ALPHA_MAX:
+            raise ValueError(f"alpha must lie in [ALPHA_MIN, ALPHA_MAX] = [{ALPHA_MIN:.3g}, "
+                             f"{ALPHA_MAX:.3g}]")
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        self.n, self.alpha = int(n), float(alpha)
+        # |u| (1+r^2)^{n/4} <= |amp| max(1, (1+k) n alpha)^{n/4} (8 alpha/e)^k, x/(4 alpha)
+        # (x = r^2) split evenly between x^k and (1+x)^{n/4} when k = 1
+        log_peak = (math.log(abs(amp)) if amp else -math.inf) + k * math.log(8.0 * alpha / math.e)
+        if log_peak + n / 4.0 * math.log(max(1.0, (1 + k) * n * alpha)) > math.log(PEAK_MAX):
+            raise ValueError(f"|u| (1+r^2)^(n/4) may exceed PEAK_MAX = {PEAK_MAX:g} (n = {n})")
+        self.n, self.alpha, self.amp, self.k = int(n), float(alpha), float(amp), k
 
     @property
     def mass(self) -> float:  # the value at r = 0
@@ -119,16 +133,15 @@ class RadialProfile:
 
 class GaussianProfile(RadialProfile):
     def __init__(self, alpha: float, amplitude: float, n: int):
-        super().__init__(n, alpha)
-        self.amplitude = float(amplitude)
-        self.amp = self.peak = amplitude * (math.pi / alpha) ** (n / 2.0)
+        # the law refuses alpha <= 0 before (pi/alpha)^{n/2} could be formed
+        super().__init__(n, alpha, amplitude * (math.pi / alpha) ** (n / 2.0) if alpha > 0 else 0.0)
+        self.amplitude, self.peak = float(amplitude), self.amp
         self.name = f"gaussian:alpha={alpha:g},amplitude={amplitude:g}"
 
 
 class ZeroMassProfile(RadialProfile):
     def __init__(self, alpha: float, n: int):
-        super().__init__(n, alpha)
-        self.amp, self.k = 1.0, 1
+        super().__init__(n, alpha, 1.0, k=1)
         self.name = f"zero_mass:alpha={alpha:g}"
 
 
@@ -138,11 +151,10 @@ class LogTailProfile(RadialProfile):
             raise ValueError("regularity index must be nonnegative")
         if not (0.0 < beta <= 1.0):
             raise ValueError("sharpness margin must lie in (0, 1]")
-        super().__init__(n, 1.0)
+        super().__init__(n, 1.0, math.pi ** (n / 2.0))
         self.m = self.l = float(m)
         self.beta = float(beta)
         self.q = m + 1.0 + beta  # tail weight exponent: (1+L)^{-q/2}
-        self.amp = math.pi ** (n / 2.0)
         self.name = f"log_tail:m={m:g},beta={beta:g}"
         # continuity at r_unit (log-weight 1): core value = c e^{-n/4} 2^{-q/2}
         self.log_c = (math.log(self.amp) - (math.e - 1.0) / (4.0 * self.alpha) + n / 4.0
@@ -192,6 +204,8 @@ def parse_profile(selector: str, n: int) -> RadialProfile:
         return ctor(n=n, **kwargs)
     except OverflowError:
         raise ValueError(f"data {selector!r} overflows a double in dimension {n}") from None
+    except ValueError as exc:
+        raise ValueError(f"data {selector!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -220,63 +234,3 @@ class RadialSpectrum:
 
 def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:
     return RadialSpectrum(parse_profile(sel0, n), parse_profile(sel1, n))
-
-
-@dataclass(frozen=True)
-class YNormResult:
-    """Log-weighted squared norm; `diverged` (value inf) is a flag, not an error."""
-
-    value: float
-    err_est: float
-    diverged: bool
-
-
-# Doublings of 1 + L from TAIL_START over which y_norm integrates a power tail,
-# to 64, where (1 - e^{-L})^{(n-2)/2} rounds to 1 and the closed form takes over
-_DOUBLINGS = 5
-
-
-def y_norm(d: RadialProfile, s: float, n: int | None = None) -> YNormResult:
-    """w_n int_0^inf (1 + L)^s |u(r)|^2 r^{n-1} dr, with divergence flagged.
-
-    The integral is taken in y = sqrt(L) with the measure folded into the
-    data in log space: the head over y in [0, 1], then the tail.  The law
-    decides finiteness: with a power tail the norm is finite exactly for
-    s < l + beta and reads inf from there on; its tail is integrated to
-    1 + L = X = 64 and the rest added as (w_n c^2 / 2) X^{s-q+1} / (q-s-1).
-    Gaussian-core tails double 1 + L until the increment is negligible.
-    """
-    if s < 0.0:
-        raise ValueError("regularity order must be nonnegative")
-    n = n if n is not None else d.n
-    if n != d.n:
-        raise ValueError("profile dimension does not match the request")
-    if d.q < math.inf and s >= d.l + d.beta:
-        return YNormResult(math.inf, 0.0, True)
-    tol = 1e-8
-
-    def f(y):
-        lam = y * y
-        logv = d.log_flat_from_lam(lam)
-        return np.exp(s * np.log1p(lam) + 2.0 * logv + log_flat_measure(y, n))
-
-    def pieces(ends):  # (value, err) between consecutive ends of 1 + L
-        ys = [math.sqrt(s_end - 1.0) for s_end in ends]
-        return [radial_integral(f, a, b, tol) for a, b in zip(ys, ys[1:])]
-
-    head, head_err = radial_integral(f, 0.0, 1.0, tol, ladder=16)
-    if d.q == math.inf:
-        ((tail, err, converged),) = tail_integral(
-            lambda runs: {0: pieces(runs[0])}, TAIL_START, 2.0 * TAIL_START, tol, baselines=(head,)
-        )
-        if not converged:
-            raise QuadratureError("y_norm tail did not converge")
-    else:
-        found = pieces([TAIL_START * 2.0**k for k in range(_DOUBLINGS + 1)])
-        gap = d.l + d.beta - s  # q - s - 1, positive wherever the norm is finite
-        exponent = 2.0 * d.log_c - gap * math.log(TAIL_START * 2.0**_DOUBLINGS)
-        rest = 0.5 * surface_area(n) * math.exp(exponent) / gap
-        # its rounding: ulps of each factor, of exp's argument and of gap
-        rest_err = rest * np.finfo(float).eps * (4.0 + abs(exponent) + (d.q + s + 1.0) / gap)
-        tail, err = (math.fsum(x) for x in zip(*found, (rest, rest_err)))
-    return YNormResult(head + tail, head_err + err, False)

@@ -29,10 +29,11 @@ Design notes
   value (zone "all") integrates [0, 1] once, to tol of its own value, and
   adds the high zone.  An explicit zone request integrates that zone alone.
 * The bounded integrals are refined adaptively from their ends (and a 2^-k
-  ladder from y = 0).  There the oscillatory profile is damped by
-  e^{-t/(2L)} (e^{-3.49t} on the low zone), and the mode oscillates only on
-  highmid, turning at most 0.15 t periods while its square decays like
-  e^{-t/2}: refinement resolves the few periods that are not negligible.
+  ladder from y = 0), each an owner of its own in one `_rows` call.  There
+  the oscillatory profile is damped by e^{-t/(2L)} (e^{-3.49t} on the low
+  zone), and the mode oscillates only on highmid, turning at most 0.15 t
+  periods while its square decays like e^{-t/2}: refinement resolves the few
+  periods that are not negligible.
 * In the high zone every oscillating kind is written as
   v = m + P cos(bt) + Q sin(bt) with slow P, Q and the mass term m, so v^2
   is the smooth m^2 + (P^2 + Q^2)/2 plus four fast terms in cos/sin of bt
@@ -49,11 +50,11 @@ Design notes
   piece goes to GK15, empty or not: an empty one settles in one panel with
   error 0, and only pieces with a nonzero smooth part go on to Levin, as
   the fast terms vanish wherever the smooth part does.
-* Every unbounded integral (the high zone, the reference tail, and the
-  log-weighted norm of Gaussian-core data) goes through one tail-doubling
-  loop, `tail_integral`: it doubles the extent until the increment is
-  negligible and, for the high zone, the envelope peak (at log-weight ~ t)
-  has been passed.  The loops of a series' times, or of the reference tail's, run in lockstep.
+* The high zone and the reference tail go through one tail-doubling loop,
+  `tail_integral`: it doubles the extent until the increment is negligible
+  and, for the high zone, the envelope peak (at log-weight ~ t) has been
+  passed; the loops of a series' times, or of the reference tail's, run in
+  lockstep.  `y_norm` integrates to a fixed end, 1 + L = 1024, instead.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ __all__ = [
     "CHUNK",
     "REF_TOL",
     "surface_area",
-    "radial_integral",
     "tail_integral",
     "log_flat_measure",
+    "YNormResult",
+    "y_norm",
     "node_values",
     "ref_integral_Ip",
     "ref_integral_Jp",
@@ -372,16 +374,19 @@ def _build_bounds(lo: float, hi: float, ladder: int = 0) -> np.ndarray:
     return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
-def radial_integral(f, lo: float, hi: float, tol: float, ladder: int = 0):
-    """Adaptive integral of f over [lo, hi] to tolerance tol -> (value, error estimate)."""
-    if hi < lo:
-        raise ValueError("empty integration range")
-    failed, b = {}, _build_bounds(lo, hi, ladder=ladder)
-    ((value, err, _),) = _adaptive(lambda y, t: f(y), b[:-1], b[1:], [b.size - 1], [0.0], [0], tol,
-                                   [MAX_PANELS], failed)
-    if failed:
-        raise failed[0]
-    return value, err
+def _rows(f, rows, ts, tol: float, failed: dict | None = None) -> list:
+    """`_adaptive` of f(y, t) on `rows`, each the panel ends of one interval
+    at ts[i] and an owner of its own with its own MAX_PANELS budget, so that
+    each row gets the result it has alone -> [(value, err, panels)] per row.
+    Failures go to `failed` as in `_adaptive` when it is given; else the
+    earliest is raised."""
+    found = {} if failed is None else failed
+    out = _adaptive(f, np.concatenate([[], *(b[:-1] for b in rows)]),
+                    np.concatenate([[], *(b[1:] for b in rows)]), [len(b) - 1 for b in rows], ts,
+                    range(len(rows)), tol, [MAX_PANELS] * len(rows), found)
+    if failed is None and found:
+        raise found[min(found)]
+    return out
 
 
 def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), stops=(-math.inf,)):
@@ -456,38 +461,27 @@ def _ref_integrand(p_exp: float):
     return f
 
 
-def _ref_adaptive(p_exp: float, bounds: np.ndarray, ts) -> list:
-    """`_adaptive` of the reference integrand on the rows of `bounds`, the
-    panel ends of one interval each, row i at ts[i] and an owner of its own
-    with its own MAX_PANELS budget, as in a `radial_integral` call of its own."""
-    failed, (k, m) = {}, bounds.shape
-    found = _adaptive(_ref_integrand(p_exp), bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-                      [m - 1] * k, ts, range(k), REF_TOL, [MAX_PANELS] * k, failed)
-    if failed:
-        raise failed[min(failed)]
-    return found
-
-
 def ref_integral_Ip(p_exp: float, ts) -> list[float]:
     """int_0^1 (1+r^2)^{-t} r^p dr for p > -1 at each t >= 0 of `ts`."""
     if not (all(map(math.isfinite, (p_exp, *ts))) and p_exp > -1.0 and min(ts, default=0.0) >= 0.0):
         raise ValueError("p must be finite and exceed -1, and each t finite and nonnegative")
-    found = _ref_adaptive(p_exp, np.tile(_build_bounds(0.0, 1.0, ladder=16), (len(ts), 1)), ts)
+    rows = [_build_bounds(0.0, 1.0, ladder=16)] * len(ts)
+    found = _rows(_ref_integrand(p_exp), rows, ts, REF_TOL)
     return [value for value, _, _ in found]
 
 
 def ref_integral_Jp(p_exp: float, ts) -> list[float]:
     """int_1^inf (1+r^2)^{-t} r^p dr at each t > max(1, (p+1)/2) of `ts`:
     one `tail_integral` loop per time, the loops in lockstep, each round's
-    pieces in one `_adaptive` call, each piece an owner of its own."""
+    pieces in one `_rows` call."""
     if not (all(map(math.isfinite, (p_exp, *ts)))
             and min(ts, default=math.inf) > max(1.0, 0.5 * (p_exp + 1.0))):
         raise ValueError("p and t must be finite, and t > max(1, (p+1)/2) for a convergent tail")
 
     def segments(runs):
-        bounds = np.array([ab for ends in runs.values() for ab in itertools.pairwise(ends)])
+        pieces = [ab for ends in runs.values() for ab in itertools.pairwise(ends)]
         at = [ts[k] for k, ends in runs.items() for _ in ends[1:]]
-        found = iter(_ref_adaptive(p_exp, bounds, at))
+        found = iter(_rows(_ref_integrand(p_exp), pieces, at, REF_TOL))
         return {k: [next(found)[:2] for _ in ends[1:]] for k, ends in runs.items()}
 
     loops = tail_integral(segments, 1.0, 2.0, REF_TOL, (0.0,) * len(ts), (-math.inf,) * len(ts))
@@ -501,7 +495,7 @@ def middle_zone_integral(p_exp: float, ts, lo: float) -> list[float]:
     small middle band, for 0 <= lo < 1."""
     if not (all(map(math.isfinite, (p_exp, *ts))) and 0.0 <= lo < 1.0):
         raise ValueError("p and t must be finite, and lo in [0, 1)")
-    found = _ref_adaptive(p_exp, np.tile(_build_bounds(lo, 1.0), (len(ts), 1)), ts)
+    found = _rows(_ref_integrand(p_exp), [_build_bounds(lo, 1.0)] * len(ts), ts, REF_TOL)
     return [value for value, _, _ in found]
 
 
@@ -520,6 +514,58 @@ def log_flat_measure(y: np.ndarray, n: int) -> np.ndarray:
         + 0.5 * (n - 2) * np.log(-np.expm1(-lam))
         + np.log(y)
     )
+
+
+@dataclass(frozen=True)
+class YNormResult:
+    """Log-weighted squared norm; `diverged` (value inf) is a flag, not an error."""
+
+    value: float
+    err_est: float
+    diverged: bool
+
+
+# Doublings of 1 + L from TAIL_START to y_norm's end X = 1024.  A Gaussian core
+# holds nothing beyond: its log-flat value reads -inf past L = log(DBL_MAX) ~
+# 709.78, and e^L/(4 alpha) > 4.5e7 there for alpha <= 1e300.  A power tail's
+# rest is a closed form, as (1 - e^{-L})^{(n-2)/2} rounds to 1 past 1 + L = 64.
+_DOUBLINGS = 9
+
+
+def y_norm(d, s: float, n: int | None = None) -> YNormResult:
+    """w_n int_0^inf (1 + L)^s |u(r)|^2 r^{n-1} dr of the profile d, with
+    divergence flagged.
+
+    The integral is taken in y = sqrt(L) with the measure folded into the
+    data in log space: the head over y in [0, 1] and the pieces of 1 + L
+    doubling from TAIL_START to X = 1024, in one `_rows` call.  The law
+    decides finiteness: with a power tail the norm is finite exactly for
+    s < l + beta, and the rest beyond X is (w_n c^2 / 2) X^{s-q+1} / (q-s-1).
+    """
+    if s < 0.0:
+        raise ValueError("regularity order must be nonnegative")
+    n = n if n is not None else d.n
+    if n != d.n:
+        raise ValueError("profile dimension does not match the request")
+    if d.q < math.inf and s >= d.l + d.beta:
+        return YNormResult(math.inf, 0.0, True)
+
+    def f(y, t):
+        lam = y * y
+        return np.exp(s * np.log1p(lam) + 2.0 * d.log_flat_from_lam(lam) + log_flat_measure(y, n))
+
+    ends = np.sqrt(TAIL_START * 2.0 ** np.arange(_DOUBLINGS + 1) - 1.0)
+    rows = [_build_bounds(0.0, 1.0, ladder=16), *itertools.pairwise(ends)]
+    found = [row[:2] for row in _rows(f, rows, [0.0] * len(rows), 1e-8)]
+    if d.q < math.inf:
+        gap = d.l + d.beta - s  # q - s - 1, positive wherever the norm is finite
+        exponent = 2.0 * d.log_c - gap * math.log(TAIL_START * 2.0**_DOUBLINGS)
+        rest = 0.5 * surface_area(n) * math.exp(exponent) / gap
+        # its rounding: ulps of each factor, of exp's argument and of gap
+        ulps = 4.0 + abs(exponent) + (d.q + s + 1.0) / gap
+        found.append((rest, rest * np.finfo(float).eps * ulps))
+    value, err = (math.fsum(x) for x in zip(*found))
+    return YNormResult(value, err, False)
 
 
 def node_values(kind: str, lam: np.ndarray, t, v0, v1, mass) -> np.ndarray:
@@ -796,9 +842,7 @@ def _norm_pairs(d, kind: str, n: int, ts, spec: QuadSpec, zone: str) -> list:
     if zone != "high":
         ends = _Y_ZONES.get(zone, (0.0, 1.0))
         bounds = _build_bounds(*ends, ladder=16 if zone in ("all", "low") else 0)
-        k = len(ts)
-        out = _adaptive(_squared_value(d, kind, n), np.tile(bounds[:-1], k), np.tile(bounds[1:], k),
-                        [bounds.size - 1] * k, ts, range(k), spec.tol, [MAX_PANELS] * k, failed)
+        out = _rows(_squared_value(d, kind, n), [bounds] * len(ts), ts, spec.tol, failed)
     if zone in ("all", "high"):
         tails = _tail_values(d, kind, ts, spec, [h[0] for h in out], failed)
         out = [(h[0] + tail[0], h[1] + tail[1]) for h, tail in zip(out, tails)]

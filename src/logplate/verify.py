@@ -439,7 +439,7 @@ def _check_two_sided(*norms) -> tuple[bool, str, str, str]:
 
 def _check_zone_exponential(*zones) -> tuple[bool, str, str, str]:
     d = zones[0].data
-    norms = data_mod.y_norm(d.u0, 0.0).value + data_mod.y_norm(d.u1, 0.0).value
+    norms = quadrature.y_norm(d.u0, 0.0).value + quadrature.y_norm(d.u1, 0.0).value
     ok = True
     notes = []
     for s, rate in zip(zones, (0.5 / (1.0 + math.log(1.0 + _TH.delta**2)), 0.5)):

@@ -158,7 +158,7 @@ def test_y_norm_finite_exactly_below_m_plus_beta(monkeypatch, m, beta, n):
     # by only 2^-0.01 a doubling (a doubling budget flagged 1.1 < 1.2 as
     # diverged), and infinite at exactly m + beta, which q - 1 = 1.2000000000000002
     # computed in floats would let through for (1, 0.2); the finite values
-    # agree within err with a run taking 2^20 times further before the
+    # agree within err with a run taking 2^16 times further before the
     # closed form
     prof = data_mod.LogTailProfile(m, beta, n)
     s = m + beta - 0.01
@@ -166,7 +166,7 @@ def test_y_norm_finite_exactly_below_m_plus_beta(monkeypatch, m, beta, n):
     assert not res.diverged and 0.0 < res.value < math.inf
     edge = data_mod.y_norm(prof, m + beta)
     assert edge.diverged and edge.value == math.inf
-    monkeypatch.setattr(data_mod, "_DOUBLINGS", 25)
+    monkeypatch.setattr(quad, "_DOUBLINGS", 25)
     far = data_mod.y_norm(prof, s)
     assert abs(res.value - far.value) <= res.err_est + far.err_est
 
@@ -268,3 +268,59 @@ def test_data_at_the_alpha_floor_read_their_closed_form_norm(family, n):
     res = data_mod.y_norm(d.u0, 0.0)
     value, err = quad.norm_value(d, "u", n, 0.0, quad.QuadSpec(n=n, tol=1e-6))
     assert abs(res.value - exact) <= res.err_est and abs(value - exact) <= err
+
+
+def _simpson(f, lo, hi, m):
+    """Composite Simpson rule of f(y) on m (even) equal panels of [lo, hi]."""
+    y = np.linspace(lo, hi, m + 1)
+    v = f(y)
+    return (hi - lo) / (3.0 * m) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
+
+
+@pytest.mark.parametrize("family", ["gaussian", "zero_mass"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_data_at_the_alpha_ceiling_read_their_references(monkeypatch, family, n):
+    # at ALPHA_MAX y_norm reads the closed form, and the t = 10 norm the plain
+    # Simpson sum of its integrand over y in [1, 32], where the core's peak
+    # sits (the rest holds less than 1e-7 of err_est); the next double up is
+    # refused before any integration
+    sel = f"{family}:alpha={data_mod.ALPHA_MAX!r}"
+    d = data_mod.parse_pair(sel, "gaussian:alpha=1,amplitude=0", n)
+    k = n / 2.0 if family == "gaussian" else (n + 4) / 2.0
+    exact = d.u0.amp**2 * quad.surface_area(n) * math.gamma(k) * (2.0 * data_mod.ALPHA_MAX) ** k / 2
+    res = data_mod.y_norm(d.u0, 0.0)
+    assert abs(res.value - exact) <= res.err_est
+    value, err = quad.norm_value(d, "u", n, 10.0)
+    f = quad._squared_value(d, "u", n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ref = _simpson(lambda y: f(y, 10.0), 1.0, 32.0, 20_000)
+    assert abs(value - ref) <= err
+    monkeypatch.setattr(quad, "_gk_eval", None)  # any integration would fail
+    above = f"{family}:alpha={math.nextafter(data_mod.ALPHA_MAX, math.inf)!r}"
+    with pytest.raises(ValueError) as info:
+        data_mod.parse_profile(above, n)
+    assert str(info.value).startswith(f"data {above!r}: alpha must lie in [ALPHA_MIN, ALPHA_MAX]")
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_amplitude_bound_keeps_the_squared_values_finite(n):
+    # the largest Gaussian amplitude the law accepts at alpha = 1 reaches a
+    # peak |u| (1+r^2)^{n/4} within rounding of PEAK_MAX, and every norm of
+    # it is finite without a warning; one percent more is refused, as is a
+    # zero-mass core that the dimension makes too tall
+    peak = math.pi ** (n / 2.0) * max(1.0, n) ** (n / 4.0)  # at unit amplitude
+    top = data_mod.PEAK_MAX / peak * (1.0 - 1e-12)
+    sel = f"gaussian:alpha=1,amplitude={top!r}"
+    d = data_mod.parse_pair(sel, sel, n)
+    assert 0.0 < data_mod.y_norm(d.u0, 0.0).value < math.inf
+    for kind in quad.NORM_KINDS:
+        value, err = quad.norm_value(d, kind, n, 10.0)
+        assert 0.0 < value < math.inf and err < math.inf, kind
+    with pytest.raises(ValueError, match="may exceed PEAK_MAX"):
+        data_mod.parse_profile(f"gaussian:alpha=1,amplitude={1.01 * top!r}", n)
+    assert data_mod.parse_profile(f"gaussian:alpha=1,amplitude={-top!r}", n).sign == -1.0
+    with pytest.raises(ValueError, match="may exceed PEAK_MAX"):
+        data_mod.parse_profile(f"gaussian:alpha=1,amplitude={-1.01 * top!r}", n)
+    data_mod.parse_profile(f"zero_mass:alpha={data_mod.ALPHA_MAX!r}", 18)
+    with pytest.raises(ValueError, match="may exceed PEAK_MAX"):
+        data_mod.parse_profile(f"zero_mass:alpha={data_mod.ALPHA_MAX!r}", 19)

@@ -119,3 +119,37 @@ def test_package_and_tests_import_only_declared_dependencies():
             found += [f"{path.name}:{node.lineno} imports {name}"
                       for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+# The package's layers in order: each module imports only modules before it.
+LAYERS = ("symbols", "modes", "profiles", "oracle", "quadrature", "data", "rates", "verify",
+          "cli", "__main__")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "logplate":
+                continue
+            parts = parts[1:] if node.level == 0 else parts
+            found |= {parts[0]} if parts and parts[0] else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("logplate.")}
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == set(LAYERS)
+    back = [f"{name} imports {dep}"
+            for i, name in enumerate(LAYERS)
+            for dep in sorted(_package_imports(_tree(PACKAGE / f"{name}.py")))
+            if dep not in LAYERS[:i]]
+    assert back == []
+    # the forms a back edge can take, as quadrature importing data would
+    for source in ("from .data import y_norm", "from . import data as d", "import logplate.data",
+                   "from logplate.data import y_norm", "from logplate import data"):
+        assert _package_imports(ast.parse(source)) == {"data"}, source

@@ -40,12 +40,19 @@ def test_log_flat_measure_matches_a_decimal_evaluation():
             assert abs(value - want) <= 1e-14 * abs(want), (n, y)
 
 
+def _integral(f, lo, hi, tol, ladder=0):
+    """(value, err) of f(r) over [lo, hi], one row of `quad._rows`."""
+    ((value, err, _),) = quad._rows(lambda r, t: f(r), [quad._build_bounds(lo, hi, ladder)], [0.0],
+                                    tol)
+    return value, err
+
+
 def test_basic_integrals():
-    v, e = quad.radial_integral(lambda r: r, 0.0, 1.0, quad.REF_TOL)
+    v, e = _integral(lambda r: r, 0.0, 1.0, quad.REF_TOL)
     assert v == pytest.approx(0.5, abs=1e-14)
-    v, _ = quad.radial_integral(lambda r: (1.0 + r * r) ** -2.0 * r, 0.0, 1.0, quad.REF_TOL)
+    v, _ = _integral(lambda r: (1.0 + r * r) ** -2.0 * r, 0.0, 1.0, quad.REF_TOL)
     assert v == pytest.approx(0.25, abs=1e-14)
-    v, _ = quad.radial_integral(lambda r: np.exp(-r * r), 0.0, 40.0, quad.REF_TOL)
+    v, _ = _integral(lambda r: np.exp(-r * r), 0.0, 40.0, quad.REF_TOL)
     assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
@@ -223,18 +230,63 @@ def test_tail_error_covers_slowly_shrinking_remainder():
 
 def test_y_norm_remainder_near_regularity_boundary_is_in_the_value(monkeypatch):
     # s = 1 with tail weight q = m + 1 + beta = 2.2: the pieces shrink by
-    # only 0.87 per doubling, and the closed-form remainder beyond 1 + L = 64
-    # (about 4.25) is now part of the value, not of err_est: 67,241,048.555
-    # +- 4.247 became 67,241,052.802 +- 2.5e-4, which a run taking 2^20
+    # only 0.87 per doubling, and the closed-form remainder (about 4.25
+    # beyond 1 + L = 64) is part of the value, not of err_est: 67,241,048.555
+    # +- 4.247 became 67,241,052.802 +- 2.5e-4, which a run taking 2^16
     # times further before the closed form confirms
     prof = data_mod.LogTailProfile(1.0, 0.2, 8)
     res = data_mod.y_norm(prof, 1.0)
     assert not res.diverged
     assert res.err_est < 1e-3
-    monkeypatch.setattr(data_mod, "_DOUBLINGS", 25)
+    monkeypatch.setattr(quad, "_DOUBLINGS", 25)
     far = data_mod.y_norm(prof, 1.0)
     assert abs(res.value - far.value) <= res.err_est + far.err_est
     assert res.value - 67_241_048.555 == pytest.approx(4.247, abs=0.01)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "zero_mass"])
+@pytest.mark.parametrize("alpha", [1.0, data_mod.ALPHA_MAX])
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("s", [0.0, 2.0])
+def test_y_norm_of_a_gaussian_core_holds_nothing_beyond_its_end(monkeypatch, family, alpha, n, s):
+    # past 1 + L = 1024 a core's log-flat value reads -inf (expm1 overflows
+    # from L ~ 709.78, and e^L/(4 alpha) underflows the data before that):
+    # three more doublings add exact zeros, and the result keeps its bits
+    prof = data_mod.parse_profile(f"{family}:alpha={alpha!r}", n)
+    res = quad.y_norm(prof, s)
+    monkeypatch.setattr(quad, "_DOUBLINGS", 12)
+    far = quad.y_norm(prof, s)
+    assert (far.value.hex(), far.err_est.hex()) == (res.value.hex(), res.err_est.hex())
+    assert 0.0 < res.value < math.inf and not res.diverged
+
+
+def test_y_norm_integrates_in_one_adaptive_call(monkeypatch):
+    calls = []
+    adaptive = quad._adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])  # the panels of each interval
+        return adaptive(*args, **kwargs)
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("y_norm ran a tail-doubling loop")
+
+    monkeypatch.setattr(quad, "_adaptive", counted)
+    monkeypatch.setattr(quad, "tail_integral", no_loop)
+    for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1,beta=0.2"):
+        calls.clear()
+        quad.y_norm(data_mod.parse_profile(sel, 2), 0.5)
+        # the head's ladder on [0, 1] and one panel for each of the 9 pieces
+        assert calls == [[17] + [1] * quad._DOUBLINGS], sel
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 1e12, data_mod.ALPHA_MAX])
+def test_y_norm_of_a_gaussian_reads_its_closed_form(n, alpha):
+    # w_n int (pi/alpha)^n e^{-r^2/(2 alpha)} r^{n-1} dr = pi^{3n/2} 2^{n/2} alpha^{-n/2}
+    res = quad.y_norm(data_mod.GaussianProfile(alpha, 1.0, n), 0.0)
+    exact = math.pi ** (1.5 * n) * 2.0 ** (n / 2.0) * alpha ** (-n / 2.0)
+    assert abs(res.value - exact) <= res.err_est
 
 
 def test_zone_additivity():
@@ -414,12 +466,20 @@ def test_check07_low_zone_integrates_at_late_times(t):
 
 
 def test_non_finite_integrand_detected():
-    def f(r):
+    def f(r, t):
         with np.errstate(divide="ignore"):
             return 1.0 / (r - 0.5)
 
+    rows = [np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([2.0, 3.0])]
     with pytest.raises(quad.NonFiniteIntegrandError):
-        quad.radial_integral(f, 0.0, 1.0, quad.REF_TOL)
+        quad._rows(f, rows, [0.0] * 3, quad.REF_TOL)
+    # handed a dict, _rows records the failure instead: the row before the
+    # failed one keeps its value, and every row from it on is dropped
+    failed = {}
+    found = quad._rows(f, rows, [0.0] * 3, quad.REF_TOL, failed)
+    assert list(failed) == [1] and isinstance(failed[1], quad.NonFiniteIntegrandError)
+    assert found[0][0] == pytest.approx(math.log(3.0), rel=1e-12)
+    assert found[1:] == [(0.0, 0.0, 0)] * 2
 
 
 def test_time_grid_shape():
@@ -460,7 +520,7 @@ def test_solution_norm_below_integrated_pointwise_bound():
 
     for t in (1.0, 10.0, 50.0):
         lhs, _ = quad.norm_value(d, "u", n, t, quad.QuadSpec(n=n, tol=1e-8))
-        rhs, _ = quad.radial_integral(rhs_integrand(t), 0.0, 40.0, 1e-9, ladder=16)
+        rhs, _ = _integral(rhs_integrand(t), 0.0, 40.0, 1e-9, ladder=16)
         assert lhs <= rhs
 
 
