@@ -39,17 +39,22 @@ Design notes
   is the smooth m^2 + (P^2 + Q^2)/2 plus four fast terms in cos/sin of bt
   and 2bt, the real parts of F2 e^{2ibt} and F1 e^{ibt}.  One piece loop
   (`_tail_values`) integrates the smooth part of a run of tail pieces in one
-  `_adaptive` call and the fast terms in another, by Levin collocation in y
-  (`_levin`, Levin 1982): p' + i phi' p = F on 17 Chebyshev-Lobatto points
-  of a panel gives the integral as [p e^{i phi}] between its ends, at a cost
-  that does not depend on t (b' >= 1: no stationary point).  A panel's
-  estimate is the larger of the change from the nested 9-point collocation
-  and the unresolved Chebyshev tail of F times its width; panels that miss
-  their piece's share of the tolerance are halved, at most 8 times.  A
-  piece over which bt turns by less than pi integrates v^2 itself.  Every
-  piece goes to GK15, empty or not: an empty one settles in one panel with
-  error 0, and only pieces with a nonzero smooth part go on to Levin, as
-  the fast terms vanish wherever the smooth part does.
+  `_adaptive` call and the fast terms in another, in the phase variable
+  theta = b(y) (b' >= 1: no stationary point), where F e^{ikbt} dy reads
+  (F/b') e^{ikt theta} d theta at the constant rate kt.  There Levin
+  collocation (Levin 1982) on 17 Chebyshev-Lobatto points is
+  Filon-Clenshaw-Curtis quadrature (`_levin`): sum_j mu_j(w) F_j/b'_j with
+  closed-form weights of w = kt times the half-width, so no system is solved
+  and the cost does not depend on t.  The weights are the endpoint series of
+  integration by parts from w = 16 on and a 48-point Gauss-Legendre product
+  below it, where the series loses digits.  A panel's estimate is the
+  larger of the change from the nested 9-point rule and the unresolved
+  Chebyshev tail of F/b' times its width; panels that miss their piece's
+  share of the tolerance are halved, at most 8 times.  A piece over which
+  bt turns by less than pi integrates v^2 itself.  Every piece goes to
+  GK15, empty or not: an empty one settles in one panel with error 0, and
+  only pieces with a nonzero smooth part go on to Levin, as the fast terms
+  vanish wherever the smooth part does.
 * The high zone and the reference tail go through one tail-doubling loop,
   `tail_integral`: it doubles the extent until the increment is negligible
   and, for the high zone, the envelope peak (at log-weight ~ t) has been
@@ -128,9 +133,12 @@ TAIL_START = 2.0
 #: float64 temporary of one call (128 KB) stays in the L2 cache.  Panel
 #: sums are taken row by row, so no value depends on the batch size.
 CHUNK = 1 << 14
-#: Chebyshev-Lobatto points of the Levin collocation of a high-zone tail
-#: piece; every other one gives its nested estimate.
+#: Chebyshev-Lobatto points of the Levin rule of a high-zone tail piece;
+#: every other one gives its nested estimate.
 _LEVIN = 17
+#: Where the Levin weights turn from the Gauss-Legendre product to the
+#: endpoint series (`_weights`); the two differ by 2e-15 there.
+_OMEGA = 16.0
 #: Halvings a Levin piece may take before its time fails.
 _HALVINGS = 8
 #: Tolerance of the fixed-accuracy reference integrals.
@@ -196,22 +204,56 @@ FIRST_NODE = 2.0**-17 * (1.0 - _XGK_HALF[0])
 T_MAX = 1.0 / FIRST_NODE**2
 
 
-def _lobatto(k: int):
-    """Chebyshev-Lobatto points x_j = cos(pi j/(k-1)), from 1 down to -1, the
-    differentiation matrix of their interpolant (Trefethen, Spectral Methods
-    in MATLAB, 2000, `cheb`) and the rows that take its last two Chebyshev
-    coefficients from its values: c_m = 2/(k-1) sum_j'' f_j cos(pi j m/(k-1)),
-    the end terms halved and c_{k-1} halved once more, where
-    cos(pi j (k-1)/(k-1)) = (-1)^j and cos(pi j (k-2)/(k-1)) = (-1)^j x_j."""
-    j = np.arange(k)
-    x = np.sin(0.5 * math.pi * (k - 1 - 2.0 * j) / (k - 1))  # the middle point is 0
-    c = np.where((j == 0) | (j == k - 1), 2.0, 1.0) * (-1.0) ** j
-    dmat = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(k))
-    return x, dmat - np.diag(dmat.sum(axis=1)), np.array([2.0 * x, np.ones(k)]) / (c * (k - 1))
+def _gauss_legendre(n: int):
+    """The positive Gauss-Legendre points of an even n and their weights:
+    Newton on P_n from x = cos(pi (i + 3/4)/(n + 1/2)), with P_n and P_n'
+    from the three-term recurrence (no LAPACK call, whose pages stay resident)."""
+    x = np.cos(math.pi * np.arange(0.75, n // 2) / (n + 0.5))
+    for _ in range(4):  # the last step's P_n' is that of the converged x
+        p, q = np.ones(x.size), x
+        for k in range(2, n + 1):
+            p, q = q, ((2 * k - 1) * x * q - (k - 1) * p) / k
+        gap = (1.0 - x) * (1.0 + x)  # 1 - x^2 to a few ulps near x = 1
+        dq = n * (p - x * q) / gap
+        x = x - q / dq
+    return x, 2.0 / (gap * dq * dq)
 
 
-_CHEB_X, _CHEB_D, _CHEB_TAIL = _lobatto(_LEVIN)
-_NESTED_D = _lobatto(_LEVIN // 2 + 1)[1]  # on the points _CHEB_X[::2]
+_GL_X, _GL_W = _gauss_legendre(48)
+
+
+def _filon(k: int):
+    """The Filon-Clenshaw-Curtis rules on the k Chebyshev-Lobatto points
+    x_j = cos(pi j/(k-1)), from 1 down to -1, and on every other one, with
+    weights mu_j(w) = int_{-1}^{1} l_j(x) e^{iwx} dx, l_j the Lagrange basis
+    of their points -> (x, tail, tables, mirror).  tail takes the last two
+    Chebyshev coefficients of the k-point interpolant from its values,
+    c_m = 2/(k-1) sum_j'' f_j cos(pi j m/(k-1)), the end terms halved and
+    c_{k-1} halved once more.  tables, for `_weights`, hold the two rules'
+    columns side by side: w_q (l_j(x_q) +- l_j(-x_q)) at the positive
+    Gauss-Legendre points x_q, and (-1)^e l_j^(d)(1) at d = 2e and
+    d = 2e + 1, from T_m^(d)(1) = prod_{i<d} (m^2 - i^2)/(2i + 1), which
+    vanishes for d > m.  l_j(-x) = l_{mirror[j]}(x)."""
+    d = np.arange(k - 1.0)[:, None]
+    sign = (-1.0) ** np.arange(k // 2 + 1.0)[:, None]
+    tables = []
+    for size in (k, k // 2 + 1):
+        j = np.arange(float(size))
+        coef = np.cos(math.pi / (size - 1) * j[:, None] * j) * (2.0 / (size - 1))
+        coef[[0, -1]] *= 0.5
+        coef[:, [0, -1]] *= 0.5
+        at = (np.cos(j * np.arccos(_GL_X)[:, None])[:, :, None] * coef).sum(axis=1)  # l_j(x_q)
+        steps = np.cumprod(np.vstack([np.ones(size), (j * j - d * d) / (2.0 * d + 1.0)]), axis=0)
+        ends = (steps[:, :, None] * coef).sum(axis=1)  # l_j^(d)(1) at [d, j]
+        tables.append((_GL_W[:, None] * (at + at[:, ::-1]), _GL_W[:, None] * (at - at[:, ::-1]),
+                       ends[::2] * sign[:(k + 1) // 2], ends[1::2] * sign[:k // 2]))
+        if size == k:
+            x, tail = np.sin(0.5 * math.pi * (k - 1 - 2.0 * j) / (k - 1)), coef[-2:]  # x[k//2] = 0
+    mirror = np.concatenate([np.arange(k)[::-1], np.arange(k, k + k // 2 + 1)[::-1]])
+    return x, tail, [np.hstack(parts) for parts in zip(*tables)], mirror
+
+
+_CHEB_X, _CHEB_TAIL, _TABLES, _MIRROR = _filon(_LEVIN)
 
 
 @dataclass(frozen=True)
@@ -661,36 +703,71 @@ def _phase_terms(kind: str, y: np.ndarray, t, w0, w1, wial):
     return m, p, q, y * (1.0 + 4.0 * a**3) / b
 
 
-def _levin(f, lo: np.ndarray, hi: np.ndarray, t):
-    """Levin collocation (Levin, Math. Comp. 1982) on a batch of panels ->
-    (values, error estimates) of int Re sum_k F_k e^{i phi_k}.  f(y, t) gives
-    rows F_k, phi_k' and phi_k at the nodes y, _LEVIN Chebyshev-Lobatto points
-    per panel from its right end to its left, at t as in `_gk_eval`.
+def _y_at(theta: np.ndarray) -> np.ndarray:
+    """y >= 1 with b(y) = theta, b = sqrt(L - a^2) the mode's phase rate:
+    Newton on L - a(L)^2 = theta^2, a = 1/(2(1 + L)), whose derivative
+    1 + 4a^3 lies in [1, 1.07] there, from L = theta^2 + a(theta^2)^2."""
+    lam = theta * theta
+    lam = lam + (0.5 / (1.0 + lam)) ** 2
+    for _ in range(3):
+        a, csq = collision_gap(lam)
+        lam = lam - (-csq - theta * theta) / (1.0 + 4.0 * a**3)
+    return np.sqrt(lam)
 
-    p' + i phi' p = F collocated on the nodes makes (p e^{i phi})' = F e^{i phi},
-    so the integral is [p e^{i phi}] between the panel's ends, at a cost that
-    does not depend on how far phi turns (phi' > 0: no stationary point).  A
-    panel's estimate is the larger of the change from the collocation on
-    every other node and the width times the unresolved Chebyshev tail of F,
-    its last two coefficients.  The systems of a batch are solved in one
-    `np.linalg.solve` per point set, each on its own, so no row depends on
-    the others.
+
+def _weights(w: np.ndarray) -> np.ndarray:
+    """The weights mu_j(w) of the `_filon` rules at each w > 0 of a batch, row
+    by row, the k-point rule's columns first.  Below _OMEGA the
+    Gauss-Legendre product sum_q w_q l_j(x_q) e^{iwx_q}, exact to rounding
+    there; from it on the endpoint series of repeated integration by parts,
+    (e^{iw} A_j - e^{-iw} conj(A_{mirror[j]}))/(iw) with
+    A_j = sum_d (i/w)^d l_j^(d)(1), whose terms grow like (k^2/w)^d before
+    they fall: below the cut it loses digits (5e-6 at w = 3)."""
+    even, odd, near, far = _TABLES
+    mu = np.empty((w.size, _MIRROR.size), dtype=complex)
+    low = w < _OMEGA
+    if low.any():
+        x = w[low, None, None] * _GL_X[:, None]
+        mu[low] = (np.cos(x) * even).sum(axis=1) + 1j * (np.sin(x) * odd).sum(axis=1)
+    if not low.all():
+        r = 1.0 / w[~low, None]
+        powers = (r * r) ** np.arange(float(near.shape[0]))
+        powers = powers[:, :, None]
+        at = (powers * near).sum(axis=1) + 1j * r * (powers[:, :-1] * far).sum(axis=1)
+        turn = np.exp(1j / r)
+        mu[~low] = (turn * at - at[:, _MIRROR].conj() / turn) * (-1j * r)
+    return mu
+
+
+def _levin(f, lo: np.ndarray, hi: np.ndarray, t):
+    """Levin's rule at a constant rate on a batch of panels in theta ->
+    (values, error estimates) of int Re sum_k F_k(theta) e^{i kappa_k theta}.
+    f(theta, t) gives rows F_k and kappa_k at the nodes theta, _LEVIN
+    Chebyshev-Lobatto points per panel from its right end to its left, at t as
+    in `_gk_eval`; kappa_k is constant along a row.
+
+    Levin collocation (Math. Comp. 1982) at a constant rate on Chebyshev
+    points is Filon-Clenshaw-Curtis quadrature of the interpolant of F
+    (Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 2011): the integral
+    is h Re[e^{i kappa mid} sum_j mu_j(kappa h) F_j] with h the half-width, at
+    a cost that does not depend on how far the phase turns.  A panel's
+    estimate is the larger of the change from the rule on every other node
+    and the width times the unresolved Chebyshev tail of F, its last two
+    coefficients.  Every step is elementwise or a sum along a row, so no row
+    depends on the others.
     """
     half = 0.5 * (hi - lo)
-    y = (lo + half)[:, None] + half[:, None] * _CHEB_X
-    y[:, 0], y[:, -1] = hi, lo
-    rows = f(y.ravel(), np.repeat(t, _LEVIN) if isinstance(t, np.ndarray) else t)
-    amp, rate, phase = (x.reshape(-1, _LEVIN) for x in rows)  # row (k, panel)
-    width = np.tile(2.0 * half, rows[0].size // y.size)
-    values = []
-    for step, dmat in ((1, _CHEB_D), (2, _NESTED_D)):
-        system = dmat * (2.0 / width)[:, None, None] + 0j
-        diag = np.arange(dmat.shape[0])
-        system[:, diag, diag] += 1j * rate[:, ::step]
-        p = np.linalg.solve(system, amp[:, ::step, None])[:, :, 0]
-        ends = p[:, [0, -1]] * np.exp(1j * phase[:, [0, -1]])  # p e^{i phi} at hi and lo
-        values.append((ends[:, 0] - ends[:, 1]).real)
-    tail = width * np.abs((amp[:, None, :] * _CHEB_TAIL).sum(axis=2)).sum(axis=1)
+    theta = (lo + half)[:, None] + half[:, None] * _CHEB_X
+    theta[:, 0], theta[:, -1] = hi, lo
+    amp, kappa = (x.reshape(-1, _LEVIN) for x in f(theta.ravel(), np.repeat(t, _LEVIN)
+                                                    if isinstance(t, np.ndarray) else t))
+    copies = amp.shape[0] // lo.size  # row (k, panel)
+    mid, half, kappa = np.tile(lo + half, copies), np.tile(half, copies), kappa[:, 0]
+    turn = half * np.exp(1j * kappa * mid)
+    mu = _weights(kappa * half)
+    values = [(turn * (mu[:, cols] * amp[:, ::step]).sum(axis=1)).real
+              for step, cols in ((1, slice(_LEVIN)), (2, slice(_LEVIN, None)))]
+    tail = 2.0 * half * np.abs((amp[:, None, :] * _CHEB_TAIL).sum(axis=2)).sum(axis=1)
     err = np.maximum(np.abs(values[0] - values[1]), tail)
     return values[0].reshape(-1, lo.size).sum(axis=0), err.reshape(-1, lo.size).sum(axis=0)
 
@@ -708,18 +785,21 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
     A piece whose data underflow settles there in one panel, value and error
     0.  The pieces of the second call whose smooth part is nonzero integrate
     its four fast terms, Re[F e^{2ibt}] with F = (P^2 - Q^2)/2 - iPQ and
-    Re[2m(P - iQ) e^{ibt}], by Levin collocation (`_levin`) in a third, on
-    panels halved at most _HALVINGS times; |F| = (P^2 + Q^2)/2 and
-    |2m(P - iQ)| vanish wherever the smooth part does, so the others have
-    none.
+    Re[2m(P - iQ) e^{ibt}], by the Levin rule (`_levin`) in a third: in
+    theta = b(y), handed the pieces' ends b(y_lo), b(y_hi), they read
+    Re[(F/b') e^{ik t theta}] at the constant rate kt, with y(theta) from
+    `_y_at`, on panels halved at most _HALVINGS times; |F| = (P^2 + Q^2)/2
+    and |2m(P - iQ)| vanish wherever the smooth part does, so the others
+    have none.
 
     Every piece stops at tol of its own value plus its share of the norm:
     the piece that starts at s takes its GK15 part to within
     tol * (|its value| + (|baseline| + M) TAIL_START / (2s)), with M the sum
     of |value| (of the smooth part, for split pieces) over its time's pieces
     before this run, and its fast terms to within
-    tol * (|smooth part| + (|baseline| + M) TAIL_START / (2s)), with M up to
-    this run's last piece.  The shares halve from piece to piece, so each of
+    tol * (|smooth part| + (|baseline| + M) TAIL_START / (2s)), with M over
+    the time's other pieces up to this run's last, so that no piece counts
+    its own mass twice.  The shares halve from piece to piece, so each of
     the two sums to less than tol * (|baseline| + M) with M over all the
     time's pieces, and a piece that carries no mass is not held to its own
     relative tol.  With no baseline
@@ -737,13 +817,14 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
         part = 0.5 * (p * p + q * q)
         return part if m is None else part + m * m
 
-    def fast(y, t):  # rows F, phi' and phi of the fast terms, as `_levin` takes them
+    def fast(theta, t):  # rows F / b' and kappa of the fast terms in theta, as `_levin` takes them
+        y = _y_at(theta)
         m, p, q, db = _phase_terms(kind, y, t, *_scaled_data_y(d, kind, t, n, y))
-        bt = t * np.sqrt(-collision_gap(y * y)[1])
         amps = [(2.0, 0.5 * (p * p - q * q) - 1j * (p * q))]
         if m is not None:
             amps.append((1.0, 2.0 * m * (p - 1j * q)))
-        return tuple(np.concatenate(x) for x in zip(*((g, k * t * db, k * bt) for k, g in amps)))
+        return tuple(np.concatenate(x) for x in zip(*((g / db, np.broadcast_to(k * t, y.shape))
+                                                       for k, g in amps)))
 
     def segments(runs):
         owner = np.array([k for k, ends in runs.items() for _ in ends[1:]])  # of each piece
@@ -751,24 +832,25 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
         lo = np.sqrt(s_lo - 1.0)
         hi = np.sqrt(np.array([s for ends in runs.values() for s in ends[1:]]) - 1.0)
         t = np.asarray(ts)[owner]
-        turn = t * (np.sqrt(-collision_gap(hi * hi)[1]) - np.sqrt(-collision_gap(lo * lo)[1]))
-        split = phased & (turn >= math.pi)
+        theta = [np.sqrt(-collision_gap(y * y)[1]) for y in (lo, hi)]  # the ends in theta = b(y)
+        split = phased & (t * (theta[1] - theta[0]) >= math.pi)
         found = np.zeros((2, len(owner)))  # value, err
         part = TAIL_START / (2.0 * s_lo)  # of |baseline| + M, halving from piece to piece
 
-        def integrate(g, ids, tol, goal, **kw):  # adds (value, err) of the pieces ids
+        def integrate(g, ids, tol, goal, ends=(lo, hi), **kw):  # adds (value, err) of pieces ids
             if ids.size:
-                res = _adaptive(g, lo[ids], hi[ids], np.ones_like(ids), t[ids], owner[ids], tol,
-                                panels_left, failed, goal=goal[ids], **kw)
+                res = _adaptive(g, ends[0][ids], ends[1][ids], np.ones_like(ids), t[ids],
+                                owner[ids], tol, panels_left, failed, goal=goal[ids], **kw)
                 found[:, ids] += np.array(res)[:, :2].T
 
         share = spec.tol * mass[owner] * part  # of the GK15 pieces: M before this run
         integrate(f, np.flatnonzero(~split), spec.tol, share)
         integrate(smooth, np.flatnonzero(split), spec.tol, share)
-        np.add.at(mass, owner, np.abs(found[0]))
+        own = np.abs(found[0])
+        np.add.at(mass, owner, own)
         ids = np.flatnonzero(split & (found[0] != 0.0))  # fast terms vanish with the smooth part
-        integrate(fast, ids, 0.0, spec.tol * (np.abs(found[0]) + mass[owner] * part), rule=_levin,
-                  rounds=_HALVINGS)
+        integrate(fast, ids, 0.0, spec.tol * (own + (mass[owner] - own) * part), theta,
+                  rule=_levin, rounds=_HALVINGS)
         out = {k: [] for k in runs}  # a failed time's pieces are never used
         for k, row in zip(owner.tolist(), found.T.tolist()):
             out[k].append((row[0], row[1]))

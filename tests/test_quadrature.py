@@ -445,7 +445,7 @@ def _tail_panels(monkeypatch, d, kind, t, spec):
 
     def counting(f, lo, hi, *args, **kwargs):
         out = adaptive(f, lo, hi, *args, **kwargs)
-        if lo.size and lo[0] >= 1.0:
+        if lo.size and (lo[0] >= 1.0 or "rule" in kwargs):  # Levin's ends are in theta = b(y)
             panels["rule" in kwargs] += sum(used for _, _, used in out)
         return out
 
@@ -563,7 +563,7 @@ def _mode_phase(y, t):
 def _stepped_piece(f, lo, hi, t, tol, phased=True):
     """(value, err) of v^2 on [lo, hi] from equal panels that span at most
     2 pi of the fastest phase each, with no phase form and no Levin
-    collocation: a reference independent of the tail's fast-term path."""
+    rule: a reference independent of the tail's fast-term path."""
     y = np.linspace(lo, hi, 4097)
     if not f(y, t).any():  # underflowed data
         return 0.0, 0.0
@@ -618,7 +618,7 @@ def test_error_estimate_bounds_a_stepped_reference(sel0, sel1, n, kind, tol):
 def test_error_estimate_stays_within_tol_of_the_value(sel0, sel1, n, kind, tol, times, zone):
     # the measured contract of tol on every series a check reads: err_est is
     # at most tol * value at every time (the worst reads 0.987 of it, check
-    # 07, and 0.951, check 06's phi2), though by construction the tail's
+    # 07, and 0.804, check 06's phi2), though by construction the tail's
     # shares could let it reach a few times that
     d, ts = data_mod.parse_pair(sel0, sel1, n), (times,) if isinstance(times, float) else times
     s = quad.norm_series(d, kind, n, ts, quad.QuadSpec(n=n, tol=tol), zone)
@@ -645,37 +645,68 @@ def test_gaussian_high_zone_error_estimate_bounds_a_tighter_reference():
 
 
 def test_error_estimate_needs_the_coefficient_tail(monkeypatch):
-    # the nested 9-point collocation alone agrees with the 17-point one on
+    # the nested 9-point rule alone agrees with the 17-point one on
     # pieces where neither resolves F (Gaussian data fall off
     # super-exponentially): without the Chebyshev tail of F the estimate
-    # under-reads, by 11 times at t = 1,810
+    # under-reads, by 10.5 times at t = 1,810
     monkeypatch.setattr(quad, "_CHEB_TAIL", np.zeros_like(quad._CHEB_TAIL))
     assert _gaussian_high_zone_misses()
 
 
-def test_lobatto_rules_are_exact_on_polynomials():
-    # the differentiation matrices of the 17 and the nested 9 points
-    # differentiate polynomials they interpolate exactly, and the fixed
-    # transform reads the last two Chebyshev coefficients of a series
+def test_filon_rules_are_exact_on_polynomials():
+    # the weights of the 17 and the nested 9 points integrate every
+    # polynomial they interpolate times e^{iwx}, below and above the cut
+    # between the Gauss-Legendre product and the endpoint series, and the
+    # fixed transform reads the last two Chebyshev coefficients of a series
     x = quad._CHEB_X
-    for points, dmat in ((x, quad._CHEB_D), (x[::2], quad._NESTED_D)):
-        coef = np.linspace(1.0, -1.0, points.size)
-        p = np.polynomial.Chebyshev(coef)
-        assert np.allclose(dmat @ p(points), p.deriv()(points), rtol=0.0, atol=1e-11)
+    nodes, weights = np.polynomial.legendre.leggauss(400)  # exact for these w to rounding
+    w = np.array([1e-3, 0.5, 3.0, 15.0, 16.0, 40.0, 100.0])
+    for points, cols in ((x, slice(17)), (x[::2], slice(17, None))):
+        p = np.polynomial.Chebyshev(np.linspace(1.0, -1.0, points.size))
+        exact = (weights * p(nodes) * np.exp(1j * w[:, None] * nodes)).sum(axis=1)
+        got = (quad._weights(w)[:, cols] * p(points)).sum(axis=1)
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(p(points)).sum()), np.abs(got - exact)
     for coef in ([0.0] * 15 + [1.0, 2.0], [3.0, -1.0, 0.5] + [0.0] * 14, np.arange(17.0)):
         values = np.polynomial.chebyshev.chebval(x, coef)
         assert np.allclose(quad._CHEB_TAIL @ values, coef[15:], rtol=0.0, atol=1e-12)
 
 
+def test_filon_weight_branches_agree_at_the_cut(monkeypatch):
+    # just below the cut the weights are the Gauss-Legendre product, from
+    # it on the endpoint series: on either side, and with either branch at
+    # the cut itself, sum_j mu_j F_j agrees within 1e-14 sum |F_j|
+    rng = np.random.default_rng(7)
+    cut = quad._OMEGA
+    below, above = quad._weights(np.array([np.nextafter(cut, 0.0), cut]))
+    monkeypatch.setattr(quad, "_OMEGA", math.inf)
+    (product,) = quad._weights(np.array([cut]))
+    for cols in (slice(17), slice(17, None)):
+        amp = rng.standard_normal((50, above[cols].size, 2)) @ np.array([1.0, 1j])
+        bound = 1e-14 * np.abs(amp).sum(axis=1)
+        for mu in (below, product):
+            assert np.all(np.abs(((mu[cols] - above[cols]) * amp).sum(axis=1)) <= bound)
+
+
+def test_phase_variable_round_trips():
+    # theta = b(y) -> y -> b(y) within 2 ulps of theta for y in [1, 1e3],
+    # the high-zone tail pieces of every time up to 1e6
+    lo, hi = (float(np.sqrt(-symbols.collision_gap(y * y)[1])) for y in (1.0, 1e3))
+    theta = np.linspace(lo, hi, 200_001)
+    y = quad._y_at(theta)
+    back = np.sqrt(-symbols.collision_gap(y * y)[1])
+    assert np.all(np.abs(back - theta) <= 2.0 * np.spacing(theta))
+    assert np.all(y >= 1.0 - 1e-15)
+
+
 def test_levin_integrates_a_closed_form_at_any_frequency():
-    # Re int_1^2 c e^{(1 + iw) y} dy on one panel each, w from 3 to 3e4: the
-    # cost and the accuracy do not depend on how far the phase turns
-    w = np.array([3.0, 30.0, 300.0, 3e3, 3e4])
+    # Re int_1^2 c e^{(1 + iw) y} dy on one panel each, w from 1e-2 to 1e5,
+    # on both sides of the cut between the weights' two branches: the cost
+    # and the accuracy do not depend on how far the phase turns
+    w = np.geomspace(1e-2, 1e5, 22)
     c = 0.7 - 0.4j
 
     def rows(y, t):
-        k = np.repeat(w, quad._LEVIN)
-        return c * np.exp(y), k + 0.0 * y, k * y
+        return c * np.exp(y), np.repeat(w, quad._LEVIN)
 
     value, err = quad._levin(rows, np.ones(w.size), np.full(w.size, 2.0), 0.0)
     exact = (c * (np.exp((1 + 1j * w) * 2.0) - np.exp(1 + 1j * w)) / (1 + 1j * w)).real
@@ -726,8 +757,12 @@ def _tail_calls(monkeypatch):
 
     def spy(f, lo, hi, sizes, *args, **kwargs):
         out = adaptive(f, lo, hi, sizes, *args, **kwargs)
-        calls.extend((f.__name__, (b[0], b[-1]), res)
-                     for b, res in zip(_boundaries(lo, hi, sizes), out) if b[0] >= 1.0)
+        for b, res in zip(_boundaries(lo, hi, sizes), out):
+            if f.__name__ == "fast":  # its ends are in theta = b(y): map them to the piece's
+                b = [piece for name, piece, _ in calls if name == "smooth"
+                     and _mode_phase(np.array(piece), 1.0).tolist() == [b[0], b[-1]]][0]
+            if b[0] >= 1.0:
+                calls.append((f.__name__, (b[0], b[-1]), res))
         return out
 
     monkeypatch.setattr(quad, "_adaptive", spy)
@@ -737,8 +772,8 @@ def _tail_calls(monkeypatch):
 @pytest.mark.parametrize("kind", ["u-phi1", "phi2"])
 def test_piece_with_less_than_pi_of_phase_takes_the_plain_path(monkeypatch, kind):
     # a piece over which bt turns by less than pi is integrated once, as
-    # v^2; every other piece once for its smooth part, and once by Levin
-    # collocation if that part is nonzero.  At t = 1 every piece is plain,
+    # v^2; every other piece once for its smooth part, and once by the
+    # Levin rule if that part is nonzero.  At t = 1 every piece is plain,
     # at t = 4 the first turns by 3.0 and at t = 5 by 3.8 radians, and at
     # t = 40 the far pieces of the Gaussian data have underflowed
     spec = quad.QuadSpec(n=2, tol=1e-6)
@@ -796,18 +831,20 @@ def test_every_tail_piece_is_integrated_once_by_gk15(monkeypatch, d, kind, n, ti
     assert (empty > 0, zero_smooth > 0) == (empties, empties)
 
 
-def _levin_rows(y, t):
-    """Rows F, phi' and phi of a test integrand: a peak of width 1/t at
-    y = 1.5 that needs halvings, under the phase t y^2."""
+def _levin_rows(theta, t):
+    """Rows F and kappa of a test integrand in theta = y^2: a peak of width
+    1/t at y = 1.5 that needs halvings, under the phase t theta, with
+    dy = dtheta / (2y)."""
+    y = np.sqrt(theta)
     amp = (1.0 + 0.5j) * np.exp(-(t * (y - 1.5)) ** 2) + np.exp(-y)
-    return amp, 2.0 * t * y, t * y * y
+    return amp / (2.0 * y), t + 0.0 * theta
 
 
 def test_levin_values_do_not_depend_on_their_batch():
     # pieces at several times, some halved, refined in one `_adaptive` call
     # give each piece's result alone, bit for bit
-    lo = np.array([1.0, 1.0, 2.0, 1.2, 1.0, 3.0])
-    hi = np.array([2.0, 2.0, 3.0, 1.9, 4.0, 3.5])
+    lo = np.array([1.0, 1.0, 2.0, 1.2, 1.0, 3.0]) ** 2
+    hi = np.array([2.0, 2.0, 3.0, 1.9, 4.0, 3.5]) ** 2
     ts = [20.0, 200.0, 20.0, 5.0, 50.0, 2.0]
     goal = np.array([1e-6, 1e-9, 1e-12, 1e-8, 1e-10, 1e-12])
 
@@ -909,7 +946,7 @@ def _series_panels(monkeypatch, run, *args):
 
 def test_check10_series_panel_count(monkeypatch):
     # the tail integrates each piece's smooth part by GK15 and, where that
-    # part is nonzero, its fast terms by Levin collocation: check 10's series
+    # part is nonzero, its fast terms by the Levin rule: check 10's series
     # ends with 426 GK15 and 201 Levin panels
     assert _series_panels(monkeypatch, verify.run_check, "10-solution-norm-sharpness") == (426, 201)
 
@@ -917,13 +954,13 @@ def test_check10_series_panel_count(monkeypatch):
 def test_high_zone_series_panel_count(monkeypatch):
     # an explicit high zone has no baseline, so the pieces of each time's
     # first run stop at tol of their own value: check 07's series, zone high,
-    # takes 10 GK15 calls of 417 panels and ends with 275 GK15 and 86 Levin
+    # takes 10 GK15 calls of 417 panels and ends with 275 GK15 and 85 Levin
     # panels
     ((sel0, sel1, n, kind, tol, times),) = verify.requests("07-diffusion-profile-rate")
     d, spec = data_mod.parse_pair(sel0, sel1, n), quad.QuadSpec(n=n, tol=tol)
     rows = _gk15_rows(monkeypatch)
     panels = _series_panels(monkeypatch, quad.norm_series, d, kind, n, times, spec, "high")
-    assert (len(rows), sum(rows), *panels) == (10, 417, 275, 86)
+    assert (len(rows), sum(rows), *panels) == (10, 417, 275, 85)
 
 
 def _gk15_rows(monkeypatch):
