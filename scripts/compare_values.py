@@ -43,7 +43,8 @@ A reference-integral line compares check 05's calls of
 the records of NEW_SRC's `verify.REF_CALLS`, each one call with its whole
 tuple of times, as check 05 makes it (so OLD_SRC's functions must take a
 tuple of times).  It reads `identical` when every value is the same double,
-else `max rel diff X`, the largest |v - v'| / |v|.
+else `max rel diff X at CALL`, the largest |v - v'| / |v| and the one-time
+call that gives it, such as `ref_integral_Jp(p=1, t=2)`.
 
 A last line sums the GK15 calls, GK15 panels and Levin panels of every row
 above, `panels over N rows: C/P + L Levin → C'/P' + L' Levin`.
@@ -275,12 +276,21 @@ def oracle_line(old: list, new: list) -> tuple[str, bool]:
     return f"max scaled diff {worst:.3g}", worst <= ORACLE_LIMIT
 
 
-def ref_line(old: list, new: list, limit: float) -> tuple[str, bool]:
-    """(line, within): the reference integrals of two trees."""
+def ref_calls(records: list) -> list[str]:
+    """The one-time call of each reference value, in the order `emit` lists
+    them, from the records (name, p, times[, lo])."""
+    return [f"{name}(p={p:g}, t={t:g}{''.join(f', lo={x:g}' for x in lo)})"
+            for name, p, ts, *lo in records for t in ts]
+
+
+def ref_line(old: list, new: list, limit: float, calls: list[str]) -> tuple[str, bool]:
+    """(line, within): the reference integrals of two trees, each value
+    named by its entry of `calls`."""
     if old == new:
         return "identical", True
-    worst = max(abs(v - w) / abs(v) if v else math.inf for v, w in zip(old, new) if v != w)
-    return f"max rel diff {worst:.3g}", worst <= limit
+    worst, at = max(((abs(v - w) / abs(v) if v else math.inf, call)
+                     for v, w, call in zip(old, new, calls) if v != w), key=lambda pair: pair[0])
+    return f"max rel diff {worst:.3g} at {at}", worst <= limit
 
 
 def main(argv: list[str]) -> int:
@@ -308,7 +318,8 @@ def main(argv: list[str]) -> int:
     line, within = oracle_line(old["oracle"], new["oracle"])
     print(f"oracle, {len(old['oracle'])} outputs of check 03's runs: {line}")
     failed |= not within
-    line, within = ref_line(old["ref"], new["ref"], new["ref_tol"])
+    line, within = ref_line(old["ref"], new["ref"], new["ref_tol"],
+                            ref_calls(new["set"]["ref_records"]))
     print(f"reference integrals, {len(old['ref'])} of check 05's inputs: {line}")
     print(totals_line(old["panels"], new["panels"]))
     return 1 if failed or differ or not within else 0

@@ -92,6 +92,10 @@ class RadialProfile:
     def sign(self) -> float:
         return math.copysign(1.0, self.amp) if self.amp else 0.0
 
+    @property
+    def s_peak(self) -> float:  # bounds the s = 1 + L where |u| (1+r^2)^{n/4} peaks (README)
+        return 1.0 + math.log1p(4.0 * self.alpha * (self.k + self.n / 4.0)) if self.amp else 0.0
+
     def value(self, r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

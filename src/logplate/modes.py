@@ -177,9 +177,6 @@ def propagator_coeffs(lam, t, u0, u1, velocity: bool = False):
     """
     a, csq = collision_gap(lam)
     tt = t * t  # before broadcasting: a Python float t squares to inf with no overflow warning
-    if (csq.max() * tt).max() <= -_SERIES_CUT:
-        # every node oscillates (the whole high zone at t > 0): no masks
-        return _assemble(lam, a, *_oscillating(a, csq, t, np), u0, u1, velocity)
     t = np.broadcast_to(t, lam.shape)
     z = csq * tt
     osc = z <= -_SERIES_CUT

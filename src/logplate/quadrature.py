@@ -55,11 +55,11 @@ Design notes
   GK15, empty or not: an empty one settles in one panel with error 0, and
   only pieces with a nonzero smooth part go on to Levin, as the fast terms
   vanish wherever the smooth part does.
-* The high zone and the reference tail go through one tail-doubling loop,
-  `tail_integral`: it doubles the extent until the increment is negligible
-  and, for the high zone, the envelope peak (at log-weight ~ t) has been
-  passed; the loops of a series' times, or of the reference tail's, run in
-  lockstep.  `y_norm` integrates to a fixed end, 1 + L = 1024, instead.
+* The high zone goes through the one tail-doubling loop, `tail_integral`:
+  it doubles the extent until the increment is negligible and the envelope
+  peak (at log-weight ~ t) and the data's core peak (`s_peak`) are passed;
+  the loops of a series' times run in lockstep.  `y_norm` integrates to a
+  fixed end, 1 + L = 1024, and `ref_integral_Jp` in x = 1/(1+r^2) instead.
 """
 
 from __future__ import annotations
@@ -431,9 +431,9 @@ def _rows(f, rows, ts, tol: float, failed: dict | None = None) -> list:
     return out
 
 
-def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), stops=(-math.inf,)):
-    """Sum the pieces [lo, hi], [hi, 2 hi], ... until the increments stop, in
-    one loop per entry of `baselines`, all loops in lockstep.
+def tail_integral(segments, tol: float, baselines, stops):
+    """Sum the pieces [s, 2s], s doubling from TAIL_START, until the increments
+    stop, in one loop per entry of `baselines`, all loops in lockstep.
 
     `segments(runs)` takes {loop: ends}, the run of consecutive pieces
     between the points `ends` of every open loop, and returns {loop: one
@@ -454,7 +454,7 @@ def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), 
     state = [[0.0, 0.0, math.inf, 0] for _ in baselines]  # total, err, previous piece, pieces
     runs = {}
     for k, stop in enumerate(stops):
-        runs[k] = [lo, hi]
+        runs[k] = [TAIL_START, 2.0 * TAIL_START]
         while runs[k][-2] < stop and len(runs[k]) <= MAX_SEGMENTS:
             runs[k].append(2.0 * runs[k][-1])
     while runs:
@@ -492,8 +492,8 @@ def tail_integral(segments, lo: float, hi: float, tol: float, baselines=(0.0,), 
 
 
 def _ref_integrand(p_exp: float):
-    """(r, t) -> (1+r^2)^{-t} r^p, the integrand of the reference integrals,
-    t a float or one per node; p stays one float, since numpy rounds
+    """(r, t) -> (1+r^2)^{-t} r^p, the integrand of the reference integrals
+    in r, t a float or one per node; p stays one float, since numpy rounds
     r ** 2.0 as a square and a power with an exponent per node as pow."""
 
     def f(r, t):
@@ -513,23 +513,19 @@ def ref_integral_Ip(p_exp: float, ts) -> list[float]:
 
 
 def ref_integral_Jp(p_exp: float, ts) -> list[float]:
-    """int_1^inf (1+r^2)^{-t} r^p dr at each t > max(1, (p+1)/2) of `ts`:
-    one `tail_integral` loop per time, the loops in lockstep, each round's
-    pieces in one `_rows` call."""
+    """int_1^inf (1+r^2)^{-t} r^p dr at each t > max(1, (p+1)/2) of `ts`: in
+    x = 1/(1+r^2) the incomplete beta integral
+    1/2 int_0^{1/2} x^{t-(p+3)/2} (1-x)^{(p-1)/2} dx (DLMF 8.17.1), every
+    time a row of one `_rows` call."""
     if not (all(map(math.isfinite, (p_exp, *ts)))
             and min(ts, default=math.inf) > max(1.0, 0.5 * (p_exp + 1.0))):
         raise ValueError("p and t must be finite, and t > max(1, (p+1)/2) for a convergent tail")
 
-    def segments(runs):
-        pieces = [ab for ends in runs.values() for ab in itertools.pairwise(ends)]
-        at = [ts[k] for k, ends in runs.items() for _ in ends[1:]]
-        found = iter(_rows(_ref_integrand(p_exp), pieces, at, REF_TOL))
-        return {k: [next(found)[:2] for _ in ends[1:]] for k, ends in runs.items()}
+    def f(x, t):
+        return 0.5 * x ** (t - 0.5 * (p_exp + 3.0)) * (1.0 - x) ** (0.5 * (p_exp - 1.0))
 
-    loops = tail_integral(segments, 1.0, 2.0, REF_TOL, (0.0,) * len(ts), (-math.inf,) * len(ts))
-    if not all(converged for _, _, converged in loops):
-        raise QuadratureError("tail did not converge")
-    return [total for total, _, _ in loops]
+    found = _rows(f, [_build_bounds(0.0, 0.5, ladder=16)] * len(ts), ts, REF_TOL)
+    return [value for value, _, _ in found]
 
 
 def middle_zone_integral(p_exp: float, ts, lo: float) -> list[float]:
@@ -776,7 +772,8 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
     """High-zone integrals of v^2 at the times `ts` -> [(value, err)] of the
     times before the earliest failed one (`failed` and budgets as in
     `_adaptive`): one `tail_integral` loop per time, the loops in lockstep,
-    over pieces in y, s = 1 + y^2 doubling from TAIL_START.
+    over pieces in y, s = 1 + y^2 doubling from TAIL_START, each past max(t, 4)
+    (2 at t = 0) and the data's core peak `s_peak`, before which they may underflow.
 
     Every piece of a round, a run of every open loop, is integrated by GK15:
     kinds without a phase, t = 0 and pieces over which the mode's phase bt
@@ -856,10 +853,11 @@ def _tail_values(d, kind: str, ts, spec: QuadSpec, baselines, failed: dict):
             out[k].append((row[0], row[1]))
         return out
 
-    stops = [max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START for t in ts]
+    peak = max(d.u0.s_peak, d.u1.s_peak)  # a wide core's pieces may underflow before it
+    stops = [max(peak, max(t, 2.0 * TAIL_START) if t > 0.0 else TAIL_START) for t in ts]
     out = []
     for k, (total, err, converged) in enumerate(
-            tail_integral(segments, TAIL_START, 2.0 * TAIL_START, spec.tol, baselines, stops)):
+            tail_integral(segments, spec.tol, baselines, stops)):
         if k >= min(failed, default=math.inf):
             break
         if not converged:

@@ -37,10 +37,19 @@ def test_totals_line_sums_every_row_of_both_sides():
 
 
 def test_ref_line_reads_identical_and_fails_above_ref_tol():
-    line = _load_script().ref_line
-    assert line([1.0, 2.0], [1.0, 2.0], 1e-12) == ("identical", True)
-    assert line([1.0, 2.0], [1.0, 2.0 + 2.0**-51], 1e-12) == (f"max rel diff {2.0**-52:.3g}", True)
-    assert line([1.0, 2.0], [1.0, 2.0 + 1e-11], 1e-12)[1] is False
+    script = _load_script()
+    line = script.ref_line
+    calls = script.ref_calls([["ref_integral_Jp", 1.0, [2.0, 5.0]],
+                              ["middle_zone_integral", 0.0, [10.0], 0.25]])
+    assert calls == ["ref_integral_Jp(p=1, t=2)", "ref_integral_Jp(p=1, t=5)",
+                     "middle_zone_integral(p=0, t=10, lo=0.25)"]
+    old = [1.0, 2.0, 3.0]
+    assert line(old, [1.0, 2.0, 3.0], 1e-12, calls) == ("identical", True)
+    # the line names the call of the largest relative difference
+    assert line(old, [1.0 + 2.0**-52, 2.0 + 2.0**-50, 3.0], 1e-12, calls) == (
+        f"max rel diff {2.0**-51:.3g} at ref_integral_Jp(p=1, t=5)", True)
+    assert line(old, [1.0, 2.0 + 2.0**-51, 3.0 + 4e-11], 1e-12, calls) == (
+        f"max rel diff {4e-11 / 3.0:.3g} at middle_zone_integral(p=0, t=10, lo=0.25)", False)
 
 
 def test_oracle_line_reads_identical_and_fails_above_its_limit():

@@ -302,6 +302,25 @@ def test_data_at_the_alpha_ceiling_read_their_references(monkeypatch, family, n)
     assert str(info.value).startswith(f"data {above!r}: alpha must lie in [ALPHA_MIN, ALPHA_MAX]")
 
 
+@pytest.mark.parametrize("sel,n", [("gaussian:alpha=1e25", 20), ("zero_mass:alpha=1e25", 18)])
+@pytest.mark.parametrize("first", [True, False])
+def test_high_zone_runs_past_a_wide_core_peak(sel, n, first):
+    # a core this wide peaks in |u| (1+r^2)^{n/4} near s = 1 + L = 61.6, and
+    # at n = 20 the Gaussian's squared values underflow before it: the tail
+    # loop stopped on those empty pieces and read 0.  Its stop now reaches
+    # the data's s_peak, and the t = 10 norm reads the Simpson sum of its
+    # integrand over y in [1, 32] (zero-mass data at n = 18, the largest n
+    # their amplitude bound admits at alpha = 1e25)
+    zero = "gaussian:alpha=1,amplitude=0"
+    d = data_mod.parse_pair(*((sel, zero) if first else (zero, sel)), n)
+    assert 61.0 < max(d.u0.s_peak, d.u1.s_peak) < 62.0
+    value, err = quad.norm_value(d, "u", n, 10.0)
+    f = quad._squared_value(d, "u", n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ref = _simpson(lambda y: f(y, 10.0), 1.0, 32.0, 20_000)
+    assert 0.0 < ref and abs(value - ref) <= err
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_amplitude_bound_keeps_the_squared_values_finite(n):
     # the largest Gaussian amplitude the law accepts at alpha = 1 reaches a

@@ -345,29 +345,12 @@ def test_the_kernel_remembers_one_point_by_the_identity_of_its_arguments(monkeyp
     assert results[0] != results[1]
 
 
-def test_propagator_all_oscillatory_call_matches_mixed_call():
-    # c^2 < 0 at every node, as in the whole high zone
-    lam = np.linspace(1.0, 40.0, 101)
-    t = 300.0
-    v0, v1 = np.cos(lam), np.sin(3.0 * lam) - 0.5
-    fast = modes.propagator_coeffs(lam, t, v0, v1, velocity=True)
-    # one real-root node sends the same nodes through the masked branches
-    mixed = modes.propagator_coeffs(
-        np.append(lam, 1e-4), t, np.append(v0, 1.0), np.append(v1, -1.0), velocity=True
-    )
-    for part, whole in zip(fast, mixed):
-        assert part.tobytes() == whole[:-1].tobytes()
-    # the quadrature's call, without the velocity, gives the same values
-    assert modes.propagator_coeffs(lam, t, v0, v1).tobytes() == fast[0].tobytes()
-
-
 @pytest.mark.parametrize("zone", ["all", "high"])
 def test_kernel_with_a_time_per_node_is_each_time_alone(zone):
     # a series integrates all its times in one call, each node at its own t:
     # every node gets the bytes of a call at its own time alone.  "all" mixes
     # the four branches of the mode and the series of phi2's sinc, with
-    # t = 0 on some nodes (the masked path); "high" has t > 0 on the
-    # all-oscillating high zone (the fast path)
+    # t = 0 on some nodes; "high" has t > 0 on the all-oscillating high zone
     rng = np.random.default_rng(23)
     if zone == "all":
         radii = np.concatenate((R_SAMPLES, 10.0 ** rng.uniform(-6.0, 1.0, 200)))

@@ -215,15 +215,16 @@ def test_refinement_matches_its_recorded_triples(name, tol, value, err, panels):
 
 
 def test_tail_error_covers_slowly_shrinking_remainder():
-    # exact pieces of int_1^inf x^{-1.2} dx shrink by 2^{-0.2} ~ 0.87 per
+    # exact pieces of int_2^inf x^{-1.2} dx shrink by 2^{-0.2} ~ 0.87 per
     # doubling, so |last piece| alone misses most of what is left
     def segments(runs):
         return {k: [(5.0 * (a**-0.2 - b**-0.2), 0.0) for a, b in zip(ends, ends[1:])]
                 for k, ends in runs.items()}
 
-    ((total, err, converged),) = quad.tail_integral(segments, 1.0, 2.0, 1e-3)
+    assert quad.TAIL_START == 2.0
+    ((total, err, converged),) = quad.tail_integral(segments, 1e-3, (0.0,), (-math.inf,))
     assert converged
-    remainder = 5.0 - total  # 5 = the whole integral
+    remainder = 5.0 * 2.0**-0.2 - total  # the whole integral less the pieces
     assert err >= remainder * (1.0 - 1e-12)
     assert err == pytest.approx(remainder, rel=1e-9)
 
@@ -260,7 +261,9 @@ def test_y_norm_of_a_gaussian_core_holds_nothing_beyond_its_end(monkeypatch, fam
     assert 0.0 < res.value < math.inf and not res.diverged
 
 
-def test_y_norm_integrates_in_one_adaptive_call(monkeypatch):
+def _adaptive_calls(monkeypatch):
+    """Record the initial panels of each interval of every `_adaptive` call,
+    one list per call, and fail any tail-doubling loop."""
     calls = []
     adaptive = quad._adaptive
 
@@ -269,15 +272,29 @@ def test_y_norm_integrates_in_one_adaptive_call(monkeypatch):
         return adaptive(*args, **kwargs)
 
     def no_loop(*args, **kwargs):
-        raise AssertionError("y_norm ran a tail-doubling loop")
+        raise AssertionError("a tail-doubling loop ran")
 
     monkeypatch.setattr(quad, "_adaptive", counted)
     monkeypatch.setattr(quad, "tail_integral", no_loop)
+    return calls
+
+
+def test_y_norm_integrates_in_one_adaptive_call(monkeypatch):
+    calls = _adaptive_calls(monkeypatch)
     for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1,beta=0.2"):
         calls.clear()
         quad.y_norm(data_mod.parse_profile(sel, 2), 0.5)
         # the head's ladder on [0, 1] and one panel for each of the 9 pieces
         assert calls == [[17] + [1] * quad._DOUBLINGS], sel
+
+
+def test_ref_integral_Jp_integrates_in_one_adaptive_call(monkeypatch):
+    # every time is one row, the 2^-k ladder on x in [0, 1/2]
+    calls = _adaptive_calls(monkeypatch)
+    for p, ts in ((1.0, (2.0, 5.0, 10.0, 30.0)), (0.0, (1.5,)), (2.0, (20.0, 60.0))):
+        calls.clear()
+        quad.ref_integral_Jp(p, ts)
+        assert calls == [[17] * len(ts)], (p, ts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -400,6 +417,35 @@ def test_reference_integrals_over_times_are_each_time_alone():
         alone = [v for t in ts for v in ref(p, (t,), *lo)]
         assert ref(p, ts, *lo) == alone
         assert ref(p, ts[::-1], *lo) == alone[::-1]
+
+
+def _j1(t):
+    return 2.0 ** (1.0 - t) / (2.0 * (t - 1.0))
+
+
+def _j3(t):
+    return 0.5 * (2.0 ** (2.0 - t) / (t - 2.0) - 2.0 ** (1.0 - t) / (t - 1.0))
+
+
+# (p, t, J_p(t), relative tolerance): the closed forms at p = 1 and 3 and
+# 30-digit values of (1/2) B_{1/2}(t - (p+1)/2, (p+1)/2) (mpmath), to 1e-14;
+# at (0, 1.01) and (3, 2.5) the integrand x^{t-(p+3)/2} is singular at x = 0,
+# and they are held to REF_TOL
+J_REFERENCE = (
+    *((1.0, t, _j1(t), 1e-14) for t in (2.0, 5.0, 10.0, 30.0)),
+    *((3.0, t, _j3(t), 1e-14) for t in (5.0, 30.0)),
+    (0.0, 1.5, 0.292893218813452475599155637895, 1e-14),
+    (2.0, 20.0, 5.28415489810855280492684281742e-8, 1e-14),
+    (0.0, 60.0, 1.44598598726042534303600030327e-20, 1e-14),
+    (0.0, 1.01, 0.765748490928777056506139669029, quad.REF_TOL),
+    (3.0, 2.5, _j3(2.5), quad.REF_TOL),
+)
+
+
+@pytest.mark.parametrize("p,t,exact,rel", J_REFERENCE)
+def test_ref_integral_Jp_reads_its_references(p, t, exact, rel):
+    (value,) = quad.ref_integral_Jp(p, (t,))
+    assert abs(value - exact) <= rel * exact
 
 
 def test_norm_value_rejects_phi1_at_time_zero(monkeypatch):
@@ -590,9 +636,8 @@ def _stepped_reference(d, kind, n, t, tol, zone="all"):
         ends = np.sqrt(np.array(runs[0]) - 1.0).tolist()
         return {0: [_stepped_piece(f, a, b, t, tol, kind != "phi1") for a, b in zip(ends, ends[1:])]}
 
-    start = quad.TAIL_START
-    ((tail, err, converged),) = quad.tail_integral(segments, start, 2.0 * start, tol, (head[0],),
-                                                   (max(t, 2.0 * start),))
+    ((tail, err, converged),) = quad.tail_integral(segments, tol, (head[0],),
+                                                   (max(t, 2.0 * quad.TAIL_START),))
     assert converged
     return head[0] + tail, head[1] + err
 
