@@ -227,13 +227,16 @@ class RadialSpectrum:
     def mass_sum(self) -> float:
         return self.u0.mass + self.u1.mass
 
+    # The pair's regularity and tail exponent in the energy pairing
+    # D(L^{(l+1)/2}) x D(L^{l/2}): the mode's u1 term carries a 1/b ~ L^{-1/2}
+    # that its u0 term lacks, so a tail in u0 counts one order less (README).
     @property
-    def l(self) -> float:  # the smaller of the two profiles' regularities
-        return min(self.u0.l, self.u1.l)
+    def l(self) -> float:
+        return min(self.u0.l - 1.0, self.u1.l)
 
     @property
-    def q(self) -> float:  # the smaller of the two profiles' tail exponents
-        return min(self.u0.q, self.u1.q)
+    def q(self) -> float:
+        return min(self.u0.q - 1.0, self.u1.q)
 
 
 def parse_pair(sel0: str, sel1: str, n: int) -> RadialSpectrum:

@@ -515,16 +515,21 @@ def ref_integral_Ip(p_exp: float, ts) -> list[float]:
 def ref_integral_Jp(p_exp: float, ts) -> list[float]:
     """int_1^inf (1+r^2)^{-t} r^p dr at each t > max(1, (p+1)/2) of `ts`: in
     x = 1/(1+r^2) the incomplete beta integral
-    1/2 int_0^{1/2} x^{t-(p+3)/2} (1-x)^{(p-1)/2} dx (DLMF 8.17.1), every
-    time a row of one `_rows` call."""
+    1/2 int_0^{1/2} x^{g-1} (1-x)^{(p-1)/2} dx, g = t - (p+1)/2 (DLMF 8.17.1),
+    taken in w = x^h, h = min(g, 1), so that below g = 1 the integrand is not
+    singular at 0: 1/(2h) int_0^{2^-h} w^{g/h-1} (1 - w^{1/h})^{(p-1)/2} dw.
+    From g = 1 on, w = x.  Every time is a row of one `_rows` call."""
     if not (all(map(math.isfinite, (p_exp, *ts)))
             and min(ts, default=math.inf) > max(1.0, 0.5 * (p_exp + 1.0))):
         raise ValueError("p and t must be finite, and t > max(1, (p+1)/2) for a convergent tail")
 
-    def f(x, t):
-        return 0.5 * x ** (t - 0.5 * (p_exp + 3.0)) * (1.0 - x) ** (0.5 * (p_exp - 1.0))
+    def f(w, t):
+        g = t - 0.5 * (p_exp + 1.0)
+        h = np.minimum(g, 1.0)
+        return 0.5 / h * w ** (g / h - 1.0) * (1.0 - w ** (1.0 / h)) ** (0.5 * (p_exp - 1.0))
 
-    found = _rows(f, [_build_bounds(0.0, 0.5, ladder=16)] * len(ts), ts, REF_TOL)
+    ends = [2.0 ** -min(1.0, t - 0.5 * (p_exp + 1.0)) for t in ts]
+    found = _rows(f, [_build_bounds(0.0, end, ladder=16) for end in ends], ts, REF_TOL)
     return [value for value, _, _ in found]
 
 

@@ -156,13 +156,15 @@ def classify(n: int, l: float) -> RegimeReport:
     the heat-like term, exponent -min((n+2)/4, (l+1)/2)); wave-like needs
     n >= 5 and 1 <= l < n/2 - 1 (oscillatory profile, exponent
     -min(n/4, (l+3)/2)); the boundary l = n/2 - 1 with n >= 4 uses the sum
-    of both profiles at exponent -(n+2)/4.  Anything else is labelled
-    uncovered rather than extrapolated; l = math.inf stands for every l.
+    of both profiles at exponent -(n+2)/4.  Anything else, a negative l
+    too, is labelled uncovered rather than extrapolated (a pair's l is
+    min(l0 - 1, l1), below 0 for a u0 tail with m < 1); l = math.inf stands
+    for every l.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if not l >= 0.0:
-        raise ValueError("regularity must be nonnegative")
+    if np.isnan(l):
+        raise ValueError("regularity must be a number")
     lstar = n / 2.0 - 1.0
 
     regime = DecayRegime.UNCOVERED

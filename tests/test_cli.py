@@ -149,6 +149,23 @@ def test_rates_gaussian_data_have_every_l(capsys, n, slope):
     assert code == 0
 
 
+@pytest.mark.parametrize("m", [1.0, 0.5, 0.0])
+def test_rates_reads_a_tail_in_u0_one_order_less(capsys, m):
+    # u0 = log_tail:m carries l0 = m, but in the energy pairing the pair's
+    # regularity is min(l0 - 1, l1) = m - 1, which no regime covers, below 0
+    # too: the report names no bound and exits 0.  At m = 1 the plain
+    # minimum l = 1 failed u - phi2's -2 with a fitted -1.596 and exited 1
+    code, out = _run(
+        capsys,
+        "rates", "--n", "8", "--data-u0", f"log_tail:m={m:g},beta=0.2",
+        "--data-u1", "gaussian:alpha=1",
+    )
+    report = json.loads(out)
+    assert report["l"] == m - 1.0
+    assert report["regime"] == "uncovered-by-theory"
+    assert report["pass"] is None and code == 0
+
+
 def test_rates_uncovered_input(capsys):
     code, out = _run(
         capsys,

@@ -218,24 +218,25 @@ def test_pair_dimension_checked():
 
 def test_each_family_states_its_tail_exponent():
     # log_tail's q is m + 1 + beta; Gaussian and zero-mass data have no power
-    # tail (q = inf); a pair has the smaller of its two
+    # tail (q = inf); a pair has min(q0 - 1, q1), as u0 counts one order less
+    # in the energy pairing
     qs = {sel: data_mod.parse_profile(sel, 2).q
           for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1.5,beta=0.2")}
     assert list(qs.values()) == [math.inf, math.inf, 1.5 + 1.0 + 0.2]
     for sel0 in qs:
         for sel1 in qs:
-            assert data_mod.parse_pair(sel0, sel1, 2).q == min(qs[sel0], qs[sel1])
+            assert data_mod.parse_pair(sel0, sel1, 2).q == min(qs[sel0] - 1.0, qs[sel1])
 
 
 def test_each_family_states_its_regularity():
     # log_tail's l is its m; Gaussian and zero-mass data have every l; a
-    # pair has the smaller of its two
+    # pair has min(l0 - 1, l1), the energy pairing D(L^{(l+1)/2}) x D(L^{l/2})
     ls = {sel: data_mod.parse_profile(sel, 2).l
           for sel in ("gaussian:alpha=1", "zero_mass:alpha=1", "log_tail:m=1.5,beta=0.2")}
     assert list(ls.values()) == [math.inf, math.inf, 1.5]
     for sel0 in ls:
         for sel1 in ls:
-            assert data_mod.parse_pair(sel0, sel1, 2).l == min(ls[sel0], ls[sel1])
+            assert data_mod.parse_pair(sel0, sel1, 2).l == min(ls[sel0] - 1.0, ls[sel1])
 
 
 def test_family_parameter_validation():

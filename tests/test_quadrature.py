@@ -428,9 +428,10 @@ def _j3(t):
 
 
 # (p, t, J_p(t), relative tolerance): the closed forms at p = 1 and 3 and
-# 30-digit values of (1/2) B_{1/2}(t - (p+1)/2, (p+1)/2) (mpmath), to 1e-14;
-# at (0, 1.01) and (3, 2.5) the integrand x^{t-(p+3)/2} is singular at x = 0,
-# and they are held to REF_TOL
+# 30-digit values of (1/2) B_{1/2}(g, (p+1)/2), g = t - (p+1)/2 (mpmath
+# 1.3.0), to 1e-14; where x^{g-1} is singular at x = 0 they are held to
+# REF_TOL: (3, 2.5) in x, and below g = 1, in w = x^g, (0, 1.01) and the
+# three that ran the x ladder out of panels
 J_REFERENCE = (
     *((1.0, t, _j1(t), 1e-14) for t in (2.0, 5.0, 10.0, 30.0)),
     *((3.0, t, _j3(t), 1e-14) for t in (5.0, 30.0)),
@@ -439,6 +440,9 @@ J_REFERENCE = (
     (0.0, 60.0, 1.44598598726042534303600030327e-20, 1e-14),
     (0.0, 1.01, 0.765748490928777056506139669029, quad.REF_TOL),
     (3.0, 2.5, _j3(2.5), quad.REF_TOL),
+    (2.0, 1.6, 4.5506271064197416654, quad.REF_TOL),
+    (3.0, 2.1, 4.4531120050620309939, quad.REF_TOL),
+    (4.0, 2.65, 2.7312512320587143569, quad.REF_TOL),
 )
 
 

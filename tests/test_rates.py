@@ -117,8 +117,9 @@ def test_classify_uncovered_inputs():
     assert rep.sol_exponent_upper is None
     with pytest.raises(ValueError):
         rates.classify(0, 1.0)
-    with pytest.raises(ValueError):
-        rates.classify(3, -1.0)
+    # a negative l, as a pair with a u0 tail of m < 1 has, is uncovered
+    assert rates.classify(3, -1.0) == rates.RegimeReport(3, -1.0, rates.DecayRegime.UNCOVERED,
+                                                         None, None, None, False)
     with pytest.raises(ValueError):
         rates.classify(3, math.nan)
 
