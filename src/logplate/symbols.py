@@ -13,11 +13,10 @@ pointwise energy decay estimate.  The roots are written once:
 `collision_gap` gives a and a^2 - L, `real_roots` the real pair, and the
 mode kernel (`modes`), the quadrature and check 02 all take them from here.
 
-Everything here is pure scalar/array arithmetic in double precision; values
-are freely shareable across threads.  The package's one piece of mutable
-state, the mode kernel's last-point entry in `modes`, is read once a call
-and replaced whole by one assignment, so threads may share it too: each
-reads an old or a new entry, never a half-written one.
+Each threshold is in closed form: its defining equation in r is the cubic
+L (1 + L)^2 = c in L, with c = 1, 1/4 and 3/16, so r = sqrt(e^L - 1) at
+the cubic's one positive root.  Everything here is pure scalar/array
+arithmetic in double precision; values are freely shareable across threads.
 """
 
 from __future__ import annotations
@@ -75,42 +74,6 @@ class FreqPoint(NamedTuple):
         return tuple.__new__(cls, (float(r), log_weight(r)))
 
 
-def _bisect(f, lo: float, hi: float, residual: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection for an increasing f with f(lo) < 0 < f(hi).
-
-    Plain bisection is enough: each defining function below is strictly
-    monotone on the bracket, and the interval is exhausted to the last
-    double well inside the 200-iteration cap, leaving residuals at the
-    rounding floor (far below the 1e-12 target).
-    """
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0.0 < fhi):
-        raise RuntimeError("bisection bracket does not straddle the root")
-    best = 0.5 * (lo + hi)
-    best_res = abs(f(best))
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if abs(fm) < best_res:
-            best, best_res = mid, abs(fm)
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if best_res >= residual:
-        raise RuntimeError(f"bisection stalled with residual {best_res:.3e}")
-    return best
-
-
-def _assert_increasing(f, lo: float, hi: float, samples: int = 64) -> None:
-    xs = np.linspace(lo, hi, samples)
-    ys = np.array([f(x) for x in xs])
-    if not np.all(np.diff(ys) > 0.0):
-        raise RuntimeError("defining function is not increasing on the bracket")
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Radial frequencies where the symbol changes character.
@@ -130,7 +93,7 @@ class Thresholds:
 
     def residuals(self) -> dict[str, float]:
         """Residuals of each defining equation at the stored root."""
-        res = {name: f(getattr(self, name)) for name, f in _DEFINING.items()}
+        res = {name: f(getattr(self, name)) for name, (_, f) in _DEFINING.items()}
         return {**res, "r_unit": log_weight(self.r_unit) - 1.0}
 
 
@@ -149,20 +112,32 @@ def _gap_defect(r: float) -> float:
     return 4.0 * lam * (1.0 + lam) ** 2 - 0.75
 
 
-# The function whose root defines each bisected threshold.
-_DEFINING = {"delta0": _weight_crossover, "delta": _disc_defect, "eta": _gap_defect}
+# Each threshold's c in L (1 + L)^2 = c and its defining function in r.
+_DEFINING = {
+    "delta0": (1.0, _weight_crossover),
+    "delta": (0.25, _disc_defect),
+    "eta": (0.1875, _gap_defect),
+}
+
+
+def _closed_form(c: float, f) -> float:
+    """The double r at the root of f, from the root of L (1 + L)^2 = c.
+
+    Newton in L from L = c falls monotonically to the root, as the cubic is
+    convex and increasing for L > 0, so it stops where a step no longer
+    lowers L.  Of r = sqrt(e^L - 1) and its two neighbouring doubles, the one
+    with the smallest |f| is kept, the lower one on a tie.
+    """
+    lam, newton = c, lambda x: x - (x * (1.0 + x) ** 2 - c) / ((1.0 + x) * (1.0 + 3.0 * x))
+    while newton(lam) < lam:
+        lam = newton(lam)
+    r = math.sqrt(math.expm1(lam))
+    return min((math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)), key=lambda x: abs(f(x)))
 
 
 def compute_thresholds() -> Thresholds:
-    """Locate all regime thresholds by bisection to |residual| < 1e-12."""
-    for f in _DEFINING.values():
-        _assert_increasing(f, 0.0, R_UNIT)
-    th = Thresholds(
-        **{name: _bisect(f, 0.0, R_UNIT) for name, f in _DEFINING.items()}, r_unit=R_UNIT
-    )
-    if not (0.0 < th.eta < th.delta < th.delta0 < th.r_unit):
-        raise RuntimeError("threshold ordering violated")
-    return th
+    """The regime thresholds, each from its cubic in closed form."""
+    return Thresholds(**{k: _closed_form(c, f) for k, (c, f) in _DEFINING.items()}, r_unit=R_UNIT)
 
 
 def collision_gap(lam):

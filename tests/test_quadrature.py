@@ -56,12 +56,17 @@ def test_basic_integrals():
     assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
-def _adaptive(f, intervals, tol, budget, failed):
-    """`quad._adaptive` on [(boundary array, t, owner)], one per interval."""
+def _adaptive(f, intervals, tol, budget, failed=None):
+    """`quad._adaptive` on [(boundary array, t, owner)], one per interval;
+    without a `failed` dict the earliest failure is raised."""
+    found = {} if failed is None else failed
     bounds, ts, owners = zip(*intervals)
-    return quad._adaptive(f, np.concatenate([b[:-1] for b in bounds]),
-                          np.concatenate([b[1:] for b in bounds]), [b.size - 1 for b in bounds],
-                          ts, owners, tol, budget, failed)
+    out = quad._adaptive(f, np.concatenate([b[:-1] for b in bounds]),
+                         np.concatenate([b[1:] for b in bounds]), [b.size - 1 for b in bounds],
+                         ts, owners, tol, budget, found)
+    if failed is None and found:
+        raise found[min(found)]
+    return out
 
 
 def _boundaries(lo, hi, sizes):
@@ -613,7 +618,9 @@ def _mode_phase(y, t):
 def _stepped_piece(f, lo, hi, t, tol, phased=True):
     """(value, err) of v^2 on [lo, hi] from equal panels that span at most
     2 pi of the fastest phase each, with no phase form and no Levin
-    rule: a reference independent of the tail's fast-term path."""
+    rule: a reference independent of the tail's fast-term path.  Its
+    budget is ten times `MAX_PANELS`, as the 2 pi steps alone of a piece
+    at t = 2,560 take some 61,000 panels; a failure is raised."""
     y = np.linspace(lo, hi, 4097)
     if not f(y, t).any():  # underflowed data
         return 0.0, 0.0
@@ -622,7 +629,7 @@ def _stepped_piece(f, lo, hi, t, tol, phased=True):
         rate = (np.diff(_mode_phase(y, t)) / np.diff(y)).max()
         count = math.ceil(rate * (hi - lo) / (2.0 * math.pi))
     ((value, err, _),) = _adaptive(f, [(np.linspace(lo, hi, count + 1), t, 0)], tol,
-                                   [quad.MAX_PANELS], {})
+                                   [10 * quad.MAX_PANELS])
     return value, err
 
 
@@ -634,7 +641,7 @@ def _stepped_reference(d, kind, n, t, tol, zone="all"):
     head = (0.0, 0.0)
     if zone == "all":
         bounds = quad._build_bounds(0.0, 1.0, ladder=16)
-        head = _adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS], {})[0][:2]
+        head = _adaptive(f, [(bounds, t, 0)], tol, [quad.MAX_PANELS])[0][:2]
 
     def segments(runs):
         ends = np.sqrt(np.array(runs[0]) - 1.0).tolist()

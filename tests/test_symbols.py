@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from logplate import symbols
 
 TH = symbols.compute_thresholds()
 
-# Frozen from an independent root bracketing (Brent) run to 1e-16 residual;
-# the bisection here stops at 1e-12 residual, hence the 5e-13 slack.
+# Frozen from an independent root bracketing (Brent) run to 1e-16 residual.
+# Each threshold lies within one ulp of its literal: delta0 one ulp below,
+# where the two doubles' defining residuals tie and the lower one is kept.
 BRENT_DELTA0 = 0.7700154920073377
 BRENT_DELTA = 0.4436224243774064
 BRENT_ETA = 0.39269373705906063
@@ -44,9 +46,21 @@ def test_freqpoint_consistency():
 
 
 def test_thresholds_match_independent_solver():
-    assert TH.delta0 == pytest.approx(BRENT_DELTA0, abs=5e-13)
-    assert TH.delta == pytest.approx(BRENT_DELTA, abs=5e-13)
-    assert TH.eta == pytest.approx(BRENT_ETA, abs=5e-13)
+    for value, brent in ((TH.delta0, BRENT_DELTA0), (TH.delta, BRENT_DELTA), (TH.eta, BRENT_ETA)):
+        assert abs(value - brent) <= math.ulp(brent)
+
+
+def test_no_nearby_double_has_a_smaller_residual():
+    # r = sqrt(e^L - 1) at the cubic's root can round one ulp off the double
+    # of least residual in r: eta's reads 5.6e-16 where its upper neighbour
+    # reads 0
+    for name in ("delta0", "delta", "eta"):
+        here = abs(TH.residuals()[name])
+        for toward in (0.0, math.inf):
+            x = getattr(TH, name)
+            for _ in range(2):
+                x = math.nextafter(x, toward)
+                assert abs(dataclasses.replace(TH, **{name: x}).residuals()[name]) >= here
 
 
 def test_thresholds_residuals_and_ordering():
